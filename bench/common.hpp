@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,20 @@ inline std::string resultsDir() {
   const std::string dir = "bench_results";
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// The host CPU's model name (first "model name" line of
+/// /proc/cpuinfo), or "unknown"; recorded in a BENCH_*.json config so
+/// its numbers are read with their hardware.
+inline std::string cpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);)
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "unknown";
 }
 
 /// Paired per-walk records for one AP configuration.

@@ -5,6 +5,7 @@
 // compatibility claim ("regardless of fingerprint types").
 
 #include <cstdio>
+#include <memory>
 
 #include "baseline/wifi_fingerprinting.hpp"
 #include "bench/common.hpp"
@@ -30,7 +31,10 @@ int main() {
 
   const baseline::WifiFingerprinting nearest(world.fingerprintDb());
   core::MoLocEngine molocDet = world.makeEngine();
-  core::MoLocEngine molocProb(probDb, world.motionDb(), config.moloc);
+  core::MoLocEngine molocProb(
+      core::CandidateEstimator(probDb, config.moloc.candidateCount),
+      std::make_shared<const kernel::MotionAdjacency>(world.motionDb()),
+      config.moloc);
 
   eval::ErrorStats nearestStats, horusStats, molocDetStats,
       molocProbStats;

@@ -13,6 +13,12 @@
 // end-to-end check that the observability layer measures what the
 // benchmark measures.
 //
+// A second section, session_create, times openSession (registry on)
+// over 2000 fresh ids on the office hall and on the generated
+// campus-1k/4k/16k venues.  Creating a session must cost O(k) whatever
+// the venue size: the run fails when campus-16k's p50 exceeds
+// campus-1k's by more than kMaxSessionCreateRatio.
+//
 // Output: paper-style rows plus a p50/p95/p99 latency table on
 // stdout, bench_results/micro_service.csv (threads,queries,seconds,
 // qps,speedup,p50_ms,p95_ms,p99_ms), the machine-readable sweep as
@@ -20,6 +26,7 @@
 // docs/performance.md), and the final run's registry rendered to
 // bench_results/micro_service_metrics.prom.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +42,8 @@
 #include "sensors/accelerometer_model.hpp"
 #include "sensors/compass_model.hpp"
 #include "service/localization_service.hpp"
+#include "worldgen/generated_venue.hpp"
+#include "worldgen/venue_spec.hpp"
 
 namespace {
 
@@ -42,6 +51,12 @@ using namespace moloc;
 
 constexpr std::size_t kSessions = 64;
 constexpr std::size_t kImuSamples = 150;  // 3 s at 50 Hz.
+
+/// session_create: sessions opened per venue, and the largest allowed
+/// campus-16k / campus-1k p50 ratio.  O(k) creation measures about 1;
+/// a creation cost linear in venue size measures 20 or more.
+constexpr std::size_t kCreateSessions = 2000;
+constexpr double kMaxSessionCreateRatio = 4.0;
 
 /// Rounds per session; MOLOC_BENCH_ROUNDS overrides the default for
 /// longer (less scheduler-noise-prone) measurements, e.g. when
@@ -136,6 +151,45 @@ RunResult runAtThreadCount(const eval::ExperimentWorld& world,
   return result;
 }
 
+/// openSession wall time over one venue's service.
+struct CreateRow {
+  std::string venue;
+  std::size_t locations = 0;
+  double p50Us = 0.0;
+  double p90Us = 0.0;
+};
+
+/// Times kCreateSessions openSession calls on fresh ids, on a service
+/// built the way molocd builds it (registry on, venue shard starts).
+CreateRow measureSessionCreate(std::string venue,
+                               radio::FingerprintDatabase fingerprints,
+                               const core::MotionDatabase& motion,
+                               std::vector<std::size_t> shardStarts) {
+  obs::MetricsRegistry registry;
+  service::ServiceConfig config;
+  config.threadCount = 1;
+  config.metrics = &registry;
+  config.indexShardStarts = std::move(shardStarts);
+  const std::size_t locations = fingerprints.size();
+  service::LocalizationService svc(std::move(fingerprints), motion, config);
+
+  std::vector<double> us;
+  us.reserve(kCreateSessions);
+  for (std::size_t id = 0; id < kCreateSessions; ++id) {
+    const auto start = std::chrono::steady_clock::now();
+    svc.openSession(id, config.defaultStepLengthMeters);
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::sort(us.begin(), us.end());
+  const auto rank = [&us](double q) {
+    return us[static_cast<std::size_t>(
+        q * static_cast<double>(us.size() - 1) + 0.5)];
+  };
+  return {std::move(venue), locations, rank(0.50), rank(0.90)};
+}
+
 bool bitwiseEqual(const std::vector<core::LocationEstimate>& a,
                   const std::vector<core::LocationEstimate>& b) {
   if (a.size() != b.size()) return false;
@@ -205,6 +259,29 @@ int main() {
   std::printf("  determinism: all thread counts bitwise-identical to"
               " serial\n");
 
+  // Session creation across venue sizes.
+  std::printf("\nopenSession cost (%zu sessions per venue, registry on):\n",
+              kCreateSessions);
+  std::vector<CreateRow> creates;
+  creates.push_back(measureSessionCreate("hall", world.fingerprintDb(),
+                                         world.motionDb(), {}));
+  for (const char* preset : {"campus-1k", "campus-4k", "campus-16k"}) {
+    const worldgen::GeneratedVenue venue(worldgen::parseVenueSpec(preset));
+    creates.push_back(measureSessionCreate(preset, venue.fingerprints(),
+                                           venue.motion(),
+                                           venue.shardStarts()));
+  }
+  for (const auto& row : creates)
+    std::printf("  %-10s  %6zu locations  p50 %8.2f us  p90 %8.2f us\n",
+                row.venue.c_str(), row.locations, row.p50Us, row.p90Us);
+  // creates = {hall, campus-1k, campus-4k, campus-16k}.
+  const double createRatio = creates[1].p50Us > 0.0
+                                 ? creates[3].p50Us / creates[1].p50Us
+                                 : 0.0;
+  std::printf("  session_create_ratio (campus-16k / campus-1k p50): "
+              "%.2f (limit %.1f)\n",
+              createRatio, kMaxSessionCreateRatio);
+
   // Machine-readable sweep snapshot for the perf trajectory.
   {
     bench::JsonWriter json;
@@ -223,6 +300,8 @@ int main() {
                static_cast<bool>(MOLOC_METRICS_ENABLED))
         .field("hardware_concurrency",
                static_cast<double>(std::thread::hardware_concurrency()))
+        .field("cpu_model", bench::cpuModel())
+        .field("build_type", MOLOC_BUILD_TYPE)
         .endObject();
     const auto qpsOf = [queries](const RunResult& run) {
       return run.seconds > 0.0
@@ -268,6 +347,20 @@ int main() {
           .field("max_speedup_threads", static_cast<double>(maxThreads))
           .endObject();
     }
+    json.beginObject("session_create")
+        .field("sessions", static_cast<double>(kCreateSessions));
+    json.beginArray("venues");
+    for (const auto& row : creates)
+      json.beginObject()
+          .field("venue", row.venue)
+          .field("locations", static_cast<double>(row.locations))
+          .field("p50_us", row.p50Us)
+          .field("p90_us", row.p90Us)
+          .endObject();
+    json.endArray()
+        .field("session_create_ratio", createRatio)
+        .field("max_session_create_ratio", kMaxSessionCreateRatio)
+        .endObject();
     json.field("determinism_bitwise", true).endObject();
     const std::string jsonPath =
         moloc::bench::resultsDir() + "/BENCH_micro_service.json";
@@ -297,6 +390,13 @@ int main() {
       std::printf("\nregistry snapshot (threads=%zu run): %s\n",
                   rows.back().threads, promPath.c_str());
     }
+  }
+  if (createRatio > kMaxSessionCreateRatio) {
+    std::fprintf(stderr,
+                 "FAIL: session_create_ratio %.2f above %.1f — session "
+                 "creation scales with venue size\n",
+                 createRatio, kMaxSessionCreateRatio);
+    return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;
 }

@@ -28,18 +28,11 @@ LocalizationSession::LocalizationSession(
       stepLengthMeters_(checkStepLength(stepLengthMeters)) {}
 
 LocalizationSession::LocalizationSession(
-    const radio::ProbabilisticFingerprintDatabase& fingerprints,
-    const MotionDatabase& motion, double stepLengthMeters,
-    MoLocConfig config, sensors::MotionProcessorParams motionParams)
-    : engine_(fingerprints, motion, config),
-      processor_(motionParams),
-      stepLengthMeters_(checkStepLength(stepLengthMeters)) {}
-
-LocalizationSession::LocalizationSession(
-    CandidateEstimator estimator, const MotionDatabase& motion,
+    CandidateEstimator estimator,
+    std::shared_ptr<const kernel::MotionAdjacency> motion,
     double stepLengthMeters, MoLocConfig config,
     sensors::MotionProcessorParams motionParams)
-    : engine_(std::move(estimator), motion, config),
+    : engine_(std::move(estimator), std::move(motion), config),
       processor_(motionParams),
       stepLengthMeters_(checkStepLength(stepLengthMeters)) {}
 

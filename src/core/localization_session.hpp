@@ -22,26 +22,21 @@ class LocalizationSession {
  public:
   /// `stepLengthMeters` is the user's estimated step length (from the
   /// profile height/weight; see sensors::estimateStepLength).  Must be
-  /// positive (throws std::invalid_argument).  The databases must
-  /// outlive the session.
+  /// positive (throws std::invalid_argument).  The fingerprint
+  /// database must outlive the session; `motion` is not retained.
   LocalizationSession(const radio::FingerprintDatabase& fingerprints,
                       const MotionDatabase& motion,
                       double stepLengthMeters, MoLocConfig config = {},
                       sensors::MotionProcessorParams motionParams = {});
 
-  /// Variant over the Horus-style probabilistic radio map.
-  LocalizationSession(
-      const radio::ProbabilisticFingerprintDatabase& fingerprints,
-      const MotionDatabase& motion, double stepLengthMeters,
-      MoLocConfig config = {},
-      sensors::MotionProcessorParams motionParams = {});
-
-  /// Variant with an explicit candidate source (e.g. the tiered-index
-  /// backend); `config.candidateCount` is ignored in favour of the
+  /// The general form (see MoLocEngine's): any candidate source over
+  /// a shared, prebuilt motion adjacency — how the serving layer builds
+  /// a session on its current world without copying anything
+  /// venue-sized.  `config.candidateCount` is ignored in favour of the
   /// estimator's own k.  Whatever the estimator captures must outlive
   /// the session.
   LocalizationSession(CandidateEstimator estimator,
-                      const MotionDatabase& motion,
+                      std::shared_ptr<const kernel::MotionAdjacency> motion,
                       double stepLengthMeters, MoLocConfig config = {},
                       sensors::MotionProcessorParams motionParams = {});
 

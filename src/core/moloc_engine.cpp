@@ -24,18 +24,11 @@ MoLocEngine::MoLocEngine(const radio::FingerprintDatabase& fingerprints,
 }
 
 MoLocEngine::MoLocEngine(
-    const radio::ProbabilisticFingerprintDatabase& fingerprints,
-    const MotionDatabase& motion, MoLocConfig config)
-    : estimator_(fingerprints, config.candidateCount),
-      matcher_(motion, config.matcher),
-      config_(config) {
-  initMetrics();
-}
-
-MoLocEngine::MoLocEngine(CandidateEstimator estimator,
-                         const MotionDatabase& motion, MoLocConfig config)
+    CandidateEstimator estimator,
+    std::shared_ptr<const kernel::MotionAdjacency> motion,
+    MoLocConfig config)
     : estimator_(std::move(estimator)),
-      matcher_(motion, config.matcher),
+      matcher_(std::move(motion), config.matcher),
       config_(config) {
   initMetrics();
 }

@@ -61,20 +61,21 @@ struct LocationEstimate {
 /// engine degrades to plain fingerprinting rather than stalling.
 class MoLocEngine {
  public:
-  /// The databases must outlive the engine.
+  /// The paper's deterministic candidate source over `fingerprints`,
+  /// scoring motion on an adjacency built from `motion`.  The
+  /// fingerprint database must outlive the engine; `motion` is not
+  /// retained.
   MoLocEngine(const radio::FingerprintDatabase& fingerprints,
               const MotionDatabase& motion, MoLocConfig config = {});
 
-  /// Variant using the Horus-style probabilistic radio map as the
-  /// candidate source (extension; the paper uses the deterministic
-  /// matcher above).
-  MoLocEngine(const radio::ProbabilisticFingerprintDatabase& fingerprints,
-              const MotionDatabase& motion, MoLocConfig config = {});
-
-  /// Variant with an explicit candidate source (e.g. a custom
-  /// CandidateEstimator backend); `config.candidateCount` is ignored in
-  /// favour of the estimator's own k.
-  MoLocEngine(CandidateEstimator estimator, const MotionDatabase& motion,
+  /// The general form: any candidate source (e.g. the Horus-style
+  /// probabilistic radio map, or the serving layer's tiered index)
+  /// scoring motion on a shared, prebuilt adjacency (e.g. a published
+  /// WorldSnapshot's).  `config.candidateCount` is ignored in favour
+  /// of the estimator's own k.  Throws std::invalid_argument on a null
+  /// adjacency.
+  MoLocEngine(CandidateEstimator estimator,
+              std::shared_ptr<const kernel::MotionAdjacency> motion,
               MoLocConfig config = {});
 
   const MoLocConfig& config() const { return config_; }

@@ -14,8 +14,9 @@
 namespace moloc::core {
 
 /// One immutable, internally consistent serving world: the radio map,
-/// a motion database frozen at a publish point, and the CSR adjacency
-/// index built from exactly that database.
+/// its optional tiered index, and the CSR motion adjacency built from
+/// the motion database at a publish point.  A LocalizationService and
+/// every session it creates are built from a snapshot and nothing else.
 ///
 /// Snapshots are the unit of the serving stack's epoch/RCU-style read
 /// path (docs/serving.md).  The intake writer thread builds one from
@@ -27,42 +28,31 @@ namespace moloc::core {
 /// reference — reclamation is the shared_ptr refcount, no epochs or
 /// grace periods to track.
 ///
-/// The fingerprint database is shared (it does not change online), so
-/// a publish copies only the motion side; the adjacency is built once
-/// here and shared by every session that adopts the snapshot, which is
-/// what retired the process-wide version-stamp cache and its ABA bug
-/// (see kernel::MotionAdjacency).
+/// The fingerprint database and the index are shared (they do not
+/// change online), so a publish builds only a new adjacency, which
+/// every session adopting the snapshot then shares (see
+/// kernel::MotionAdjacency).
 class WorldSnapshot {
  public:
-  /// Freezes `motion` (by value — the caller keeps mutating its own
-  /// copy) and builds the adjacency from it.  `fingerprints` may be
-  /// null for motion-only worlds (tests); `generation` is the publish
-  /// sequence number, `intakeRecords` the number of accepted
-  /// observations folded into this world (staleness accounting).
-  /// `tieredIndex`, when non-null, is the prefilter built over
-  /// `fingerprints` (shared across snapshots like the radio map itself
-  /// — both are immutable online, so a publish copies neither).
+  /// Builds the adjacency from `motion`; the dense database is not
+  /// kept.  `fingerprints` may be null for motion-only worlds (tests);
+  /// `generation` is the publish sequence number, `intakeRecords` the
+  /// number of accepted observations folded into this world
+  /// (staleness accounting).  `tieredIndex`, when non-null, is the
+  /// prefilter built over `fingerprints`.
   WorldSnapshot(std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-                MotionDatabase motion, std::uint64_t generation,
+                const MotionDatabase& motion, std::uint64_t generation,
                 std::uint64_t intakeRecords,
                 std::shared_ptr<const index::TieredIndex> tieredIndex =
                     nullptr)
-      : fingerprints_(std::move(fingerprints)),
-        tieredIndex_(std::move(tieredIndex)),
-        motion_(std::move(motion)),
-        adjacency_(motion_),
-        generation_(generation),
-        intakeRecords_(intakeRecords),
-        publishedAt_(std::chrono::steady_clock::now()) {}
+      : WorldSnapshot(std::move(fingerprints),
+                      std::make_shared<const kernel::MotionAdjacency>(motion),
+                      generation, intakeRecords, std::move(tieredIndex)) {}
 
-  /// An image-backed boot world (src/image): adopts a prebuilt
-  /// adjacency — typically a non-owning view into an mmap'd venue
-  /// image, kept alive by whatever `adjacency`'s control block owns —
-  /// instead of freezing a motion database and rebuilding the CSR.
-  /// motion() is empty for such a world (the dense form lives only in
-  /// the store's WAL/checkpoint lineage); sessions only ever score
-  /// through adjacency(), so serving semantics are unchanged.
-  /// `adjacency` must be non-null (throws std::invalid_argument).
+  /// Adopts a prebuilt adjacency — e.g. a non-owning view into an
+  /// mmap'd venue image (src/image), kept alive by whatever
+  /// `adjacency`'s control block owns.  `adjacency` must be non-null
+  /// (throws std::invalid_argument).
   WorldSnapshot(std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
                 std::shared_ptr<const kernel::MotionAdjacency> adjacency,
                 std::uint64_t generation, std::uint64_t intakeRecords,
@@ -70,11 +60,11 @@ class WorldSnapshot {
                     nullptr)
       : fingerprints_(std::move(fingerprints)),
         tieredIndex_(std::move(tieredIndex)),
-        adoptedAdjacency_(std::move(adjacency)),
+        adjacency_(std::move(adjacency)),
         generation_(generation),
         intakeRecords_(intakeRecords),
         publishedAt_(std::chrono::steady_clock::now()) {
-    if (!adoptedAdjacency_)
+    if (!adjacency_)
       throw util::ConfigError("WorldSnapshot: null adjacency");
   }
 
@@ -95,16 +85,8 @@ class WorldSnapshot {
     return tieredIndex_;
   }
 
-  /// The frozen motion database (the adjacency's source of truth —
-  /// kept so diagnostics and refits can inspect the dense form).
-  /// Empty for an image-backed world, whose adjacency was adopted
-  /// rather than derived here.
-  const MotionDatabase& motion() const { return motion_; }
-
   /// The CSR index sessions score against; built once, immutable.
-  const kernel::MotionAdjacency& adjacency() const {
-    return adoptedAdjacency_ ? *adoptedAdjacency_ : adjacency_;
-  }
+  const kernel::MotionAdjacency& adjacency() const { return *adjacency_; }
 
   /// Monotonic publish sequence number (the boot world is 0).
   std::uint64_t generation() const { return generation_; }
@@ -133,11 +115,7 @@ class WorldSnapshot {
  private:
   std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
   std::shared_ptr<const index::TieredIndex> tieredIndex_;
-  MotionDatabase motion_;
-  kernel::MotionAdjacency adjacency_;
-  /// Set only by the image-backed constructor; shadows adjacency_ and
-  /// pins the mapping the view points into.
-  std::shared_ptr<const kernel::MotionAdjacency> adoptedAdjacency_;
+  std::shared_ptr<const kernel::MotionAdjacency> adjacency_;
   std::uint64_t generation_ = 0;
   std::uint64_t intakeRecords_ = 0;
   std::chrono::steady_clock::time_point publishedAt_;

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "kernel/fingerprint_kernel.hpp"
@@ -31,7 +32,9 @@ struct VenueImage::Core {
   std::vector<std::uint8_t> heap;
 
   radio::FingerprintDatabase db;
-  kernel::MotionAdjacency adjacency;
+  /// Set once the views are built (an adjacency is always built from
+  /// a database or as a view, never empty).
+  std::optional<kernel::MotionAdjacency> adjacency;
 
   Core() = default;
   Core(const Core&) = delete;
@@ -407,7 +410,7 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   image.fingerprints_ = std::shared_ptr<const radio::FingerprintDatabase>(
       owned, &owned->db);
   image.adjacency_ = std::shared_ptr<const kernel::MotionAdjacency>(
-      owned, &owned->adjacency);
+      owned, &*owned->adjacency);
   if (meta.hasIndex) {
     index::IndexConfig config = meta.index;
     config.exhaustiveCheck = false;

@@ -35,14 +35,10 @@ MotionAdjacency MotionAdjacency::view(
   return adjacency;
 }
 
-void MotionAdjacency::rebuild(const core::MotionDatabase& db) {
-  if (borrowedRowStart_ != nullptr)
-    throw util::StateError(
-        "MotionAdjacency: cannot rebuild an immutable view");
-  locationCount_ = db.locationCount();
-  edges_.clear();
+MotionAdjacency::MotionAdjacency(const core::MotionDatabase& db)
+    : rowStart_(db.locationCount() + 1, 0),
+      locationCount_(db.locationCount()) {
   edges_.reserve(db.entryCount());
-  rowStart_.assign(locationCount_ + 1, 0);
   // forEachEntry walks row-major, so edges_ lands sorted by (from, to)
   // without a separate sort pass.
   db.forEachEntry([this](env::LocationId from, env::LocationId to,

@@ -71,23 +71,21 @@ inline double circularWindowMass(double deviationDeg, double halfWidthDeg,
 /// touch only pairs that actually have entries, everything else takes
 /// the closed-form unreachable-floor path.
 ///
-/// The index is built once (construction-time or via rebuild()) and
-/// then treated as immutable: it does not track the source database,
-/// so readers scoring through a built adjacency never observe a
-/// mutation mid-query.  The serving stack builds one per published
-/// core::WorldSnapshot and shares it across sessions behind a
-/// shared_ptr<const MotionAdjacency>; anything that wants newer data
-/// builds (or adopts) a new index.  This snapshot-owned design is what
-/// replaced the process-wide version-stamp cache: a stamp compared a
-/// database *address* against a counter, so a destroyed database whose
-/// storage was reused could alias a stale cache (ABA); an owned index
-/// has no identity to confuse.
+/// The index is built once, at construction, and is immutable after:
+/// it does not track the source database, so readers scoring through
+/// a built adjacency never observe a mutation mid-query.  The serving
+/// stack builds one per published core::WorldSnapshot and shares it
+/// across sessions behind a shared_ptr<const MotionAdjacency>;
+/// anything that wants newer data builds (or adopts) a new index.
+/// This snapshot-owned design is what replaced the process-wide
+/// version-stamp cache: a stamp compared a database *address* against
+/// a counter, so a destroyed database whose storage was reused could
+/// alias a stale cache (ABA); an owned index has no identity to
+/// confuse.
 class MotionAdjacency {
  public:
-  MotionAdjacency() = default;
-
   /// Builds the index from `db`'s current contents.
-  explicit MotionAdjacency(const core::MotionDatabase& db) { rebuild(db); }
+  explicit MotionAdjacency(const core::MotionDatabase& db);
 
   /// A non-owning view over externally owned CSR arrays — the
   /// zero-copy path of the mmap venue image (src/image).  `rowStart`
@@ -95,15 +93,9 @@ class MotionAdjacency {
   /// starting at 0 and ending at edges.size(), and `edges` must be
   /// sorted by (from, to); both must outlive the adjacency and every
   /// copy of it.  The caller (the image loader) validates those
-  /// invariants — this factory only checks the shape.  A view is
-  /// immutable: rebuild() throws std::logic_error.
+  /// invariants — this factory only checks the shape.
   static MotionAdjacency view(std::span<const std::size_t> rowStart,
                               std::span<const PairWindow> edges);
-
-  /// Rebuilds the index from `db`.  Not thread-safe against readers of
-  /// this instance; build before sharing.  Throws std::logic_error on
-  /// a view.
-  void rebuild(const core::MotionDatabase& db);
 
   std::size_t locationCount() const { return locationCount_; }
   std::size_t edgeCount() const {
@@ -141,6 +133,8 @@ class MotionAdjacency {
   const PairWindow* find(env::LocationId i, env::LocationId j) const;
 
  private:
+  MotionAdjacency() = default;  ///< view()'s starting point.
+
   std::vector<std::size_t> rowStart_;  ///< locationCount_ + 1 offsets.
   std::vector<PairWindow> edges_;      ///< Sorted by (from, to).
   /// Set iff this adjacency is a view; owning instances read the

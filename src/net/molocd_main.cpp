@@ -19,6 +19,7 @@
 #include <string>
 
 #include "core/online_motion_database.hpp"
+#include "core/world_snapshot.hpp"
 #include "eval/experiment_world.hpp"
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
@@ -148,15 +149,20 @@ int main(int argc, char** argv) {
     serviceConfig.shardCount =
         static_cast<std::size_t>(args.getInt("shards"));
     // A generated venue hands the index its natural per-floor shard
-    // boundaries; IndexMode::kAuto then builds the tiered index for
-    // campus-scale maps and skips it for the small office hall.
+    // boundaries; the service builds the tiered index for campus-scale
+    // maps and skips it for the small office hall.  An image serves
+    // exactly what it embeds: its index if it has one, else the exact
+    // scan.
     if (venue) serviceConfig.indexShardStarts = venue->shardStarts();
     auto makeService = [&]() -> service::LocalizationService {
       if (venueImage)
         return service::LocalizationService(
-            venueImage->fingerprints(), venueImage->adjacency(),
-            venueImage->tieredIndex(), venueImage->meta().generation,
-            venueImage->meta().intakeRecords, serviceConfig);
+            std::make_shared<const core::WorldSnapshot>(
+                venueImage->fingerprints(), venueImage->adjacency(),
+                venueImage->meta().generation,
+                venueImage->meta().intakeRecords,
+                venueImage->tieredIndex()),
+            serviceConfig);
       return service::LocalizationService(
           venue ? venue->fingerprints() : world->fingerprintDb(),
           venue ? venue->motion() : world->motionDb(), serviceConfig);

@@ -28,106 +28,57 @@ std::size_t checkShardCount(std::size_t shardCount) {
   return shardCount;
 }
 
-/// Resolves the configured IndexMode against the actual radio map; an
-/// empty map or k == 0 never gets an index (those configurations keep
-/// the unprepared per-session path and its per-session errors).
-bool wantTieredIndex(const ServiceConfig& config,
-                     const radio::FingerprintDatabase& fingerprints) {
-  if (fingerprints.empty() || config.engine.candidateCount == 0)
-    return false;
-  switch (config.indexMode) {
-    case IndexMode::kOn:
-      return true;
-    case IndexMode::kOff:
-      return false;
-    case IndexMode::kAuto:
-      break;
-  }
-  return fingerprints.size() >= config.indexAutoThreshold;
+/// The radio map of `world`, the one thing a service cannot serve
+/// without.
+std::shared_ptr<const radio::FingerprintDatabase> radioMapOf(
+    const std::shared_ptr<const core::WorldSnapshot>& world) {
+  if (!world) throw util::ConfigError("LocalizationService: null world");
+  if (!world->fingerprints())
+    throw util::ConfigError(
+        "LocalizationService: world without a radio map");
+  return world->fingerprints();
+}
+
+/// The boot world (generation 0) over a freshly handed-in radio map.
+/// The one place the tiered-index policy is decided: large maps get
+/// the index; small, empty or k == 0 configurations keep the exact
+/// scan (and, for the last two, its per-session errors).
+std::shared_ptr<const core::WorldSnapshot> bootWorld(
+    radio::FingerprintDatabase fingerprints,
+    std::shared_ptr<const kernel::MotionAdjacency> motion,
+    const ServiceConfig& config) {
+  auto radioMap = std::make_shared<const radio::FingerprintDatabase>(
+      std::move(fingerprints));
+  std::shared_ptr<const index::TieredIndex> index;
+  if (radioMap->size() >= kTieredIndexMinEntries &&
+      config.engine.candidateCount > 0)
+    index = std::make_shared<const index::TieredIndex>(
+        radioMap, index::IndexConfig{}, config.indexShardStarts);
+  return std::make_shared<const core::WorldSnapshot>(
+      std::move(radioMap), std::move(motion), 0, 0, std::move(index));
 }
 
 }  // namespace
 
-core::LocalizationSession LocalizationService::makeSession(
-    const radio::FingerprintDatabase& fingerprints,
-    const index::TieredIndex* index, const core::MotionDatabase& motion,
-    double stepLengthMeters, const core::MoLocConfig& engine,
-    const sensors::MotionProcessorParams& motionParams) {
-  if (index == nullptr)
-    return core::LocalizationSession(fingerprints, motion,
-                                     stepLengthMeters, engine,
-                                     motionParams);
-  // Index-backed candidate estimation: same contract as the radio-map
-  // backend (TieredIndex::queryInto mirrors queryInto's validation and
-  // — given full shortlist recall — its exact matches).
-  return core::LocalizationSession(
-      core::CandidateEstimator(
-          [index](const radio::Fingerprint& query, std::size_t k,
-                  std::vector<core::Candidate>& out) {
-            index->queryInto(query, k, out);
-          },
-          engine.candidateCount),
-      motion, stepLengthMeters, engine, motionParams);
-}
+LocalizationService::LocalizationService(
+    radio::FingerprintDatabase fingerprints,
+    const core::MotionDatabase& motion, const ServiceConfig& config)
+    : LocalizationService(
+          bootWorld(std::move(fingerprints),
+                    std::make_shared<const kernel::MotionAdjacency>(motion),
+                    config),
+          config) {}
 
 LocalizationService::LocalizationService(
-    radio::FingerprintDatabase fingerprints, core::MotionDatabase motion,
-    ServiceConfig config)
-    : config_(config),
-      fingerprints_(std::make_shared<const radio::FingerprintDatabase>(
-          std::move(fingerprints))),
-      motion_(std::move(motion)),
-      shards_(checkShardCount(config.shardCount)),
-      pool_(resolveThreadCount(config.threadCount), config.metrics) {
-  // The tiered index (when the policy wants one) is built exactly once,
-  // here: the radio map never changes online, so every published
-  // WorldSnapshot and every session backend shares this one object.
-  if (wantTieredIndex(config_, *fingerprints_))
-    index_ = std::make_shared<const index::TieredIndex>(
-        fingerprints_, config_.index, config_.indexShardStarts);
-  // The boot world: generation 0 over the construction-time databases.
-  finishConstruction(std::make_shared<const core::WorldSnapshot>(
-      fingerprints_, motion_, 0, 0, index_));
-}
-
-LocalizationService::LocalizationService(
-    std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-    std::shared_ptr<const kernel::MotionAdjacency> adjacency,
-    std::shared_ptr<const index::TieredIndex> index,
-    std::uint64_t generation, std::uint64_t intakeRecords,
-    ServiceConfig config)
-    : config_(config),
-      fingerprints_(std::move(fingerprints)),
-      index_(std::move(index)),
-      shards_(checkShardCount(config.shardCount)),
-      pool_(resolveThreadCount(config.threadCount), config.metrics) {
-  if (!fingerprints_)
-    throw util::ConfigError(
-        "LocalizationService: null fingerprint database");
-  // The image ships a prebuilt index when the world had one; when it
-  // did not, the service's own policy still applies (e.g. a campus
-  // image written before indexing existed, loaded by a serving binary
-  // that wants the prefilter).
-  if (!index_ && wantTieredIndex(config_, *fingerprints_))
-    index_ = std::make_shared<const index::TieredIndex>(
-        fingerprints_, config_.index, config_.indexShardStarts);
-  // The boot world adopts the image's adjacency views and provenance;
-  // motion_ stays empty (sessions rebind to the world's adjacency at
-  // construction, so the empty boot database never scores a scan).
-  finishConstruction(std::make_shared<const core::WorldSnapshot>(
-      fingerprints_, std::move(adjacency), generation, intakeRecords,
-      index_));
-}
-
-void LocalizationService::finishConstruction(
-    std::shared_ptr<const core::WorldSnapshot> boot) {
-  {
-    const util::MutexLock lock(worldMu_);
-    world_ = std::move(boot);
-    worldHint_.store(&world_->adjacency(), std::memory_order_release);
-    worldGeneration_.store(world_->generation(),
-                           std::memory_order_relaxed);
-  }
+    std::shared_ptr<const core::WorldSnapshot> world, ServiceConfig config)
+    : config_(std::move(config)),
+      fingerprints_(radioMapOf(world)),
+      index_(world->tieredIndex()),
+      world_(std::move(world)),
+      worldHint_(&world_->adjacency()),
+      worldGeneration_(world_->generation()),
+      shards_(checkShardCount(config_.shardCount)),
+      pool_(resolveThreadCount(config_.threadCount), config_.metrics) {
   // Sessions inherit the service's registry unless the caller wired
   // the engine to its own.
   if (!config_.engine.metrics) config_.engine.metrics = config_.metrics;
@@ -221,38 +172,54 @@ const LocalizationService::Shard& LocalizationService::shardFor(
 }
 
 std::shared_ptr<LocalizationService::SessionSlot>
+LocalizationService::makeSlot(double stepLengthMeters) const {
+  const std::size_t k = config_.engine.candidateCount;
+  // Index-backed candidate estimation has the radio-map backend's
+  // contract: TieredIndex::queryInto mirrors queryInto's validation
+  // and, given full shortlist recall, its exact matches.
+  core::CandidateEstimator estimator =
+      index_ ? core::CandidateEstimator(
+                   [index = index_.get()](const radio::Fingerprint& query,
+                                          std::size_t kk,
+                                          std::vector<core::Candidate>& out) {
+                     index->queryInto(query, kk, out);
+                   },
+                   k)
+             : core::CandidateEstimator(*fingerprints_, k);
+  return std::make_shared<SessionSlot>(
+      std::move(estimator), core::WorldSnapshot::adjacencyOf(currentWorld()),
+      stepLengthMeters, config_.engine, config_.motion);
+}
+
+std::shared_ptr<LocalizationService::SessionSlot>
 LocalizationService::findOrCreate(SessionId id, double stepLengthMeters) {
   auto& shard = shardFor(id);
-  const util::MutexLock lock(shard.mu);
-  auto it = shard.sessions.find(id);
-  if (it == shard.sessions.end()) {
-    it = shard.sessions
-             .emplace(id, std::make_shared<SessionSlot>(
-                              *fingerprints_, index_.get(), motion_,
-                              stepLengthMeters, config_.engine,
-                              config_.motion,
-                              core::WorldSnapshot::adjacencyOf(
-                                  currentWorld())))
-             .first;
-#if MOLOC_METRICS_ENABLED
-    if (metrics_.sessionsActive) metrics_.sessionsActive->inc();
-#endif
+  {
+    const util::MutexLock lock(shard.mu);
+    const auto it = shard.sessions.find(id);
+    if (it != shard.sessions.end()) return it->second;
   }
+  // Build outside the shard lock, then insert if absent: a concurrent
+  // first scan for the same id may have won the race, in which case
+  // this slot is dropped (after the lock is released) and every caller
+  // shares the winner's.
+  auto slot = makeSlot(stepLengthMeters);
+  const util::MutexLock lock(shard.mu);
+  const auto [it, inserted] = shard.sessions.try_emplace(id, std::move(slot));
+#if MOLOC_METRICS_ENABLED
+  if (inserted && metrics_.sessionsActive) metrics_.sessionsActive->inc();
+#endif
   return it->second;
 }
 
 void LocalizationService::openSession(SessionId id,
                                       double stepLengthMeters) {
+  auto slot = makeSlot(stepLengthMeters);
   auto& shard = shardFor(id);
   const util::MutexLock lock(shard.mu);
-  if (shard.sessions.count(id) > 0)
+  if (!shard.sessions.try_emplace(id, std::move(slot)).second)
     throw util::ConfigError("LocalizationService: session " +
                                 std::to_string(id) + " already exists");
-  shard.sessions.emplace(
-      id, std::make_shared<SessionSlot>(
-              *fingerprints_, index_.get(), motion_, stepLengthMeters,
-              config_.engine, config_.motion,
-              core::WorldSnapshot::adjacencyOf(currentWorld())));
 #if MOLOC_METRICS_ENABLED
   if (metrics_.sessionsActive) metrics_.sessionsActive->inc();
 #endif

@@ -34,16 +34,10 @@ namespace moloc::service {
 /// Identifies one tracked user across scans.
 using SessionId = std::uint64_t;
 
-/// Whether the service fronts the radio map with the tiered candidate
-/// index (index::TieredIndex) on the localize path.
-enum class IndexMode {
-  /// Build the index when the radio map has at least
-  /// ServiceConfig::indexAutoThreshold entries — small maps scan
-  /// faster exactly than through a prefilter.
-  kAuto,
-  kOn,
-  kOff,
-};
+/// Radio maps with at least this many entries get the tiered candidate
+/// index (index::TieredIndex) when a service builds its own boot world:
+/// below it, the exact scan is faster than a prefilter (docs/scaling.md).
+inline constexpr std::size_t kTieredIndexMinEntries = 4096;
 
 /// Server-side tunables of the LocalizationService.
 struct ServiceConfig {
@@ -58,15 +52,9 @@ struct ServiceConfig {
   double defaultStepLengthMeters = 0.72;
   core::MoLocConfig engine;
   sensors::MotionProcessorParams motion;
-  /// Tiered-index policy for the localize path (docs/scaling.md).  The
-  /// index is built once at construction — the radio map never changes
-  /// online — and shared by every published WorldSnapshot.
-  IndexMode indexMode = IndexMode::kAuto;
-  /// kAuto builds the index at or above this many radio-map entries.
-  std::size_t indexAutoThreshold = 4096;
-  index::IndexConfig index;
-  /// Natural shard boundaries for the index (e.g. a generated venue's
-  /// per-floor starts); empty lets the index split uniformly.
+  /// Natural shard boundaries for the tiered index the databases
+  /// constructor builds (e.g. a generated venue's per-floor starts);
+  /// empty lets the index split uniformly.
   std::vector<std::size_t> indexShardStarts;
   /// Registry receiving the service/pool/engine instruments (see
   /// docs/observability.md).  Defaults to the process-wide registry so
@@ -110,7 +98,9 @@ struct ScanRequest {
 ///     cadence.  The localize path provably never touches the intake
 ///     or checkpoint mutexes (MOLOC_EXCLUDES below).
 ///   - The session map is sharded; each shard's mutex guards only
-///     lookup/insert/erase, never localization work.
+///     lookup/insert/erase, never localization work.  A new session
+///     is built on the current world first (O(k), no venue-sized
+///     copy) and then inserted if absent.
 ///   - Each session carries its own mutex, so concurrent scans for the
 ///     *same* session serialize (a session is a stateful Bayesian
 ///     filter; its scans must apply in order) while scans for
@@ -126,28 +116,21 @@ struct ScanRequest {
 /// every interleaving scores the same snapshot).
 class LocalizationService {
  public:
-  /// Takes ownership of one immutable copy of each database; they form
-  /// the boot world (generation 0).
-  LocalizationService(radio::FingerprintDatabase fingerprints,
-                      core::MotionDatabase motion,
-                      ServiceConfig config = {});
-
-  /// Image-backed construction (src/image): adopts the shared serving
-  /// structures a loaded venue image hands out — typically zero-copy
-  /// views pinned to an mmap — instead of copying databases and
-  /// rebuilding the adjacency/index.  `fingerprints` and `adjacency`
-  /// must be non-null (throws std::invalid_argument); `index` may be
-  /// null, in which case the configured IndexMode decides whether to
-  /// build one over `fingerprints` here.  The boot world carries the
-  /// image's generation/intakeRecords provenance; motion() is empty
-  /// for such a service (sessions only ever score through the world's
-  /// adjacency, which every new session adopts at construction).
-  LocalizationService(
-      std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-      std::shared_ptr<const kernel::MotionAdjacency> adjacency,
-      std::shared_ptr<const index::TieredIndex> index,
-      std::uint64_t generation, std::uint64_t intakeRecords,
+  /// Serves `world` as generation `world->generation()` of the serving
+  /// world: its radio map, tiered index (null = exact scan) and motion
+  /// adjacency are what every session is built on, and every world the
+  /// intake publishes later shares the radio map and index.  Throws
+  /// std::invalid_argument on a null world or one without a radio map.
+  explicit LocalizationService(
+      std::shared_ptr<const core::WorldSnapshot> world,
       ServiceConfig config = {});
+
+  /// Builds the boot world (generation 0) from the databases and serves
+  /// it.  The radio map gets the tiered index when it has at least
+  /// kTieredIndexMinEntries entries (and k >= 1).
+  LocalizationService(radio::FingerprintDatabase fingerprints,
+                      const core::MotionDatabase& motion,
+                      const ServiceConfig& config = {});
 
   LocalizationService(const LocalizationService&) = delete;
   LocalizationService& operator=(const LocalizationService&) = delete;
@@ -162,15 +145,11 @@ class LocalizationService {
   const radio::FingerprintDatabase& fingerprints() const {
     return *fingerprints_;
   }
-  /// The boot motion database (generation 0).  The *serving* motion
-  /// world evolves past it as intake publishes; see currentWorld().
-  const core::MotionDatabase& motion() const { return motion_; }
   std::size_t threadCount() const { return pool_.size(); }
 
   /// The tiered candidate index fronting the radio map, or null when
-  /// the configured IndexMode resolved to off (small map under kAuto,
-  /// or kOff).  Built once at construction, immutable, shared by every
-  /// published WorldSnapshot.
+  /// the boot world has none (the exact scan serves).  Immutable, and
+  /// shared by every published WorldSnapshot.
   const std::shared_ptr<const index::TieredIndex>& tieredIndex() const {
     return index_;
   }
@@ -300,45 +279,31 @@ class LocalizationService {
   /// store).  Runs on the intake writer thread, and once at attach.
   void publishWorld(core::OnlineMotionDatabase& db);
 
-  /// Shared constructor tail: publishes `boot` as the serving world,
-  /// inherits the metrics registry into the engine config, and
-  /// registers the service instruments.
-  void finishConstruction(std::shared_ptr<const core::WorldSnapshot> boot);
-
   /// Adopts the newest published world into `session` if it is still
   /// scoring an older generation.  Caller holds the session's slot
   /// lock; the load is lock-free.
   void adoptWorld(core::LocalizationSession& session);
-  /// The session for a new slot: index-backed candidate estimation
-  /// when the service built a tiered index, the plain radio-map
-  /// backend otherwise.  The captured index pointer stays valid for
-  /// the session's life (index_ is declared before shards_, so it
-  /// outlives every slot).
-  static core::LocalizationSession makeSession(
-      const radio::FingerprintDatabase& fingerprints,
-      const index::TieredIndex* index, const core::MotionDatabase& motion,
-      double stepLengthMeters, const core::MoLocConfig& engine,
-      const sensors::MotionProcessorParams& motionParams);
 
   /// A session plus the mutex serializing its scans.
   struct SessionSlot {
-    SessionSlot(const radio::FingerprintDatabase& fingerprints,
-                const index::TieredIndex* index,
-                const core::MotionDatabase& motion,
+    SessionSlot(core::CandidateEstimator estimator,
+                std::shared_ptr<const kernel::MotionAdjacency> motion,
                 double stepLengthMeters, const core::MoLocConfig& engine,
-                const sensors::MotionProcessorParams& motionParams,
-                std::shared_ptr<const kernel::MotionAdjacency> worldAdjacency)
-        : session(makeSession(fingerprints, index, motion,
-                              stepLengthMeters, engine, motionParams)) {
-      // Adopt the serving world up front so the first scan does not
-      // pay a rebind.  Safe without the lock: constructors run before
-      // the slot is visible to any other thread (and are outside the
-      // thread-safety analysis).
-      if (worldAdjacency) session.rebindMotion(std::move(worldAdjacency));
-    }
+                const sensors::MotionProcessorParams& motionParams)
+        : session(std::move(estimator), std::move(motion),
+                  stepLengthMeters, engine, motionParams) {}
     util::Mutex mu;
     core::LocalizationSession session MOLOC_GUARDED_BY(mu);
   };
+
+  /// A new slot whose session is built on the current world's
+  /// adjacency: index-backed candidate estimation when the service has
+  /// a tiered index, the exact radio-map scan otherwise.  O(k) work
+  /// whatever the venue size, and takes no shard lock — callers build
+  /// first, then insert if absent.  The captured index pointer stays
+  /// valid for the session's life (index_ is declared before shards_,
+  /// so it outlives every slot).
+  std::shared_ptr<SessionSlot> makeSlot(double stepLengthMeters) const;
 
   struct Shard {
     mutable util::Mutex mu;
@@ -368,18 +333,12 @@ class LocalizationService {
       std::exception_ptr scanError, const sensors::ImuTrace& imu);
 
   ServiceConfig config_;
-  /// Shared, never mutated after construction: every published
-  /// WorldSnapshot holds a reference instead of a copy.
+  /// The boot world's radio map and index (null = exact scan).  Never
+  /// mutated: every published WorldSnapshot and session backend shares
+  /// them.  Declared before shards_ so they outlive every session that
+  /// captured their address.
   std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
-  /// The tiered candidate index over fingerprints_, or null (see
-  /// IndexMode).  Built once here, before the boot world; published
-  /// snapshots and session backends share it, never copy it.
-  /// Declared before shards_ so it outlives every session that
-  /// captured its address.
   std::shared_ptr<const index::TieredIndex> index_;
-  /// The boot motion database (what motion() returns); the serving
-  /// world evolves past it via published snapshots.
-  core::MotionDatabase motion_;
   /// The serving world.  The pinning handle lives under worldMu_ —
   /// held only for the pointer copy, never across scoring — while
   /// worldHint_ carries the published adjacency's identity so the
@@ -395,7 +354,7 @@ class LocalizationService {
   std::shared_ptr<const core::WorldSnapshot> world_
       MOLOC_GUARDED_BY(worldMu_);
   std::atomic<const kernel::MotionAdjacency*> worldHint_{nullptr};
-  /// Publish sequence; the boot world is generation 0.
+  /// Publish sequence; starts at the served world's generation.
   std::atomic<std::uint64_t> worldGeneration_{0};
   std::vector<Shard> shards_;
 

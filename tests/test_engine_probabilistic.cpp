@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/moloc_engine.hpp"
 #include "radio/probabilistic_database.hpp"
@@ -36,10 +37,20 @@ MotionDatabase twinWorldMotion() {
   return motion;
 }
 
+/// The engine over the probabilistic backend, via the general
+/// constructor.
+MoLocEngine probabilisticEngine(
+    const radio::ProbabilisticFingerprintDatabase& db,
+    const MotionDatabase& motion) {
+  return MoLocEngine(CandidateEstimator(db, 3),
+                     std::make_shared<const kernel::MotionAdjacency>(motion),
+                     {3, {}});
+}
+
 TEST(EngineProbabilistic, FirstFixFollowsLikelihood) {
   const auto db = twinWorldDb();
   const auto motion = twinWorldMotion();
-  MoLocEngine engine(db, motion, {3, {}});
+  MoLocEngine engine = probabilisticEngine(db, motion);
   const auto fix =
       engine.localize(radio::Fingerprint({-69.0, -41.0}), std::nullopt);
   EXPECT_EQ(fix.location, 2);
@@ -49,7 +60,7 @@ TEST(EngineProbabilistic, FirstFixFollowsLikelihood) {
 TEST(EngineProbabilistic, PosteriorIsNormalized) {
   const auto db = twinWorldDb();
   const auto motion = twinWorldMotion();
-  MoLocEngine engine(db, motion, {3, {}});
+  MoLocEngine engine = probabilisticEngine(db, motion);
   const auto fix =
       engine.localize(radio::Fingerprint({-55.0, -55.0}), std::nullopt);
   double total = 0.0;
@@ -63,7 +74,7 @@ TEST(EngineProbabilistic, PosteriorIsNormalized) {
 TEST(EngineProbabilistic, MotionStillDisambiguatesTwins) {
   const auto db = twinWorldDb();
   const auto motion = twinWorldMotion();
-  MoLocEngine engine(db, motion, {3, {}});
+  MoLocEngine engine = probabilisticEngine(db, motion);
   // Start at the unique location, then walk the reverse of 0 -> 2
   // (west 6 m): only twin 0 explains that motion.
   engine.localize(radio::Fingerprint({-70.0, -40.0}), std::nullopt);
@@ -90,7 +101,7 @@ TEST(EngineProbabilistic, MatchesDeterministicContractOnUnambiguous) {
   detDb.addLocation(2, radio::Fingerprint({-70.0, -40.0}));
   const auto motion = twinWorldMotion();
 
-  MoLocEngine probEngine(probDb, motion, {3, {}});
+  MoLocEngine probEngine = probabilisticEngine(probDb, motion);
   MoLocEngine detEngine(detDb, motion, {3, {}});
   const radio::Fingerprint scan({-68.0, -42.0});
   EXPECT_EQ(probEngine.localize(scan, std::nullopt).location,

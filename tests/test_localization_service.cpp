@@ -99,7 +99,7 @@ ServiceConfig testConfig(std::size_t threads) {
 TEST(LocalizationService, SubmitScanMatchesStandaloneSession) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
                           testConfig(2));
-  core::LocalizationSession serial(svc.fingerprints(), svc.motion(),
+  core::LocalizationSession serial(svc.fingerprints(), twinMotion(),
                                    svc.config().defaultStepLengthMeters,
                                    svc.config().engine,
                                    svc.config().motion);
@@ -126,7 +126,7 @@ TEST(LocalizationService, BatchIsBitwiseIdenticalToSerialExecution) {
   for (std::size_t s = 0; s < kSessions; ++s) {
     walks.push_back(makeWalk(100 + s));
     core::LocalizationSession session(
-        svc.fingerprints(), svc.motion(),
+        svc.fingerprints(), twinMotion(),
         svc.config().defaultStepLengthMeters, svc.config().engine,
         svc.config().motion);
     for (std::size_t r = 0; r < walks[s].scans.size(); ++r)
@@ -213,6 +213,61 @@ TEST(LocalizationService, ConcurrentSubmitScansAreSafe) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(svc.sessionCount(), 2u + 4u + 8u);
+}
+
+TEST(LocalizationService, ConcurrentFirstScansCreateOneSession) {
+  // A new session is built outside the shard lock and inserted if
+  // absent.  Racing first scans for one new id — from external threads
+  // and from a batch on the pool — must leave exactly one session; a
+  // losing builder's slot is dropped without touching the gauge, and
+  // every racer's scan lands on the survivor.
+  const auto walk = makeWalk(9);
+  ServiceConfig referenceConfig = testConfig(1);
+  referenceConfig.metrics = nullptr;
+  LocalizationService reference(twinFingerprints(), twinMotion(),
+                                referenceConfig);
+  // A first fix carries no motion, so every racer's estimate is the
+  // same fingerprint-only answer whatever the interleaving.
+  const auto expected = reference.submitScan(1, walk.scans[0], walk.imu[0]);
+
+  constexpr SessionId kId = 42;
+  constexpr int kScanners = 8;
+  for (int round = 0; round < 10; ++round) {
+    obs::MetricsRegistry registry;
+    ServiceConfig config = testConfig(2);
+    config.metrics = &registry;
+    LocalizationService svc(twinFingerprints(), twinMotion(), config);
+
+    std::atomic<bool> go{false};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kScanners; ++t)
+      threads.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        if (!estimatesBitwiseEqual(
+                svc.submitScan(kId, walk.scans[0], walk.imu[0]), expected))
+          ++mismatches;
+      });
+    threads.emplace_back([&] {
+      const std::vector<ScanRequest> batch{
+          {kId, walk.scans[0], walk.imu[0]}};
+      while (!go.load()) std::this_thread::yield();
+      if (!estimatesBitwiseEqual(svc.localizeBatch(batch).front(),
+                                 expected))
+        ++mismatches;
+    });
+    go.store(true);
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+    EXPECT_EQ(svc.sessionCount(), 1u) << "round " << round;
+#if MOLOC_METRICS_ENABLED
+    const obs::Gauge* active =
+        registry.findGauge("moloc_service_sessions_active");
+    ASSERT_NE(active, nullptr);
+    EXPECT_DOUBLE_EQ(active->value(), 1.0) << "round " << round;
+#endif
+  }
 }
 
 TEST(LocalizationService, OpenSessionRejectsDuplicatesAndBadStepLength) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "eval/experiment_world.hpp"
 
 namespace moloc::core {
@@ -101,11 +103,15 @@ TEST(LocalizationSession, ProbabilisticBackendWorks) {
   fingerprints.addLocation(0, near);
   fingerprints.addLocation(1, far);
   const MotionDatabase motion(2);
-  LocalizationSession session(fingerprints, motion, 0.72);
+  const auto adjacency =
+      std::make_shared<const kernel::MotionAdjacency>(motion);
+  const CandidateEstimator estimator(fingerprints,
+                                     MoLocConfig{}.candidateCount);
+  LocalizationSession session(estimator, adjacency, 0.72);
   const auto fix = session.onScan(radio::Fingerprint({-41.0, -69.0}),
                                   sensors::ImuTrace(50.0));
   EXPECT_EQ(fix.location, 0);
-  EXPECT_THROW(LocalizationSession(fingerprints, motion, 0.0),
+  EXPECT_THROW(LocalizationSession(estimator, adjacency, 0.0),
                std::invalid_argument);
 }
 

@@ -118,7 +118,7 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
       const auto world = svc.currentWorld();
       if (!world || world->generation() < lastGeneration ||
           world->adjacency().locationCount() !=
-              world->motion().locationCount())
+              world->fingerprints()->size())
         failures.fetch_add(1);
       if (world) lastGeneration = world->generation();
     }

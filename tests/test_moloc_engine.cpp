@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 namespace moloc::core {
 namespace {
@@ -261,7 +262,10 @@ TEST(EngineDegenerateCandidates, EmptyCandidateSourceYieldsNoFix) {
           out.clear();
       },
       5);
-  MoLocEngine engine(std::move(empty), world.motion_, MoLocConfig{5, {}});
+  MoLocEngine engine(std::move(empty),
+                     std::make_shared<const kernel::MotionAdjacency>(
+                         world.motion_),
+                     MoLocConfig{5, {}});
 
   const auto first =
       engine.localize(radio::Fingerprint({-50.0, -60.0}), std::nullopt);
@@ -295,7 +299,10 @@ TEST(EngineDegenerateCandidates, AllZeroProbabilitiesYieldUniformNotNaN) {
         out.push_back({2, 3.0, 0.0});
       },
       3);
-  MoLocEngine engine(std::move(zeros), world.motion_, MoLocConfig{3, {}});
+  MoLocEngine engine(std::move(zeros),
+                     std::make_shared<const kernel::MotionAdjacency>(
+                         world.motion_),
+                     MoLocConfig{3, {}});
   const auto fix =
       engine.localize(radio::Fingerprint({-50.0, -60.0}), std::nullopt);
   ASSERT_TRUE(fix.hasFix());

@@ -82,8 +82,7 @@ TEST(MotionAdjacencyTest, RebuildIndexesExactlyThePopulatedPairs) {
   db.setEntry(0, 3, stats(45.0, 8.0, 6.0, 1.5));
   db.setEntry(2, 1, stats(270.0, 12.0, 3.0, 0.5));
 
-  MotionAdjacency adj;
-  adj.rebuild(db);
+  const MotionAdjacency adj(db);
   EXPECT_EQ(adj.locationCount(), 4u);
   EXPECT_EQ(adj.edgeCount(), db.entryCount());
 
@@ -102,28 +101,27 @@ TEST(MotionAdjacencyTest, RebuildIndexesExactlyThePopulatedPairs) {
   EXPECT_EQ(adj.find(3, 0), nullptr);
 }
 
-TEST(MotionAdjacencyTest, IndexIsFrozenUntilExplicitRebuild) {
+TEST(MotionAdjacencyTest, BuiltIndexIsFrozenAndAFreshBuildSeesChanges) {
   // The index has no link back to its source database: mutations after
-  // a build are invisible until a caller explicitly rebuilds.  This is
-  // the contract the snapshot publication path relies on.
+  // a build are invisible to it, and only a fresh build sees them.
+  // This is the contract the snapshot publication path relies on.
   core::MotionDatabase db(3);
-  MotionAdjacency adj(db);
-  EXPECT_EQ(adj.locationCount(), 3u);
-  EXPECT_EQ(adj.edgeCount(), 0u);
+  const MotionAdjacency empty(db);
+  EXPECT_EQ(empty.locationCount(), 3u);
+  EXPECT_EQ(empty.edgeCount(), 0u);
 
   db.setEntry(0, 1, stats(90.0, 10.0, 4.0, 1.0));
-  EXPECT_EQ(adj.edgeCount(), 0u);
-  EXPECT_EQ(adj.find(0, 1), nullptr);
+  EXPECT_EQ(empty.edgeCount(), 0u);
+  EXPECT_EQ(empty.find(0, 1), nullptr);
 
-  adj.rebuild(db);
-  EXPECT_EQ(adj.edgeCount(), 1u);
-  ASSERT_NE(adj.find(0, 1), nullptr);
-  EXPECT_EQ(adj.find(0, 1)->muDirectionDeg, 90.0);
+  const MotionAdjacency populated(db);
+  EXPECT_EQ(populated.edgeCount(), 1u);
+  ASSERT_NE(populated.find(0, 1), nullptr);
+  EXPECT_EQ(populated.find(0, 1)->muDirectionDeg, 90.0);
 
   EXPECT_TRUE(db.clearEntry(0, 1));
-  EXPECT_EQ(adj.edgeCount(), 1u);  // Still the frozen view.
-  adj.rebuild(db);
-  EXPECT_EQ(adj.edgeCount(), 0u);
+  EXPECT_EQ(populated.edgeCount(), 1u);  // Still the frozen build.
+  EXPECT_EQ(MotionAdjacency(db).edgeCount(), 0u);
 }
 
 TEST(MotionMatcherKernelTest, ScoreCandidatesMatchesSetProbabilityBitwise) {

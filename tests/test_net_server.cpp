@@ -175,21 +175,27 @@ TEST(NetServer, ImageLoadedWorldServesBitwiseIdenticalToFreshlyBuilt) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/venue.img";
 
-  // Force the tiered index on so the image embeds signature planes and
-  // the served localize path exercises them.
-  service::ServiceConfig config = testConfig(2);
-  config.indexMode = service::IndexMode::kOn;
-  service::LocalizationService reference(twinFingerprints(), twinMotion(),
-                                         config);
+  // Give the (small) world a tiered index so the image embeds
+  // signature planes and the served localize path exercises them.
+  const service::ServiceConfig config = testConfig(2);
+  const auto radioMap =
+      std::make_shared<const radio::FingerprintDatabase>(twinFingerprints());
+  service::LocalizationService reference(
+      std::make_shared<const core::WorldSnapshot>(
+          radioMap, twinMotion(), 0, 0,
+          std::make_shared<const index::TieredIndex>(radioMap)),
+      config);
   ASSERT_NE(reference.tieredIndex(), nullptr);
   image::writeVenueImage(path, *reference.currentWorld());
 
   const image::VenueImage venueImage = image::VenueImage::open(path);
   ASSERT_TRUE(venueImage.hasIndex());
   service::LocalizationService served(
-      venueImage.fingerprints(), venueImage.adjacency(),
-      venueImage.tieredIndex(), venueImage.meta().generation,
-      venueImage.meta().intakeRecords, config);
+      std::make_shared<const core::WorldSnapshot>(
+          venueImage.fingerprints(), venueImage.adjacency(),
+          venueImage.meta().generation, venueImage.meta().intakeRecords,
+          venueImage.tieredIndex()),
+      config);
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 

@@ -76,8 +76,7 @@ TEST(WorldSnapshot, ServiceBootWorldIsGenerationZero) {
   config.threadCount = 1;
   config.shardCount = 1;
   config.metrics = nullptr;
-  service::LocalizationService svc(corridorFingerprints(),
-                                   std::move(motion), config);
+  service::LocalizationService svc(corridorFingerprints(), motion, config);
 
   const auto world = svc.currentWorld();
   ASSERT_NE(world, nullptr);
@@ -86,8 +85,8 @@ TEST(WorldSnapshot, ServiceBootWorldIsGenerationZero) {
   // The snapshot shares the service's fingerprint database instead of
   // copying it.
   EXPECT_EQ(world->fingerprints().get(), &svc.fingerprints());
-  EXPECT_EQ(world->motion().entryCount(), svc.motion().entryCount());
-  EXPECT_EQ(world->adjacency().edgeCount(), svc.motion().entryCount());
+  EXPECT_EQ(world->adjacency().locationCount(), motion.locationCount());
+  EXPECT_EQ(world->adjacency().edgeCount(), motion.entryCount());
 }
 
 TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
@@ -110,7 +109,7 @@ TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
   const auto pinned = svc.currentWorld();
   ASSERT_NE(pinned, nullptr);
   const auto generation0 = pinned->generation();
-  EXPECT_EQ(pinned->motion().entryCount(), 0u);
+  EXPECT_EQ(pinned->adjacency().edgeCount(), 0u);
   const MotionMatcher pinnedMatcher(WorldSnapshot::adjacencyOf(pinned));
   const std::vector<WeightedCandidate> prev{{0, 1.0}};
   const sensors::MotionMeasurement motion{90.0, 4.0};
@@ -126,13 +125,13 @@ TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
   ASSERT_NE(current, nullptr);
   EXPECT_GT(current->generation(), generation0);
   EXPECT_GE(current->intakeRecords(), 3u);
-  EXPECT_TRUE(current->motion().hasEntry(0, 1));
+  EXPECT_NE(current->adjacency().find(0, 1), nullptr);
   EXPECT_GE(svc.intakeStats().publishes, 3u);
 
   // ...while the pinned world is bit-for-bit what it was: same entry
   // count, same score, no tearing.
   EXPECT_EQ(pinned->generation(), generation0);
-  EXPECT_EQ(pinned->motion().entryCount(), 0u);
+  EXPECT_EQ(pinned->adjacency().edgeCount(), 0u);
   EXPECT_EQ(pinnedMatcher.setProbability(prev, 1, motion), before);
 
   // A matcher adopting the current world sees the published pair.

@@ -206,24 +206,26 @@ TEST(WorldgenTest, ServiceWithIndexMatchesExactServiceBitwise) {
   VenueSpec spec = smallSpec();
   const GeneratedVenue venue(spec);
 
-  service::ServiceConfig indexed;
-  indexed.threadCount = 2;
-  indexed.indexMode = service::IndexMode::kOn;
-  indexed.indexShardStarts = venue.shardStarts();
-  indexed.index.exhaustiveCheck = true;  // Audit recall on every query.
-  indexed.metrics = nullptr;
-  service::LocalizationService withIndex(venue.fingerprints(),
-                                         venue.motion(), indexed);
+  const auto radioMap = venue.sharedFingerprints();
+  index::IndexConfig audited;
+  audited.exhaustiveCheck = true;  // Audit recall on every query.
+  service::ServiceConfig config;
+  config.threadCount = 2;
+  config.metrics = nullptr;
+  service::LocalizationService withIndex(
+      std::make_shared<const core::WorldSnapshot>(
+          radioMap, venue.motion(), 0, 0,
+          std::make_shared<const index::TieredIndex>(
+              radioMap, audited, venue.shardStarts())),
+      config);
   ASSERT_TRUE(withIndex.tieredIndex() != nullptr);
   EXPECT_EQ(withIndex.currentWorld()->tieredIndex().get(),
             withIndex.tieredIndex().get());
 
-  service::ServiceConfig plain;
-  plain.threadCount = 2;
-  plain.indexMode = service::IndexMode::kOff;
-  plain.metrics = nullptr;
-  service::LocalizationService exact(venue.fingerprints(),
-                                     venue.motion(), plain);
+  service::LocalizationService exact(
+      std::make_shared<const core::WorldSnapshot>(radioMap, venue.motion(),
+                                                  0, 0),
+      config);
   ASSERT_TRUE(exact.tieredIndex() == nullptr);
 
   util::Rng rng(99);

@@ -27,7 +27,9 @@ Checks, per file:
      index-scaling snapshot (BENCH_micro_scale.json) adds the venue
      shape (locations, ap_count, shard_count), the prefilter quality
      figures (recall, every *_mean, index_build_seconds), and the
-     *_ratio scaling summary.
+     *_ratio scaling summary.  The service snapshot's session_create
+     section adds every *_us latency statistic (openSession p50/p90
+     per venue) and session_create_ratio.
      (Percentile fields like p50_ms stay optional: a MOLOC_METRICS=OFF
      build reports them as -1, and a missing histogram may null them.)
   4. No object, at any depth, repeats a key.  json.loads keeps the
@@ -73,6 +75,7 @@ KNOWN_TOP_LEVEL = frozenset(
         "recovery",
         "cold_start",
         "cold_start_summary",
+        "session_create",
     )
 )
 
@@ -82,6 +85,7 @@ REQUIRED_NUMERIC = [
         r"^(seconds|qps|threads|queries|samples|schema_version)$",
         r"^ops_per_sec$",
         r"_ns$",
+        r"_us$",
         r"_qps$",
         r"^speedup",
         r"_speedup",
