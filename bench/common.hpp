@@ -116,6 +116,7 @@ inline std::size_t envRounds(std::size_t fallback) {
 struct LatencySummary {
   double bestNs = 0.0;
   double p50Ns = 0.0;
+  double p90Ns = 0.0;
   double p95Ns = 0.0;
   double p99Ns = 0.0;
   double meanNs = 0.0;
@@ -135,6 +136,7 @@ inline LatencySummary summarizeNs(std::vector<double> ns) {
     return ns[std::min(i, ns.size() - 1)];
   };
   s.p50Ns = rank(0.50);
+  s.p90Ns = rank(0.90);
   s.p95Ns = rank(0.95);
   s.p99Ns = rank(0.99);
   double sum = 0.0;
@@ -251,6 +253,7 @@ inline void writeVariant(JsonWriter& json, const char* name,
       .field("name", name)
       .field("best_ns", s.bestNs)
       .field("p50_ns", s.p50Ns)
+      .field("p90_ns", s.p90Ns)
       .field("p95_ns", s.p95Ns)
       .field("p99_ns", s.p99Ns)
       .field("mean_ns", s.meanNs)

@@ -1,11 +1,12 @@
 // Scaling benchmark of the tiered candidate index against the exact
 // full-scan kernel, swept across generated campus venues (worldgen
 // presets campus-1k .. campus-64k).  For each venue size it measures
-// per-query latency of FingerprintDatabase::queryInto (exact AVX2
-// full scan) and TieredIndex::queryInto (bit-sliced prefilter +
-// exact re-rank), verifies the two return bitwise-identical matches,
-// and audits prefilter recall with a separate exhaustive-check pass
-// outside the timed region.
+// per-query latency of FingerprintDatabase::queryInto (exact full
+// scan, AVX2 when compiled in) and TieredIndex::queryInto (byte-
+// signature prefilter + in-place exact re-rank) over 1000 queries,
+// verifies the two return bitwise-identical matches, and audits
+// prefilter recall with a separate exhaustive-check pass outside the
+// timed region.
 //
 // Output: paper-style rows on stdout plus the machine-readable sweep
 // as bench_results/BENCH_micro_scale.json (schema in
@@ -65,8 +66,12 @@ struct SizeResult {
   bench::LatencySummary tiered;
   double shortlistMean = 0.0;
   double scannedEntriesMean = 0.0;
+  /// Per shard: APs with signature bytes, and columns the re-rank reads.
+  double activeApsMean = 0.0;
+  double varyingColumnsMean = 0.0;
   double recall = 0.0;
   double speedupBest = 0.0;
+  double speedupP50 = 0.0;
 };
 
 SizeResult runSize(std::size_t locations, std::size_t queryCount) {
@@ -84,6 +89,14 @@ SizeResult runSize(std::size_t locations, std::size_t queryCount) {
   const index::TieredIndex index(db, config, venue.shardStarts());
   result.indexBuildSeconds = secondsSince(buildStart);
   result.shardCount = index.shardCount();
+  for (std::size_t s = 0; s < index.shardCount(); ++s) {
+    const index::ShardInfo info = index.shardInfo(s);
+    result.activeApsMean += static_cast<double>(info.activeApCount);
+    result.varyingColumnsMean +=
+        static_cast<double>(info.varyingColumnCount);
+  }
+  result.activeApsMean /= static_cast<double>(result.shardCount);
+  result.varyingColumnsMean /= static_cast<double>(result.shardCount);
 
   // Pre-generate the query stream: serving-epoch scans at random
   // locations, identical across the exact and tiered passes.
@@ -137,6 +150,9 @@ SizeResult runSize(std::size_t locations, std::size_t queryCount) {
   result.speedupBest = result.tiered.bestNs > 0.0
                            ? result.exact.bestNs / result.tiered.bestNs
                            : 0.0;
+  result.speedupP50 = result.tiered.p50Ns > 0.0
+                          ? result.exact.p50Ns / result.tiered.p50Ns
+                          : 0.0;
 
   // Recall audit outside the timed region: the exhaustive-check index
   // full-scans every query and counts true top-k rows the shortlist
@@ -182,25 +198,28 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sizes{1024, 4096};
   if (!smoke) sizes.push_back(16384);
   if (full) sizes.push_back(65536);
-  const std::size_t queryCount =
-      moloc::bench::envRounds(smoke ? 12 : (full ? 48 : 32));
+  // Enough queries per size that p99 is a percentile, not the maximum.
+  const std::size_t queryCount = moloc::bench::envRounds(1000);
 
   std::printf("Tiered index vs exact scan (k=%zu, %zu queries/size,"
-              " simd=%s)\n",
+              " simd=%s, latencies in ns)\n",
               kTopK, queryCount,
               kernel::simdLevelName(kernel::activeSimdLevel()));
-  std::printf("  %9s %5s %7s %12s %12s %9s %10s %7s\n", "locations",
-              "aps", "shards", "exact_ns", "tiered_ns", "speedup",
+  std::printf("  %9s %5s %6s %10s %10s %10s %10s %10s %8s %9s %6s\n",
+              "locations", "aps", "shards", "exact_p50", "tiered_p50",
+              "tiered_p90", "tiered_p99", "tiered_min", "p50_gain",
               "shortlist", "recall");
 
   std::vector<SizeResult> results;
   for (const std::size_t locations : sizes) {
     results.push_back(runSize(locations, queryCount));
     const SizeResult& r = results.back();
-    std::printf("  %9zu %5zu %7zu %12.0f %12.0f %8.2fx %10.1f %7.4f\n",
-                r.locations, r.apCount, r.shardCount, r.exact.bestNs,
-                r.tiered.bestNs, r.speedupBest, r.shortlistMean,
-                r.recall);
+    std::printf(
+        "  %9zu %5zu %6zu %10.0f %10.0f %10.0f %10.0f %10.0f %7.2fx %9.1f"
+        " %6.4f\n",
+        r.locations, r.apCount, r.shardCount, r.exact.p50Ns, r.tiered.p50Ns,
+        r.tiered.p90Ns, r.tiered.p99Ns, r.tiered.bestNs, r.speedupP50,
+        r.shortlistMean, r.recall);
   }
   std::printf("  determinism: tiered matches bitwise-identical to the"
               " exact scan at every size\n");
@@ -217,6 +236,8 @@ int main(int argc, char** argv) {
       .field("simd_compiled", static_cast<bool>(MOLOC_SIMD_ENABLED))
       .field("simd_active",
              kernel::simdLevelName(kernel::activeSimdLevel()))
+      .field("cpu_model", bench::cpuModel())
+      .field("build_type", MOLOC_BUILD_TYPE)
       .endObject();
   json.beginArray("sweep");
   for (const SizeResult& r : results) {
@@ -227,8 +248,11 @@ int main(int argc, char** argv) {
         .field("index_build_seconds", r.indexBuildSeconds)
         .field("shortlist_mean", r.shortlistMean)
         .field("scanned_entries_mean", r.scannedEntriesMean)
+        .field("active_aps_mean", r.activeApsMean)
+        .field("varying_columns_mean", r.varyingColumnsMean)
         .field("recall", r.recall)
-        .field("speedup_best", r.speedupBest);
+        .field("speedup_best", r.speedupBest)
+        .field("speedup_p50", r.speedupP50);
     json.beginArray("variants");
     bench::writeVariant(json, "exact_scan", r.exact);
     bench::writeVariant(json, "tiered_index", r.tiered);

@@ -15,7 +15,6 @@
 #include "core/world_snapshot.hpp"
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
-#include "index/signature_codec.hpp"
 #include "io/serialization.hpp"
 #include "net/wire.hpp"
 #include "store/checkpoint.hpp"
@@ -333,45 +332,6 @@ int runWireDecode(const std::uint8_t* data, std::size_t size) {
       return 0;  // Framing damage: the connection would be dropped.
     }
   }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Quantized signature blocks
-
-int runSignatureCodec(const std::uint8_t* data, std::size_t size) {
-  if (size > kMaxInputBytes) return 0;
-
-  index::DecodedSignatureBlock decoded;
-  try {
-    decoded = index::decodeSignatureBlock({data, size});
-  } catch (const index::SignatureCodecError&) {
-    return 0;  // Rejected input: the documented outcome.
-  }
-
-  // Accepted blocks are canonical: re-encoding must reproduce the
-  // input byte for byte.
-  const std::vector<std::uint8_t> reencoded =
-      index::encodeSignatureBlock(decoded.buckets, decoded.bucketCount);
-  if (reencoded.size() != size ||
-      !std::equal(reencoded.begin(), reencoded.end(), data))
-    invariantFailed("signature",
-                    "decode/encode changed an accepted block");
-
-  // The buckets must round-trip through the plane packers the index
-  // builds its shard slabs with — the fuzzed serialized layout and the
-  // scanned in-slab layout are the same bit-slicing.
-  const auto planeCount =
-      static_cast<std::size_t>(decoded.bucketCount - 1);
-  std::vector<std::uint64_t> planes(planeCount);
-  index::packThermometerPlanes(decoded.buckets, decoded.bucketCount,
-                               planes);
-  std::vector<std::uint8_t> unpacked(decoded.buckets.size());
-  index::unpackThermometerPlanes(planes, decoded.bucketCount,
-                                 decoded.buckets.size(), unpacked);
-  if (unpacked != decoded.buckets)
-    invariantFailed("signature",
-                    "thermometer plane pack/unpack changed the buckets");
   return 0;
 }
 

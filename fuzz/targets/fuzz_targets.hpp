@@ -51,13 +51,6 @@ int runCsvParse(const std::uint8_t* data, std::size_t size);
 /// slack).
 int runWireDecode(const std::uint8_t* data, std::size_t size);
 
-/// index::decodeSignatureBlock over one serialized quantized-signature
-/// block (the tiered index's bit-sliced slab format).  Rejections must
-/// be SignatureCodecError; every accepted block must re-encode to the
-/// identical bytes (canonical form) and its buckets must round-trip
-/// through the thermometer plane packers the index builds shards with.
-int runSignatureCodec(const std::uint8_t* data, std::size_t size);
-
 /// image::VenueImage::fromBuffer over one venue-image file's bytes, in
 /// both verify modes.  Any format damage — hostile section offsets,
 /// lengths, overlaps, truncations, CRC flips — must be a typed

@@ -27,7 +27,6 @@
 #include "env/floor_plan.hpp"
 #include "image/format.hpp"
 #include "image/image_writer.hpp"
-#include "index/signature_codec.hpp"
 #include "index/tiered_index.hpp"
 #include "io/serialization.hpp"
 #include "net/wire.hpp"
@@ -230,56 +229,6 @@ void makeSerializationSeeds(const fs::path& root) {
   }
 }
 
-void makeSignatureSeeds(const fs::path& root) {
-  using moloc::index::encodeSignatureBlock;
-  const auto asString = [](const std::vector<std::uint8_t>& bytes) {
-    return std::string(reinterpret_cast<const char*>(bytes.data()),
-                       bytes.size());
-  };
-
-  // A full 64-entry block at the index's default 8-bucket quantizer,
-  // mixing unheard (bucket 0) with the whole heard range.
-  std::vector<std::uint8_t> full(64);
-  for (std::size_t e = 0; e < full.size(); ++e)
-    full[e] = static_cast<std::uint8_t>((e * 5) % 8);
-  writeFile(root / "signature/full-block-8-buckets.bin",
-            asString(encodeSignatureBlock(full, 8)));
-
-  // A partial tail block (the last block of a shard) at the minimum
-  // and maximum bucket counts.
-  const std::vector<std::uint8_t> tail{1, 0, 1, 0, 1};
-  writeFile(root / "signature/tail-block-2-buckets.bin",
-            asString(encodeSignatureBlock(tail, 2)));
-  const std::vector<std::uint8_t> wide{15, 0, 7, 3, 11, 1, 14};
-  writeFile(root / "signature/tail-block-16-buckets.bin",
-            asString(encodeSignatureBlock(wide, 16)));
-
-  // An all-unheard block: every plane word zero (the sparse-visibility
-  // common case the prefilter's presence plane keys on).
-  writeFile(root / "signature/all-unheard.bin",
-            asString(encodeSignatureBlock(
-                std::vector<std::uint8_t>(64, 0), 8)));
-
-  // Regressions: malformed blocks decode must keep rejecting with
-  // SignatureCodecError, never crash or accept.
-  //
-  // A stray bit past entryCount in the presence plane.
-  std::vector<std::uint8_t> stray = encodeSignatureBlock(tail, 2);
-  stray[2] |= 0x20;  // Bit 5; entryCount is 5.
-  writeFile(root / "regressions/signature/stray-bit-past-entries.bin",
-            asString(stray));
-  // A thermometer violation: a deep-plane bit without its prefix.
-  std::vector<std::uint8_t> nonMonotone = encodeSignatureBlock(full, 8);
-  nonMonotone[2 + 6 * 8] |= 0x1;  // Plane 6 bit for an entry in bucket 0.
-  writeFile(root / "regressions/signature/non-monotone-planes.bin",
-            asString(nonMonotone));
-  // A header whose plane payload is truncated.
-  const std::vector<std::uint8_t> whole = encodeSignatureBlock(full, 8);
-  const std::vector<std::uint8_t> torn(whole.begin(), whole.end() - 11);
-  writeFile(root / "regressions/signature/torn-planes.bin",
-            asString(torn));
-}
-
 /// Venue-image seeds: real images through the real writer (with and
 /// without an embedded index), plus regressions for every section-
 /// table damage mode the loader must keep rejecting with a typed
@@ -396,6 +345,26 @@ void makeImageSeeds(const fs::path& root) {
   std::string zeroSections = withIndex;
   pokeU32(zeroSections, 24, 0);
   writeFile(root / "regressions/image/zero-sections.img", zeroSections);
+  // A column-profile section one value short, its CRC and the table
+  // re-sealed, so the shard geometry check (not a checksum) rejects it.
+  std::string shortProfile = withIndex;
+  for (std::uint32_t i = 0; i < peekU32(withIndex, 24); ++i) {
+    if (peekU32(withIndex, entryAt(i)) !=
+        static_cast<std::uint32_t>(image::SectionId::kIndexColumnValues))
+      continue;
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    std::memcpy(&offset, withIndex.data() + entryAt(i) + 8, sizeof(offset));
+    std::memcpy(&length, withIndex.data() + entryAt(i) + 16,
+                sizeof(length));
+    length -= sizeof(double);
+    pokeU64(shortProfile, entryAt(i) + 16, length);
+    pokeU32(shortProfile, entryAt(i) + 4,
+            moloc::store::crc32c(shortProfile.data() + offset, length));
+  }
+  resealTable(shortProfile);
+  writeFile(root / "regressions/image/truncated-column-profile.img",
+            shortProfile);
 }
 
 }  // namespace
@@ -502,7 +471,6 @@ int main(int argc, char** argv) {
   makeCheckpointSeeds(root);
   makeSerializationSeeds(root);
   makeWireSeeds(root);
-  makeSignatureSeeds(root);
   makeImageSeeds(root);
   return 0;
 }

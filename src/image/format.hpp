@@ -31,9 +31,10 @@ class ImageError : public std::runtime_error {
 /// stack computes at startup — the blocked kernel::FlatMatrix, the
 /// row-major RSS values behind per-entry fingerprints, the CSR
 /// kernel::MotionAdjacency arrays (precomputed PairWindow constants
-/// included), and the index::TieredIndex signature slabs — so the
-/// loader maps the file read-only and serves straight out of the page
-/// cache: no parsing, no re-packing, no plane rebuild.
+/// included), and the index::TieredIndex shards (signature bytes and
+/// column profiles) — so the loader maps the file read-only and serves
+/// straight out of the page cache: no parsing, no quantizing, no pass
+/// over rows.
 ///
 /// File layout (docs/persistence.md has the full spec):
 ///
@@ -51,13 +52,13 @@ class ImageError : public std::runtime_error {
 
 inline constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'I',
                                    'M', 'G'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Section payloads start at multiples of this (cache-line sized, and
 /// a multiple of every element alignment used by a section).
 inline constexpr std::size_t kSectionAlignment = 64;
 
-/// Hard cap on the section count: v1 defines 11 section ids, so any
+/// Hard cap on the section count: v2 defines 13 section ids, so any
 /// larger table is damage (and the cap bounds hostile allocation).
 inline constexpr std::uint32_t kMaxSections = 64;
 
@@ -72,7 +73,9 @@ enum class SectionId : std::uint32_t {
   kIndexActiveAps = 8,     ///< uint32[sum of activeApCount].
   kIndexMinBuckets = 9,    ///< uint8[sum of activeApCount].
   kIndexMaxBuckets = 10,   ///< uint8[sum of activeApCount].
-  kIndexSlabs = 11,        ///< uint64[sum of slabWords].
+  kIndexSignatures = 11,   ///< uint8[sum of signatureBytes].
+  kIndexVaryingColumns = 12,  ///< uint32[sum of varyingCount].
+  kIndexColumnValues = 13,    ///< double[shardCount * apCount].
 };
 
 /// The fixed file header.  Every field is validated by value on load
@@ -95,24 +98,27 @@ struct SectionEntry {
   std::uint32_t crc;      ///< crc32c over the section's bytes.
   std::uint64_t offset;   ///< Absolute, kSectionAlignment-aligned.
   std::uint64_t length;   ///< Exact payload bytes (may be 0).
-  std::uint64_t reserved; ///< Zero in v1.
+  std::uint64_t reserved; ///< Zero.
 };
 static_assert(sizeof(SectionEntry) == 32);
 
 /// One tiered-index shard descriptor.  Element offsets index into the
 /// kIndexActiveAps / kIndexMinBuckets / kIndexMaxBuckets (all three
-/// share activeApsStart/activeApCount) and kIndexSlabs sections; v1
-/// requires exact back-to-back packing (activeApsStart of shard s+1
-/// equals shard s's start + count), which the loader enforces.
+/// share activeApsStart/activeApCount), kIndexSignatures and
+/// kIndexVaryingColumns sections; shard s's column values are
+/// kIndexColumnValues[s * apCount, (s + 1) * apCount).  Shards are
+/// packed back to back (each start equals the previous shard's start
+/// + count), which the loader enforces.
 struct ShardRecord {
   std::uint64_t rowBegin;
   std::uint64_t rowEnd;
   std::uint64_t activeApsStart;
   std::uint64_t activeApCount;
-  std::uint64_t slabStart;
-  std::uint64_t slabWords;
-  std::uint64_t reserved0;
-  std::uint64_t reserved1;
+  std::uint64_t signatureStart;
+  /// (rowEnd - rowBegin) * index::signatureStride(activeApCount).
+  std::uint64_t signatureBytes;
+  std::uint64_t varyingStart;
+  std::uint64_t varyingCount;
 };
 static_assert(sizeof(ShardRecord) == 64);
 
@@ -143,7 +149,7 @@ inline constexpr std::uint32_t kLayoutTag =
 
 /// The decoded kMeta section: venue shape, provenance counters, and
 /// the index configuration needed to reconstruct the TieredIndex
-/// around the mapped slabs.
+/// around the mapped shards.
 struct ImageMeta {
   std::uint64_t locationCount = 0;
   std::uint64_t apCount = 0;

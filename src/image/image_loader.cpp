@@ -67,14 +67,16 @@ const char* sectionName(SectionId id) {
     case SectionId::kIndexActiveAps: return "index_active_aps";
     case SectionId::kIndexMinBuckets: return "index_min_buckets";
     case SectionId::kIndexMaxBuckets: return "index_max_buckets";
-    case SectionId::kIndexSlabs: return "index_slabs";
+    case SectionId::kIndexSignatures: return "index_signatures";
+    case SectionId::kIndexVaryingColumns: return "index_varying_columns";
+    case SectionId::kIndexColumnValues: return "index_column_values";
   }
   return "unknown";
 }
 
 bool knownSection(std::uint32_t id) {
   return id >= static_cast<std::uint32_t>(SectionId::kMeta) &&
-         id <= static_cast<std::uint32_t>(SectionId::kIndexSlabs);
+         id <= static_cast<std::uint32_t>(SectionId::kIndexColumnValues);
 }
 
 /// Bulk sections: their CRC check is what VerifyMode::kBulkUnverified
@@ -82,7 +84,8 @@ bool knownSection(std::uint32_t id) {
 /// metadata-sized and always verified.
 bool bulkSection(SectionId id) {
   return id == SectionId::kRowValues || id == SectionId::kFlatBlocked ||
-         id == SectionId::kAdjacencyEdges || id == SectionId::kIndexSlabs;
+         id == SectionId::kAdjacencyEdges ||
+         id == SectionId::kIndexSignatures;
 }
 
 struct SectionRef {
@@ -176,7 +179,9 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
               static_cast<std::size_t>(tableBytes));
 
   const std::uint64_t contentStart = sizeof(FileHeader) + tableBytes;
-  SectionRef sections[12] = {};
+  SectionRef sections[static_cast<std::uint32_t>(
+                          SectionId::kIndexColumnValues) +
+                      1] = {};
   for (const SectionEntry& entry : table) {
     if (!knownSection(entry.id))
       fail("unknown section id " + std::to_string(entry.id));
@@ -293,20 +298,14 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
 
   // ---- Index geometry -----------------------------------------------
   std::vector<index::ShardView> shardViews;
-  const bool indexSectionsPresent =
-      section(SectionId::kIndexShards).present ||
-      section(SectionId::kIndexActiveAps).present ||
-      section(SectionId::kIndexMinBuckets).present ||
-      section(SectionId::kIndexMaxBuckets).present ||
-      section(SectionId::kIndexSlabs).present;
-  if (meta.hasIndex !=
-      (section(SectionId::kIndexShards).present &&
-       section(SectionId::kIndexActiveAps).present &&
-       section(SectionId::kIndexMinBuckets).present &&
-       section(SectionId::kIndexMaxBuckets).present &&
-       section(SectionId::kIndexSlabs).present) ||
-      (!meta.hasIndex && indexSectionsPresent))
-    fail("index sections do not match the meta hasIndex flag");
+  constexpr SectionId kIndexSections[] = {
+      SectionId::kIndexShards,         SectionId::kIndexActiveAps,
+      SectionId::kIndexMinBuckets,     SectionId::kIndexMaxBuckets,
+      SectionId::kIndexSignatures,     SectionId::kIndexVaryingColumns,
+      SectionId::kIndexColumnValues};
+  for (const SectionId id : kIndexSections)
+    if (section(id).present != meta.hasIndex)
+      fail("index sections do not match the meta hasIndex flag");
 
   if (meta.hasIndex) {
     try {
@@ -314,20 +313,27 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
     } catch (const std::invalid_argument& e) {
       fail(std::string("bad quantizer config: ") + e.what());
     }
-    const std::uint64_t planeCount =
-        static_cast<std::uint64_t>(meta.index.quantizer.bucketCount - 1);
     expectLength(section(SectionId::kIndexShards), SectionId::kIndexShards,
                  meta.shardCount, sizeof(ShardRecord));
+    std::uint64_t columnValueCount = 0;
+    if (!mulFits(meta.shardCount, apCount, 1, &columnValueCount))
+      fail("index shard count out of range");
+    expectLength(section(SectionId::kIndexColumnValues),
+                 SectionId::kIndexColumnValues, columnValueCount,
+                 sizeof(double));
     const SectionRef& activeSec = section(SectionId::kIndexActiveAps);
     const SectionRef& minSec = section(SectionId::kIndexMinBuckets);
     const SectionRef& maxSec = section(SectionId::kIndexMaxBuckets);
-    const SectionRef& slabSec = section(SectionId::kIndexSlabs);
+    const SectionRef& signatureSec = section(SectionId::kIndexSignatures);
+    const SectionRef& varyingSec = section(SectionId::kIndexVaryingColumns);
     if (activeSec.length % sizeof(std::uint32_t) != 0 ||
-        slabSec.length % sizeof(std::uint64_t) != 0)
+        varyingSec.length % sizeof(std::uint32_t) != 0)
       fail("index table sections not a whole number of elements");
     const std::uint64_t activeTotal =
         activeSec.length / sizeof(std::uint32_t);
-    const std::uint64_t slabTotal = slabSec.length / sizeof(std::uint64_t);
+    const std::uint64_t varyingTotal =
+        varyingSec.length / sizeof(std::uint32_t);
+    const std::uint64_t signatureTotal = signatureSec.length;
     if (minSec.length != activeTotal || maxSec.length != activeTotal)
       fail("index bucket-range sections do not match active AP count");
 
@@ -337,34 +343,39 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
         reinterpret_cast<const std::uint32_t*>(activeSec.data);
     const auto* minBuckets = minSec.data;
     const auto* maxBuckets = maxSec.data;
-    const auto* slabs =
-        reinterpret_cast<const std::uint64_t*>(slabSec.data);
+    const auto* signatures = signatureSec.data;
+    const auto* varying =
+        reinterpret_cast<const std::uint32_t*>(varyingSec.data);
+    const auto* columnValues = reinterpret_cast<const double*>(
+        section(SectionId::kIndexColumnValues).data);
 
     shardViews.reserve(static_cast<std::size_t>(meta.shardCount));
     std::uint64_t activeAt = 0;
-    std::uint64_t slabAt = 0;
+    std::uint64_t signatureAt = 0;
+    std::uint64_t varyingAt = 0;
     for (std::uint64_t s = 0; s < meta.shardCount; ++s) {
       const ShardRecord& record = records[s];
-      if (record.reserved0 != 0 || record.reserved1 != 0)
-        fail("nonzero reserved shard field");
       if (record.rowEnd <= record.rowBegin || record.rowEnd > n)
         fail("shard row range out of bounds");
       const std::uint64_t count = record.rowEnd - record.rowBegin;
-      const std::uint64_t words =
-          (count + index::kBlockEntries - 1) / index::kBlockEntries;
-      // v1 requires exact back-to-back packing, so the element offsets
-      // are fully determined — any other value is damage.
+      // Shards are packed back to back, so the element offsets are
+      // fully determined — any other value is damage.
       if (record.activeApsStart != activeAt ||
           record.activeApCount > activeTotal - activeAt)
         fail("shard active-AP range out of bounds");
-      std::uint64_t expectedWords = 0;
-      if (!mulFits(record.activeApCount, planeCount, words,
-                   &expectedWords) ||
-          record.slabWords != expectedWords)
-        fail("shard slab word count does not match its shape");
-      if (record.slabStart != slabAt ||
-          record.slabWords > slabTotal - slabAt)
-        fail("shard slab range out of bounds");
+      std::uint64_t expectedBytes = 0;
+      if (!mulFits(count,
+                   index::signatureStride(
+                       static_cast<std::size_t>(record.activeApCount)),
+                   1, &expectedBytes) ||
+          record.signatureBytes != expectedBytes)
+        fail("shard signature size does not match its shape");
+      if (record.signatureStart != signatureAt ||
+          record.signatureBytes > signatureTotal - signatureAt)
+        fail("shard signature range out of bounds");
+      if (record.varyingStart != varyingAt ||
+          record.varyingCount > varyingTotal - varyingAt)
+        fail("shard varying-column range out of bounds");
 
       index::ShardView view;
       view.rowBegin = static_cast<std::size_t>(record.rowBegin);
@@ -375,13 +386,19 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
                         static_cast<std::size_t>(record.activeApCount)};
       view.maxBucket = {maxBuckets + activeAt,
                         static_cast<std::size_t>(record.activeApCount)};
-      view.slab = {slabs + slabAt,
-                   static_cast<std::size_t>(record.slabWords)};
+      view.signatures = {signatures + signatureAt,
+                         static_cast<std::size_t>(record.signatureBytes)};
+      view.varyingColumns = {varying + varyingAt,
+                             static_cast<std::size_t>(record.varyingCount)};
+      view.columnValues = {columnValues + s * apCount,
+                           static_cast<std::size_t>(apCount)};
       shardViews.push_back(view);
       activeAt += record.activeApCount;
-      slabAt += record.slabWords;
+      signatureAt += record.signatureBytes;
+      varyingAt += record.varyingCount;
     }
-    if (activeAt != activeTotal || slabAt != slabTotal)
+    if (activeAt != activeTotal || signatureAt != signatureTotal ||
+        varyingAt != varyingTotal)
       fail("index tables have unreferenced trailing elements");
   }
 

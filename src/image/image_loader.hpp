@@ -34,11 +34,11 @@ enum class VerifyMode {
   /// cost of touching every byte (so load time grows with the image).
   kFull,
   /// CRC the metadata-sized sections only (meta, ids, row starts,
-  /// shard table, active-AP tables, bucket ranges) and skip the bulk
-  /// arrays (RSS values, flat matrix, edges, slabs).  This is the
-  /// millisecond cold-attach path for images the same host just wrote
-  /// and published atomically; bulk content is still bounds-safe,
-  /// merely not re-checksummed.
+  /// shard table, active-AP tables, bucket ranges, column profiles)
+  /// and skip the bulk arrays (RSS values, flat matrix, edges,
+  /// signatures).  This is the millisecond cold-attach path for images
+  /// the same host just wrote and published atomically; bulk content
+  /// is still bounds-safe, merely not re-checksummed.
   kBulkUnverified,
 };
 
@@ -55,7 +55,7 @@ struct LoadOptions {
 ///
 /// Construction performs no parsing or allocation proportional to the
 /// bulk data: the FlatMatrix, per-entry fingerprints, CSR adjacency,
-/// and index slabs are views into the mapping.  The only O(n) work is
+/// and index shards are views into the mapping.  The only O(n) work is
 /// the small per-row tables (id hash, row spans) — bytes, not
 /// megabytes, per location.
 class VenueImage {

@@ -182,8 +182,7 @@ ImageWriteInfo writeVenueImage(const std::string& path,
     throw store::StoreError("open failed for " + tmpPath + ": " +
                             util::errnoMessage(errno));
 
-  const std::size_t sectionCount =
-      6 + (meta.hasIndex ? 5 : 0);
+  const std::size_t sectionCount = 6 + (meta.hasIndex ? 7 : 0);
   std::vector<SectionEntry> table;
   table.reserve(sectionCount);
 
@@ -271,55 +270,50 @@ ImageWriteInfo writeVenueImage(const std::string& path,
   table.push_back(out.endSection(SectionId::kAdjacencyEdges));
 
   if (meta.hasIndex) {
+    const std::size_t shardCount = index->shardCount();
     // kIndexShards: descriptors with back-to-back element offsets.
     out.beginSection();
     {
       std::uint64_t activeAt = 0;
-      std::uint64_t slabAt = 0;
-      for (std::size_t s = 0; s < index->shardCount(); ++s) {
-        const index::ShardView v = index->shardView(s);
+      std::uint64_t signatureAt = 0;
+      std::uint64_t varyingAt = 0;
+      for (std::size_t s = 0; s < shardCount; ++s) {
+        const index::ShardView& v = index->shardView(s);
         ShardRecord record{};
         record.rowBegin = v.rowBegin;
         record.rowEnd = v.rowEnd;
         record.activeApsStart = activeAt;
         record.activeApCount = v.activeAps.size();
-        record.slabStart = slabAt;
-        record.slabWords = v.slab.size();
+        record.signatureStart = signatureAt;
+        record.signatureBytes = v.signatures.size();
+        record.varyingStart = varyingAt;
+        record.varyingCount = v.varyingColumns.size();
         activeAt += v.activeAps.size();
-        slabAt += v.slab.size();
+        signatureAt += v.signatures.size();
+        varyingAt += v.varyingColumns.size();
         out.write(&record, sizeof(record));
       }
     }
     table.push_back(out.endSection(SectionId::kIndexShards));
 
-    out.beginSection();
-    for (std::size_t s = 0; s < index->shardCount(); ++s) {
-      const index::ShardView v = index->shardView(s);
-      out.write(v.activeAps.data(),
-                v.activeAps.size() * sizeof(std::uint32_t));
-    }
-    table.push_back(out.endSection(SectionId::kIndexActiveAps));
-
-    out.beginSection();
-    for (std::size_t s = 0; s < index->shardCount(); ++s) {
-      const index::ShardView v = index->shardView(s);
-      out.write(v.minBucket.data(), v.minBucket.size());
-    }
-    table.push_back(out.endSection(SectionId::kIndexMinBuckets));
-
-    out.beginSection();
-    for (std::size_t s = 0; s < index->shardCount(); ++s) {
-      const index::ShardView v = index->shardView(s);
-      out.write(v.maxBucket.data(), v.maxBucket.size());
-    }
-    table.push_back(out.endSection(SectionId::kIndexMaxBuckets));
-
-    out.beginSection();
-    for (std::size_t s = 0; s < index->shardCount(); ++s) {
-      const index::ShardView v = index->shardView(s);
-      out.write(v.slab.data(), v.slab.size() * sizeof(std::uint64_t));
-    }
-    table.push_back(out.endSection(SectionId::kIndexSlabs));
+    // The per-shard arrays, each section the shards' spans back to
+    // back.
+    const auto writeEach = [&](SectionId id, auto member) {
+      out.beginSection();
+      for (std::size_t s = 0; s < shardCount; ++s) {
+        const auto span = index->shardView(s).*member;
+        out.write(span.data(), span.size_bytes());
+      }
+      table.push_back(out.endSection(id));
+    };
+    writeEach(SectionId::kIndexActiveAps, &index::ShardView::activeAps);
+    writeEach(SectionId::kIndexMinBuckets, &index::ShardView::minBucket);
+    writeEach(SectionId::kIndexMaxBuckets, &index::ShardView::maxBucket);
+    writeEach(SectionId::kIndexSignatures, &index::ShardView::signatures);
+    writeEach(SectionId::kIndexVaryingColumns,
+              &index::ShardView::varyingColumns);
+    writeEach(SectionId::kIndexColumnValues,
+              &index::ShardView::columnValues);
   }
 
   out.flush();

@@ -28,7 +28,7 @@ struct ImageWriteInfo {
 /// non-null, and every fingerprinted location id must be a valid row
 /// of the world's adjacency (that is the invariant serving relies on;
 /// the loader re-checks it).  The snapshot's tiered index, when
-/// present, is embedded so the loader skips the plane rebuild.
+/// present, is embedded so the loader skips the index build.
 ///
 /// Sections are streamed in bounded chunks with incremental CRC32C —
 /// a campus-64k image is ~900 MB and is never materialized in memory.

@@ -1,9 +1,9 @@
 #include "index/tiered_index.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <stdexcept>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "kernel/fingerprint_kernel.hpp"
 #include "service/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -34,6 +35,7 @@ bool allFinite(const radio::Fingerprint& fp) {
 
 struct TieredIndex::ScanWorkspace {
   std::vector<std::uint8_t> qBuckets;
+  std::vector<std::uint8_t> qActive;  ///< One shard's active buckets.
   std::vector<std::uint32_t> shardLb;
   std::vector<std::uint32_t> shardOffset;
   std::vector<std::uint32_t> order;
@@ -41,7 +43,7 @@ struct TieredIndex::ScanWorkspace {
   std::vector<std::uint32_t> histogram;
   std::vector<std::uint32_t> scannedShards;
   std::vector<std::uint32_t> shortlist;
-  kernel::FlatMatrix scratch;
+  std::vector<kernel::PlanStep> plan;
   std::vector<double> distances;
   std::vector<kernel::TopKEntry> topk;
   std::vector<double> fullDistances;
@@ -67,19 +69,6 @@ TieredIndex::TieredIndex(
         "TieredIndex: maxShardEntries must be >= 1");
 
   const std::size_t n = db_->size();
-  const std::size_t apCount = db_->apCount();
-  const std::size_t planeCount =
-      static_cast<std::size_t>(config_.quantizer.bucketCount - 1);
-  if (apCount * planeCount >
-      std::numeric_limits<std::uint16_t>::max())
-    throw util::ConfigError(
-        "TieredIndex: apCount * (bucketCount - 1) exceeds the scan "
-        "counter range");
-
-  locIds_ = db_->locationIds();
-  rowValues_.reserve(n);
-  for (std::size_t r = 0; r < n; ++r)
-    rowValues_.push_back(db_->entryAt(r).values());
 
   // Segment boundaries: caller-provided natural volumes (per
   // building/floor), else one segment; each capped at maxShardEntries.
@@ -104,9 +93,9 @@ TieredIndex::TieredIndex(
           begin, std::min(begin + config_.maxShardEntries, segmentEnd));
   }
 
-  // Shards are built independently — each task quantizes and packs
+  // Shards are built independently — each task quantizes and profiles
   // only its own row range into its own slot — so the fan-out over the
-  // thread pool produces planes bitwise-identical to the serial loop
+  // thread pool produces shards bitwise-identical to the serial loop
   // at any worker count (the parallel/serial identity test holds the
   // proof).
   std::size_t workers =
@@ -115,16 +104,17 @@ TieredIndex::TieredIndex(
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers = std::min(workers, ranges.size());
   shards_.resize(ranges.size());
+  storage_.resize(ranges.size());
   if (workers <= 1) {
     for (std::size_t s = 0; s < ranges.size(); ++s)
-      shards_[s] = buildShard(ranges[s].first, ranges[s].second);
+      buildShard(s, ranges[s].first, ranges[s].second);
   } else {
     service::ThreadPool pool(workers);
     std::vector<std::future<void>> built;
     built.reserve(ranges.size());
     for (std::size_t s = 0; s < ranges.size(); ++s)
       built.push_back(pool.submit([this, &ranges, s] {
-        shards_[s] = buildShard(ranges[s].first, ranges[s].second);
+        buildShard(s, ranges[s].first, ranges[s].second);
       }));
     // get() rethrows the first failed shard's exception; the pool
     // destructor then drains the rest before `ranges` unwinds.
@@ -132,27 +122,38 @@ TieredIndex::TieredIndex(
   }
 }
 
-TieredIndex::Shard TieredIndex::buildShard(std::size_t rowBegin,
-                                           std::size_t rowEnd) const {
+void TieredIndex::buildShard(std::size_t shard, std::size_t rowBegin,
+                             std::size_t rowEnd) {
   const std::size_t count = rowEnd - rowBegin;
   const std::size_t apCount = db_->apCount();
-  const int bucketCount = config_.quantizer.bucketCount;
-  const std::size_t planeCount = static_cast<std::size_t>(bucketCount - 1);
+  ShardStorage& st = storage_[shard];
 
-  Shard shard;
-  shard.rowBegin = rowBegin;
-  shard.rowEnd = rowEnd;
-  shard.words = (count + kBlockEntries - 1) / kBlockEntries;
-
-  // Quantize the shard's entries once (row-major scratch).
+  // One pass over the shard's rows: quantize every value (row-major
+  // scratch) and profile every column by bit pattern, so -0.0 and +0.0
+  // count as different values.
   std::vector<std::uint8_t> buckets(count * apCount);
+  std::vector<std::uint64_t> firstBits(apCount);
+  std::vector<bool> varies(apCount, false);
   for (std::size_t e = 0; e < count; ++e) {
-    const std::span<const double> row = rowValues_[rowBegin + e];
-    for (std::size_t c = 0; c < apCount; ++c)
+    const std::span<const double> row = db_->entryAt(rowBegin + e).values();
+    for (std::size_t c = 0; c < apCount; ++c) {
       buckets[e * apCount + c] = quantizeRss(row[c], config_.quantizer);
+      const auto bits = std::bit_cast<std::uint64_t>(row[c]);
+      if (e == 0)
+        firstBits[c] = bits;
+      else if (bits != firstBits[c])
+        varies[c] = true;
+    }
+  }
+  st.columnValues.assign(apCount, 0.0);
+  for (std::size_t c = 0; c < apCount; ++c) {
+    if (varies[c])
+      st.varyingColumns.push_back(static_cast<std::uint32_t>(c));
+    else
+      st.columnValues[c] = std::bit_cast<double>(firstBits[c]);
   }
 
-  // An AP silent across the whole shard carries no plane storage —
+  // An AP silent across the whole shard carries no signature byte —
   // the query-time contribution of such APs is a per-shard constant.
   for (std::size_t c = 0; c < apCount; ++c) {
     std::uint8_t minBucket = std::numeric_limits<std::uint8_t>::max();
@@ -163,42 +164,22 @@ TieredIndex::Shard TieredIndex::buildShard(std::size_t rowBegin,
       maxBucket = std::max(maxBucket, b);
     }
     if (maxBucket == 0) continue;
-    shard.activeApStorage.push_back(static_cast<std::uint32_t>(c));
-    shard.minBucketStorage.push_back(minBucket);
-    shard.maxBucketStorage.push_back(maxBucket);
+    st.activeAps.push_back(static_cast<std::uint32_t>(c));
+    st.minBucket.push_back(minBucket);
+    st.maxBucket.push_back(maxBucket);
   }
 
-  shard.slabStorage.assign(
-      shard.activeApStorage.size() * planeCount * shard.words, 0);
-  std::array<std::uint8_t, kBlockEntries> blockBuckets{};
-  std::vector<std::uint64_t> planes(planeCount);
-  for (std::size_t a = 0; a < shard.activeApStorage.size(); ++a) {
-    const std::size_t c = shard.activeApStorage[a];
-    for (std::size_t w = 0; w < shard.words; ++w) {
-      const std::size_t blockCount =
-          std::min(kBlockEntries, count - w * kBlockEntries);
-      for (std::size_t e = 0; e < blockCount; ++e)
-        blockBuckets[e] =
-            buckets[(w * kBlockEntries + e) * apCount + c];
-      packThermometerPlanes({blockBuckets.data(), blockCount},
-                            bucketCount, planes);
-      for (std::size_t t = 0; t < planeCount; ++t)
-        shard.slabStorage[(a * planeCount + t) * shard.words + w] =
-            planes[t];
-    }
-  }
+  const std::size_t stride = signatureStride(st.activeAps.size());
+  st.signatures.assign(count * stride, 0);
+  for (std::size_t e = 0; e < count; ++e)
+    for (std::size_t a = 0; a < st.activeAps.size(); ++a)
+      st.signatures[e * stride + a] =
+          buckets[e * apCount + st.activeAps[a]];
 
-  // The scan path reads only the spans; point them at the storage just
-  // built (the heap buffers stay put across the Shard's moves).
-  shard.activeAps = shard.activeApStorage;
-  shard.minBucket = shard.minBucketStorage;
-  shard.maxBucket = shard.maxBucketStorage;
-  shard.slab = shard.slabStorage;
-
-  const std::size_t maxDistance = shard.activeAps.size() * planeCount;
-  shard.counterDepth =
-      maxDistance == 0 ? 0 : static_cast<int>(std::bit_width(maxDistance));
-  return shard;
+  shards_[shard] = {rowBegin,     rowEnd,
+                    st.activeAps, st.minBucket,
+                    st.maxBucket, st.signatures,
+                    st.varyingColumns, st.columnValues};
 }
 
 TieredIndex TieredIndex::fromImageViews(
@@ -217,19 +198,18 @@ TieredIndex TieredIndex::fromImageViews(
   const std::size_t n = index.db_->size();
   const std::size_t apCount = index.db_->apCount();
   const int bucketCount = index.config_.quantizer.bucketCount;
-  const std::size_t planeCount = static_cast<std::size_t>(bucketCount - 1);
-  if (apCount * planeCount > std::numeric_limits<std::uint16_t>::max())
-    throw util::ConfigError(
-        "TieredIndex: apCount * (bucketCount - 1) exceeds the scan "
-        "counter range");
   if (n == 0 && !shards.empty())
     throw util::ConfigError(
         "TieredIndex: shard views over an empty database");
 
-  index.locIds_ = index.db_->locationIds();
-  index.rowValues_.reserve(n);
-  for (std::size_t r = 0; r < n; ++r)
-    index.rowValues_.push_back(index.db_->entryAt(r).values());
+  const auto strictlyIncreasingBelow =
+      [apCount](std::span<const std::uint32_t> columns) {
+        for (std::size_t i = 0; i < columns.size(); ++i)
+          if (columns[i] >= apCount ||
+              (i > 0 && columns[i] <= columns[i - 1]))
+            return false;
+        return true;
+      };
 
   index.shards_.reserve(shards.size());
   std::size_t nextRow = 0;
@@ -239,39 +219,30 @@ TieredIndex TieredIndex::fromImageViews(
           "TieredIndex: shard views must partition the rows in order");
     nextRow = v.rowEnd;
     const std::size_t count = v.rowEnd - v.rowBegin;
-    const std::size_t words = (count + kBlockEntries - 1) / kBlockEntries;
     if (v.minBucket.size() != v.activeAps.size() ||
         v.maxBucket.size() != v.activeAps.size())
       throw util::ConfigError(
           "TieredIndex: shard bucket ranges must match activeAps");
-    for (std::size_t a = 0; a < v.activeAps.size(); ++a) {
-      if (v.activeAps[a] >= apCount ||
-          (a > 0 && v.activeAps[a] <= v.activeAps[a - 1]))
-        throw util::ConfigError(
-            "TieredIndex: shard activeAps must be strictly increasing "
-            "and within the AP count");
+    if (!strictlyIncreasingBelow(v.activeAps))
+      throw util::ConfigError(
+          "TieredIndex: shard activeAps must be strictly increasing "
+          "and within the AP count");
+    for (std::size_t a = 0; a < v.activeAps.size(); ++a)
       if (v.maxBucket[a] == 0 || v.maxBucket[a] >= bucketCount ||
           v.minBucket[a] > v.maxBucket[a])
         throw util::ConfigError(
             "TieredIndex: shard bucket range out of bounds");
-    }
-    if (v.slab.size() != v.activeAps.size() * planeCount * words)
+    if (v.signatures.size() != count * signatureStride(v.activeAps.size()))
       throw util::ConfigError(
-          "TieredIndex: shard slab size mismatch");
-
-    Shard shard;
-    shard.rowBegin = v.rowBegin;
-    shard.rowEnd = v.rowEnd;
-    shard.words = words;
-    shard.activeAps = v.activeAps;
-    shard.minBucket = v.minBucket;
-    shard.maxBucket = v.maxBucket;
-    shard.slab = v.slab;
-    const std::size_t maxDistance = v.activeAps.size() * planeCount;
-    shard.counterDepth =
-        maxDistance == 0 ? 0
-                         : static_cast<int>(std::bit_width(maxDistance));
-    index.shards_.push_back(std::move(shard));
+          "TieredIndex: shard signature size mismatch");
+    if (!strictlyIncreasingBelow(v.varyingColumns))
+      throw util::ConfigError(
+          "TieredIndex: shard varyingColumns must be strictly "
+          "increasing and within the AP count");
+    if (v.columnValues.size() != apCount)
+      throw util::ConfigError(
+          "TieredIndex: shard column values must cover every AP");
+    index.shards_.push_back(v);
   }
   if (nextRow != n)
     throw util::ConfigError(
@@ -280,65 +251,45 @@ TieredIndex TieredIndex::fromImageViews(
 }
 
 ShardInfo TieredIndex::shardInfo(std::size_t shard) const {
+  const ShardView& s = shardView(shard);
+  return {s.rowBegin, s.rowEnd, s.activeAps.size(),
+          s.varyingColumns.size()};
+}
+
+const ShardView& TieredIndex::shardView(std::size_t shard) const {
   if (shard >= shards_.size())
     throw std::out_of_range("TieredIndex: bad shard index " +
                             std::to_string(shard));
-  const Shard& s = shards_[shard];
-  return {s.rowBegin, s.rowEnd, s.activeAps.size()};
+  return shards_[shard];
 }
 
-ShardView TieredIndex::shardView(std::size_t shard) const {
-  if (shard >= shards_.size())
-    throw std::out_of_range("TieredIndex: bad shard index " +
-                            std::to_string(shard));
-  const Shard& s = shards_[shard];
-  return {s.rowBegin, s.rowEnd, s.activeAps, s.minBucket, s.maxBucket,
-          s.slab};
-}
-
-void TieredIndex::scanShard(const Shard& shard,
+void TieredIndex::scanShard(const ShardView& shard,
                             const std::uint8_t* qBuckets,
                             std::uint32_t offset,
                             ScanWorkspace& ws) const {
-  const std::size_t planeCount =
-      static_cast<std::size_t>(config_.quantizer.bucketCount - 1);
+  // The query's buckets of the shard's active APs, laid out like one
+  // entry's signature (zero padding included, so padding adds 0).
+  // Spelling the stride as whole chunks tells the compiler the inner
+  // loop needs no scalar tail: it becomes one sum-of-absolute-
+  // differences per 16 bytes at -O2 and -O3 alike.
+  const std::size_t chunks =
+      signatureStride(shard.activeAps.size()) / kSignatureChunk;
+  const std::size_t stride = chunks * kSignatureChunk;
+  ws.qActive.assign(stride, 0);
+  for (std::size_t a = 0; a < shard.activeAps.size(); ++a)
+    ws.qActive[a] = qBuckets[shard.activeAps[a]];
+  const std::uint8_t* q = ws.qActive.data();
+
   const std::size_t count = shard.rowEnd - shard.rowBegin;
-  const int depth = shard.counterDepth;
-
-  for (std::size_t w = 0; w < shard.words; ++w) {
-    // Vertical carry-save counters: counters[d] holds bit d of the
-    // per-entry bucket-space distance for all 64 entries of the block.
-    std::uint64_t counters[16] = {};
-    for (std::size_t a = 0; a < shard.activeAps.size(); ++a) {
-      const std::uint8_t q = qBuckets[shard.activeAps[a]];
-      const std::uint64_t* planes =
-          shard.slab.data() + a * planeCount * shard.words + w;
-      for (std::size_t t = 0; t < planeCount; ++t) {
-        // XOR of the entry's thermometer bit with the query's: the
-        // popcount across planes is exactly |q - entryBucket|.
-        std::uint64_t carry =
-            planes[t * shard.words] ^
-            (t < q ? ~std::uint64_t{0} : std::uint64_t{0});
-        for (int d = 0; carry != 0 && d < depth; ++d) {
-          const std::uint64_t sum = counters[d] ^ carry;
-          carry &= counters[d];
-          counters[d] = sum;
-        }
-      }
-    }
-
-    const std::size_t blockCount =
-        std::min(kBlockEntries, count - w * kBlockEntries);
-    const std::size_t rowBase = shard.rowBegin + w * kBlockEntries;
-    for (std::size_t e = 0; e < blockCount; ++e) {
-      std::uint32_t distance = 0;
-      for (int d = 0; d < depth; ++d)
-        distance |= static_cast<std::uint32_t>((counters[d] >> e) & 1u)
-                    << d;
-      distance += offset;
-      ws.rowDistance[rowBase + e] = distance;
-      ++ws.histogram[std::min(distance, kHistogramCap - 1)];
-    }
+  const std::uint8_t* signature = shard.signatures.data();
+  for (std::size_t e = 0; e < count; ++e, signature += stride) {
+    // offset + sum_a |q_a - b_a|: the bucket-space L1 distance.
+    std::uint32_t distance = offset;
+    for (std::size_t j = 0; j < stride; ++j)
+      distance += static_cast<std::uint32_t>(
+          std::abs(static_cast<int>(q[j]) - static_cast<int>(signature[j])));
+    ws.rowDistance[shard.rowBegin + e] = distance;
+    ++ws.histogram[std::min(distance, kHistogramCap - 1)];
   }
 }
 
@@ -347,7 +298,7 @@ void TieredIndex::queryPrepared(const radio::Fingerprint& query,
                                 std::vector<radio::Match>& out,
                                 QueryStats* stats) const {
   const std::size_t apCount = db_->apCount();
-  const std::size_t n = rowValues_.size();
+  const std::size_t n = db_->size();
 
   ws.qBuckets.resize(apCount);
   std::uint32_t totalQ = 0;
@@ -363,7 +314,7 @@ void TieredIndex::queryPrepared(const radio::Fingerprint& query,
   ws.shardOffset.resize(shards_.size());
   ws.order.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
+    const ShardView& shard = shards_[s];
     std::uint32_t bound = 0;
     std::uint32_t activeQ = 0;
     for (std::size_t a = 0; a < shard.activeAps.size(); ++a) {
@@ -421,33 +372,35 @@ void TieredIndex::queryPrepared(const radio::Fingerprint& query,
                    : std::numeric_limits<std::uint32_t>::max();
 
   // Collect survivors in ascending row order so the exact re-rank
-  // preserves selectSmallestK's lower-row tie-break.
+  // preserves selectSmallestK's lower-row tie-break, and re-rank each
+  // shard's survivors in place through that shard's column plan.  A
+  // row's planned sum is bitwise its full-scan distance.
   std::sort(ws.scannedShards.begin(), ws.scannedShards.end());
+  const kernel::FlatMatrix& flat = db_->flatMatrix();
   ws.shortlist.clear();
+  ws.distances.clear();
   for (const std::uint32_t s : ws.scannedShards) {
-    for (std::size_t r = shards_[s].rowBegin; r < shards_[s].rowEnd; ++r)
+    const ShardView& shard = shards_[s];
+    const std::size_t begin = ws.shortlist.size();
+    for (std::size_t r = shard.rowBegin; r < shard.rowEnd; ++r)
       if (ws.rowDistance[r] <= admit)
         ws.shortlist.push_back(static_cast<std::uint32_t>(r));
+    if (ws.shortlist.size() == begin) continue;
+    kernel::planRowDistance(query.values().data(), apCount,
+                            shard.varyingColumns,
+                            shard.columnValues.data(), ws.plan);
+    ws.distances.resize(ws.shortlist.size());
+    kernel::plannedSquaredDistances(
+        flat, ws.plan,
+        std::span<const std::uint32_t>(ws.shortlist).subspan(begin),
+        ws.distances.data() + begin);
   }
-
-  // Exact tier: gather the shortlist and run the same kernel pipeline
-  // as FingerprintDatabase::queryPrepared.  Row sums are independent
-  // of their block neighbours, so the gathered distances are bitwise
-  // the full-scan distances of those rows.
-  ws.scratch.reset(apCount);
-  for (const std::uint32_t r : ws.shortlist)
-    ws.scratch.appendRow(rowValues_[r]);
-  ws.distances.resize(ws.scratch.paddedRows());
-  kernel::squaredDistances(ws.scratch, query.values().data(),
-                           ws.distances.data());
-  kernel::selectSmallestK(
-      std::span<const double>(ws.distances.data(), ws.scratch.rows()), k,
-      ws.topk);
+  kernel::selectSmallestK(ws.distances, k, ws.topk);
 
   out.clear();
   out.reserve(ws.topk.size());
   for (const auto& top : ws.topk)
-    out.push_back({locIds_[ws.shortlist[top.row]],
+    out.push_back({db_->idAt(ws.shortlist[top.row]),
                    std::sqrt(top.squaredDistance), 0.0});
   double invSum = 0.0;
   for (const auto& m : out)
@@ -465,7 +418,6 @@ void TieredIndex::queryPrepared(const radio::Fingerprint& query,
   }
 
   if (config_.exhaustiveCheck) {
-    const kernel::FlatMatrix& flat = db_->flatMatrix();
     ws.fullDistances.resize(flat.paddedRows());
     kernel::squaredDistances(flat, query.values().data(),
                              ws.fullDistances.data());
@@ -491,7 +443,7 @@ void TieredIndex::queryInto(const radio::Fingerprint& query,
                             QueryStats* stats) const {
   if (k == 0)
     throw util::ConfigError("TieredIndex: k must be >= 1");
-  if (rowValues_.empty())
+  if (db_->size() == 0)
     throw util::StateError("TieredIndex: empty database");
   if (!allFinite(query))
     throw util::ConfigError("TieredIndex: non-finite query RSS");
@@ -514,7 +466,7 @@ void TieredIndex::queryBatchInto(
     std::vector<std::exception_ptr>* errors) const {
   if (k == 0)
     throw util::ConfigError("TieredIndex: k must be >= 1");
-  if (rowValues_.empty())
+  if (db_->size() == 0)
     throw util::StateError("TieredIndex: empty database");
   out.resize(queries.size());
   if (errors) errors->assign(queries.size(), nullptr);

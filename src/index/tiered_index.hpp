@@ -7,7 +7,7 @@
 #include <span>
 #include <vector>
 
-#include "index/signature_codec.hpp"
+#include "index/quantizer.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/error.hpp"
 
@@ -18,13 +18,13 @@ struct IndexConfig {
   QuantizerConfig quantizer;
 
   /// Upper bound on entries per shard; larger shards are split.  Small
-  /// enough that one shard's bit slabs stay cache-resident during a
+  /// enough that one shard's signatures stay cache-resident during a
   /// scan, large enough to amortize the per-shard bound check.
   std::size_t maxShardEntries = 4096;
 
-  /// Worker threads for construction-time slab building.  Shards are
-  /// independent (each task quantizes and packs only its own row
-  /// range), so the built planes are bitwise-identical at any thread
+  /// Worker threads for construction-time shard building.  Shards are
+  /// independent (each task quantizes and profiles only its own row
+  /// range), so the built shards are bitwise-identical at any thread
   /// count.  0 selects the hardware concurrency; the build stays
   /// serial whenever it resolves to 1 thread or there is only one
   /// shard.  Has no effect on queries.
@@ -64,13 +64,27 @@ struct ShardInfo {
   std::size_t rowBegin = 0;
   std::size_t rowEnd = 0;
   std::size_t activeApCount = 0;
+  std::size_t varyingColumnCount = 0;
 };
 
-/// One shard's raw storage, as spans: what the venue-image writer
+/// An entry's signature is padded with zero buckets to a multiple of
+/// this many bytes, so the per-entry L1 runs as whole 16-byte chunks
+/// the compiler vectorizes at any optimization level.
+inline constexpr std::size_t kSignatureChunk = 16;
+
+/// Signature bytes per entry of a shard with `activeApCount` active
+/// APs.
+constexpr std::size_t signatureStride(std::size_t activeApCount) {
+  return (activeApCount + kSignatureChunk - 1) / kSignatureChunk *
+         kSignatureChunk;
+}
+
+/// One shard's storage, as spans: what the venue-image writer
 /// serializes (TieredIndex::shardView) and what the image loader hands
 /// back to TieredIndex::fromImageViews to reconstruct the index
-/// without rebuilding a single plane.  Spans passed to fromImageViews
-/// must outlive the index (the loader pins the mapping).
+/// without rebuilding a single signature.  Spans passed to
+/// fromImageViews must outlive the index (the loader pins the
+/// mapping).
 struct ShardView {
   std::size_t rowBegin = 0;
   std::size_t rowEnd = 0;
@@ -81,23 +95,30 @@ struct ShardView {
   /// min <= max).
   std::span<const std::uint8_t> minBucket;
   std::span<const std::uint8_t> maxBucket;
-  /// Thermometer planes, plane-major: slab[(a*(B-1) + t)*words + w]
-  /// with words = ceil((rowEnd - rowBegin) / 64).
-  std::span<const std::uint64_t> slab;
+  /// Bucket bytes, entry-major: signatures[e * stride + a] is entry
+  /// e's bucket for activeAps[a], stride = signatureStride(activeAps
+  /// .size()), padding bytes 0.
+  std::span<const std::uint8_t> signatures;
+  /// Column profile: the columns whose value differs (as a bit
+  /// pattern) between the shard's rows, strictly increasing...
+  std::span<const std::uint32_t> varyingColumns;
+  /// ...and, per column (apCount values), the value every row holds
+  /// in it; +0.0 for a varying column.
+  std::span<const double> columnValues;
 };
 
-/// The tiered candidate index of ROADMAP item 2: a coarse bit-sliced
-/// prefilter in front of the exact AVX2 matching kernel.
+/// The tiered candidate index: a byte-signature prefilter in front of
+/// an exact, column-planned re-rank.
 ///
 /// The radio map is partitioned into shards of contiguous rows
 /// (callers pass natural boundaries — worldgen supplies per-floor
 /// starts — and oversized segments are split at maxShardEntries).
-/// Each shard stores, for each AP *heard anywhere in the shard*, the
-/// thermometer-coded bucket planes of every entry, bit-sliced so 64
-/// entries are scanned per word op; bucket 0 ("not heard") makes the
-/// lowest plane an explicit presence plane, and APs silent across a
-/// whole shard are dropped from its slab entirely — that sparsity is
-/// why a city-scale venue scans only the shards near the query.
+/// Each shard stores one bucket byte per (entry, AP heard anywhere in
+/// the shard); APs silent across a whole shard are dropped from its
+/// signatures entirely — that sparsity is why a city-scale venue scans
+/// only the shards near the query.  Each shard also records its column
+/// profile: which columns vary across its rows, and the single value
+/// every row holds in each other column.
 ///
 /// A query quantizes once, orders shards by a per-shard lower bound on
 /// the bucket-space L1 distance (silent-in-shard APs contribute their
@@ -105,16 +126,16 @@ struct ShardView {
 /// shard's per-AP bucket range), scans shards in that order while
 /// maintaining the running minShortlist-th best distance, and stops
 /// once the next shard's bound exceeds it by more than marginBuckets.
-/// The surviving shortlist is gathered in ascending row order and
-/// re-ranked exactly by the kernel::squaredDistances /
-/// selectSmallestK pipeline — so whenever the shortlist contains the
-/// true top-k (audited by exhaustiveCheck), results are
-/// bitwise-identical to FingerprintDatabase::queryInto, ties
-/// included.
+/// The surviving shortlist is re-ranked exactly, in place in the flat
+/// matrix, by kernel::plannedSquaredDistances with one column plan per
+/// scanned shard, then by selectSmallestK in ascending row order — so
+/// whenever the shortlist contains the true top-k (audited by
+/// exhaustiveCheck), results are bitwise-identical to
+/// FingerprintDatabase::queryInto, ties included.
 ///
 /// Immutable after construction; concurrent queries share nothing but
-/// the slabs (per-thread scratch), which is what lets a WorldSnapshot
-/// own one index across all serving threads.
+/// the shard storage (per-thread scratch), which is what lets a
+/// WorldSnapshot own one index across all serving threads.
 class TieredIndex {
  public:
   /// Builds the index over `database` (shared ownership: the index
@@ -129,14 +150,16 @@ class TieredIndex {
       std::span<const std::size_t> shardStarts = {});
 
   /// Zero-copy reconstruction from a venue image (src/image): adopts
-  /// the already-built shard slabs as non-owning views instead of
-  /// quantizing and packing planes — queries are bitwise-identical to
-  /// the originally built index.  `database` is typically the image's
-  /// own view database; the spans in `shards` must outlive the index.
-  /// Validates the cheap structural invariants (shards partition the
-  /// rows, activeAps strictly increasing and in range, bucket ranges
-  /// sane, slab sizes exact) and throws std::invalid_argument on any
-  /// violation; slab *content* integrity is the image's CRC contract.
+  /// the already-built shards as non-owning views instead of
+  /// quantizing rows and profiling columns — queries are
+  /// bitwise-identical to the originally built index.  `database` is
+  /// typically the image's own view database; the spans in `shards`
+  /// must outlive the index.  Validates the cheap structural
+  /// invariants (shards partition the rows, activeAps and
+  /// varyingColumns strictly increasing and in range, bucket ranges
+  /// sane, signature and column-value sizes exact) and throws
+  /// std::invalid_argument on any violation; content integrity is the
+  /// image's CRC contract.  No pass over rows.
   static TieredIndex fromImageViews(
       std::shared_ptr<const radio::FingerprintDatabase> database,
       IndexConfig config, std::span<const ShardView> shards);
@@ -150,13 +173,13 @@ class TieredIndex {
   TieredIndex& operator=(TieredIndex&&) = default;
 
   const IndexConfig& config() const { return config_; }
-  std::size_t entryCount() const { return rowValues_.size(); }
+  std::size_t entryCount() const { return db_->size(); }
   std::size_t shardCount() const { return shards_.size(); }
   ShardInfo shardInfo(std::size_t shard) const;
 
-  /// The raw storage of one shard, for the venue-image writer and
+  /// The storage of one shard, for the venue-image writer and
   /// white-box tests.  Spans are valid while the index lives.
-  ShardView shardView(std::size_t shard) const;
+  const ShardView& shardView(std::size_t shard) const;
   const std::shared_ptr<const radio::FingerprintDatabase>& database()
       const {
     return db_;
@@ -184,30 +207,17 @@ class TieredIndex {
       std::vector<std::exception_ptr>* errors = nullptr) const;
 
  private:
-  /// One shard: the scan path reads only the spans, which point either
-  /// at the *Storage vectors (built here) or into an mmap'd venue
-  /// image (fromImageViews) — the heap buffers behind the vectors are
-  /// address-stable across Shard moves, so the spans survive shards_
-  /// growth and TieredIndex moves.
-  struct Shard {
-    std::size_t rowBegin = 0;
-    std::size_t rowEnd = 0;
-    std::size_t words = 0;  ///< ceil(entries / 64).
-    std::vector<std::uint32_t> activeApStorage;
-    std::vector<std::uint8_t> minBucketStorage;
-    std::vector<std::uint8_t> maxBucketStorage;
-    std::vector<std::uint64_t> slabStorage;
-    /// Column indices of APs heard by at least one entry.
-    std::span<const std::uint32_t> activeAps;
-    /// Per active AP: bucket range across the shard's entries, for
-    /// the query-time lower bound.
-    std::span<const std::uint8_t> minBucket;
-    std::span<const std::uint8_t> maxBucket;
-    /// Thermometer planes, plane-major:
-    /// slab[(a * (B-1) + t) * words + w].
-    std::span<const std::uint64_t> slab;
-    /// Bits per vertical scan counter: bit_width(activeAps * (B-1)).
-    int counterDepth = 0;
+  /// Storage behind a built shard's spans.  The heap buffers stay put
+  /// when storage_ grows or the index moves, so the spans in shards_
+  /// stay valid; an image-loaded index has no storage (its spans point
+  /// into the mapping).
+  struct ShardStorage {
+    std::vector<std::uint32_t> activeAps;
+    std::vector<std::uint8_t> minBucket;
+    std::vector<std::uint8_t> maxBucket;
+    std::vector<std::uint8_t> signatures;
+    std::vector<std::uint32_t> varyingColumns;
+    std::vector<double> columnValues;
   };
 
   struct ScanWorkspace;
@@ -216,19 +226,18 @@ class TieredIndex {
   /// Used by fromImageViews, which fills the members itself.
   TieredIndex() = default;
 
-  Shard buildShard(std::size_t rowBegin, std::size_t rowEnd) const;
+  void buildShard(std::size_t shard, std::size_t rowBegin,
+                  std::size_t rowEnd);
   void queryPrepared(const radio::Fingerprint& query, std::size_t k,
                      ScanWorkspace& ws, std::vector<radio::Match>& out,
                      QueryStats* stats) const;
-  void scanShard(const Shard& shard, const std::uint8_t* qBuckets,
+  void scanShard(const ShardView& shard, const std::uint8_t* qBuckets,
                  std::uint32_t offset, ScanWorkspace& ws) const;
 
   std::shared_ptr<const radio::FingerprintDatabase> db_;
   IndexConfig config_;
-  std::vector<env::LocationId> locIds_;  ///< Row -> location id.
-  /// Row -> that entry's RSS values inside db_ (valid while db_ lives).
-  std::vector<std::span<const double>> rowValues_;
-  std::vector<Shard> shards_;
+  std::vector<ShardView> shards_;
+  std::vector<ShardStorage> storage_;
 };
 
 }  // namespace moloc::index

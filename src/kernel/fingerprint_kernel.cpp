@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -126,6 +127,94 @@ void squaredDistancesScalar(const FlatMatrix& m, const double* query,
     out[b * kRowBlock + 1] = a1;
     out[b * kRowBlock + 2] = a2;
     out[b * kRowBlock + 3] = a3;
+  }
+}
+
+void planRowDistance(const double* query, std::size_t cols,
+                     std::span<const std::uint32_t> varyingColumns,
+                     const double* columnValues,
+                     std::vector<PlanStep>& plan) {
+  plan.clear();
+  std::size_t next = 0;
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (next < varyingColumns.size() && varyingColumns[next] == c) {
+      plan.push_back(
+          {static_cast<std::uint32_t>(c * kRowBlock), query[c]});
+      ++next;
+      continue;
+    }
+    const double d = query[c] - columnValues[c];
+    const double term = d * d;
+    // A +0.0 term leaves every sum unchanged; compared as bits, so no
+    // float equality is involved.
+    if (std::bit_cast<std::uint64_t>(term) != 0)
+      plan.push_back({PlanStep::kConstantTerm, term});
+  }
+}
+
+void plannedSquaredDistances(const FlatMatrix& m,
+                             std::span<const PlanStep> plan,
+                             std::span<const std::uint32_t> rows,
+                             double* out) {
+  const std::size_t cols = m.cols();
+  const double* data = m.data();
+  const auto rowBase = [&](std::uint32_t r) {
+    return data + (r / kRowBlock) * kRowBlock * cols + r % kRowBlock;
+  };
+  // Four rows at a time: four independent accumulator chains hide the
+  // add latency, and each row still adds its terms in plan order.  The
+  // rows are scattered over a matrix far larger than cache, so each
+  // step also prefetches its column of the next group's rows.
+  std::size_t i = 0;
+  for (; i + 4 <= rows.size(); i += 4) {
+    const double* r0 = rowBase(rows[i]);
+    const double* r1 = rowBase(rows[i + 1]);
+    const double* r2 = rowBase(rows[i + 2]);
+    const double* r3 = rowBase(rows[i + 3]);
+    const std::size_t next = i + 8 <= rows.size() ? i + 4 : i;
+    const double* n0 = rowBase(rows[next]);
+    const double* n1 = rowBase(rows[next + 1]);
+    const double* n2 = rowBase(rows[next + 2]);
+    const double* n3 = rowBase(rows[next + 3]);
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (const PlanStep& step : plan) {
+      if (step.offset == PlanStep::kConstantTerm) {
+        a0 += step.value;
+        a1 += step.value;
+        a2 += step.value;
+        a3 += step.value;
+        continue;
+      }
+      __builtin_prefetch(n0 + step.offset);
+      __builtin_prefetch(n1 + step.offset);
+      __builtin_prefetch(n2 + step.offset);
+      __builtin_prefetch(n3 + step.offset);
+      const double d0 = step.value - r0[step.offset];
+      const double d1 = step.value - r1[step.offset];
+      const double d2 = step.value - r2[step.offset];
+      const double d3 = step.value - r3[step.offset];
+      a0 += d0 * d0;
+      a1 += d1 * d1;
+      a2 += d2 * d2;
+      a3 += d3 * d3;
+    }
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
+  }
+  for (; i < rows.size(); ++i) {
+    const double* row = rowBase(rows[i]);
+    double acc = 0.0;
+    for (const PlanStep& step : plan) {
+      if (step.offset == PlanStep::kConstantTerm) {
+        acc += step.value;
+        continue;
+      }
+      const double d = step.value - row[step.offset];
+      acc += d * d;
+    }
+    out[i] = acc;
   }
 }
 

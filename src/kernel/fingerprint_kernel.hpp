@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -110,6 +111,42 @@ void squaredDistances(const FlatMatrix& m, const double* query,
 /// The scalar reference the dispatched paths are tested against.
 void squaredDistancesScalar(const FlatMatrix& m, const double* query,
                             double* out);
+
+/// One step of a row-distance plan (see planRowDistance).
+struct PlanStep {
+  /// Marks a step whose `value` is a precomputed term.
+  static constexpr std::uint32_t kConstantTerm = 0xFFFFFFFFu;
+  /// kRowBlock * column for a column read from the row, else
+  /// kConstantTerm.
+  std::uint32_t offset = kConstantTerm;
+  /// The query value of a read column, or the constant term itself.
+  double value = 0.0;
+};
+
+/// Plans the squared distance from `query` to rows that hold
+/// `columnValues[c]` (bit for bit) in every column c not listed in
+/// `varyingColumns` (strictly increasing).  Columns are planned in
+/// order: a varying column is read from the row; any other column
+/// contributes (query[c] - columnValues[c])^2, computed here once and
+/// dropped when it is exactly +0.0.  Every term is >= +0.0 and
+/// acc + (+0.0) == acc for acc >= +0.0, so a planned row sum adds the
+/// same non-zero terms in the same order as squaredDistances — the
+/// result is bitwise the exact distance.  `query` and `columnValues`
+/// hold `cols` doubles; `plan` is cleared first.
+void planRowDistance(const double* query, std::size_t cols,
+                     std::span<const std::uint32_t> varyingColumns,
+                     const double* columnValues,
+                     std::vector<PlanStep>& plan);
+
+/// out[i] = squaredDistances(m, query)[rows[i]], bitwise, for a `plan`
+/// built by planRowDistance from that query over rows that satisfy
+/// its column profile.  Reads only the planned columns of the listed
+/// rows, in place; every rows[i] must be < m.rows().  Scalar on every
+/// build (no FMA, the same two roundings per term as the reference).
+void plannedSquaredDistances(const FlatMatrix& m,
+                             std::span<const PlanStep> plan,
+                             std::span<const std::uint32_t> rows,
+                             double* out);
 
 /// One top-k candidate: a squared distance and the row it came from.
 struct TopKEntry {

@@ -35,9 +35,11 @@ namespace moloc::service {
 using SessionId = std::uint64_t;
 
 /// Radio maps with at least this many entries get the tiered candidate
-/// index (index::TieredIndex) when a service builds its own boot world:
-/// below it, the exact scan is faster than a prefilter (docs/scaling.md).
-inline constexpr std::size_t kTieredIndexMinEntries = 4096;
+/// index (index::TieredIndex) when a service builds its own boot world.
+/// 1024 is the smallest size bench/micro_scale sweeps, and the index's
+/// p50 already beats the exact scan's there in SIMD ON and OFF builds
+/// (docs/scaling.md).
+inline constexpr std::size_t kTieredIndexMinEntries = 1024;
 
 /// Server-side tunables of the LocalizationService.
 struct ServiceConfig {

@@ -80,6 +80,9 @@ void ThreadPool::workerLoop() {
 #endif
     }
 #if MOLOC_METRICS_ENABLED
+    // Counted before the task runs: running it fulfils its future, and
+    // a caller woken by that must already see the task counted.
+    if (tasksTotal_) tasksTotal_->inc();
     const std::uint64_t taskStart = obs::detail::ticksNow();
 #endif
     task();  // Exceptions land in the task's future.
@@ -87,7 +90,6 @@ void ThreadPool::workerLoop() {
     if (busySeconds_)
       busySeconds_->inc(
           obs::detail::ticksToSeconds(taskStart, obs::detail::ticksNow()));
-    if (tasksTotal_) tasksTotal_->inc();
 #endif
     {
       const util::MutexLock lock(mu_);

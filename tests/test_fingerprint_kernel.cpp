@@ -373,5 +373,49 @@ TEST(FingerprintDatabaseKernelTest, NearestIsArgminWithEarliestTieWin) {
             3);
 }
 
+// A planned row sum must be bitwise the full-scan distance: constant
+// columns (including a -0.0 one and ones the query matches exactly, so
+// their +0.0 terms are dropped) folded into precomputed terms, varying
+// columns read in place, rows visited in any order.
+TEST(FingerprintKernelTest, PlannedDistancesMatchFullScanBitwise) {
+  util::Rng rng(61);
+  const std::size_t cols = 11;
+  const std::vector<double> constants{-100.0, -0.0, -73.25, -100.0};
+  const std::vector<std::uint32_t> varying{1, 2, 4, 6, 7, 8, 10};
+  const std::vector<std::uint32_t> fixedCols{0, 3, 5, 9};
+  std::vector<double> columnValues(cols, 0.0);
+  for (std::size_t i = 0; i < fixedCols.size(); ++i)
+    columnValues[fixedCols[i]] = constants[i];
+
+  FlatMatrix m;
+  m.reset(cols);
+  for (std::size_t r = 0; r < 23; ++r) {
+    std::vector<double> row = randomRow(rng, cols);
+    for (const std::uint32_t c : fixedCols) row[c] = columnValues[c];
+    m.appendRow(row);
+  }
+  const std::vector<std::uint32_t> rows{22, 0, 5, 6, 7, 8, 13, 21, 3};
+
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> query = randomRow(rng, cols);
+    if (trial % 2 == 0) {
+      query[0] = -100.0;  // Exact match: a dropped +0.0 term.
+      query[3] = 0.0;     // (+0.0 - -0.0)^2 == +0.0, dropped too.
+    }
+    std::vector<double> full(m.paddedRows());
+    squaredDistancesScalar(m, query.data(), full.data());
+    std::vector<PlanStep> plan;
+    planRowDistance(query.data(), cols, varying, columnValues.data(),
+                    plan);
+    EXPECT_EQ(plan.size(), trial % 2 == 0 ? cols - 2 : cols);
+    std::vector<double> planned(rows.size());
+    plannedSquaredDistances(m, plan, rows, planned.data());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      EXPECT_EQ(std::memcmp(&planned[i], &full[rows[i]], sizeof(double)),
+                0)
+          << "trial " << trial << " row " << rows[i];
+  }
+}
+
 }  // namespace
 }  // namespace moloc::kernel

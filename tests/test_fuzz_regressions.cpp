@@ -72,10 +72,6 @@ TEST(FuzzRegressions, WireCorpusReplaysClean) {
   EXPECT_GE(replaySurface("wire", runWireDecode), 10u);
 }
 
-TEST(FuzzRegressions, SignatureCorpusReplaysClean) {
-  EXPECT_GE(replaySurface("signature", runSignatureCodec), 7u);
-}
-
 TEST(FuzzRegressions, ImageCorpusReplaysClean) {
   EXPECT_GE(replaySurface("image", runImageLoad), 8u);
 }
@@ -89,7 +85,6 @@ TEST(FuzzRegressions, EmptyInputIsCleanEverywhere) {
   EXPECT_EQ(0, runSerializationLoad(&dummy, 0));
   EXPECT_EQ(0, runCsvParse(&dummy, 0));
   EXPECT_EQ(0, runWireDecode(&dummy, 0));
-  EXPECT_EQ(0, runSignatureCodec(&dummy, 0));
   EXPECT_EQ(0, runImageLoad(&dummy, 0));
 }
 

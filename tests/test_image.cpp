@@ -29,6 +29,7 @@
 #include "kernel/motion_kernel.hpp"
 #include "radio/fingerprint.hpp"
 #include "radio/fingerprint_database.hpp"
+#include "store/crc32c.hpp"
 #include "store/fault_injection.hpp"
 #include "store/format.hpp"
 #include "store/state_store.hpp"
@@ -525,6 +526,130 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
   EXPECT_EQ(store::recover(dir, again).lastSeq, expectedLastSeq);
 }
 
+/// The section-table entry of `id` in an image's bytes.
+std::size_t sectionEntryAt(const std::vector<std::uint8_t>& bytes,
+                           SectionId id) {
+  FileHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (std::size_t i = 0; i < header.sectionCount; ++i) {
+    const std::size_t at = sizeof(FileHeader) + i * sizeof(SectionEntry);
+    SectionEntry entry{};
+    std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+    if (entry.id == static_cast<std::uint32_t>(id)) return at;
+  }
+  ADD_FAILURE() << "no section " << static_cast<std::uint32_t>(id);
+  return 0;
+}
+
+/// Re-seals FileHeader::tableCrc after a table patch.
+void resealTable(std::vector<std::uint8_t>& bytes) {
+  FileHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.tableCrc = store::crc32c(bytes.data() + sizeof(FileHeader),
+                                  header.sectionCount *
+                                      sizeof(SectionEntry));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+}
+
+TEST(VenueImage, LoadedIndexServesTheBuiltIndexBitwise) {
+  const std::string dir = freshDir("loaded_index");
+  const std::string path = dir + "/venue.img";
+  // 37-row shards: shard boundaries fall inside flat-matrix row blocks.
+  auto db = makeSparseDb(370, 10, 101);
+  index::IndexConfig config;
+  config.maxShardEntries = 37;
+  auto built = std::make_shared<const index::TieredIndex>(db, config);
+  const core::WorldSnapshot world(db, makeMotion(370, 102), 1, 0, built);
+  writeVenueImage(path, world);
+  const VenueImage image = VenueImage::open(path);
+  const index::TieredIndex& loaded = *image.tieredIndex();
+
+  ASSERT_EQ(loaded.shardCount(), built->shardCount());
+  for (std::size_t s = 0; s < built->shardCount(); ++s) {
+    const index::ShardView& a = built->shardView(s);
+    const index::ShardView& b = loaded.shardView(s);
+    ASSERT_EQ(a.signatures.size(), b.signatures.size());
+    EXPECT_EQ(std::memcmp(a.signatures.data(), b.signatures.data(),
+                          a.signatures.size()),
+              0);
+    ASSERT_EQ(a.varyingColumns.size(), b.varyingColumns.size());
+    EXPECT_EQ(std::memcmp(a.varyingColumns.data(), b.varyingColumns.data(),
+                          a.varyingColumns.size_bytes()),
+              0);
+    EXPECT_EQ(std::memcmp(a.columnValues.data(), b.columnValues.data(),
+                          a.columnValues.size_bytes()),
+              0);
+  }
+
+  util::Rng rng(103);
+  std::vector<radio::Match> exact;
+  std::vector<radio::Match> viaBuilt;
+  std::vector<radio::Match> viaImage;
+  for (const bool forceScalar : {true, false}) {
+    kernel::setForceScalar(forceScalar);
+    for (int trial = 0; trial < 25; ++trial) {
+      const radio::Fingerprint query = makeQuery(10, rng);
+      for (const std::size_t k : {1u, 6u, 40u}) {
+        db->queryInto(query, k, exact);
+        built->queryInto(query, k, viaBuilt);
+        loaded.queryInto(query, k, viaImage);
+        expectMatchesBitwiseEqual(exact, viaBuilt);
+        expectMatchesBitwiseEqual(viaBuilt, viaImage);
+      }
+    }
+  }
+}
+
+TEST(VenueImage, Version1ImagesAreRejectedWithATypedError) {
+  const std::string dir = freshDir("v1");
+  const std::string path = dir + "/venue.img";
+  writeVenueImage(path, *makeWorld(20, 4, 107, /*withIndex=*/true));
+  std::vector<std::uint8_t> bytes = readBytes(path);
+  FileHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  ASSERT_EQ(header.version, kFormatVersion);
+  header.version = 1;
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  try {
+    VenueImage::fromBuffer(bytes);
+    ADD_FAILURE() << "a v1 image loaded";
+  } catch (const ImageError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(VenueImage, TruncatedColumnProfileSectionIsATypedError) {
+  const std::string dir = freshDir("short_profile");
+  const std::string path = dir + "/venue.img";
+  writeVenueImage(path, *makeWorld(40, 6, 109, /*withIndex=*/true));
+  std::vector<std::uint8_t> bytes = readBytes(path);
+
+  // One column value short, with a matching CRC and a re-sealed table,
+  // so only the geometry check can catch it.
+  const std::size_t at =
+      sectionEntryAt(bytes, SectionId::kIndexColumnValues);
+  SectionEntry entry{};
+  std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+  entry.length -= sizeof(double);
+  entry.crc = store::crc32c(bytes.data() + entry.offset,
+                            static_cast<std::size_t>(entry.length));
+  std::memcpy(bytes.data() + at, &entry, sizeof(entry));
+  resealTable(bytes);
+  for (const VerifyMode verify :
+       {VerifyMode::kFull, VerifyMode::kBulkUnverified}) {
+    try {
+      VenueImage::fromBuffer(bytes, verify);
+      ADD_FAILURE() << "a short column-profile section loaded";
+    } catch (const ImageError& e) {
+      EXPECT_NE(std::string(e.what()).find("index_column_values"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(TieredIndexParallelBuild, BitwiseIdenticalToSerial) {
   const auto db = makeSparseDb(1200, 16, 91);
   index::IndexConfig serialConfig;
@@ -552,9 +677,17 @@ TEST(TieredIndexParallelBuild, BitwiseIdenticalToSerial) {
     EXPECT_EQ(std::memcmp(a.maxBucket.data(), b.maxBucket.data(),
                           a.maxBucket.size()),
               0);
-    ASSERT_EQ(a.slab.size(), b.slab.size());
-    EXPECT_EQ(std::memcmp(a.slab.data(), b.slab.data(),
-                          a.slab.size() * sizeof(std::uint64_t)),
+    ASSERT_EQ(a.signatures.size(), b.signatures.size());
+    EXPECT_EQ(std::memcmp(a.signatures.data(), b.signatures.data(),
+                          a.signatures.size()),
+              0);
+    ASSERT_EQ(a.varyingColumns.size(), b.varyingColumns.size());
+    EXPECT_EQ(std::memcmp(a.varyingColumns.data(), b.varyingColumns.data(),
+                          a.varyingColumns.size_bytes()),
+              0);
+    ASSERT_EQ(a.columnValues.size(), b.columnValues.size());
+    EXPECT_EQ(std::memcmp(a.columnValues.data(), b.columnValues.data(),
+                          a.columnValues.size_bytes()),
               0);
   }
 

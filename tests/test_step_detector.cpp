@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "geometry/angles.hpp"
 #include "sensors/accelerometer_model.hpp"
@@ -126,17 +127,20 @@ TEST(StepDetector, SmoothReducesSpikes) {
 }
 
 /// Parameterized: detection recovers the true step count across
-/// cadences and trace lengths.
+/// cadences and trace lengths. gtest names each case after the raw
+/// bytes of its parameter, so the struct must have no padding: a
+/// 64-bit step count keeps every byte defined and the names stable.
 struct GaitCase {
-  int steps;
+  std::int64_t steps;
   double cadence;
 };
+static_assert(sizeof(GaitCase) == sizeof(std::int64_t) + sizeof(double));
 
 class StepCountSweepTest : public ::testing::TestWithParam<GaitCase> {};
 
 TEST_P(StepCountSweepTest, RecoversTrueCount) {
   const auto [steps, cadence] = GetParam();
-  const auto samples = cleanGait(steps, cadence, 50.0);
+  const auto samples = cleanGait(static_cast<int>(steps), cadence, 50.0);
   const StepDetector detector;
   EXPECT_EQ(detector.detect(samples, 50.0).size(),
             static_cast<std::size_t>(steps));

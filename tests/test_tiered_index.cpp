@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/world_snapshot.hpp"
+#include "kernel/fingerprint_kernel.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/rng.hpp"
 
@@ -67,6 +68,39 @@ void expectBitwiseEqual(const std::vector<radio::Match>& exact,
               0)
         << "rank " << i;
   }
+}
+
+/// Runs `body` with the scalar kernel forced, then with AVX2 when it
+/// is compiled in and supported: the exact reference the index must
+/// match is the dispatched kernel, whichever path it takes.
+template <typename Body>
+void forEachKernel(Body body) {
+  kernel::setForceScalar(true);
+  {
+    SCOPED_TRACE("scalar kernel");
+    body();
+  }
+  kernel::setForceScalar(false);
+  if (kernel::activeSimdLevel() == kernel::SimdLevel::avx2) {
+    SCOPED_TRACE("avx2 kernel");
+    body();
+  }
+}
+
+/// Every k against the exact scan, bitwise, under both kernels.
+void expectMatchesExactScan(const radio::FingerprintDatabase& db,
+                            const TieredIndex& index,
+                            const radio::Fingerprint& query) {
+  forEachKernel([&] {
+    std::vector<radio::Match> exact;
+    std::vector<radio::Match> tiered;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                                db.size()}) {
+      db.queryInto(query, k, exact);
+      index.queryInto(query, k, tiered);
+      expectBitwiseEqual(exact, tiered);
+    }
+  });
 }
 
 TEST(TieredIndexTest, BitwiseIdenticalToExactQuery) {
@@ -357,6 +391,136 @@ TEST(TieredIndexTest, ConcurrentQueriesAreRaceFreeAndDeterministic) {
   }
   for (auto& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
+// A shard-silent AP whose readings are all below the floor but not
+// equal: every signature byte is 0, yet the exact distance sees the
+// differences, so the column must be re-ranked row by row.
+TEST(TieredIndexTest, SubFloorValuesVaryInShardSilentColumns) {
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  for (std::size_t loc = 0; loc < 12; ++loc) {
+    const double subFloor = kFloorDbm - 3.0 * static_cast<double>(loc % 5);
+    db->addLocation(static_cast<env::LocationId>(loc),
+                    radio::Fingerprint{{-50.0 - static_cast<double>(loc),
+                                        -70.0, subFloor}});
+  }
+  IndexConfig config;
+  config.minShortlist = 4;
+  config.exhaustiveCheck = true;
+  const TieredIndex index(db, config);
+  ASSERT_EQ(index.shardCount(), 1u);
+  EXPECT_EQ(index.shardInfo(0).activeApCount, 2u);  // AP 2 is silent.
+  EXPECT_EQ(index.shardInfo(0).varyingColumnCount, 2u);  // APs 0, 2.
+
+  for (const double rss2 : {kFloorDbm, kFloorDbm - 7.0, -60.0})
+    expectMatchesExactScan(*db, index,
+                           radio::Fingerprint{{-55.0, -70.0, rss2}});
+}
+
+// Shard starts off the kRowBlock grid: one 4-row block of the flat
+// matrix holds rows of two shards with different column profiles.
+TEST(TieredIndexTest, ShardStartsInsideARowBlock) {
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  util::Rng rng(12);
+  const std::vector<std::size_t> starts{0, 5, 11, 18, 23};
+  for (std::size_t loc = 0; loc < 30; ++loc) {
+    // Segment s hears APs s and s+1 only.
+    std::size_t segment = 0;
+    while (segment + 1 < starts.size() && loc >= starts[segment + 1])
+      ++segment;
+    std::vector<double> rss(starts.size() + 1, kFloorDbm);
+    rss[segment] = rng.uniform(-90.0, -40.0);
+    rss[segment + 1] = rng.uniform(-90.0, -40.0);
+    db->addLocation(static_cast<env::LocationId>(loc),
+                    radio::Fingerprint(std::move(rss)));
+  }
+  IndexConfig config;
+  config.minShortlist = 3;
+  config.exhaustiveCheck = true;
+  const TieredIndex index(db, config, starts);
+  ASSERT_EQ(index.shardCount(), starts.size());
+  for (std::size_t s = 0; s < starts.size(); ++s) {
+    EXPECT_EQ(index.shardInfo(s).rowBegin, starts[s]);
+    EXPECT_EQ(index.shardInfo(s).varyingColumnCount, 2u);
+  }
+
+  for (int trial = 0; trial < 20; ++trial)
+    expectMatchesExactScan(*db, index, makeQuery(starts.size() + 1, rng));
+}
+
+// -0.0 and +0.0 compare equal as doubles but are different bit
+// patterns; the column profile must not fold them into one constant.
+TEST(TieredIndexTest, SignedZerosMakeAColumnVary) {
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  for (std::size_t loc = 0; loc < 10; ++loc)
+    db->addLocation(static_cast<env::LocationId>(loc),
+                    radio::Fingerprint{{loc % 2 == 0 ? 0.0 : -0.0,
+                                        -0.0,
+                                        -40.0 - static_cast<double>(loc)}});
+  IndexConfig config;
+  config.minShortlist = 2;
+  config.exhaustiveCheck = true;
+  const TieredIndex index(db, config);
+  // Column 0 mixes the zeros; column 1 is -0.0 everywhere.
+  EXPECT_EQ(index.shardInfo(0).varyingColumnCount, 2u);
+  const ShardView& view = index.shardView(0);
+  ASSERT_EQ(view.columnValues.size(), 3u);
+  EXPECT_TRUE(std::signbit(view.columnValues[1]));
+
+  for (const double zero : {0.0, -0.0})
+    expectMatchesExactScan(*db, index,
+                           radio::Fingerprint{{zero, zero, -44.0}});
+  expectMatchesExactScan(*db, index,
+                         radio::Fingerprint{{3.0, -2.0, -47.5}});
+}
+
+TEST(TieredIndexTest, QueryEqualToAStoredRowMatchesItAtZero) {
+  const auto db = makeSparseDb(600, 16, 44);
+  IndexConfig config;
+  config.maxShardEntries = 150;
+  config.exhaustiveCheck = true;
+  const TieredIndex index(db, config);
+  for (const std::size_t row : {0u, 149u, 150u, 333u, 599u}) {
+    const radio::Fingerprint query = db->entryAt(row);
+    const auto matches = index.query(query, 4);
+    ASSERT_FALSE(matches.empty());
+    EXPECT_EQ(matches[0].dissimilarity, 0.0);
+    EXPECT_FALSE(std::signbit(matches[0].dissimilarity));
+    expectMatchesExactScan(*db, index, query);
+  }
+}
+
+// A query hearing an AP that a whole scanned shard never hears: that
+// shard's rows get the AP's term as one precomputed constant.
+TEST(TieredIndexTest, ShardSilentApHeardByTheQueryAddsAConstantTerm) {
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  util::Rng rng(8);
+  const std::size_t perFloor = 40;
+  for (std::size_t loc = 0; loc < 2 * perFloor; ++loc) {
+    std::vector<double> rss(6, kFloorDbm);
+    const std::size_t base = loc < perFloor ? 0 : 3;
+    for (std::size_t i = 0; i < 3; ++i)
+      rss[base + i] = rng.uniform(-85.0, -45.0);
+    db->addLocation(static_cast<env::LocationId>(loc),
+                    radio::Fingerprint(std::move(rss)));
+  }
+  IndexConfig config;
+  config.minShortlist = 2 * perFloor;  // Scan both floors.
+  config.exhaustiveCheck = true;
+  const std::vector<std::size_t> starts{0, perFloor};
+  const TieredIndex index(db, config, starts);
+  EXPECT_EQ(index.shardInfo(1).varyingColumnCount, 3u);
+
+  // Floor A's APs plus AP 3, which floor B hears and floor A never
+  // does: floor A's rows carry (q3 - floor)^2 as a constant.
+  const radio::Fingerprint query{{-60.0, -70.0, -65.0, -80.0, kFloorDbm,
+                                  kFloorDbm}};
+  QueryStats stats;
+  std::vector<radio::Match> tiered;
+  index.queryInto(query, 5, tiered, &stats);
+  EXPECT_EQ(stats.scannedShards, 2u);
+  EXPECT_EQ(stats.shortlistSize, 2 * perFloor);
+  expectMatchesExactScan(*db, index, query);
 }
 
 }  // namespace

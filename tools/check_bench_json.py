@@ -29,14 +29,19 @@ Checks, per file:
      figures (recall, every *_mean, index_build_seconds), and the
      *_ratio scaling summary.  The service snapshot's session_create
      section adds every *_us latency statistic (openSession p50/p90
-     per venue) and session_create_ratio.
+     per venue) and session_create_ratio.  micro_scale's per-shard
+     active_aps_mean / varying_columns_mean, speedup_p50 and the
+     variants' p90_ns fall under the same patterns.
      (Percentile fields like p50_ms stay optional: a MOLOC_METRICS=OFF
      build reports them as -1, and a missing histogram may null them.)
-  4. No object, at any depth, repeats a key.  json.loads keeps the
+  4. The host facts cpu_model and build_type (micro_service,
+     micro_scale), wherever they appear, are non-empty strings: a
+     measurement whose host is unrecorded cannot be compared.
+  5. No object, at any depth, repeats a key.  json.loads keeps the
      last duplicate silently, so a JsonWriter bug that emits a section
      twice would otherwise *discard* the first measurement and still
      look green.
-  5. Every top-level key is one the bench emitters are known to
+  6. Every top-level key is one the bench emitters are known to
      write.  A typo'd or renamed section would otherwise pass (its
      correctly-named twin simply absent) while the trajectory tooling
      aggregates nothing; renames must update KNOWN_TOP_LEVEL here in
@@ -99,6 +104,8 @@ REQUIRED_NUMERIC = [
     )
 ]
 
+HOST_STRING_FIELDS = frozenset(("cpu_model", "build_type"))
+
 NONFINITE_TOKEN = re.compile(r"(?<![\w\"])(NaN|-?Infinity)(?![\w\"])")
 
 
@@ -125,6 +132,10 @@ def walk(node, path, errors):
                     )
                 elif not math.isfinite(value):
                     errors.append(f"{child}: non-finite value {value!r}")
+            if key in HOST_STRING_FIELDS and not (
+                isinstance(value, str) and value
+            ):
+                errors.append(f"{child}: expected a non-empty string")
             walk(value, child, errors)
     elif isinstance(node, list):
         for index, value in enumerate(node):
