@@ -9,9 +9,14 @@
 // multiplexed over a handful of pipelined connections, exactly the
 // shape of a production deployment.
 //
+// This is the socket-level correctness check (CI runs it under TSan
+// and ASan against a sanitized molocd), not a latency benchmark: it is
+// closed-loop, so per-request times would measure its own bursts.
+// Latency claims cite servebench/ (open-loop) only.
+//
 // Phases:
-//   1. Measured localize phase: every user's walk replayed end to end;
-//      per-request latency and aggregate QPS recorded.
+//   1. Localize phase: every user's walk replayed end to end; aggregate
+//      QPS and error counts recorded.
 //   2. Observation phase: ground-truth reachability observations
 //      reported through the intake (Report/Flush/Stats round trip).
 //   3. Verification phase: the identical scan sequences replayed
@@ -20,8 +25,8 @@
 //      returned (the service's determinism contract extended across
 //      the wire).
 //
-// Emits bench_results/BENCH_micro_net.json (schema gated by
-// tools/check_bench_json.py).
+// Emits bench_results/BENCH_micro_net.json with the host recorded
+// (schema gated by tools/check_bench_json.py).
 
 #include <chrono>
 #include <cstdint>
@@ -33,6 +38,7 @@
 
 #include "common.hpp"
 #include "core/online_motion_database.hpp"
+#include "kernel/fingerprint_kernel.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
 #include "service/localization_service.hpp"
@@ -73,7 +79,6 @@ struct CompletedRequest {
   std::uint64_t tag = 0;
   std::size_t userIndex = 0;
   std::size_t round = 0;
-  double latencyNs = 0.0;
   net::Status status = net::Status::kOk;
   core::LocationEstimate estimate;
 };
@@ -101,11 +106,7 @@ void runConnection(const std::string& host, std::uint16_t port,
     net::Client client(host, port);
     for (std::size_t r = 0; r < roundCount; ++r) {
       const std::vector<PlannedRequest>& round = *rounds[r];
-      std::vector<Clock::time_point> sentAt(round.size());
-      for (std::size_t i = 0; i < round.size(); ++i) {
-        sentAt[i] = Clock::now();
-        client.send(round[i].frame);
-      }
+      for (const PlannedRequest& request : round) client.send(request.frame);
       for (std::size_t i = 0; i < round.size(); ++i) {
         const net::Frame frame = client.recvFrame();
         if (frame.type != net::MsgType::kLocalizeResponse) {
@@ -114,7 +115,6 @@ void runConnection(const std::string& host, std::uint16_t port,
         }
         const net::LocalizeResponse response =
             net::decodeLocalizeResponse(frame.payload);
-        const auto now = Clock::now();
         // Responses arrive in request order; resolve by tag anyway so
         // a reordering bug surfaces as a status error, not a crash.
         const std::size_t idx =
@@ -128,10 +128,6 @@ void runConnection(const std::string& host, std::uint16_t port,
         if (idx < round.size()) {
           done.userIndex = round[idx].userIndex;
           done.round = round[idx].round;
-          done.latencyNs =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  now - sentAt[idx])
-                  .count();
         } else {
           ++result->protocolErrors;
         }
@@ -334,7 +330,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Phase 1: measured localize replay ---------------------------
+  // ---- Phase 1: localize replay -------------------------------------
   const std::size_t totalRequests = users * roundCount;
   std::printf(
       "moloc_loadgen: replaying %zu requests over %zu connections to "
@@ -362,8 +358,6 @@ int main(int argc, char** argv) {
   std::uint64_t protocolErrors = 0;
   std::uint64_t statusErrors = 0;
   std::size_t completed = 0;
-  std::vector<double> latenciesNs;
-  latenciesNs.reserve(totalRequests);
   // estimate per (user, round) for the verification phase.
   std::vector<std::vector<core::LocationEstimate>> served(
       users, std::vector<core::LocationEstimate>(roundCount));
@@ -380,22 +374,18 @@ int main(int argc, char** argv) {
         ++statusErrors;
         continue;
       }
-      latenciesNs.push_back(done.latencyNs);
       if (done.userIndex < users && done.round < roundCount) {
         served[done.userIndex][done.round] = done.estimate;
         haveServed[done.userIndex][done.round] = true;
       }
     }
   }
-  const bench::LatencySummary latency = bench::summarizeNs(latenciesNs);
   const double qps =
       seconds > 0.0 ? static_cast<double>(completed) / seconds : 0.0;
   std::printf(
-      "moloc_loadgen: %zu/%zu responses in %.2fs (%.0f qps, p50 %.2fms "
-      "p95 %.2fms p99 %.2fms, %llu protocol errors, %llu status "
-      "errors)\n",
-      completed, totalRequests, seconds, qps, latency.p50Ns / 1e6,
-      latency.p95Ns / 1e6, latency.p99Ns / 1e6,
+      "moloc_loadgen: %zu/%zu responses in %.2fs (%.0f qps, %llu protocol "
+      "errors, %llu status errors)\n",
+      completed, totalRequests, seconds, qps,
       static_cast<unsigned long long>(protocolErrors),
       static_cast<unsigned long long>(statusErrors));
 
@@ -508,6 +498,12 @@ int main(int argc, char** argv) {
       .field("venue_locations",
              venue ? static_cast<double>(venue->locationCount()) : 0.0)
       .field("smoke", smoke)
+      .field("simd_compiled", static_cast<bool>(MOLOC_SIMD_ENABLED))
+      .field("simd_active", kernel::simdLevelName(kernel::activeSimdLevel()))
+      .field("hardware_concurrency",
+             static_cast<double>(std::thread::hardware_concurrency()))
+      .field("cpu_model", bench::cpuModel())
+      .field("build_type", MOLOC_BUILD_TYPE)
       .endObject()
       .beginObject("totals")
       .field("queries", static_cast<double>(completed))
@@ -516,9 +512,6 @@ int main(int argc, char** argv) {
       .field("protocol_errors", static_cast<double>(protocolErrors))
       .field("status_errors", static_cast<double>(statusErrors))
       .endObject()
-      .beginArray("latency");
-  bench::writeVariant(json, "localize", latency);
-  json.endArray()
       .beginObject("observations")
       .field("reported", static_cast<double>(observationsReported))
       .field("accepted", static_cast<double>(observationsAccepted))

@@ -35,7 +35,7 @@
 namespace {
 
 // Signal handlers may only touch this pointer; requestStop() is
-// async-signal-safe (atomic store + pipe write).
+// async-signal-safe (one eventfd write).
 moloc::net::Server* g_server = nullptr;
 
 void handleStopSignal(int) {
@@ -52,7 +52,9 @@ int main(int argc, char** argv) {
       "protocol over TCP (see docs/serving.md)");
   args.addOption("host", "127.0.0.1", "IPv4 address to bind");
   args.addOption("port", "0", "TCP port (0 picks an ephemeral port)");
-  args.addOption("net-threads", "2", "request worker threads");
+  args.addOption("net-threads", "2",
+                 "serving threads: each reads, handles and answers "
+                 "requests to completion");
   args.addOption("threads", "0",
                  "service batch threads (0 = hardware concurrency)");
   args.addOption("shards", "16", "session map shards");
@@ -98,9 +100,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A dead client between poll() and send() must surface as EPIPE on
-  // that one socket (handled as a clean disconnect), never as a
-  // process-killing SIGPIPE.
+  // A client that dies before its response is sent must surface as
+  // EPIPE on that one socket (handled as a clean disconnect), never as
+  // a process-killing SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
 
   try {

@@ -1,15 +1,14 @@
 #include "net/server.hpp"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +23,11 @@ namespace moloc::net {
 
 namespace {
 
+/// epoll tags of the two non-connection entries; a connection's tag
+/// is its Connection object.
+char kListenerTag;
+char kStopTag;
+
 /// Best-effort tag for an error reply when the payload itself failed
 /// to decode: every message begins with the u64 tag, so echo it when
 /// at least that much arrived.
@@ -33,10 +37,22 @@ std::uint64_t peekTag(const std::string& payload) {
   return cursor.readU64();
 }
 
-std::size_t resolveWorkers(std::size_t requested) {
+/// Full 16 KiB reads one turn may make before the connection goes to
+/// the back of the ready list, so a peer that streams without pause
+/// cannot keep a serving thread to itself.
+constexpr int kMaxReadsPerTurn = 16;
+
+std::size_t resolveThreads(std::size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+bool control(int epollFd, int op, int fd, std::uint32_t events, void* tag) {
+  epoll_event event{};
+  event.events = events;
+  event.data.ptr = tag;
+  return ::epoll_ctl(epollFd, op, fd, &event) == 0;
 }
 
 }  // namespace
@@ -44,22 +60,41 @@ std::size_t resolveWorkers(std::size_t requested) {
 Server::Server(service::LocalizationService& service, ServerConfig config)
     : service_(service), config_(std::move(config)) {
   const Listener listener = listenOn(config_.host, config_.port);
-  listenFd_ = listener.fd;
   port_ = listener.port;
-  if (::pipe2(wakePipe_, O_NONBLOCK | O_CLOEXEC) != 0) {
-    ::close(listenFd_);
-    throw NetError("cannot create wakeup pipe");
+  {
+    const util::MutexLock lock(poolMu_);
+    listenFd_ = listener.fd;
   }
+  epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  stopFd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epollFd_ < 0 || stopFd_ < 0 ||
+      !control(epollFd_, EPOLL_CTL_ADD, listener.fd, EPOLLIN | EPOLLONESHOT,
+               &kListenerTag) ||
+      !control(epollFd_, EPOLL_CTL_ADD, stopFd_, EPOLLIN | EPOLLONESHOT,
+               &kStopTag)) {
+    ::close(listener.fd);
+    if (epollFd_ >= 0) ::close(epollFd_);
+    if (stopFd_ >= 0) ::close(stopFd_);
+    throw NetError("cannot create the epoll set");
+  }
+  const std::size_t threads = resolveThreads(config_.workerThreads);
+  running_.store(threads);
   try {
-    workers_ = std::make_unique<service::ThreadPool>(
-        resolveWorkers(config_.workerThreads));
-    loop_ = std::thread([this] { loop(); });
+    threads_.reserve(threads);
+    for (std::size_t i = 0; i < threads; ++i)
+      threads_.emplace_back([this] { serve(); });
   } catch (...) {
-    // Pool construction or thread spawn failed before the loop took
-    // ownership of any socket; nothing else will close these.
-    ::close(listenFd_);
-    ::close(wakePipe_[0]);
-    ::close(wakePipe_[1]);
+    // The threads already running drain and close the sockets; with
+    // none, nothing else will close the listener.
+    running_.fetch_sub(threads - threads_.size());
+    requestStop();
+    waitUntilStopped();
+    {
+      const util::MutexLock lock(poolMu_);
+      if (listenFd_ >= 0) ::close(listenFd_);
+    }
+    ::close(epollFd_);
+    ::close(stopFd_);
     throw;
   }
 }
@@ -67,24 +102,22 @@ Server::Server(service::LocalizationService& service, ServerConfig config)
 Server::~Server() {
   requestStop();
   waitUntilStopped();
-  // The loop closed every connection socket and the listener; only the
-  // wake pipe remains.
-  ::close(wakePipe_[0]);
-  ::close(wakePipe_[1]);
+  // The drain closed every connection socket and the listener.
+  ::close(epollFd_);
+  ::close(stopFd_);
 }
 
 void Server::requestStop() {
-  // Async-signal-safe: an atomic store plus a pipe write, retried only
-  // on EINTR (a plain loop, still signal-safe).  EAGAIN on a full pipe
-  // is fine — a wakeup token is already pending.
-  stopRequested_.store(true, std::memory_order_release);
-  const char token = 's';
+  // Async-signal-safe: one eventfd write, retried only on EINTR (a
+  // plain loop, still signal-safe).  Repeats only add to the counter.
+  const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t rc =
-      util::retryEintr([&] { return ::write(wakePipe_[1], &token, 1); });
+      util::retryEintr([&] { return ::write(stopFd_, &one, sizeof one); });
 }
 
 void Server::waitUntilStopped() {
-  if (loop_.joinable()) loop_.join();
+  for (auto& thread : threads_)
+    if (thread.joinable()) thread.join();
 }
 
 ServerStats Server::stats() const {
@@ -99,333 +132,272 @@ ServerStats Server::stats() const {
   return s;
 }
 
-void Server::wakeLoop() {
-  const char token = 'w';
-  [[maybe_unused]] const ssize_t rc =
-      util::retryEintr([&] { return ::write(wakePipe_[1], &token, 1); });
-}
-
-void Server::loop() {
-  std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Connection>> polled;
-  bool listenerOpen = true;
-  std::chrono::steady_clock::time_point drainDeadline{};
+void Server::serve() {
   for (;;) {
-    const bool stopping = stopRequested_.load(std::memory_order_acquire);
-    if (stopping && listenerOpen) {
-      if (config_.drainTimeoutMs > 0)
-        drainDeadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.drainTimeoutMs);
-      // Adopt connections the kernel already completed into the accept
-      // backlog: a peer that connected (and possibly sent requests)
-      // before the stop is in-flight work, and closing the listener
-      // over its head would RST it unanswered.  New connect attempts
-      // after the close are refused, which is the drain contract.
-      acceptReady();
-      ::close(listenFd_);
-      listenFd_ = -1;
-      listenerOpen = false;
+    int timeoutMs = -1;
+    if (draining_.load(std::memory_order_acquire) &&
+        config_.drainTimeoutMs > 0) {
+      const auto left = drainDeadline_ - std::chrono::steady_clock::now();
+      if (left > std::chrono::steady_clock::duration::zero())
+        timeoutMs = static_cast<int>(
+            std::chrono::ceil<std::chrono::milliseconds>(left).count());
+      else if (!stragglersClosed_.exchange(true))
+        closeStragglers();
     }
-
-    // Reap: a connection leaves once it is fully idle — every decoded
-    // request answered and every response byte flushed (or the socket
-    // died).  During drain this is exactly "no in-flight work left",
-    // where in-flight includes requests the kernel has already
-    // delivered but the loop has not read yet: a client that pipelined
-    // a burst just before SIGTERM still gets every answer, so the
-    // final read below is the drain's cutoff point, not the stop flag.
-    std::vector<std::pair<int, bool>> toClose;  // fd, cleanDisconnect
-    for (const auto& [fd, conn] : connections_) {
-      if (conn->dead) {
-        toClose.emplace_back(fd, !conn->dirtyDeath);
-        continue;
-      }
-      bool idle = false;
-      {
-        const util::MutexLock lock(conn->mu);
-        idle = conn->pending.empty() && !conn->processing &&
-               conn->outbuf.empty();
-      }
-      if (!idle) continue;
-      if (conn->inputClosed) {
-        toClose.emplace_back(fd, true);
-        continue;
-      }
-      if (!stopping) continue;
-      readReady(conn);  // Drain cutoff: pull what is already delivered.
-      if (conn->dead) {
-        toClose.emplace_back(fd, !conn->dirtyDeath);
-        continue;
-      }
-      {
-        const util::MutexLock lock(conn->mu);
-        idle = conn->pending.empty() && !conn->processing &&
-               conn->outbuf.empty();
-      }
-      // A part-received frame (buffered bytes) means the peer is mid-
-      // send; give it the next poll rounds to finish.
-      if (idle && conn->assembler.buffered() == 0)
-        toClose.emplace_back(fd, conn->inputClosed);
-    }
-    for (const auto& [fd, clean] : toClose) closeConnection(fd, clean);
-
-    // The drain must terminate even against a peer that stalls
-    // mid-frame or never reads its responses: past the deadline the
-    // stragglers are cut off (counted as non-clean — we hung up).
-    if (stopping && config_.drainTimeoutMs > 0 &&
-        std::chrono::steady_clock::now() >= drainDeadline) {
-      std::vector<int> remaining;
-      remaining.reserve(connections_.size());
-      for (const auto& [fd, conn] : connections_) remaining.push_back(fd);
-      for (const int fd : remaining) closeConnection(fd, false);
-    }
-
-    if (stopping && connections_.empty()) break;
-
-    fds.clear();
-    polled.clear();
-    fds.push_back({wakePipe_[0], POLLIN, 0});
-    if (listenerOpen && connections_.size() < config_.maxConnections)
-      fds.push_back({listenFd_, POLLIN, 0});
-    const std::size_t firstConnIndex = fds.size();
-    for (const auto& [fd, conn] : connections_) {
-      short events = 0;
-      bool wantWrite = false;
-      bool paused = false;
-      {
-        const util::MutexLock lock(conn->mu);
-        wantWrite = !conn->outbuf.empty();
-        // Flow control with hysteresis: pause reads past the pipelining
-        // or write-queue bound, resume below half.
-        const std::size_t lowRequests = config_.maxPipelinedRequests / 2;
-        const std::size_t lowBytes = config_.maxWriteQueueBytes / 2;
-        if (conn->pausedReads)
-          paused = conn->pending.size() > lowRequests ||
-                   conn->outbuf.size() > lowBytes;
-        else
-          paused = conn->pending.size() >= config_.maxPipelinedRequests ||
-                   conn->outbuf.size() >= config_.maxWriteQueueBytes;
-      }
-      conn->pausedReads = paused;
-      // Reads stay enabled during drain: requests already delivered
-      // (or mid-frame) are still served; the reap pass above decides
-      // when a connection has truly gone quiet.
-      if (!conn->inputClosed && !conn->dead && !paused) events |= POLLIN;
-      if (wantWrite && !conn->dead) events |= POLLOUT;
-      if (events == 0) continue;
-      fds.push_back({fd, events, 0});
-      polled.push_back(conn);
-    }
-
+    epoll_event event{};
     const int ready = util::retryEintr(
-        [&] { return ::poll(fds.data(), fds.size(), 100); });
-    if (ready < 0) continue;  // transient poll failure; re-evaluate
-
-    if ((fds[0].revents & POLLIN) != 0) {
-      char drain[64];
-      while (util::retryEintr([&] {
-               return ::read(wakePipe_[0], drain, sizeof drain);
-             }) > 0) {
-      }
-    }
-    for (std::size_t i = 1; i < firstConnIndex; ++i)
-      if ((fds[i].revents & POLLIN) != 0) acceptReady();
-    for (std::size_t i = firstConnIndex; i < fds.size(); ++i) {
-      const auto& conn = polled[i - firstConnIndex];
-      const short revents = fds[i].revents;
-      if (conn->dead) continue;
-      if ((revents & POLLOUT) != 0) writeReady(conn);
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
-          (fds[i].events & POLLIN) != 0)
-        readReady(conn);
+        [&] { return ::epoll_wait(epollFd_, &event, 1, timeoutMs); });
+    if (ready <= 0) continue;  // drain deadline (handled above) or failure
+    void* const tag = event.data.ptr;
+    if (tag == &kStopTag) {
+      if (drained_.load(std::memory_order_acquire)) break;
+      beginDrain();
+    } else if (tag == &kListenerTag) {
+      const util::MutexLock lock(poolMu_);
+      acceptReady();
+    } else {
+      Connection& conn = *static_cast<Connection*>(tag);
+      if (tryTake(conn)) serveConnection(conn);
     }
   }
-
-  // Every in-flight response is flushed and every socket closed; make
-  // admitted observations durable and published before reporting
-  // ourselves stopped.
-  if (config_.drainHook) config_.drainHook();
-  loopExited_.store(true, std::memory_order_release);
+  // The last thread out: every socket is closed; make admitted
+  // observations durable before reporting the server stopped.
+  if (running_.fetch_sub(1) == 1) {
+    if (config_.drainHook) config_.drainHook();
+    exited_.store(true, std::memory_order_release);
+  }
 }
 
 void Server::acceptReady() {
-  for (;;) {
-    if (connections_.size() >= config_.maxConnections) return;
+  if (listenFd_ < 0) return;  // stale event: the drain closed it
+  while (openConnections_ < config_.maxConnections) {
     const int fd = util::retryEintr([&] {
       return ::accept4(listenFd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     });
-    if (fd < 0) return;  // EAGAIN or transient accept failure
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_.emplace(fd, std::make_shared<Connection>(fd));
-    connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Server::readReady(const std::shared_ptr<Connection>& conn) {
-  char buf[16384];
-  for (;;) {
-    const ssize_t n = util::retryEintr(
-        [&] { return ::recv(conn->fd, buf, sizeof buf, 0); });
-    if (n > 0) {
-      conn->assembler.feed(buf, static_cast<std::size_t>(n));
-      try {
-        Frame frame;
-        while (conn->assembler.next(frame)) {
-          if ((static_cast<std::uint8_t>(frame.type) & 0x80u) != 0)
-            throw ProtocolError(WireFault::kBadType,
-                                "response-typed frame from client");
-          {
-            const util::MutexLock lock(conn->mu);
-            conn->pending.push_back(std::move(frame));
-          }
-          scheduleProcessing(conn);
-        }
-      } catch (const ProtocolError&) {
-        // Framing-level damage desynchronizes the byte stream; there
-        // is no safe resync point, so count it and drop the peer —
-        // dirty, so it is not double-counted as a clean disconnect.
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        conn->dirtyDeath = true;
-        conn->dead = true;
-        return;
-      }
-      // Honor flow control mid-burst: stop pulling more bytes once
-      // this read filled the pipeline bound.
-      bool paused = false;
-      {
-        const util::MutexLock lock(conn->mu);
-        paused = conn->pending.size() >= config_.maxPipelinedRequests;
-      }
-      if (paused) return;
-      continue;
-    }
-    if (n == 0) {  // orderly peer shutdown
-      conn->inputClosed = true;
+    if (fd < 0) {  // EAGAIN or transient accept failure
+      control(epollFd_, EPOLL_CTL_MOD, listenFd_, EPOLLIN | EPOLLONESHOT,
+              &kListenerTag);
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    // ECONNRESET and friends: the peer vanished — a clean disconnect
-    // by this server's contract, never a reason to crash.
-    conn->dead = true;
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (free_.empty()) {
+      pool_.push_back(std::make_unique<Connection>());
+      free_.push_back(pool_.back().get());
+    }
+    Connection& conn = *free_.back();
+    // A free connection's fields belong to nobody: stale events only
+    // read its state.
+    conn.fd = fd;
+    const util::MutexLock connLock(conn.mu);
+    if (!control(epollFd_, EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLONESHOT,
+                 &conn)) {
+      ::close(fd);
+      conn.fd = -1;
+      continue;
+    }
+    conn.state = ConnState::kArmed;
+    free_.pop_back();
+    ++openConnections_;
+    connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // At the bound: stay disarmed until closeConnection frees a slot.
+  listenerParked_ = true;
+}
+
+std::vector<Server::Connection*> Server::snapshotPool() {
+  const util::MutexLock lock(poolMu_);
+  std::vector<Connection*> all;
+  all.reserve(pool_.size());
+  for (const auto& conn : pool_) all.push_back(conn.get());
+  return all;
+}
+
+void Server::beginDrain() {
+  {
+    const util::MutexLock lock(poolMu_);
+    if (config_.drainTimeoutMs > 0)
+      drainDeadline_ = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(config_.drainTimeoutMs);
+    draining_.store(true, std::memory_order_release);
+    // Adopt connections the kernel already completed into the accept
+    // backlog: a peer that connected (and possibly sent requests)
+    // before the stop is in-flight work, and closing the listener
+    // over its head would RST it unanswered.  New connect attempts
+    // after the close are refused, which is the drain contract.
+    acceptReady();
+    ::close(listenFd_);
+    listenFd_ = -1;
+    finishIfDrained();
+  }
+  // An idle connection has no readiness to deliver, so visit each one:
+  // a read made now, after the stop, finds it quiet and closes it.
+  // Owned connections are left to their owners, which see draining_.
+  for (Connection* conn : snapshotPool())
+    if (tryTake(*conn)) serveConnection(*conn);
+}
+
+void Server::closeStragglers() {
+  // stragglersClosed_ is already set: an owner that finishes after
+  // this sweep passed its connection closes it instead of re-arming.
+  for (Connection* conn : snapshotPool())
+    if (tryTake(*conn)) closeConnection(*conn, false);
+}
+
+bool Server::tryTake(Connection& conn) {
+  const util::MutexLock lock(conn.mu);
+  if (conn.state != ConnState::kArmed) return false;
+  conn.state = ConnState::kOwned;
+  return true;
+}
+
+void Server::serveConnection(Connection& conn) {
+  for (bool readAfterStop = draining_.load(std::memory_order_acquire);;
+       readAfterStop = true) {
+    const Pump result = pump(conn);
+    if (result == Pump::kPeerGone || result == Pump::kBroken) {
+      closeConnection(conn, result == Pump::kPeerGone);
+      return;
+    }
+    // The peer hung up and has every answer: a clean disconnect.
+    if (conn.inputClosed && conn.outbuf.empty()) {
+      closeConnection(conn, true);
+      return;
+    }
+    {
+      // Under the lock beginDrain's visit takes: either this owner sees
+      // the drain, or it re-arms before the visit looks.
+      const util::MutexLock lock(conn.mu);
+      const bool draining = draining_.load(std::memory_order_acquire);
+      // The drain's cutoff is a read made after the stop.
+      if (draining && !readAfterStop) continue;
+      const bool owesWork = result == Pump::kBusy || !conn.outbuf.empty() ||
+                            conn.assembler.buffered() > 0;
+      const bool keep =
+          !draining ||
+          (owesWork && !stragglersClosed_.load() &&
+           (config_.drainTimeoutMs == 0 ||
+            std::chrono::steady_clock::now() < drainDeadline_));
+      if (keep) {
+        std::uint32_t events = EPOLLONESHOT;
+        if (!conn.inputClosed &&
+            conn.outbuf.size() < config_.maxWriteQueueBytes)
+          events |= EPOLLIN;
+        if (!conn.outbuf.empty()) events |= EPOLLOUT;
+        conn.state = ConnState::kArmed;
+        control(epollFd_, EPOLL_CTL_MOD, conn.fd, events, &conn);
+        return;
+      }
+    }
+    // Drained quiet, or cut off at the deadline: our hang-up, never
+    // counted as a clean disconnect.
+    closeConnection(conn, false);
     return;
   }
 }
 
-void Server::writeReady(const std::shared_ptr<Connection>& conn) {
-  std::string chunk;
-  {
-    const util::MutexLock lock(conn->mu);
-    if (conn->outbuf.empty()) return;
-    chunk.swap(conn->outbuf);
+Server::Pump Server::pump(Connection& conn) {
+  if (!flush(conn)) return Pump::kPeerGone;
+  char buf[16384];
+  for (int reads = 0; reads < kMaxReadsPerTurn && !conn.inputClosed &&
+                      conn.outbuf.size() < config_.maxWriteQueueBytes;
+       ++reads) {
+    const ssize_t n = util::retryEintr(
+        [&] { return ::recv(conn.fd, buf, sizeof buf, 0); });
+    if (n == 0) {  // orderly peer shutdown
+      conn.inputClosed = true;
+      break;
+    }
+    if (n < 0)  // ECONNRESET and friends: the peer vanished
+      return errno == EAGAIN || errno == EWOULDBLOCK ? Pump::kQuiet
+                                                     : Pump::kPeerGone;
+    conn.assembler.feed(buf, static_cast<std::size_t>(n));
+    try {
+      Frame frame;
+      while (conn.assembler.next(frame)) {
+        if ((static_cast<std::uint8_t>(frame.type) & 0x80u) != 0)
+          throw ProtocolError(WireFault::kBadType,
+                              "response-typed frame from client");
+        conn.outbuf += handleFrame(frame);
+      }
+    } catch (const ProtocolError&) {
+      // Framing damage desynchronizes the stream: there is no resync
+      // point, so count it and drop the peer.
+      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+      return Pump::kBroken;
+    } catch (...) {
+      // Handlers answer their own failures; anything escaping is a
+      // server-side defect, and the peer must not wait forever.
+      return Pump::kBroken;
+    }
+    if (!flush(conn)) return Pump::kPeerGone;
+    // A short read emptied the socket; a later arrival fires the
+    // re-armed event.
+    if (static_cast<std::size_t>(n) < sizeof buf) return Pump::kQuiet;
   }
+  return conn.inputClosed ? Pump::kQuiet : Pump::kBusy;
+}
+
+bool Server::flush(Connection& conn) {
   std::size_t sent = 0;
-  while (sent < chunk.size()) {
+  while (sent < conn.outbuf.size()) {
     // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not SIGPIPE
     // (molocd additionally ignores SIGPIPE process-wide).
     const ssize_t n = util::retryEintr([&] {
-      return ::send(conn->fd, chunk.data() + sent, chunk.size() - sent,
-                    MSG_NOSIGNAL);
+      return ::send(conn.fd, conn.outbuf.data() + sent,
+                    conn.outbuf.size() - sent, MSG_NOSIGNAL);
     });
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      return false;  // EPIPE / ECONNRESET: the peer is gone
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // EPIPE / ECONNRESET: clean disconnect, drop the rest.
-    conn->dead = true;
-    return;
+    sent += static_cast<std::size_t>(n);
   }
-  if (sent < chunk.size()) {
-    const util::MutexLock lock(conn->mu);
-    // Workers may have appended while we were sending; keep order.
-    conn->outbuf.insert(0, chunk, sent, chunk.size() - sent);
-  }
+  conn.outbuf.erase(0, sent);
+  return true;
 }
 
-void Server::scheduleProcessing(const std::shared_ptr<Connection>& conn) {
+void Server::closeConnection(Connection& conn, bool clean) {
+  if (clean) cleanDisconnects_.fetch_add(1, std::memory_order_relaxed);
+  // Closing also removes the socket from the epoll set: accept4 gave
+  // it CLOEXEC and it is never duplicated.
+  ::close(conn.fd);
+  conn.fd = -1;
+  conn.assembler = FrameAssembler{};
+  std::string().swap(conn.outbuf);
+  conn.inputClosed = false;
   {
-    const util::MutexLock lock(conn->mu);
-    if (conn->processing || conn->pending.empty()) return;
-    conn->processing = true;
+    const util::MutexLock lock(conn.mu);
+    conn.state = ConnState::kFree;
   }
-  workers_->submit([this, conn] { processPending(conn); });
+  const util::MutexLock lock(poolMu_);
+  free_.push_back(&conn);
+  --openConnections_;
+  if (listenerParked_ && listenFd_ >= 0) {
+    listenerParked_ = false;
+    control(epollFd_, EPOLL_CTL_MOD, listenFd_, EPOLLIN | EPOLLONESHOT,
+            &kListenerTag);
+  }
+  finishIfDrained();
 }
 
-void Server::processPending(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
-    Frame frame;
-    {
-      const util::MutexLock lock(conn->mu);
-      if (conn->pending.empty()) {
-        conn->processing = false;
-        break;
-      }
-      frame = std::move(conn->pending.front());
-      conn->pending.pop_front();
-    }
-    std::string response;
-    try {
-      response = handleFrame(frame);
-    } catch (...) {
-      // Handlers answer their own failures, so anything escaping here
-      // is a server-side defect.  Contain it on the worker: reset the
-      // processing flag so the connection cannot wedge with requests
-      // it will never answer, and kill it dirty rather than leave the
-      // peer waiting on a response that will never come.
-      {
-        const util::MutexLock lock(conn->mu);
-        conn->processing = false;
-      }
-      conn->dirtyDeath = true;
-      conn->dead = true;
-      wakeLoop();
-      return;
-    }
-    {
-      const util::MutexLock lock(conn->mu);
-      conn->outbuf += response;
-    }
-    wakeLoop();  // a response is ready; enable POLLOUT
-  }
-  wakeLoop();  // re-evaluate flow control / reap conditions
+void Server::finishIfDrained() {
+  if (listenFd_ >= 0 || openConnections_ > 0 || drained_.exchange(true))
+    return;
+  // Level-triggered from now on (the eventfd is never read), so every
+  // serving thread takes the stop event once more and exits.
+  control(epollFd_, EPOLL_CTL_MOD, stopFd_, EPOLLIN, &kStopTag);
 }
 
 namespace {
-
-struct Failure {
-  Status status = Status::kInternalError;
-  std::string message;
-  bool protocolFault = false;
-  bool overload = false;
-};
-
-Failure classifyFailure(const std::exception_ptr& ep) {
-  try {
-    std::rethrow_exception(ep);
-  } catch (const ProtocolError& e) {
-    return {Status::kBadRequest, e.what(), true, false};
-  } catch (const service::BackpressureError& e) {
-    return {Status::kOverloaded, e.what(), false, true};
-  } catch (const service::ShutdownError& e) {
-    return {Status::kShuttingDown, e.what(), false, false};
-  } catch (const std::logic_error& e) {
-    // std::invalid_argument (bad scan, unknown location) and the
-    // "no intake attached" logic_error both mean the request itself
-    // was unserviceable.
-    return {Status::kBadRequest, e.what(), false, false};
-  } catch (const std::exception& e) {
-    return {Status::kInternalError, e.what(), false, false};
-  }
-}
 
 /// Encoding a response can itself fail: a <=1 MiB LocalizeBatch of
 /// minimal scans yields estimates whose encoding legitimately exceeds
 /// kMaxPayloadBytes (each estimate encodes larger than its scan).
 /// That must stay a *response* — strip the body and answer
 /// kInternalError, which is guaranteed to frame — never an exception
-/// escaping into the worker pool.
+/// escaping into the serving thread.
 std::string encodeBounded(LocalizeResponse&& resp) {
   try {
     return encodeLocalizeResponse(resp);
@@ -451,6 +423,33 @@ std::string encodeBounded(LocalizeBatchResponse&& resp) {
 
 }  // namespace
 
+template <typename Response>
+void Server::answerFailure(Response& resp) {
+  try {
+    throw;
+  } catch (const ProtocolError& e) {
+    protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+    resp.status = Status::kBadRequest;
+    resp.message = e.what();
+  } catch (const service::BackpressureError& e) {
+    overloadRejections_.fetch_add(1, std::memory_order_relaxed);
+    resp.status = Status::kOverloaded;
+    resp.message = e.what();
+  } catch (const service::ShutdownError& e) {
+    resp.status = Status::kShuttingDown;
+    resp.message = e.what();
+  } catch (const std::logic_error& e) {
+    // std::invalid_argument (bad scan, unknown location) and the
+    // "no intake attached" logic_error both mean the request itself
+    // was unserviceable.
+    resp.status = Status::kBadRequest;
+    resp.message = e.what();
+  } catch (const std::exception& e) {
+    resp.status = Status::kInternalError;
+    resp.message = e.what();
+  }
+}
+
 std::string Server::handleFrame(const Frame& frame) {
   requestsServed_.fetch_add(1, std::memory_order_relaxed);
   switch (frame.type) {
@@ -464,7 +463,7 @@ std::string Server::handleFrame(const Frame& frame) {
       return handleFlush(frame);
     case MsgType::kStats:
       return handleStats(frame);
-    default: {  // unreachable: readReady rejects response-typed frames
+    default: {  // unreachable: pump() rejects response-typed frames
       FlushResponse resp;
       resp.tag = peekTag(frame.payload);
       resp.status = Status::kBadRequest;
@@ -483,13 +482,7 @@ std::string Server::handleLocalize(const Frame& frame) {
     resp.estimate = service_.submitScan(req.scan.sessionId, req.scan.scan,
                                         req.scan.imu);
   } catch (...) {
-    const Failure f = classifyFailure(std::current_exception());
-    resp.status = f.status;
-    resp.message = f.message;
-    if (f.protocolFault)
-      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-    if (f.overload)
-      overloadRejections_.fetch_add(1, std::memory_order_relaxed);
+    answerFailure(resp);
   }
   return encodeBounded(std::move(resp));
 }
@@ -507,14 +500,8 @@ std::string Server::handleLocalizeBatch(const Frame& frame) {
       batch.push_back({scan.sessionId, scan.scan, scan.imu});
     resp.estimates = service_.localizeBatch(batch);
   } catch (...) {
-    const Failure f = classifyFailure(std::current_exception());
-    resp.status = f.status;
-    resp.message = f.message;
+    answerFailure(resp);
     resp.estimates.clear();
-    if (f.protocolFault)
-      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-    if (f.overload)
-      overloadRejections_.fetch_add(1, std::memory_order_relaxed);
   }
   return encodeBounded(std::move(resp));
 }
@@ -529,13 +516,7 @@ std::string Server::handleReportObservation(const Frame& frame) {
     resp.accepted = service_.reportObservation(
         req.start, req.end, req.directionDeg, req.offsetMeters);
   } catch (...) {
-    const Failure f = classifyFailure(std::current_exception());
-    resp.status = f.status;
-    resp.message = f.message;
-    if (f.protocolFault)
-      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-    if (f.overload)
-      overloadRejections_.fetch_add(1, std::memory_order_relaxed);
+    answerFailure(resp);
   }
   return encodeReportObservationResponse(resp);
 }
@@ -548,11 +529,7 @@ std::string Server::handleFlush(const Frame& frame) {
     resp.tag = req.tag;
     service_.flushIntake();
   } catch (...) {
-    const Failure f = classifyFailure(std::current_exception());
-    resp.status = f.status;
-    resp.message = f.message;
-    if (f.protocolFault)
-      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+    answerFailure(resp);
   }
   return encodeFlushResponse(resp);
 }
@@ -572,21 +549,9 @@ std::string Server::handleStats(const Frame& frame) {
       resp.stats.intakeApplied = 0;  // no intake attached
     }
   } catch (...) {
-    const Failure f = classifyFailure(std::current_exception());
-    resp.status = f.status;
-    resp.message = f.message;
-    if (f.protocolFault)
-      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+    answerFailure(resp);
   }
   return encodeStatsResponse(resp);
-}
-
-void Server::closeConnection(int fd, bool clean) {
-  const auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  if (clean) cleanDisconnects_.fetch_add(1, std::memory_order_relaxed);
-  ::close(fd);
-  connections_.erase(it);
 }
 
 }  // namespace moloc::net

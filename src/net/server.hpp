@@ -1,17 +1,16 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include "net/wire.hpp"
-#include "service/thread_pool.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -21,64 +20,60 @@ class LocalizationService;
 
 namespace moloc::net {
 
-/// Tunables of the molocd serving loop.
+/// Tunables of the molocd serving threads.
 struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via Server::port().
   std::uint16_t port = 0;
-  /// Request-processing workers; 0 selects hardware concurrency (at
-  /// least 1).  Distinct from the service's internal batch pool.
+  /// Serving threads, each running requests to completion; 0 selects
+  /// hardware concurrency (at least 1).  Distinct from the service's
+  /// internal batch pool.
   std::size_t workerThreads = 0;
+  /// Open connections; at the bound the listener stays disarmed until
+  /// a connection closes.
   std::size_t maxConnections = 4096;
-  /// Per-connection bound on decoded-but-unanswered requests; past it
-  /// the server stops reading that socket (TCP backpressure) until the
-  /// worker drains below half.
-  std::size_t maxPipelinedRequests = 128;
   /// Per-connection bound on buffered response bytes; past it the
-  /// server likewise pauses reads until the peer consumes responses.
+  /// server stops reading that socket (TCP backpressure) until the
+  /// peer consumes responses.
   std::size_t maxWriteQueueBytes = 4u << 20;
-  /// Upper bound on the graceful drain, measured from when the loop
-  /// observes the stop request.  Connections still busy at the
+  /// Upper bound on the graceful drain, measured from when a serving
+  /// thread takes the stop request.  Connections still busy at the
   /// deadline — a peer stalled mid-frame or one that never reads its
   /// responses — are force-closed, so a single slow or hostile client
   /// cannot block shutdown indefinitely.  0 waits forever.
   std::size_t drainTimeoutMs = 5000;
-  /// Runs on the event-loop thread during graceful drain, after every
-  /// in-flight response has been flushed and before the loop exits.
-  /// molocd points this at LocalizationService::flushIntake so a
-  /// SIGTERM durably lands every admitted observation.
+  /// Runs once during graceful drain, on the last serving thread to
+  /// exit, after every in-flight response has been flushed and every
+  /// socket closed.  molocd points this at
+  /// LocalizationService::flushIntake so a SIGTERM durably lands every
+  /// admitted observation.
   std::function<void()> drainHook;
 };
 
-/// The molocd TCP front end: one poll()-based event-loop thread owning
-/// every socket, plus a worker pool that executes requests against the
-/// LocalizationService and hands encoded responses back to the loop.
+/// The molocd TCP front end: `workerThreads` serving threads wait on
+/// one shared epoll set and run each request to completion on the
+/// thread that reads it (docs/serving.md, "Network serving").
 ///
-/// Concurrency model:
-///   - Only the event-loop thread touches file descriptors and the
-///     connection map; workers never do socket I/O.
-///   - Each connection carries a mutex guarding its decoded-request
-///     queue and response buffer — the only state shared between the
-///     loop and the workers.  At most one worker processes a given
-///     connection at a time (the `processing` flag), so requests on
-///     one connection are answered strictly in arrival order — which
-///     preserves the service's per-session apply order and keeps
-///     network-served results bitwise-identical to in-process calls.
-///   - Overload maps to wire statuses, never to dropped connections:
-///     intake backpressure → kOverloaded, drain → kShuttingDown.
-///   - A peer hanging up (EOF, EPIPE, ECONNRESET) is a *clean
-///     disconnect*: counted, resources reclaimed, never fatal.
-///     Malformed bytes count as protocol errors; framing-level damage
-///     desynchronizes the stream, so those connections are dropped.
+///   - Every connection is registered EPOLLONESHOT.  The thread that
+///     takes its readiness owns it until it re-arms it: it reads and
+///     answers every complete frame in arrival order — the service's
+///     per-session apply order, which keeps network-served results
+///     bitwise-identical to in-process calls — sends the responses
+///     itself (non-blocking), and re-arms with EPOLLIN and/or EPOLLOUT.
+///   - Ownership changes hands only under the connection's mutex, so a
+///     stale event finds the connection owned or free and is dropped.
+///     Connection objects are recycled, never freed while the server
+///     runs, and only the owner closes a descriptor.
+///   - Overload maps to wire statuses, never to dropped connections.
+///     A peer hanging up is a counted *clean disconnect*; framing
+///     damage is a counted protocol error that drops the connection.
 ///
-/// Graceful drain (requestStop(), typically from SIGTERM): the
-/// listener closes, every request already delivered to this host —
-/// including bytes still sitting in a socket's kernel buffer — is
-/// processed and its response flushed, each connection closes once a
-/// final read finds it quiet, the drain hook runs (molocd:
-/// flushIntake), and only then does the loop exit.  The drain is
-/// bounded by ServerConfig::drainTimeoutMs: past the deadline,
-/// connections that still refuse to go quiet are force-closed.
+/// Graceful drain (requestStop(), typically from SIGTERM): the listener
+/// closes after adopting its backlog; every request already delivered
+/// to this host is answered; each connection closes once a read made
+/// after the stop finds it quiet (the stopping thread visits idle
+/// ones); past ServerConfig::drainTimeoutMs the rest are force-closed;
+/// and the last serving thread out runs the drain hook.
 class Server {
  public:
   /// Binds and starts serving immediately.  `service` must outlive
@@ -95,59 +90,69 @@ class Server {
   /// The actually-bound port.
   std::uint16_t port() const { return port_; }
 
-  /// Begins graceful drain.  Async-signal-safe (an atomic store plus
-  /// one pipe write) so a SIGTERM handler may call it directly.
-  /// Idempotent.
+  /// Begins graceful drain.  Async-signal-safe (one eventfd write) so
+  /// a SIGTERM handler may call it directly.  Idempotent.
   void requestStop();
 
-  /// Blocks until the event loop has fully drained and exited.
+  /// Blocks until every serving thread has drained and exited.
   void waitUntilStopped();
 
-  bool stopped() const { return loopExited_.load(std::memory_order_acquire); }
+  bool stopped() const { return exited_.load(std::memory_order_acquire); }
 
   /// Point-in-time server counters (the Stats request returns these
   /// plus the service-side fields).
   ServerStats stats() const;
 
  private:
-  /// Per-connection state.  Owned by the loop thread's map; workers
-  /// hold a shared_ptr while processing, so teardown is safe in
-  /// either order.
-  struct Connection {
-    explicit Connection(int fdIn) : fd(fdIn) {}
-    /// Loop-thread-only: the socket and its frame reassembly state.
-    int fd;
-    FrameAssembler assembler;
-    bool inputClosed = false;  ///< Peer EOF seen; no more reads.
-    bool pausedReads = false;  ///< Flow control engaged last poll round.
-
-    /// Socket failed or the stream desynchronized; reap without
-    /// flushing.  Atomic (unlike the loop-only fields above) because a
-    /// worker containing an escaped handler failure sets it off the
-    /// loop thread.
-    std::atomic<bool> dead{false};
-    /// Why `dead`: set for protocol errors and server-side defects —
-    /// reaped as a counted *non-clean* drop — and left false when the
-    /// peer merely vanished (EPIPE/ECONNRESET, the contract's clean
-    /// disconnect).  Written before `dead`, read after it.
-    std::atomic<bool> dirtyDeath{false};
-
-    util::Mutex mu;
-    std::deque<Frame> pending MOLOC_GUARDED_BY(mu);
-    /// Encoded responses not yet written to the socket.
-    std::string outbuf MOLOC_GUARDED_BY(mu);
-    /// A worker task is (or is about to be) draining `pending`.
-    bool processing MOLOC_GUARDED_BY(mu) = false;
+  enum class ConnState : std::uint8_t {
+    kArmed,  ///< Registered for readiness; the next taker owns it.
+    kOwned,  ///< One thread is reading, handling or writing it.
+    kFree,   ///< Closed; waiting on the free list for a new socket.
   };
 
-  void loop();
-  void acceptReady();
-  void readReady(const std::shared_ptr<Connection>& conn);
-  void writeReady(const std::shared_ptr<Connection>& conn);
-  /// Schedules a worker to drain `conn->pending` unless one already is.
-  void scheduleProcessing(const std::shared_ptr<Connection>& conn);
-  /// Worker-side: drains the pending queue, appending responses.
-  void processPending(const std::shared_ptr<Connection>& conn);
+  /// Everything but `state` belongs to the connection's current owner;
+  /// `mu` orders the hand-overs.
+  struct Connection {
+    util::Mutex mu;
+    ConnState state MOLOC_GUARDED_BY(mu) = ConnState::kFree;
+    int fd = -1;
+    FrameAssembler assembler;
+    /// Encoded responses not yet written to the socket.
+    std::string outbuf;
+    bool inputClosed = false;  ///< Peer EOF seen; no more reads.
+  };
+
+  /// How one pump() round left a connection.
+  enum class Pump : std::uint8_t {
+    kQuiet,     ///< Read until the socket had nothing more (or EOF).
+    kBusy,      ///< Stopped reading early (write bound or turn
+                ///< limit); more may wait.
+    kPeerGone,  ///< EPIPE/ECONNRESET: a clean disconnect.
+    kBroken,    ///< Protocol error or handler defect: a dirty drop.
+  };
+
+  void serve();
+  /// Accepts until EAGAIN or the connection bound, then re-arms or
+  /// parks the listener.
+  void acceptReady() MOLOC_REQUIRES(poolMu_);
+  /// Every connection object, live or free (objects are never freed
+  /// while the server runs, so the pointers stay valid).
+  std::vector<Connection*> snapshotPool();
+  /// The stop event: adopt the backlog, close the listener, visit
+  /// every idle connection once.
+  void beginDrain();
+  /// Force-closes every connection that is not owned right now (the
+  /// owners of the rest close theirs when they next finish).
+  void closeStragglers();
+  /// Armed → owned; false when the connection is owned or free.
+  static bool tryTake(Connection& conn);
+  /// Owner-side: pumps `conn`, then re-arms or closes it.
+  void serveConnection(Connection& conn);
+  /// Reads, handles every complete frame in order, and writes.
+  Pump pump(Connection& conn);
+  /// Writes as much of conn.outbuf as the socket takes; false when
+  /// the peer is gone.
+  static bool flush(Connection& conn);
   /// Executes one decoded request; returns the encoded response frame.
   std::string handleFrame(const Frame& frame);
   std::string handleLocalize(const Frame& frame);
@@ -155,19 +160,44 @@ class Server {
   std::string handleReportObservation(const Frame& frame);
   std::string handleFlush(const Frame& frame);
   std::string handleStats(const Frame& frame);
-  /// Nudges the poll loop (worker produced output / finished a drain).
-  void wakeLoop();
-  /// Closes and forgets `conn`; `clean` selects which counter ticks.
-  void closeConnection(int fd, bool clean);
+  /// Called inside a catch handler: answers the exception in flight
+  /// with its wire status and message, counting protocol faults and
+  /// overloads.
+  template <typename Response>
+  void answerFailure(Response& resp);
+  /// Owner-side: closes the socket and returns `conn` to the free
+  /// list; `clean` selects which counter ticks.
+  void closeConnection(Connection& conn, bool clean);
+  /// Wakes every serving thread to exit once the drain has nothing
+  /// left open.
+  void finishIfDrained() MOLOC_REQUIRES(poolMu_);
 
   service::LocalizationService& service_;
   ServerConfig config_;
-  int listenFd_ = -1;
   std::uint16_t port_ = 0;
-  int wakePipe_[2] = {-1, -1};
+  int epollFd_ = -1;
+  /// eventfd made readable by requestStop().  One-shot, so one thread
+  /// begins the drain; level-triggered once it is done, so all exit.
+  int stopFd_ = -1;
 
-  std::atomic<bool> stopRequested_{false};
-  std::atomic<bool> loopExited_{false};
+  util::Mutex poolMu_;
+  /// -1 once the drain closed it.
+  int listenFd_ MOLOC_GUARDED_BY(poolMu_) = -1;
+  /// At maxConnections the listener stays disarmed until a close.
+  bool listenerParked_ MOLOC_GUARDED_BY(poolMu_) = false;
+  std::size_t openConnections_ MOLOC_GUARDED_BY(poolMu_) = 0;
+  /// Every connection object ever allocated; addresses are stable, so
+  /// epoll events may carry them.
+  std::vector<std::unique_ptr<Connection>> pool_ MOLOC_GUARDED_BY(poolMu_);
+  std::vector<Connection*> free_ MOLOC_GUARDED_BY(poolMu_);
+
+  /// Written once, before draining_ is released.
+  std::chrono::steady_clock::time_point drainDeadline_{};
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> stragglersClosed_{false};
+  std::atomic<bool> drained_{false};
+  std::atomic<std::size_t> running_{0};
+  std::atomic<bool> exited_{false};
 
   std::atomic<std::uint64_t> requestsServed_{0};
   std::atomic<std::uint64_t> connectionsAccepted_{0};
@@ -175,15 +205,7 @@ class Server {
   std::atomic<std::uint64_t> overloadRejections_{0};
   std::atomic<std::uint64_t> protocolErrors_{0};
 
-  /// Loop-thread-only.
-  std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-
-  /// Declared before the loop thread: workers must outlive nothing the
-  /// loop still needs, and the destructor joins loop_ first, then the
-  /// pool drains remaining tasks while connections_ entries are kept
-  /// alive by the tasks' shared_ptrs.
-  std::unique_ptr<service::ThreadPool> workers_;
-  std::thread loop_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace moloc::net

@@ -33,11 +33,11 @@ long readWrappedMultiline(int fd, char* buf, unsigned long n) {
 }
 
 // ::close must not be retried (the fd is gone either way; a retry can
-// close a recycled descriptor) and the poll loop treats EINTR as an
-// ordinary wakeup — both are exempt by design.
+// close a recycled descriptor), so it is exempt by design.  A
+// readiness wait is not: it is wrapped like any other call.
 int closeAndPoll(int fd) {
   struct pollfd p{fd, POLLIN, 0};
-  const int ready = ::poll(&p, 1, 0);
+  const int ready = util::retryEintr([&] { return ::poll(&p, 1, 0); });
   ::close(fd);
   return ready;
 }

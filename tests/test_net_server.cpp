@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <linux/sockios.h>
+#include <poll.h>
 #include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -115,7 +119,7 @@ ServerConfig loopbackConfig() {
 }
 
 /// Spins until `predicate` holds or ~2 s pass (the server's counters
-/// are updated by the loop thread slightly after the client observes
+/// are updated by a serving thread slightly after the client observes
 /// the socket effect).
 template <typename Predicate>
 bool eventually(Predicate predicate) {
@@ -136,6 +140,16 @@ void awaitDelivered(const Client& client) {
     int unacked = -1;
     return ::ioctl(client.fd(), SIOCOUTQ, &unacked) == 0 && unacked == 0;
   }));
+}
+
+/// Turns a recv that would block forever into a NetError after 10 s,
+/// so a server that never answers fails the test instead of hanging it.
+void boundReceives(const Client& client) {
+  timeval limit{};
+  limit.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &limit,
+                         sizeof limit),
+            0);
 }
 
 TEST(NetServer, LoopbackLocalizeIsBitwiseIdenticalToInProcess) {
@@ -578,6 +592,147 @@ TEST(NetServer, ManyConcurrentClientsKeepSessionsIsolated) {
   }
   EXPECT_EQ(served.sessionCount(), kClients);
 }
+
+TEST(NetServer, DrainWithoutDeadlineClosesIdleAndJustAnsweredConnections) {
+  // With no drain deadline, only the drain's own visit can close a
+  // connection that sends nothing after the stop: an idle one gets no
+  // readiness event at all, and one that was just answered has
+  // already been re-armed.  Neither may hold waitUntilStopped open.
+  service::LocalizationService served(twinFingerprints(), twinMotion(),
+                                      testConfig(1));
+  ServerConfig config = loopbackConfig();
+  config.drainTimeoutMs = 0;
+  Server server(served, config);
+  Client idle("127.0.0.1", server.port());
+  Client answered("127.0.0.1", server.port());
+  ASSERT_EQ(answered.stats(1).status, Status::kOk);
+  ASSERT_TRUE(
+      eventually([&] { return server.stats().connectionsAccepted == 2; }));
+
+  server.requestStop();
+  auto stopping =
+      std::async(std::launch::async, [&] { server.waitUntilStopped(); });
+  const bool inTime = stopping.wait_for(std::chrono::seconds(2)) ==
+                      std::future_status::ready;
+  if (!inTime) {
+    // Watchdog: hanging up lets the drain finish, so a regression fails
+    // here instead of hanging the suite.
+    idle.shutdownWrites();
+    answered.shutdownWrites();
+  }
+  stopping.wait();
+  EXPECT_TRUE(inTime) << "an idle connection held the drain open";
+  EXPECT_TRUE(server.stopped());
+  EXPECT_THROW(idle.recvFrame(), NetError);
+  EXPECT_THROW(answered.recvFrame(), NetError);
+}
+
+TEST(NetServer, ConnectionLimitParksTheListenerUntilAPeerHangsUp) {
+  service::LocalizationService served(twinFingerprints(), twinMotion(),
+                                      testConfig(1));
+  ServerConfig config = loopbackConfig();
+  config.maxConnections = 1;
+  Server server(served, config);
+
+  auto first = std::make_unique<Client>("127.0.0.1", server.port());
+  ASSERT_EQ(first->stats(1).status, Status::kOk);
+
+  // The handshake completes in the kernel's backlog, but the server
+  // must not take the connection while the first one is open.
+  Client second("127.0.0.1", server.port());
+  boundReceives(second);
+  second.send(encodeStatsRequest({2}));
+  pollfd ready{second.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&ready, 1, 200), 0) << "served past maxConnections";
+  EXPECT_EQ(server.stats().connectionsAccepted, 1u);
+
+  // The hang-up frees the slot and re-arms the listener.
+  first.reset();
+  const Frame frame = second.recvFrame();
+  ASSERT_EQ(frame.type, MsgType::kStatsResponse);
+  EXPECT_EQ(decodeStatsResponse(frame.payload).tag, 2u);
+  EXPECT_EQ(server.stats().connectionsAccepted, 2u);
+}
+
+TEST(NetServer, WriteQueueBoundStopsReadingAPeerThatNeverReads) {
+  const auto plan = intakePlan();
+  core::OnlineMotionDatabase db(plan);
+  service::LocalizationService served(twinFingerprints(), twinMotion(),
+                                      testConfig(1));
+  served.attachIntake(&db);  // Stats then answers without an exception.
+  ServerConfig config = loopbackConfig();
+  config.workerThreads = 1;
+  config.maxWriteQueueBytes = 64u << 10;
+  Server server(served, config);
+
+  // The peer pipelines Stats requests and reads nothing.  Once the
+  // kernel buffers and the 64 KiB write queue are full, the server
+  // must stop reading it, so the sender blocks for good.
+  Client stuffed("127.0.0.1", server.port());
+  boundReceives(stuffed);
+  constexpr std::uint64_t kMaxFrames = 1u << 20;
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<bool> stopSending{false};
+  std::atomic<bool> senderDone{false};
+  std::thread sender([&] {
+    for (std::uint64_t tag = 0; tag < kMaxFrames && !stopSending.load();
+         ++tag) {
+      const std::string frame = encodeStatsRequest({tag});
+      for (std::size_t off = 0; off < frame.size();) {
+        const ssize_t n = ::send(stuffed.fd(), frame.data() + off,
+                                 frame.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) {
+          senderDone.store(true);
+          return;
+        }
+        off += static_cast<std::size_t>(n);
+      }
+      sent.store(tag + 1);
+    }
+    senderDone.store(true);
+  });
+
+  std::uint64_t lastSent = 0;
+  auto lastProgress = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - lastProgress <
+         std::chrono::milliseconds(300)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (sent.load() != lastSent) {
+      lastSent = sent.load();
+      lastProgress = std::chrono::steady_clock::now();
+    }
+  }
+  EXPECT_FALSE(senderDone.load()) << "the server never stopped reading";
+
+  // The single serving thread is not stuck on the stalled peer.
+  Client second("127.0.0.1", server.port());
+  boundReceives(second);
+  EXPECT_EQ(second.stats(1).status, Status::kOk);
+
+  // Reading resumes the stalled peer; every response arrives, in tag
+  // order.  While every finished frame is answered the server's queue
+  // is empty, so it reads again and the sender makes progress alone.
+  stopSending.store(true);
+  std::uint64_t received = 0;
+  bool inOrder = true;
+  for (;;) {
+    if (received < sent.load()) {
+      const Frame frame = stuffed.recvFrame();
+      inOrder = inOrder && frame.type == MsgType::kStatsResponse &&
+                decodeStatsResponse(frame.payload).tag == received;
+      ++received;
+    } else if (senderDone.load() && received == sent.load()) {
+      break;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  sender.join();
+  EXPECT_TRUE(inOrder);
+  EXPECT_EQ(received, sent.load());
+  EXPECT_GT(received, 0u);
+}
+
 
 }  // namespace
 }  // namespace moloc::net

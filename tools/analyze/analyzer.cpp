@@ -592,11 +592,14 @@ const char* interruptibleSyscall(const std::string& name) {
   static const char* kCalls[] = {
       "read",  "write",    "fsync",   "fdatasync", "recv",   "recvmsg",
       "send",  "sendmsg",  "accept",  "accept4",   "open",   "openat",
-      "truncate", "ftruncate", "pread", "pwrite",  "connect"};
+      "truncate", "ftruncate", "pread", "pwrite",  "connect",
+      "poll",  "ppoll",    "epoll_wait", "epoll_pwait"};
   for (const char* c : kCalls) {
     if (name == c) return c;
   }
-  return nullptr;  // ::close and ::poll are deliberately exempt
+  // ::close is deliberately exempt: the fd is released even on EINTR,
+  // and a retry can close a descriptor another thread just opened.
+  return nullptr;
 }
 
 bool isFmaName(const std::string& name) {

@@ -32,8 +32,8 @@ const std::vector<RuleInfo>& allRules() {
        "std::invalid_argument (PR 7) until retyped to ProtocolError"},
       {"raw-eintr",
        "interruptible syscall not wrapped in util::retryEintr "
-       "(::close/::poll exempt)",
-       "the molocd wake pipe and WAL appends surfaced SIGTERM-drain "
+       "(::close exempt)",
+       "molocd's former wake pipe and WAL appends surfaced SIGTERM-drain "
        "signals as spurious I/O failures (PR 7)"},
       {"narrowing-length",
        "implicit 64->32-bit integer conversion in framing/section "

@@ -35,8 +35,12 @@ Checks, per file:
      (Percentile fields like p50_ms stay optional: a MOLOC_METRICS=OFF
      build reports them as -1, and a missing histogram may null them.)
   4. The host facts cpu_model and build_type (micro_service,
-     micro_scale), wherever they appear, are non-empty strings: a
-     measurement whose host is unrecorded cannot be compared.
+     micro_scale, micro_net), wherever they appear, are non-empty
+     strings: a measurement whose host is unrecorded cannot be
+     compared.  The network-serving snapshot must carry its host in
+     `config` (HOST_REQUIRED) and must not carry the closed-loop
+     `latency` section its emitter retired: latency claims cite the
+     open-loop servebench only.
   5. No object, at any depth, repeats a key.  json.loads keeps the
      last duplicate silently, so a JsonWriter bug that emits a section
      twice would otherwise *discard* the first measurement and still
@@ -105,6 +109,19 @@ REQUIRED_NUMERIC = [
 ]
 
 HOST_STRING_FIELDS = frozenset(("cpu_model", "build_type"))
+
+# Per bench: config fields that record the host, and top-level
+# sections the emitter no longer writes.
+HOST_REQUIRED = {
+    "micro_net": (
+        "cpu_model",
+        "build_type",
+        "hardware_concurrency",
+        "simd_compiled",
+        "simd_active",
+    ),
+}
+RETIRED_SECTIONS = {"micro_net": ("latency",)}
 
 NONFINITE_TOKEN = re.compile(r"(?<![\w\"])(NaN|-?Infinity)(?![\w\"])")
 
@@ -197,6 +214,15 @@ def check_file(name):
                 f"unknown top-level key '{key}' (typo'd or renamed "
                 "section? update KNOWN_TOP_LEVEL with the emitter)"
             )
+
+    bench = document.get("bench")
+    config = document.get("config")
+    for key in HOST_REQUIRED.get(bench, ()):
+        if not isinstance(config, dict) or key not in config:
+            errors.append(f"config.{key}: missing (the host is unrecorded)")
+    for key in RETIRED_SECTIONS.get(bench, ()):
+        if key in document:
+            errors.append(f"'{key}': retired section in a {bench} snapshot")
 
     walk(document, "", errors)
     return errors

@@ -47,14 +47,16 @@
 #                 util::retryEintr — an interruptible POSIX call on
 #                 the durability or serving path that does not retry
 #                 EINTR turns any signal (SIGTERM drain included) into
-#                 a spurious I/O failure.  ::close and ::poll are
-#                 exempt: close must not be retried (the fd is gone
-#                 either way, and a retry can close a recycled
-#                 descriptor), and the poll loop handles EINTR as an
-#                 ordinary wakeup.  Known window artifacts of the grep
-#                 version (wrapped call split across 3+ lines, raw
-#                 call on the line after a wrapped one) are committed
-#                 as regression fixtures under tests/analyze_fixtures/
+#                 a spurious I/O failure.  The readiness waits
+#                 (::poll, ::epoll_wait and their p-variants) count:
+#                 a serving thread must not mistake a signal for a
+#                 failed wait.  ::close is exempt: it must not be
+#                 retried (the fd is gone either way, and a retry can
+#                 close a recycled descriptor).  Known window
+#                 artifacts of the grep version (wrapped call split
+#                 across 3+ lines, raw call on the line after a
+#                 wrapped one) are committed as regression fixtures
+#                 under tests/analyze_fixtures/
 #                 — the AST check gets them right.
 #
 # A genuine exception gets `// lint:allow(<rule>): <why>` on the same
@@ -128,7 +130,7 @@ if [ "$path_rules_only" -eq 0 ]; then
   # raw-eintr needs a two-line window — the wrapper idiom regularly
   # splits `util::retryEintr(` and `[&] { return ::call(...` across
   # adjacent lines — so it gets its own scanner instead of check().
-  raw_eintr_pattern='(^|[^A-Za-z0-9_:])::(read|write|fsync|fdatasync|recv|recvmsg|send|sendmsg|accept4?|open|openat|truncate|ftruncate|pread|pwrite|connect)\('
+  raw_eintr_pattern='(^|[^A-Za-z0-9_:])::(read|write|fsync|fdatasync|recv|recvmsg|send|sendmsg|accept4?|open|openat|truncate|ftruncate|pread|pwrite|connect|p?poll|epoll_p?wait)\('
   mapfile -t eintr_scope < <(printf '%s\n' "${all_src[@]}" |
     grep -E '^src/(store|net|image)/')
   for f in "${eintr_scope[@]}"; do
