@@ -450,7 +450,6 @@ int main(int argc, char** argv) {
     core::OnlineMotionDatabase verifyDb(venue ? venue->site().plan
                                               : world->hall().plan);
     service::ServiceConfig verifyConfig;
-    verifyConfig.threadCount = 1;
     if (venue) verifyConfig.indexShardStarts = venue->shardStarts();
     service::LocalizationService reference(
         venue ? venue->fingerprints() : world->fingerprintDb(),

@@ -1,11 +1,13 @@
 // Throughput benchmark of the concurrent serving layer: aggregate
 // queries/sec of LocalizationService::localizeBatch over the paper's
-// office-hall world, swept across thread-pool sizes.  Each query is
+// office-hall world, swept across 1/2/4/8 caller threads.  The service
+// runs a batch on its caller's thread, so each caller owns a slice of
+// the sessions and batches its slice round after round.  Each query is
 // the full phone-side round (motion processing over a 3 s IMU trace +
 // one engine round), so the numbers reflect the deployed hot path.
 //
-// Also cross-checks the service's determinism contract: every thread
-// count must reproduce the single-thread results bitwise.
+// Also cross-checks the service's determinism contract: every caller
+// count must reproduce the single-caller results bitwise.
 //
 // Each run carries its own private MetricsRegistry, so the per-scan
 // latency percentiles come from the same instrumentation production
@@ -111,13 +113,12 @@ struct RunResult {
   std::string promText;  ///< Rendered registry snapshot.
 };
 
-RunResult runAtThreadCount(const eval::ExperimentWorld& world,
-                           const std::vector<SessionWorkload>& workload,
-                           std::size_t threads) {
+RunResult runWithCallers(const eval::ExperimentWorld& world,
+                         const std::vector<SessionWorkload>& workload,
+                         std::size_t threads) {
   // A registry per run isolates each sweep point's series.
   obs::MetricsRegistry registry;
   service::ServiceConfig config;
-  config.threadCount = threads;
   config.shardCount = 32;
   config.engine = world.config().moloc;
   config.motion = world.config().motionProc;
@@ -125,18 +126,31 @@ RunResult runAtThreadCount(const eval::ExperimentWorld& world,
   service::LocalizationService svc(world.fingerprintDb(),
                                    world.motionDb(), config);
 
+  // Caller t batches sessions [t * kSessions / threads,
+  // (t + 1) * kSessions / threads) each round and writes its estimates
+  // into their round-major slots.
   RunResult result;
-  result.estimates.reserve(kSessions * roundsPerSession());
+  result.estimates.resize(kSessions * roundsPerSession());
+  const auto caller = [&](std::size_t t) {
+    const std::size_t begin = t * kSessions / threads;
+    const std::size_t end = (t + 1) * kSessions / threads;
+    for (std::size_t r = 0; r < roundsPerSession(); ++r) {
+      std::vector<service::ScanRequest> batch;
+      batch.reserve(end - begin);
+      for (std::size_t s = begin; s < end; ++s)
+        batch.push_back({static_cast<service::SessionId>(s),
+                         workload[s].scans[r], workload[s].imu[r]});
+      auto estimates = svc.localizeBatch(batch);
+      for (std::size_t s = begin; s < end; ++s)
+        result.estimates[r * kSessions + s] =
+            std::move(estimates[s - begin]);
+    }
+  };
   const auto start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < roundsPerSession(); ++r) {
-    std::vector<service::ScanRequest> batch;
-    batch.reserve(kSessions);
-    for (std::size_t s = 0; s < kSessions; ++s)
-      batch.push_back({static_cast<service::SessionId>(s),
-                       workload[s].scans[r], workload[s].imu[r]});
-    auto estimates = svc.localizeBatch(batch);
-    for (auto& e : estimates) result.estimates.push_back(std::move(e));
-  }
+  std::vector<std::thread> callers;
+  for (std::size_t t = 1; t < threads; ++t) callers.emplace_back(caller, t);
+  caller(0);
+  for (auto& thread : callers) thread.join();
   result.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -167,7 +181,6 @@ CreateRow measureSessionCreate(std::string venue,
                                std::vector<std::size_t> shardStarts) {
   obs::MetricsRegistry registry;
   service::ServiceConfig config;
-  config.threadCount = 1;
   config.metrics = &registry;
   config.indexShardStarts = std::move(shardStarts);
   const std::size_t locations = fingerprints.size();
@@ -232,12 +245,12 @@ int main() {
   std::vector<Row> rows;
   RunResult baseline;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    auto run = runAtThreadCount(world, workload, threads);
+    auto run = runWithCallers(world, workload, threads);
     if (threads == 1) {
       baseline = run;
     } else if (!bitwiseEqual(run.estimates, baseline.estimates)) {
       std::fprintf(stderr,
-                   "FAIL: %zu-thread results differ from serial\n",
+                   "FAIL: %zu-caller results differ from serial\n",
                    threads);
       return EXIT_FAILURE;
     }
@@ -256,7 +269,7 @@ int main() {
         .endRow();
     rows.push_back({threads, std::move(run)});
   }
-  std::printf("  determinism: all thread counts bitwise-identical to"
+  std::printf("  determinism: all caller counts bitwise-identical to"
               " serial\n");
 
   // Session creation across venue sizes.
@@ -380,8 +393,8 @@ int main() {
 
   const std::string promPath =
       moloc::bench::resultsDir() + "/micro_service_metrics.prom";
-  // The last sweep point's full registry (service + pool + engine
-  // series), as a production scrape would see it.
+  // The last sweep point's full registry (service + engine series), as
+  // a production scrape would see it.
   if (!rows.empty() && !rows.back().run.promText.empty()) {
     std::FILE* file = std::fopen(promPath.c_str(), "w");
     if (file) {

@@ -1,18 +1,19 @@
 #include "index/tiered_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <future>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 
 #include "kernel/fingerprint_kernel.hpp"
-#include "service/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace moloc::index {
@@ -93,11 +94,11 @@ TieredIndex::TieredIndex(
           begin, std::min(begin + config_.maxShardEntries, segmentEnd));
   }
 
-  // Shards are built independently — each task quantizes and profiles
-  // only its own row range into its own slot — so the fan-out over the
-  // thread pool produces shards bitwise-identical to the serial loop
-  // at any worker count (the parallel/serial identity test holds the
-  // proof).
+  // Shards are built independently — each one quantizes and profiles
+  // only its own row range into its own slot — so the threads below
+  // produce shards bitwise-identical to a serial loop at any thread
+  // count (the parallel/serial identity test holds the proof).  The
+  // calling thread builds too, alongside `workers - 1` helpers.
   std::size_t workers =
       config_.buildThreads != 0
           ? config_.buildThreads
@@ -105,21 +106,28 @@ TieredIndex::TieredIndex(
   workers = std::min(workers, ranges.size());
   shards_.resize(ranges.size());
   storage_.resize(ranges.size());
-  if (workers <= 1) {
-    for (std::size_t s = 0; s < ranges.size(); ++s)
-      buildShard(s, ranges[s].first, ranges[s].second);
-  } else {
-    service::ThreadPool pool(workers);
-    std::vector<std::future<void>> built;
-    built.reserve(ranges.size());
-    for (std::size_t s = 0; s < ranges.size(); ++s)
-      built.push_back(pool.submit([this, &ranges, s] {
+  std::vector<std::exception_ptr> errors(ranges.size());
+  std::atomic<std::size_t> next{0};
+  const auto buildShards = [&] {
+    for (std::size_t s = next++; s < ranges.size(); s = next++) {
+      try {
         buildShard(s, ranges[s].first, ranges[s].second);
-      }));
-    // get() rethrows the first failed shard's exception; the pool
-    // destructor then drains the rest before `ranges` unwinds.
-    for (auto& b : built) b.get();
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  try {
+    while (helpers.size() + 1 < workers) helpers.emplace_back(buildShards);
+  } catch (const std::system_error&) {
+    // Fewer helpers only slow the build; the shards come out the same.
   }
+  buildShards();
+  for (auto& helper : helpers) helper.join();
+  // The failure of the lowest-numbered shard, whatever the scheduling.
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 void TieredIndex::buildShard(std::size_t shard, std::size_t rowBegin,

@@ -84,4 +84,3 @@
 
 // Concurrent serving layer.
 #include "service/localization_service.hpp"
-#include "service/thread_pool.hpp"

@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
   args.addOption("net-threads", "2",
                  "serving threads: each reads, handles and answers "
                  "requests to completion");
-  args.addOption("threads", "0",
-                 "service batch threads (0 = hardware concurrency)");
   args.addOption("shards", "16", "session map shards");
   args.addOption("seed", "42", "world seed (loadgen must match)");
   args.addOption("ap-count", "6", "access points in the world (4-6)");
@@ -146,8 +144,6 @@ int main(int argc, char** argv) {
     std::unique_ptr<core::OnlineMotionDatabase> intakeDb;
 
     service::ServiceConfig serviceConfig;
-    serviceConfig.threadCount =
-        static_cast<std::size_t>(args.getInt("threads"));
     serviceConfig.shardCount =
         static_cast<std::size_t>(args.getInt("shards"));
     // A generated venue hands the index its natural per-floor shard
@@ -185,12 +181,26 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    std::string intakeText = args.getSwitch("no-intake") ? "off" : "on";
     if (!args.getSwitch("no-intake") && !venueImage) {
       intakeDb = std::make_unique<core::OnlineMotionDatabase>(
           venue ? venue->site().plan : world->hall().plan);
       const std::string walDir = args.getString("wal-dir");
-      if (!walDir.empty())
+      if (!walDir.empty()) {
+        // Continue the durable lineage: without this the store would
+        // carry on its sequence numbers over an empty database, and the
+        // next checkpoint would claim (and compaction then delete) the
+        // previous run's records.
+        const store::RecoveryResult recovered =
+            store::recover(walDir, *intakeDb);
+        intakeText += ", recovered " +
+                      std::to_string(intakeDb->counters().accepted) +
+                      " records (checkpoint seq " +
+                      std::to_string(recovered.checkpointSeq) + ", " +
+                      std::to_string(recovered.replayedRecords) +
+                      " replayed)";
         stateStore = std::make_unique<store::StateStore>(walDir);
+      }
       service.attachIntake(
           intakeDb.get(), stateStore.get(),
           static_cast<std::uint64_t>(args.getInt("checkpoint-every")));
@@ -237,15 +247,13 @@ int main(int argc, char** argv) {
           worldgen::describeVenueSpec(venue->spec()).c_str(),
           static_cast<unsigned long long>(venue->spec().seed),
           venue->locationCount(), venue->apCount(),
-          service.tieredIndex() ? "on" : "off",
-          args.getSwitch("no-intake") ? "off" : "on");
+          service.tieredIndex() ? "on" : "off", intakeText.c_str());
     else
       std::printf(
           "molocd: serving %s:%u (seed %llu, %d APs, intake %s)\n",
           netConfig.host.c_str(), unsigned{server.port()},
           static_cast<unsigned long long>(worldConfig.seed),
-          worldConfig.apCount,
-          args.getSwitch("no-intake") ? "off" : "on");
+          worldConfig.apCount, intakeText.c_str());
     std::fflush(stdout);
     const std::string portFile = args.getString("port-file");
     if (!portFile.empty()) {

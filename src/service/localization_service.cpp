@@ -1,6 +1,5 @@
 #include "service/localization_service.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -14,12 +13,6 @@
 namespace moloc::service {
 
 namespace {
-
-std::size_t resolveThreadCount(std::size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
-}
 
 std::size_t checkShardCount(std::size_t shardCount) {
   if (shardCount == 0)
@@ -51,9 +44,12 @@ std::shared_ptr<const core::WorldSnapshot> bootWorld(
       std::move(fingerprints));
   std::shared_ptr<const index::TieredIndex> index;
   if (radioMap->size() >= kTieredIndexMinEntries &&
-      config.engine.candidateCount > 0)
+      config.engine.candidateCount > 0) {
+    index::IndexConfig indexConfig;
+    indexConfig.buildThreads = config.threadCount;
     index = std::make_shared<const index::TieredIndex>(
-        radioMap, index::IndexConfig{}, config.indexShardStarts);
+        radioMap, indexConfig, config.indexShardStarts);
+  }
   return std::make_shared<const core::WorldSnapshot>(
       std::move(radioMap), std::move(motion), 0, 0, std::move(index));
 }
@@ -77,8 +73,7 @@ LocalizationService::LocalizationService(
       world_(std::move(world)),
       worldHint_(&world_->adjacency()),
       worldGeneration_(world_->generation()),
-      shards_(checkShardCount(config_.shardCount)),
-      pool_(resolveThreadCount(config_.threadCount), config_.metrics) {
+      shards_(checkShardCount(config_.shardCount)) {
   // Sessions inherit the service's registry unless the caller wired
   // the engine to its own.
   if (!config_.engine.metrics) config_.engine.metrics = config_.metrics;
@@ -157,9 +152,9 @@ LocalizationService::~LocalizationService() {
   if (pipeline) pipeline->stop();
   pipeline.reset();
 
-  // Members now destroy in reverse declaration order; pool_ (declared
-  // last) goes first and joins any in-flight background checkpoint
-  // while everything its task touches is still alive.
+  // The writer has stopped, so no checkpoint can start any more; join
+  // the last one while everything it touches is still alive.
+  if (checkpointThread_.joinable()) checkpointThread_.join();
 }
 
 LocalizationService::Shard& LocalizationService::shardFor(SessionId id) {
@@ -300,13 +295,13 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
 #endif
 
   // Batched fingerprint matching: every scan in the batch goes through
-  // one fingerprint-kernel invocation up front, instead of each session
-  // task running its own independent query.  Per-request errors are
-  // captured and rethrown inside the owning session's task at the same
-  // point the unbatched query would have thrown, so the documented
-  // failure semantics are unchanged.  The degenerate configurations
-  // (empty radio map, k == 0) keep the unbatched path because their
-  // errors surface per session, not per batch.
+  // one fingerprint-kernel invocation up front, instead of each
+  // session running its own independent query.  Per-request errors
+  // are captured and rethrown inside the owning session's round at the
+  // same point the unbatched query would have thrown, so the
+  // documented failure semantics are unchanged.  The degenerate
+  // configurations (empty radio map, k == 0) keep the unbatched path
+  // because their errors surface per session, not per batch.
   const bool prepared =
       !fingerprints_->empty() && config_.engine.candidateCount > 0;
   std::vector<std::vector<core::Candidate>> batchCandidates;
@@ -329,84 +324,51 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
                                     batchCandidates, &batchErrors);
   }
 
-  // Group request indices by session, preserving each session's
-  // request order.  One task per session keeps a session's scans
-  // strictly ordered while distinct sessions run in parallel — which
-  // is also why the batch result cannot depend on thread scheduling.
-  std::unordered_map<SessionId, std::vector<std::size_t>> bySession;
-  std::vector<SessionId> order;  // First-appearance order, for tasks.
+  // Group request indices by session in first-appearance order,
+  // preserving each session's request order.
+  std::unordered_map<SessionId, std::size_t> groupOf;
+  std::vector<std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto [it, inserted] = bySession.try_emplace(batch[i].session);
-    if (inserted) order.push_back(batch[i].session);
-    it->second.push_back(i);
+    const auto [it, inserted] =
+        groupOf.try_emplace(batch[i].session, groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
-  // Failure bookkeeping shared by the tasks: tasks record failures
-  // here instead of letting them escape through their futures, so the
-  // failure rethrown below is deterministically the first *in batch
-  // order* rather than whichever future happened to be inspected
-  // first.
-  util::Mutex failureMu;
+  // The failure rethrown below is the one with the smallest batch
+  // index, whichever session it belongs to.
   std::size_t firstFailedIndex = batch.size();
   std::exception_ptr firstFailure;
-  const auto recordFailure = [&](std::size_t index,
-                                 std::exception_ptr error) {
-    const util::MutexLock lock(failureMu);
-    if (index < firstFailedIndex) {
-      firstFailedIndex = index;
-      firstFailure = std::move(error);
-    }
-  };
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(order.size());
-  for (const SessionId id : order) {
-    const auto* indices = &bySession.at(id);
-    pending.push_back(pool_.submit([this, id, indices, prepared,
-                                    &batchCandidates, &batchErrors, &batch,
-                                    &results, &recordFailure] {
-      std::size_t position = 0;
-      try {
-        const auto slot =
-            findOrCreate(id, config_.defaultStepLengthMeters);
-        const util::MutexLock lock(slot->mu);
-        for (; position < indices->size(); ++position) {
-          const std::size_t i = (*indices)[position];
-          results[i] =
-              prepared
-                  ? localizePreparedLocked(slot->session,
-                                           batchCandidates[i],
-                                           batchErrors[i], batch[i].imu)
-                  : localizeLocked(slot->session, batch[i].scan,
-                                   batch[i].imu);
-        }
-      } catch (...) {
-        // A session is a stateful Bayesian filter: once one of its
-        // scans fails, applying the later ones would fuse motion
-        // across a gap.  Skip the session's remaining requests (their
-        // estimates stay default "no fix") and let other sessions
-        // proceed.
-        recordFailure((*indices)[std::min(position,
-                                          indices->size() - 1)],
-                      std::current_exception());
-#if MOLOC_METRICS_ENABLED
-        if (metrics_.batchRequestsFailed)
-          metrics_.batchRequestsFailed->inc(
-              static_cast<double>(indices->size() - position));
-#endif
-      }
-    }));
-  }
-
-  // Settle the whole batch before rethrowing, so no task is left
-  // touching `batch`/`results` after this frame unwinds.  Tasks catch
-  // their own failures, so these futures normally deliver no
-  // exception.
-  for (auto& future : pending) {
+  for (const auto& indices : groups) {
+    std::size_t position = 0;
     try {
-      future.get();
+      const auto slot = findOrCreate(batch[indices.front()].session,
+                                     config_.defaultStepLengthMeters);
+      const util::MutexLock lock(slot->mu);
+      for (; position < indices.size(); ++position) {
+        const std::size_t i = indices[position];
+        results[i] =
+            prepared ? localizePreparedLocked(slot->session,
+                                              batchCandidates[i],
+                                              batchErrors[i], batch[i].imu)
+                     : localizeLocked(slot->session, batch[i].scan,
+                                      batch[i].imu);
+      }
     } catch (...) {
-      recordFailure(batch.size() - 1, std::current_exception());
+      // A session is a stateful Bayesian filter: once one of its scans
+      // fails, applying the later ones would fuse motion across a gap.
+      // Skip the session's remaining requests (their estimates stay
+      // default "no fix") and go on with the other sessions.
+      const std::size_t failed = indices[position];
+      if (failed < firstFailedIndex) {
+        firstFailedIndex = failed;
+        firstFailure = std::current_exception();
+      }
+#if MOLOC_METRICS_ENABLED
+      if (metrics_.batchRequestsFailed)
+        metrics_.batchRequestsFailed->inc(
+            static_cast<double>(indices.size() - position));
+#endif
     }
   }
   if (firstFailure) std::rethrow_exception(firstFailure);
@@ -577,12 +539,23 @@ void LocalizationService::maybeCheckpointFromWriter(
   // thread between applies.  The writer is the database's sole
   // mutator, so the pair is mutually consistent without any global
   // intake lock; only the (slow) serialize-and-publish runs on the
-  // pool.
+  // checkpoint thread.
   auto snapshot = std::make_shared<core::OnlineMotionDatabase::Snapshot>(
       db->snapshot());
   const std::uint64_t throughSeq = store->lastSeq();
+  const auto finish = [this] {
+    {
+      const util::MutexLock done(checkpointWaitMu_);
+      checkpointInFlight_.store(false);
+    }
+    checkpointCv_.notifyAll();
+  };
+  // The previous checkpoint cleared the in-flight flag as its last
+  // step, so it has finished (or is returning) and the join is quick.
+  if (checkpointThread_.joinable()) checkpointThread_.join();
   try {
-    pool_.submit([this, store, snapshot, throughSeq] {
+    checkpointThread_ = std::thread([this, store, snapshot, throughSeq,
+                                     finish] {
       try {
         if (config_.checkpointTestHook) config_.checkpointTestHook();
         store->checkpoint(*snapshot, throughSeq);
@@ -592,7 +565,7 @@ void LocalizationService::maybeCheckpointFromWriter(
       } catch (...) {
         // Durability degraded but serving is unaffected: the WAL still
         // holds everything.  Surface via metrics rather than tearing
-        // down a worker.
+        // the process down.
         if (metrics_.checkpointFailures)
           metrics_.checkpointFailures->inc();
       }
@@ -600,21 +573,13 @@ void LocalizationService::maybeCheckpointFromWriter(
       } catch (...) {
       }
 #endif
-      {
-        const util::MutexLock done(checkpointWaitMu_);
-        checkpointInFlight_.store(false);
-      }
-      checkpointCv_.notifyAll();
+      finish();
     });
   } catch (...) {
-    // submit itself failed (pool shutting down): without this reset the
-    // flag would latch true forever, permanently disabling background
+    // The thread could not start: without this reset the flag would
+    // latch true forever, permanently disabling background
     // checkpoints and hanging waitForCheckpoint().
-    {
-      const util::MutexLock done(checkpointWaitMu_);
-      checkpointInFlight_.store(false);
-    }
-    checkpointCv_.notifyAll();
+    finish();
 #if MOLOC_METRICS_ENABLED
     if (metrics_.checkpointFailures) metrics_.checkpointFailures->inc();
 #endif

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "radio/fingerprint_database.hpp"
 #include "sensors/imu_trace.hpp"
 #include "service/intake.hpp"
-#include "service/thread_pool.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -43,8 +43,11 @@ inline constexpr std::size_t kTieredIndexMinEntries = 1024;
 
 /// Server-side tunables of the LocalizationService.
 struct ServiceConfig {
-  /// Worker threads for localizeBatch(); 0 selects the hardware
-  /// concurrency (at least 1).
+  /// Threads that build the boot world's tiered index (passed as
+  /// index::IndexConfig::buildThreads); 0 selects the hardware
+  /// concurrency.  The index is bitwise identical at any count.  The
+  /// service itself starts no localization threads: every call runs on
+  /// its caller's thread.
   std::size_t threadCount = 0;
   /// Shards of the session map; more shards = less lock contention on
   /// session lookup.  Must be >= 1 (throws std::invalid_argument).
@@ -58,15 +61,15 @@ struct ServiceConfig {
   /// constructor builds (e.g. a generated venue's per-floor starts);
   /// empty lets the index split uniformly.
   std::vector<std::size_t> indexShardStarts;
-  /// Registry receiving the service/pool/engine instruments (see
+  /// Registry receiving the service/engine instruments (see
   /// docs/observability.md).  Defaults to the process-wide registry so
   /// a plain service is observable out of the box; point it at a
   /// private registry to isolate one service's series (as the tests
   /// and bench do), or set nullptr to opt out at runtime.  Inert when
   /// the build sets MOLOC_METRICS=OFF.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
-  /// Test seam: when set, runs inside every background checkpoint's
-  /// pool task before the store write — lets tests hold a checkpoint
+  /// Test seam: when set, runs on every background checkpoint's
+  /// thread before the store write — lets tests hold a checkpoint
   /// deterministically in flight (e.g. to race waitForCheckpoint
   /// against shutdown).  Leave unset in production.
   std::function<void()> checkpointTestHook;
@@ -110,12 +113,16 @@ struct ScanRequest {
 ///     newest published world at the start of a scan, under that same
 ///     per-session lock.
 ///
+/// Threads: the service runs localization on its callers' threads
+/// (molocd's serving threads, a bench's own threads) and starts only
+/// the intake writer and one background checkpoint thread of its own.
+///
 /// Determinism: a session's estimate depends only on that session's
-/// scan sequence and the worlds it adopted, so localizeBatch() over
-/// the thread pool returns results bitwise-identical to running each
-/// session serially, regardless of thread count or scheduling (worlds
-/// only change when the intake publishes; with no publish in flight,
-/// every interleaving scores the same snapshot).
+/// scan sequence and the worlds it adopted, so concurrent callers get
+/// results bitwise-identical to running each session serially,
+/// regardless of how their calls interleave (worlds only change when
+/// the intake publishes; with no publish in flight, every interleaving
+/// scores the same snapshot).
 class LocalizationService {
  public:
   /// Serves `world` as generation `world->generation()` of the serving
@@ -140,14 +147,13 @@ class LocalizationService {
   /// Wakes any waitForCheckpoint() waiters with ShutdownError and
   /// drains them, stops the intake writer (admitted observations are
   /// still applied and covered by a final publish), then joins any
-  /// in-flight background checkpoint via the pool.
+  /// in-flight background checkpoint.
   ~LocalizationService();
 
   const ServiceConfig& config() const { return config_; }
   const radio::FingerprintDatabase& fingerprints() const {
     return *fingerprints_;
   }
-  std::size_t threadCount() const { return pool_.size(); }
 
   /// The tiered candidate index fronting the radio map, or null when
   /// the boot world has none (the exact scan serves).  Immutable, and
@@ -180,9 +186,11 @@ class LocalizationService {
       const sensors::ImuTrace& imuSinceLastScan)
       MOLOC_EXCLUDES(intakeMu_, checkpointWaitMu_);
 
-  /// Localizes a batch over the thread pool and returns the estimates
-  /// in request order.  Requests for the same session are applied in
-  /// their order within `batch`; distinct sessions run in parallel.
+  /// Localizes a batch on the calling thread and returns the estimates
+  /// in request order.  Every scan is matched against the radio map in
+  /// one batched query up front; then each session's requests are
+  /// applied in their order within `batch`, under that session's lock,
+  /// one session after another in first-appearance order.
   ///
   /// Failure semantics (enforced; see docs/serving.md): when a request
   /// throws (e.g. a NaN scan), that session's *remaining* requests in
@@ -223,8 +231,8 @@ class LocalizationService {
   /// non-null and outlive the service (as must `store`).  When `store`
   /// is non-null it is attached as `db`'s sink, so every applied
   /// observation is durably logged before it mutates the reservoirs;
-  /// `checkpointEveryRecords` > 0 (requires a store) publishes a
-  /// checkpoint on the thread pool whenever that many records
+  /// `checkpointEveryRecords` > 0 (requires a store) writes a
+  /// checkpoint on a background thread whenever that many records
   /// accumulate past the newest checkpoint.  `policy` sets the queue
   /// bound and the publish cadence.  The database's current contents
   /// (e.g. recovered state) are published immediately.  Re-attaching
@@ -378,9 +386,7 @@ class LocalizationService {
   Metrics metrics_;
 #endif
 
-  // Intake state.  Declared before pool_ on purpose: the pool is the
-  // last member, so its destructor joins any in-flight background
-  // checkpoint while everything the task touches is still alive.
+  // Intake state.
   mutable util::Mutex intakeMu_;
   core::OnlineMotionDatabase* intakeDb_ MOLOC_GUARDED_BY(intakeMu_) =
       nullptr;
@@ -402,10 +408,14 @@ class LocalizationService {
   int checkpointWaiters_ MOLOC_GUARDED_BY(checkpointWaitMu_) = 0;
   /// Atomic rather than guarded: maybeCheckpointFromWriter() claims
   /// the in-flight slot with exchange() on the writer thread, and the
-  /// pool task clears it under checkpointWaitMu_ for the waiters.
+  /// checkpoint thread clears it under checkpointWaitMu_ for the
+  /// waiters.
   std::atomic<bool> checkpointInFlight_{false};
-
-  ThreadPool pool_;
+  /// The newest background checkpoint.  Touched only by the intake
+  /// writer (which joins the finished previous one before starting the
+  /// next) and by the destructor after the writer has stopped, which
+  /// joins it last.
+  std::thread checkpointThread_;
 };
 
 }  // namespace moloc::service

@@ -124,7 +124,7 @@ TEST(AnalyzeRules, UtilIsExemptFromRulesWhoseAlternativeLivesThere) {
   EXPECT_FALSE(ma::inScope("typed-errors", "src/util/error.hpp"));
   EXPECT_FALSE(ma::inScope("raw-sync", "src/util/mutex.hpp"));
   EXPECT_TRUE(ma::inScope("typed-errors", "src/net/wire.cpp"));
-  EXPECT_TRUE(ma::inScope("raw-sync", "src/service/thread_pool.cpp"));
+  EXPECT_TRUE(ma::inScope("raw-sync", "src/service/intake.cpp"));
   // ...but util is not exempt from everything.
   EXPECT_TRUE(ma::inScope("naked-new", "src/util/csv.cpp"));
   EXPECT_TRUE(ma::inScope("untrusted-alloc", "src/util/csv.cpp"));

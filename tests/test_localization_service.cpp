@@ -88,9 +88,8 @@ bool estimatesBitwiseEqual(const core::LocationEstimate& a,
   return true;
 }
 
-ServiceConfig testConfig(std::size_t threads) {
+ServiceConfig testConfig() {
   ServiceConfig config;
-  config.threadCount = threads;
   config.shardCount = 4;
   config.engine = core::MoLocConfig{5, {}};
   return config;
@@ -98,7 +97,7 @@ ServiceConfig testConfig(std::size_t threads) {
 
 TEST(LocalizationService, SubmitScanMatchesStandaloneSession) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(2));
+                          testConfig());
   core::LocalizationSession serial(svc.fingerprints(), twinMotion(),
                                    svc.config().defaultStepLengthMeters,
                                    svc.config().engine,
@@ -118,7 +117,7 @@ TEST(LocalizationService, SubmitScanMatchesStandaloneSession) {
 TEST(LocalizationService, BatchIsBitwiseIdenticalToSerialExecution) {
   constexpr std::size_t kSessions = 8;
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(4));
+                          testConfig());
 
   // Serial reference: one standalone session per user, scans in order.
   std::vector<Walk> walks;
@@ -151,7 +150,7 @@ TEST(LocalizationService, BatchIsBitwiseIdenticalToSerialExecution) {
 
 TEST(LocalizationService, SameSessionRequestsInOneBatchApplyInOrder) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(4));
+                          testConfig());
   const auto walk = makeWalk(11);
   std::vector<ScanRequest> batch;
   for (std::size_t r = 0; r < walk.scans.size(); ++r)
@@ -159,7 +158,7 @@ TEST(LocalizationService, SameSessionRequestsInOneBatchApplyInOrder) {
   const auto fromBatch = svc.localizeBatch(batch);
 
   LocalizationService reference(twinFingerprints(), twinMotion(),
-                                testConfig(1));
+                                testConfig());
   for (std::size_t r = 0; r < walk.scans.size(); ++r)
     EXPECT_TRUE(estimatesBitwiseEqual(
         fromBatch[r],
@@ -167,28 +166,67 @@ TEST(LocalizationService, SameSessionRequestsInOneBatchApplyInOrder) {
         << "round " << r;
 }
 
-TEST(LocalizationService, ThreadCountDoesNotChangeResults) {
-  const auto walk = makeWalk(23);
-  std::vector<ScanRequest> batch;
-  for (std::size_t s = 0; s < 6; ++s)
-    batch.push_back({static_cast<SessionId>(s), walk.scans[0],
-                     walk.imu[0]});
-  LocalizationService one(twinFingerprints(), twinMotion(),
-                          testConfig(1));
-  LocalizationService four(twinFingerprints(), twinMotion(),
-                           testConfig(4));
-  const auto a = one.localizeBatch(batch);
-  const auto b = four.localizeBatch(batch);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_TRUE(estimatesBitwiseEqual(a[i], b[i])) << "request " << i;
+TEST(LocalizationService, ConcurrentCallerBatchesMatchSerial) {
+  // The service runs localizeBatch on the caller's thread, so a
+  // serving process gets its parallelism from concurrent callers.
+  // Four threads, each batching its own sessions round after round,
+  // must get the same bits as one thread running every batch.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kSessionsPerThread = 6;
+  std::vector<Walk> walks;
+  for (std::size_t s = 0; s < kThreads * kSessionsPerThread; ++s)
+    walks.push_back(makeWalk(200 + s));
+  // Each session walks its three-scan route twice.
+  const std::size_t legs = walks.front().scans.size();
+  const std::size_t rounds = 2 * legs;
+  const auto batchFor = [&](std::size_t thread, std::size_t round) {
+    std::vector<ScanRequest> batch;
+    for (std::size_t j = 0; j < kSessionsPerThread; ++j) {
+      const std::size_t s = thread * kSessionsPerThread + j;
+      batch.push_back({static_cast<SessionId>(s),
+                       walks[s].scans[round % legs],
+                       walks[s].imu[round % legs]});
+    }
+    return batch;
+  };
+
+  using Results = std::vector<std::vector<core::LocationEstimate>>;
+  LocalizationService serialSvc(twinFingerprints(), twinMotion(),
+                                testConfig());
+  std::vector<Results> serial(kThreads, Results(rounds));
+  for (std::size_t r = 0; r < rounds; ++r)
+    for (std::size_t t = 0; t < kThreads; ++t)
+      serial[t][r] = serialSvc.localizeBatch(batchFor(t, r));
+
+  LocalizationService svc(twinFingerprints(), twinMotion(), testConfig());
+  std::vector<Results> concurrent(kThreads, Results(rounds));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t r = 0; r < rounds; ++r)
+        concurrent[t][r] = svc.localizeBatch(batchFor(t, r));
+    });
+  go.store(true);
+  for (auto& caller : callers) caller.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t r = 0; r < rounds; ++r) {
+      ASSERT_EQ(concurrent[t][r].size(), kSessionsPerThread);
+      for (std::size_t j = 0; j < kSessionsPerThread; ++j)
+        EXPECT_TRUE(
+            estimatesBitwiseEqual(concurrent[t][r][j], serial[t][r][j]))
+            << "thread " << t << " round " << r << " session " << j;
+    }
+  EXPECT_EQ(svc.sessionCount(), kThreads * kSessionsPerThread);
 }
 
 TEST(LocalizationService, ConcurrentSubmitScansAreSafe) {
   // The ThreadSanitizer smoke test: external threads hammer submitScan
-  // on overlapping sessions while a batch runs on the pool.
+  // on overlapping sessions while this thread runs batches.
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(4));
+                          testConfig());
   const auto walk = makeWalk(5);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -217,12 +255,12 @@ TEST(LocalizationService, ConcurrentSubmitScansAreSafe) {
 
 TEST(LocalizationService, ConcurrentFirstScansCreateOneSession) {
   // A new session is built outside the shard lock and inserted if
-  // absent.  Racing first scans for one new id — from external threads
-  // and from a batch on the pool — must leave exactly one session; a
-  // losing builder's slot is dropped without touching the gauge, and
-  // every racer's scan lands on the survivor.
+  // absent.  Racing first scans for one new id — from submitScan and
+  // from a batch, each on its own thread — must leave exactly one
+  // session; a losing builder's slot is dropped without touching the
+  // gauge, and every racer's scan lands on the survivor.
   const auto walk = makeWalk(9);
-  ServiceConfig referenceConfig = testConfig(1);
+  ServiceConfig referenceConfig = testConfig();
   referenceConfig.metrics = nullptr;
   LocalizationService reference(twinFingerprints(), twinMotion(),
                                 referenceConfig);
@@ -234,7 +272,7 @@ TEST(LocalizationService, ConcurrentFirstScansCreateOneSession) {
   constexpr int kScanners = 8;
   for (int round = 0; round < 10; ++round) {
     obs::MetricsRegistry registry;
-    ServiceConfig config = testConfig(2);
+    ServiceConfig config = testConfig();
     config.metrics = &registry;
     LocalizationService svc(twinFingerprints(), twinMotion(), config);
 
@@ -272,7 +310,7 @@ TEST(LocalizationService, ConcurrentFirstScansCreateOneSession) {
 
 TEST(LocalizationService, OpenSessionRejectsDuplicatesAndBadStepLength) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(1));
+                          testConfig());
   svc.openSession(1, 0.8);
   EXPECT_THROW(svc.openSession(1, 0.7), std::invalid_argument);
   EXPECT_THROW(svc.openSession(2, 0.0), std::invalid_argument);
@@ -281,7 +319,7 @@ TEST(LocalizationService, OpenSessionRejectsDuplicatesAndBadStepLength) {
 
 TEST(LocalizationService, EndSessionDiscardsState) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(1));
+                          testConfig());
   const auto walk = makeWalk(9);
   (void)svc.submitScan(5, walk.scans[0], walk.imu[0]);
   EXPECT_TRUE(svc.endSession(5));
@@ -292,7 +330,7 @@ TEST(LocalizationService, EndSessionDiscardsState) {
 
 TEST(LocalizationService, ResetSessionForgetsWalkHistory) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(1));
+                          testConfig());
   const auto walk = makeWalk(13);
   const auto first = svc.submitScan(3, walk.scans[0], walk.imu[0]);
   (void)svc.submitScan(3, walk.scans[1], walk.imu[1]);
@@ -305,7 +343,7 @@ TEST(LocalizationService, ResetSessionForgetsWalkHistory) {
 
 TEST(LocalizationService, BatchPropagatesRequestErrors) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(2));
+                          testConfig());
   const auto walk = makeWalk(17);
   std::vector<ScanRequest> batch;
   batch.push_back({1, walk.scans[0], walk.imu[0]});
@@ -322,7 +360,7 @@ TEST(LocalizationService, BatchSkipsFailedSessionsRemainingRequests) {
   // sessions untouched.  Verified by replaying the surviving prefix
   // on a reference service and comparing the next estimate bitwise.
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(4));
+                          testConfig());
   const auto walk = makeWalk(31);
   const radio::Fingerprint poisoned({std::nan(""), -60.0});
 
@@ -335,7 +373,7 @@ TEST(LocalizationService, BatchSkipsFailedSessionsRemainingRequests) {
 
   // Reference sessions that applied exactly the surviving prefix.
   LocalizationService reference(twinFingerprints(), twinMotion(),
-                                testConfig(1));
+                                testConfig());
   (void)reference.submitScan(1, walk.scans[0], walk.imu[0]);
   (void)reference.submitScan(2, walk.scans[0], walk.imu[0]);
 
@@ -353,9 +391,9 @@ TEST(LocalizationService, BatchSkipsFailedSessionsRemainingRequests) {
 TEST(LocalizationService, BatchRethrowsEarliestFailureInBatchOrder) {
   // Two sessions fail with distinguishable errors; the service must
   // deterministically surface the one at the smaller batch index, not
-  // whichever future settles first.
+  // whichever session happens to run first.
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(4));
+                          testConfig());
   const auto walk = makeWalk(37);
   std::vector<ScanRequest> batch;
   batch.push_back({100, radio::Fingerprint({-50.0}), walk.imu[0]});
@@ -374,7 +412,7 @@ TEST(LocalizationService, BatchRethrowsEarliestFailureInBatchOrder) {
 #if MOLOC_METRICS_ENABLED
 TEST(LocalizationService, ServiceMetricsTrackScansSessionsAndBatches) {
   obs::MetricsRegistry registry;
-  ServiceConfig config = testConfig(2);
+  ServiceConfig config = testConfig();
   config.metrics = &registry;
   LocalizationService svc(twinFingerprints(), twinMotion(), config);
   const auto walk = makeWalk(41);
@@ -405,10 +443,6 @@ TEST(LocalizationService, ServiceMetricsTrackScansSessionsAndBatches) {
   EXPECT_TRUE(svc.endSession(2));
   EXPECT_DOUBLE_EQ(active->value(), 2.0);
 
-  // The pool and engine instruments land in the same registry.
-  EXPECT_NE(registry.findGauge("moloc_pool_queue_depth"), nullptr);
-  EXPECT_GE(
-      registry.findCounter("moloc_pool_tasks_total")->value(), 2.0);
   // The batch rounds run fingerprint matching through the service's
   // up-front kernel invocation, not the per-round engine stage: the
   // engine's fingerprint stage counts only the two submitScan rounds,
@@ -430,7 +464,7 @@ TEST(LocalizationService, ServiceMetricsTrackScansSessionsAndBatches) {
 
 TEST(LocalizationService, FailedBatchRequestsCounted) {
   obs::MetricsRegistry registry;
-  ServiceConfig config = testConfig(2);
+  ServiceConfig config = testConfig();
   config.metrics = &registry;
   LocalizationService svc(twinFingerprints(), twinMotion(), config);
   const auto walk = makeWalk(43);
@@ -449,7 +483,7 @@ TEST(LocalizationService, FailedBatchRequestsCounted) {
 }
 
 TEST(LocalizationService, NullRegistryDisablesMetricsAtRuntime) {
-  ServiceConfig config = testConfig(1);
+  ServiceConfig config = testConfig();
   config.metrics = nullptr;
   LocalizationService svc(twinFingerprints(), twinMotion(), config);
   const auto walk = makeWalk(47);
@@ -459,7 +493,7 @@ TEST(LocalizationService, NullRegistryDisablesMetricsAtRuntime) {
 #endif
 
 TEST(LocalizationService, RejectsZeroShards) {
-  ServiceConfig config = testConfig(1);
+  ServiceConfig config = testConfig();
   config.shardCount = 0;
   EXPECT_THROW(LocalizationService(twinFingerprints(), twinMotion(),
                                    config),
@@ -486,7 +520,7 @@ std::string freshStoreDir(const std::string& tag) {
 
 TEST(LocalizationService, ReportObservationRequiresAttachedIntake) {
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(1));
+                          testConfig());
   EXPECT_THROW(svc.reportObservation(0, 1, 90.0, 4.0),
                std::logic_error);
   EXPECT_THROW(svc.attachIntake(nullptr), std::invalid_argument);
@@ -504,7 +538,7 @@ TEST(LocalizationService, ReportObservationFeedsTheAttachedDatabase) {
   const auto plan = intakePlan();
   core::OnlineMotionDatabase db(plan);
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(2));
+                          testConfig());
   svc.attachIntake(&db);
 
   EXPECT_TRUE(svc.reportObservation(0, 1, 90.0, 4.0));
@@ -525,7 +559,7 @@ TEST(LocalizationService, BackgroundCheckpointTriggersByRecordCount) {
   store::StateStore store(dir, storeConfig);
 
   LocalizationService svc(twinFingerprints(), twinMotion(),
-                          testConfig(2));
+                          testConfig());
   svc.attachIntake(&db, &store, /*checkpointEveryRecords=*/10);
   EXPECT_EQ(db.sink(), &store);  // attachIntake wires the WAL hook.
 
@@ -571,7 +605,7 @@ TEST(LocalizationService, DestructionWakesCheckpointWaiters) {
 
   std::atomic<bool> hookEntered{false};
   std::atomic<bool> hookRelease{false};
-  ServiceConfig config = testConfig(2);
+  ServiceConfig config = testConfig();
   config.checkpointTestHook = [&] {
     hookEntered.store(true);
     while (!hookRelease.load()) std::this_thread::yield();
@@ -649,7 +683,7 @@ TEST(LocalizationService, FlushRacingShutdownThrowsPromptly) {
   BlockingSink sink(sinkEntered, sinkRelease);
 
   auto svc = std::make_unique<LocalizationService>(
-      twinFingerprints(), twinMotion(), testConfig(2));
+      twinFingerprints(), twinMotion(), testConfig());
   svc->attachIntake(&db);
   db.setSink(&sink);  // After attachIntake: it owns the sink slot.
 

@@ -1,9 +1,9 @@
 // Lock-discipline stress: every lock the thread-safety annotations
 // prove statically (see src/util/thread_annotations.hpp and
 // docs/static_analysis.md) exercised together dynamically — serving
-// batches on the pool, crowdsourced intake through the MPSC queue into
-// the single writer thread (WAL + reservoir + snapshot publishes), and
-// checkpoint waiters, all concurrently.  The suite name joins the
+// batches from two callers, crowdsourced intake through the MPSC queue
+// into the single writer thread (WAL + reservoir + snapshot publishes),
+// and checkpoint waiters, all concurrently.  The suite name joins the
 // ThreadSanitizer CI job's filter, where this test is the cross-
 // subsystem deadlock/race probe: producers touch only the intake
 // queue lock and the database's inner mu_ (classify); the writer owns
@@ -62,7 +62,6 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
   store::StateStore store(freshDir(), storeConfig);
 
   ServiceConfig config;
-  config.threadCount = 4;
   config.shardCount = 4;
   config.engine = core::MoLocConfig{3, {}};
   LocalizationService svc(fingerprints(), motion(), config);
@@ -74,7 +73,7 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
   std::atomic<int> failures{0};
 
   std::vector<std::thread> threads;
-  // Serving: batches of overlapping sessions on the pool.
+  // Serving: two callers batch overlapping sessions.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&svc, &failures, t] {
       const sensors::ImuTrace noImu(50.0);

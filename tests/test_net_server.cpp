@@ -95,9 +95,8 @@ bool estimatesBitwiseEqual(const core::LocationEstimate& a,
   return true;
 }
 
-service::ServiceConfig testConfig(std::size_t threads) {
+service::ServiceConfig testConfig() {
   service::ServiceConfig config;
-  config.threadCount = threads;
   config.shardCount = 4;
   config.engine = core::MoLocConfig{5, {}};
   return config;
@@ -154,9 +153,9 @@ void boundReceives(const Client& client) {
 
 TEST(NetServer, LoopbackLocalizeIsBitwiseIdenticalToInProcess) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(2));
+                                      testConfig());
   service::LocalizationService reference(twinFingerprints(), twinMotion(),
-                                         testConfig(1));
+                                         testConfig());
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -191,7 +190,7 @@ TEST(NetServer, ImageLoadedWorldServesBitwiseIdenticalToFreshlyBuilt) {
 
   // Give the (small) world a tiered index so the image embeds
   // signature planes and the served localize path exercises them.
-  const service::ServiceConfig config = testConfig(2);
+  const service::ServiceConfig config = testConfig();
   const auto radioMap =
       std::make_shared<const radio::FingerprintDatabase>(twinFingerprints());
   service::LocalizationService reference(
@@ -231,9 +230,9 @@ TEST(NetServer, ImageLoadedWorldServesBitwiseIdenticalToFreshlyBuilt) {
 
 TEST(NetServer, LocalizeBatchMatchesAndPreservesOrder) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(2));
+                                      testConfig());
   service::LocalizationService reference(twinFingerprints(), twinMotion(),
-                                         testConfig(1));
+                                         testConfig());
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -265,7 +264,7 @@ TEST(NetServer, ReportFlushAndStatsRoundTrip) {
   const auto plan = intakePlan();
   core::OnlineMotionDatabase db(plan);
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(2));
+                                      testConfig());
   served.attachIntake(&db);
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
@@ -296,7 +295,7 @@ TEST(NetServer, ReportFlushAndStatsRoundTrip) {
 
 TEST(NetServer, ReportWithoutIntakeIsBadRequestNotDisconnect) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -328,7 +327,7 @@ TEST(NetServer, IntakeBackpressureMapsToOverloadedStatus) {
   const auto plan = intakePlan();
   core::OnlineMotionDatabase db(plan);
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   service::IntakePolicy policy;
   policy.queueCapacity = 1;
   served.attachIntake(&db, nullptr, 0, policy);
@@ -368,7 +367,7 @@ TEST(NetServer, IntakeBackpressureMapsToOverloadedStatus) {
 
 TEST(NetServer, DrainAnswersEveryPipelinedRequestBeforeClosing) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(2));
+                                      testConfig());
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -409,9 +408,9 @@ TEST(NetServer, OversizedBatchResponseIsAnErrorNotAWedgedConnection) {
   // worker exception would leave `processing` set forever) or block
   // the drain.
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(2));
+                                      testConfig());
   service::LocalizationService reference(twinFingerprints(), twinMotion(),
-                                         testConfig(1));
+                                         testConfig());
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -452,7 +451,7 @@ TEST(NetServer, OversizedBatchResponseIsAnErrorNotAWedgedConnection) {
 
 TEST(NetServer, DrainDeadlineForceClosesAStalledMidFramePeer) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   ServerConfig config = loopbackConfig();
   config.drainTimeoutMs = 200;
   Server server(served, config);
@@ -476,7 +475,7 @@ TEST(NetServer, DrainDeadlineForceClosesAStalledMidFramePeer) {
 
 TEST(NetServer, DrainRunsTheDrainHookAfterFlushingResponses) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   std::atomic<bool> hookRan{false};
   ServerConfig config = loopbackConfig();
   config.drainHook = [&] { hookRan.store(true); };
@@ -498,7 +497,7 @@ TEST(NetServer, SigtermHandlerDrainsLikeMolocd) {
   // Mirrors molocd's signal wiring: requestStop() is async-signal-safe,
   // so the handler may call it directly.
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   Server server(served, loopbackConfig());
 
   static Server* signalTarget;
@@ -517,7 +516,7 @@ TEST(NetServer, SigtermHandlerDrainsLikeMolocd) {
 
 TEST(NetServer, MalformedBytesCountAndDropTheConnection) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -546,7 +545,7 @@ TEST(NetServer, MalformedBytesCountAndDropTheConnection) {
 
 TEST(NetServer, PeerHangupIsACleanCountedDisconnect) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   Server server(served, loopbackConfig());
   {
     Client client("127.0.0.1", server.port());
@@ -559,9 +558,9 @@ TEST(NetServer, PeerHangupIsACleanCountedDisconnect) {
 
 TEST(NetServer, ManyConcurrentClientsKeepSessionsIsolated) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(2));
+                                      testConfig());
   service::LocalizationService reference(twinFingerprints(), twinMotion(),
-                                         testConfig(1));
+                                         testConfig());
   Server server(served, loopbackConfig());
 
   constexpr std::uint64_t kClients = 8;
@@ -599,7 +598,7 @@ TEST(NetServer, DrainWithoutDeadlineClosesIdleAndJustAnsweredConnections) {
   // readiness event at all, and one that was just answered has
   // already been re-armed.  Neither may hold waitUntilStopped open.
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   ServerConfig config = loopbackConfig();
   config.drainTimeoutMs = 0;
   Server server(served, config);
@@ -629,7 +628,7 @@ TEST(NetServer, DrainWithoutDeadlineClosesIdleAndJustAnsweredConnections) {
 
 TEST(NetServer, ConnectionLimitParksTheListenerUntilAPeerHangsUp) {
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   ServerConfig config = loopbackConfig();
   config.maxConnections = 1;
   Server server(served, config);
@@ -658,7 +657,7 @@ TEST(NetServer, WriteQueueBoundStopsReadingAPeerThatNeverReads) {
   const auto plan = intakePlan();
   core::OnlineMotionDatabase db(plan);
   service::LocalizationService served(twinFingerprints(), twinMotion(),
-                                      testConfig(1));
+                                      testConfig());
   served.attachIntake(&db);  // Stats then answers without an exception.
   ServerConfig config = loopbackConfig();
   config.workerThreads = 1;

@@ -73,7 +73,6 @@ TEST(WorldSnapshot, ServiceBootWorldIsGenerationZero) {
   MotionDatabase motion(3);
   motion.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
   service::ServiceConfig config;
-  config.threadCount = 1;
   config.shardCount = 1;
   config.metrics = nullptr;
   service::LocalizationService svc(corridorFingerprints(), motion, config);
@@ -96,7 +95,6 @@ TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
   OnlineMotionDatabase db(plan, builderConfig);
 
   service::ServiceConfig config;
-  config.threadCount = 1;
   config.shardCount = 1;
   config.metrics = nullptr;
   service::LocalizationService svc(corridorFingerprints(),
@@ -149,7 +147,6 @@ TEST(WorldSnapshot, SessionsAdoptNewerWorldsBetweenScans) {
   OnlineMotionDatabase db(plan, builderConfig);
 
   service::ServiceConfig config;
-  config.threadCount = 1;
   config.shardCount = 1;
   config.metrics = nullptr;
   config.engine = MoLocConfig{3, {}};

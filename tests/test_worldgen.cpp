@@ -210,7 +210,6 @@ TEST(WorldgenTest, ServiceWithIndexMatchesExactServiceBitwise) {
   index::IndexConfig audited;
   audited.exhaustiveCheck = true;  // Audit recall on every query.
   service::ServiceConfig config;
-  config.threadCount = 2;
   config.metrics = nullptr;
   service::LocalizationService withIndex(
       std::make_shared<const core::WorldSnapshot>(
