@@ -21,9 +21,10 @@
 //      reported through the intake (Report/Flush/Stats round trip).
 //   3. Verification phase: the identical scan sequences replayed
 //      through an in-process LocalizationService built from the same
-//      seed; estimates must be bitwise identical to what the network
-//      returned (the service's determinism contract extended across
-//      the wire).
+//      seed (and, with --wal-dir, the intake state the daemon
+//      recovered at boot); estimates must be bitwise identical to what
+//      the network returned (the service's determinism contract
+//      extended across the wire).
 //
 // Emits bench_results/BENCH_micro_net.json with the host recorded
 // (schema gated by tools/check_bench_json.py).
@@ -42,6 +43,7 @@
 #include "net/client.hpp"
 #include "net/wire.hpp"
 #include "service/localization_service.hpp"
+#include "store/state_store.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
 #include "worldgen/generated_venue.hpp"
@@ -186,6 +188,10 @@ int main(int argc, char** argv) {
   args.addOption("out", "", "output JSON path (default bench_results/)");
   args.addSwitch("smoke", "small fast run for CI (128 users, 2 legs)");
   args.addSwitch("skip-verify", "skip the in-process bitwise check");
+  args.addOption("wal-dir", "",
+                 "the daemon's --wal-dir: the in-process reference "
+                 "recovers it (read-only) before the localize phase, so "
+                 "a restarted daemon verifies bitwise");
   args.addSwitch("server-no-intake",
                  "daemon runs --no-intake: skip the observation phase "
                  "and verify against an intake-less service");
@@ -244,6 +250,32 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(worldConfig.seed),
                 worldConfig.apCount);
     world = std::make_unique<eval::ExperimentWorld>(worldConfig);
+  }
+
+  // The verification phase's reference intake.  A daemon restarted on
+  // a non-empty --wal-dir serves the motion database it recovered at
+  // boot, so the reference recovers the same directory — now, before
+  // phase 1, while the log still holds exactly what the daemon booted
+  // with (phase 2's reports append to it).
+  const bool verify = !args.getSwitch("skip-verify");
+  core::OnlineMotionDatabase verifyDb(venue ? venue->site().plan
+                                            : world->hall().plan);
+  const std::string walDir = args.getString("wal-dir");
+  if (verify && !walDir.empty()) {
+    try {
+      const store::RecoveryResult recovered =
+          store::recover(walDir, verifyDb);
+      std::printf("moloc_loadgen: reference recovered %llu records from "
+                  "%s (checkpoint seq %llu)\n",
+                  static_cast<unsigned long long>(
+                      verifyDb.counters().accepted),
+                  walDir.c_str(),
+                  static_cast<unsigned long long>(recovered.checkpointSeq));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "moloc_loadgen: cannot recover '%s': %s\n",
+                   walDir.c_str(), e.what());
+      return 2;
+    }
   }
 
   // ---- Script generation: one deterministic walk per user ----------
@@ -438,17 +470,15 @@ int main(int argc, char** argv) {
   // ---- Phase 3: in-process bitwise verification --------------------
   bool verified = true;
   std::size_t compared = 0;
-  const bool verify = !args.getSwitch("skip-verify");
   if (verify) {
     std::printf("moloc_loadgen: verifying against in-process service"
                 "...\n");
     // Mirror the daemon's construction exactly: same databases, same
     // default engine config (venue mode includes the same tiered-index
-    // shard boundaries), and the same (empty) intake database —
-    // attaching intake publishes generation 1, which the sessions
-    // adopt, so skipping it would verify against the wrong world.
-    core::OnlineMotionDatabase verifyDb(venue ? venue->site().plan
-                                              : world->hall().plan);
+    // shard boundaries), and the same intake database (empty, or
+    // recovered from --wal-dir) — attaching intake publishes
+    // generation 1, which the sessions adopt, so skipping it would
+    // verify against the wrong world.
     service::ServiceConfig verifyConfig;
     if (venue) verifyConfig.indexShardStarts = venue->shardStarts();
     service::LocalizationService reference(

@@ -11,7 +11,15 @@
 //      bit-identical path store::recover uses), with and without a
 //      checkpoint covering the full log — the difference is what a
 //      checkpoint buys at restart.
-//   3. Cold start vs venue size (campus-1k .. campus-64k): time from
+//   3. Checkpoint capture vs venue size: an intake holding four
+//      accepted observations per map leg of a generated campus venue
+//      is captured (OnlineMotionDatabase::snapshot()), written
+//      (store::writeCheckpointFile) and restored (a refit of every
+//      reservoir).  Capture must stay O(retained samples): the run
+//      exits non-zero when snapshot() time per retained sample at the
+//      largest venue exceeds 4x that at campus-1k, or when a restored
+//      database differs from the live one.
+//   4. Cold start vs venue size (campus-1k .. campus-64k): time from
 //      "files on disk" to "the three serving structures are ready"
 //      (FingerprintDatabase + MotionAdjacency + TieredIndex), along
 //      four paths:
@@ -33,9 +41,10 @@
 // bench_results/BENCH_micro_store.json (schema in
 // docs/performance.md), gated by tools/check_bench_json.py in CI.
 //
-// Modes: the no-arg default sweeps cold start at 1k/4k/16k; --full
-// adds the 64k venue the acceptance numbers quote; --smoke is the
-// minimal perf-smoke run (1k only, shortened append/recovery loops).
+// Modes: the no-arg default sweeps checkpoint capture and cold start
+// at 1k/4k/16k; --full adds the 64k cold start the acceptance numbers
+// quote; --smoke is the minimal perf-smoke run (capture at 1k and
+// 16k, cold start at 1k only, shortened append/recovery loops).
 
 #include <algorithm>
 #include <chrono>
@@ -46,6 +55,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +70,7 @@
 #include "io/serialization.hpp"
 #include "kernel/motion_kernel.hpp"
 #include "radio/fingerprint_database.hpp"
+#include "store/checkpoint.hpp"
 #include "store/state_store.hpp"
 #include "store/wal.hpp"
 #include "util/args.hpp"
@@ -164,6 +175,81 @@ RecoveryRow benchRecovery(const env::FloorPlan& plan,
   const auto result = store::recover(dir, db);
   row.seconds = secondsSince(start);
   row.replayed = result.replayedRecords;
+  std::filesystem::remove_all(dir);
+  return row;
+}
+
+// ---- Checkpoint capture vs venue size -----------------------------
+
+struct CaptureRow {
+  std::size_t locations = 0;
+  std::size_t pairs = 0;    ///< Reservoirs (map legs) in the snapshot.
+  std::size_t samples = 0;  ///< Retained samples across them.
+  double snapshotSeconds = 0.0;  ///< Best of kCaptureReps.
+  double writeSeconds = 0.0;     ///< Best of kCaptureReps.
+  double restoreSeconds = 0.0;   ///< One restore (refits every pair).
+  std::uint64_t bytes = 0;
+};
+
+constexpr std::size_t kCaptureReps = 5;
+
+CaptureRow benchCapture(std::size_t locations) {
+  const worldgen::GeneratedVenue venue(
+      worldgen::venueSpecForLocations(locations));
+  const env::FloorPlan& plan = venue.site().plan;
+  core::OnlineMotionDatabase db(plan);
+  // Four accepted observations per map leg, jittered well inside the
+  // coarse filter, so every leg publishes an entry.
+  constexpr double kJitter[4][2] = {
+      {-1.0, -0.05}, {-0.3, 0.02}, {0.4, -0.01}, {1.1, 0.04}};
+  venue.motion().forEachEntry([&](env::LocationId i, env::LocationId j,
+                                  const core::RlmStats& stats) {
+    if (i > j) return;  // Each leg once, from its mirror-free side.
+    for (const auto& jitter : kJitter)
+      db.addObservation(i, j, stats.muDirectionDeg + jitter[0],
+                        stats.muOffsetMeters + jitter[1]);
+  });
+
+  CaptureRow row;
+  row.locations = venue.locationCount();
+  const std::string dir = scratchDir("capture_" + std::to_string(locations));
+  core::OnlineMotionDatabase::Snapshot snapshot;
+  row.snapshotSeconds = row.writeSeconds = 1e30;
+  for (std::size_t r = 0; r < kCaptureReps; ++r) {
+    auto start = Clock::now();
+    snapshot = db.snapshot();
+    row.snapshotSeconds = std::min(row.snapshotSeconds, secondsSince(start));
+    start = Clock::now();
+    const std::string path = store::writeCheckpointFile(dir, 1, snapshot);
+    row.writeSeconds = std::min(row.writeSeconds, secondsSince(start));
+    row.bytes = std::filesystem::file_size(path);
+  }
+  row.pairs = snapshot.reservoirs.size();
+  for (const auto& pair : snapshot.reservoirs)
+    row.samples += pair.samples.size();
+
+  core::OnlineMotionDatabase restored(plan);
+  const auto start = Clock::now();
+  restored.restore(snapshot);
+  row.restoreSeconds = secondsSince(start);
+  // Correctness guard, outside the timed regions: every leg published,
+  // and the refit entries are the live ones (the text format prints
+  // round-trip precision, so equal text is equal bits).
+  const auto text = [](const core::MotionDatabase& motion) {
+    std::ostringstream out;
+    io::saveMotionDatabase(motion, out);
+    return std::move(out).str();
+  };
+  const core::MotionDatabase live = db.database();
+  const bool identical = live.entryCount() == 2 * row.pairs &&
+                         text(live) == text(restored.database());
+  if (!identical) {
+    std::fprintf(stderr,
+                 "FAIL: restore at %zu locations republished entries "
+                 "differing from the live database\n",
+                 row.locations);
+    std::exit(EXIT_FAILURE);
+  }
   std::filesystem::remove_all(dir);
   return row;
 }
@@ -402,6 +488,40 @@ int main(int argc, char** argv) {
                 row.checkpointed ? "yes" : "no", row.seconds, rps);
   }
 
+  std::printf("\n== micro_store: checkpoint capture vs venue size ==\n");
+  std::printf("  %9s %8s %9s %12s %12s %12s %10s\n", "locations",
+              "pairs", "samples", "snapshot_s", "write_s", "restore_s",
+              "ckpt_mb");
+  const std::vector<std::size_t> captureSizes =
+      smoke ? std::vector<std::size_t>{1024, 16384}
+            : std::vector<std::size_t>{1024, 4096, 16384};
+  std::vector<CaptureRow> captureRows;
+  for (const std::size_t locations : captureSizes) {
+    captureRows.push_back(benchCapture(locations));
+    const CaptureRow& r = captureRows.back();
+    std::printf("  %9zu %8zu %9zu %12.6f %12.6f %12.6f %10.2f\n",
+                r.locations, r.pairs, r.samples, r.snapshotSeconds,
+                r.writeSeconds, r.restoreSeconds,
+                static_cast<double>(r.bytes) / (1024.0 * 1024.0));
+  }
+  const auto perSample = [](const CaptureRow& r) {
+    return r.snapshotSeconds / static_cast<double>(r.samples);
+  };
+  const double captureRatio =
+      perSample(captureRows.back()) / perSample(captureRows.front());
+  std::printf("  snapshot() per retained sample, %zu vs %zu locations: "
+              "%.2fx (gate: <= 4x)\n",
+              captureRows.back().locations, captureRows.front().locations,
+              captureRatio);
+  if (captureRatio > 4.0) {
+    std::fprintf(stderr,
+                 "FAIL: snapshot() cost per retained sample grew %.2fx "
+                 "from %zu to %zu locations\n",
+                 captureRatio, captureRows.front().locations,
+                 captureRows.back().locations);
+    return EXIT_FAILURE;
+  }
+
   std::printf("\n== micro_store: cold start vs venue size ==\n");
   std::printf("  %9s %5s %10s %10s %12s %12s %12s %12s\n", "locations",
               "aps", "text_mb", "image_mb", "text_s", "binary_s",
@@ -473,6 +593,20 @@ int main(int argc, char** argv) {
                row.replayed == 0
                    ? 0.0
                    : static_cast<double>(row.replayed) / row.seconds)
+        .endObject();
+  }
+  json.endArray();
+
+  json.beginArray("checkpoint_capture");
+  for (const CaptureRow& r : captureRows) {
+    json.beginObject()
+        .field("locations", static_cast<double>(r.locations))
+        .field("pairs", static_cast<double>(r.pairs))
+        .field("samples", static_cast<double>(r.samples))
+        .field("snapshot_seconds", r.snapshotSeconds)
+        .field("write_seconds", r.writeSeconds)
+        .field("restore_seconds", r.restoreSeconds)
+        .field("checkpoint_bytes", static_cast<double>(r.bytes))
         .endObject();
   }
   json.endArray();

@@ -150,20 +150,21 @@ int main() {
               recovery.checkpointLoaded ? "loaded" : "absent",
               static_cast<unsigned long long>(recovery.replayedRecords));
 
-  const auto live = online.snapshot();
-  const auto fromDisk = rebuilt.snapshot();
-  bool identical = live.entries.size() == fromDisk.entries.size() &&
-                   live.rngState == fromDisk.rngState;
-  for (std::size_t e = 0; identical && e < live.entries.size(); ++e)
-    identical =
-        live.entries[e].stats.muDirectionDeg ==
-            fromDisk.entries[e].stats.muDirectionDeg &&
-        live.entries[e].stats.sigmaOffsetMeters ==
-            fromDisk.entries[e].stats.sigmaOffsetMeters;
+  const core::MotionDatabase live = online.database();
+  const core::MotionDatabase fromDisk = rebuilt.database();
+  bool identical = live.entryCount() == fromDisk.entryCount() &&
+                   online.snapshot().rngState == rebuilt.snapshot().rngState;
+  live.forEachEntry([&](env::LocationId i, env::LocationId j,
+                        const core::RlmStats& stats) {
+    const auto disk = fromDisk.entry(i, j);
+    identical = identical && disk &&
+                stats.muDirectionDeg == disk->muDirectionDeg &&
+                stats.sigmaOffsetMeters == disk->sigmaOffsetMeters;
+  });
   std::printf("rebuilt state %s the live database (%zu published "
               "entries)\n",
               identical ? "bit-identically matches" : "DIFFERS FROM",
-              fromDisk.entries.size());
+              fromDisk.entryCount());
   std::filesystem::remove_all(storeDir);
   return identical ? 0 : 1;
 }

@@ -148,35 +148,32 @@ void makeCheckpointSeeds(const fs::path& root) {
   plan.addReferenceLocation({2.0, 2.0});
   plan.addReferenceLocation({6.0, 2.0});
   plan.addReferenceLocation({10.0, 2.0});
+  // Both seeds cover seq 1: the harness stores its input as
+  // checkpoint-...01.ckpt, and the loader skips a file whose content
+  // disagrees with its name, so any other seq never reaches the
+  // re-encode check.
+  const fs::path dir = scratchDir("ckpt");
+  std::string path = moloc::store::writeCheckpointFile(
+      dir.string(), 1, moloc::core::OnlineMotionDatabase(plan).snapshot());
+  writeFile(root / "checkpoint/empty.bin", readFile(path));
+
+  // Small reservoirs, so evictions have advanced the RNG stream.
   moloc::core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4,
                                        /*seed=*/7);
   for (int k = 0; k < 40; ++k)
     db.addObservation(k % 2, 1 + k % 2, 88.0 + 0.2 * (k % 9),
                       3.7 + 0.02 * (k % 11));
-
-  moloc::store::CheckpointData data;
-  data.throughSeq = 40;
-  data.snapshot = db.snapshot();
-  const fs::path dir = scratchDir("ckpt");
-  std::string path = moloc::store::writeCheckpointFile(dir.string(), data);
-  writeFile(root / "checkpoint/no-fingerprints.bin", readFile(path));
-
-  moloc::radio::FingerprintDatabase radio;
-  radio.addLocation(0, moloc::radio::Fingerprint({-40.0, -70.5, -55.0}));
-  radio.addLocation(1, moloc::radio::Fingerprint({-60.0, -45.5, -80.0}));
-  data.fingerprints = radio;
-  data.throughSeq = 41;
-  path = moloc::store::writeCheckpointFile(dir.string(), data);
-  writeFile(root / "checkpoint/with-fingerprints.bin", readFile(path));
+  path = moloc::store::writeCheckpointFile(dir.string(), 1, db.snapshot());
+  writeFile(root / "checkpoint/evicting-reservoirs.bin", readFile(path));
   fs::remove_all(dir);
 
-  // Regression: a CRC-valid checkpoint whose fingerprint block claims
-  // zero locations but a huge AP count — previously an allocation bomb
-  // (the AP count sized a buffer before any bounds check could fire).
+  // Regression: a CRC-valid checkpoint whose reservoir count claims
+  // 2^40 pairs — the count must be bounded by the remaining bytes
+  // before it sizes any allocation.
   std::string body("MOLOCKPT", 8);
-  putU32(body, 1);   // version
+  putU32(body, 2);   // version
   putU64(body, 1);   // throughSeq (matches the harness's file name)
-  // Snapshot: default config, empty database.
+  // Snapshot: default config.
   putF64(body, 15.0);  // coarseDirectionThresholdDeg
   putF64(body, 2.0);   // coarseOffsetThresholdMeters
   putF64(body, 3.0);   // fineSigmaMultiplier
@@ -186,16 +183,13 @@ void makeCheckpointSeeds(const fs::path& root) {
   putU8(body, 1);      // enableCoarseFilter
   putU8(body, 1);      // enableFineFilter
   putU64(body, 4);     // capacity
-  putU64(body, 0);     // locationCount
+  putU64(body, 3);     // locationCount
   for (int w = 0; w < 4; ++w) putU64(body, 0x9e3779b97f4a7c15ull + w);
   for (int c = 0; c < 6; ++c) putU64(body, 0);  // counters
-  putU64(body, 0);  // reservoirs
-  putU64(body, 0);  // entries
-  putU8(body, 1);   // fingerprints present
-  putU64(body, 0);  // location count: zero...
-  putU64(body, 1ull << 40);  // ...but a terabyte-scale AP count
+  putU64(body, 1ull << 40);                     // reservoirs
   putU32(body, moloc::store::crc32c(body.data(), body.size()));
-  writeFile(root / "regressions/checkpoint/ap-count-bomb.bin", body);
+  writeFile(root / "regressions/checkpoint/reservoir-count-bomb.bin",
+            body);
 }
 
 void makeSerializationSeeds(const fs::path& root) {
@@ -261,16 +255,14 @@ void makeImageSeeds(const fs::path& root) {
   {
     const moloc::core::WorldSnapshot world(db, motion, /*generation=*/7,
                                            /*intakeRecords=*/21, index);
-    image::writeVenueImage((dir / "a.img").string(), world,
-                           {/*fsync=*/false});
+    image::writeVenueImage((dir / "a.img").string(), world);
   }
   const std::string withIndex = readFile(dir / "a.img");
   writeFile(root / "image/with-index.img", withIndex);
   {
     const moloc::core::WorldSnapshot world(db, motion, /*generation=*/7,
                                            /*intakeRecords=*/21, nullptr);
-    image::writeVenueImage((dir / "b.img").string(), world,
-                           {/*fsync=*/false});
+    image::writeVenueImage((dir / "b.img").string(), world);
   }
   writeFile(root / "image/no-index.img", readFile(dir / "b.img"));
   fs::remove_all(dir);

@@ -205,15 +205,11 @@ bool OnlineMotionDatabase::addObservation(env::LocationId estimatedStart,
   return true;
 }
 
-void OnlineMotionDatabase::refit(const PairKey& key,
-                                 const Reservoir& reservoir) {
-  if (static_cast<int>(reservoir.samples.size()) <
-      config_.minSamplesPerPair) {
-    // Reservoirs only grow, so a published entry cannot regress to
-    // this branch — but keep the invariant locally enforced anyway.
-    invalidateStaleEntry(key);
-    return;
-  }
+OnlineMotionDatabase::PairFit OnlineMotionDatabase::fitReservoir(
+    const BuilderConfig& config, const Reservoir& reservoir) {
+  PairFit result;
+  if (static_cast<int>(reservoir.samples.size()) < config.minSamplesPerPair)
+    return result;
 
   auto fit = [](const std::vector<double>& directions,
                 const std::vector<double>& offsets) {
@@ -242,13 +238,13 @@ void OnlineMotionDatabase::refit(const PairKey& key,
 
   RlmStats stats = fit(directions, offsets);
 
-  if (config_.enableFineFilter) {
+  if (config.enableFineFilter) {
     const double dirLimit =
-        config_.fineSigmaMultiplier *
-        std::max(stats.sigmaDirectionDeg, config_.minDirectionSigmaDeg);
+        config.fineSigmaMultiplier *
+        std::max(stats.sigmaDirectionDeg, config.minDirectionSigmaDeg);
     const double offLimit =
-        config_.fineSigmaMultiplier *
-        std::max(stats.sigmaOffsetMeters, config_.minOffsetSigmaMeters);
+        config.fineSigmaMultiplier *
+        std::max(stats.sigmaOffsetMeters, config.minOffsetSigmaMeters);
     std::vector<double> keptDirections;
     std::vector<double> keptOffsets;
     for (std::size_t s = 0; s < directions.size(); ++s) {
@@ -259,31 +255,39 @@ void OnlineMotionDatabase::refit(const PairKey& key,
         keptOffsets.push_back(offsets[s]);
       }
     }
-    const std::size_t excluded =
-        directions.size() - keptDirections.size();
-    if (excluded > 0) {
-      counters_.rejectedFine += excluded;
-#if MOLOC_METRICS_ENABLED
-      if (metrics_.rejectedFine)
-        metrics_.rejectedFine->inc(static_cast<double>(excluded));
-#endif
-    }
+    result.excludedFine = directions.size() - keptDirections.size();
     if (static_cast<int>(keptDirections.size()) <
-        config_.minSamplesPerPair) {
-      // The fine filter no longer supports this pair.  Keeping the
-      // previously published Gaussian would let the database disagree
-      // with the reservoir forever, so withdraw it instead.
-      invalidateStaleEntry(key);
-      return;
-    }
+        config.minSamplesPerPair)
+      return result;
     stats = fit(keptDirections, keptOffsets);
   }
 
   stats.sigmaDirectionDeg =
-      std::max(stats.sigmaDirectionDeg, config_.minDirectionSigmaDeg);
+      std::max(stats.sigmaDirectionDeg, config.minDirectionSigmaDeg);
   stats.sigmaOffsetMeters =
-      std::max(stats.sigmaOffsetMeters, config_.minOffsetSigmaMeters);
-  db_.setEntryWithMirror(key.first, key.second, stats);
+      std::max(stats.sigmaOffsetMeters, config.minOffsetSigmaMeters);
+  result.stats = stats;
+  return result;
+}
+
+void OnlineMotionDatabase::refit(const PairKey& key,
+                                 const Reservoir& reservoir) {
+  const PairFit fit = fitReservoir(config_, reservoir);
+  if (fit.excludedFine > 0) {
+    counters_.rejectedFine += fit.excludedFine;
+#if MOLOC_METRICS_ENABLED
+    if (metrics_.rejectedFine)
+      metrics_.rejectedFine->inc(static_cast<double>(fit.excludedFine));
+#endif
+  }
+  if (fit.stats) {
+    db_.setEntryWithMirror(key.first, key.second, *fit.stats);
+  } else {
+    // Too few samples (or fine-filter survivors) support this pair.
+    // Keeping a previously published Gaussian would let the database
+    // disagree with the reservoir forever, so withdraw it instead.
+    invalidateStaleEntry(key);
+  }
 }
 
 void OnlineMotionDatabase::invalidateStaleEntry(const PairKey& key) {
@@ -328,11 +332,6 @@ OnlineMotionDatabase::Snapshot OnlineMotionDatabase::snapshot() const {
       pair.samples.push_back({s.directionDeg, s.offsetMeters});
     snap.reservoirs.push_back(std::move(pair));
   }
-  const auto n = static_cast<env::LocationId>(db_.locationCount());
-  for (env::LocationId i = 0; i < n; ++i)
-    for (env::LocationId j = 0; j < n; ++j)
-      if (const auto entry = db_.entry(i, j))
-        snap.entries.push_back({i, j, *entry});
   return snap;
 }
 
@@ -377,13 +376,13 @@ void OnlineMotionDatabase::restore(const Snapshot& snapshot) {
       throw util::ConfigError(
           "OnlineMotionDatabase::restore: duplicate reservoir pair");
   }
+  // Republish from the reservoirs alone.  Every live entry is the fit
+  // of its reservoir's current contents, so refitting the same samples
+  // in the same storage order reproduces it bit for bit.
   MotionDatabase db(snapshot.locationCount);
-  for (const auto& entry : snapshot.entries) {
-    if (db.hasEntry(entry.i, entry.j))
-      throw util::ConfigError(
-          "OnlineMotionDatabase::restore: duplicate published entry");
-    db.setEntry(entry.i, entry.j, entry.stats);  // Throws on bad ids.
-  }
+  for (const auto& [key, reservoir] : reservoirs)
+    if (const auto stats = fitReservoir(snapshot.config, reservoir).stats)
+      db.setEntryWithMirror(key.first, key.second, *stats);
   util::Rng rng(0);
   rng.setState(snapshot.rngState);  // Throws on the all-zero state.
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -62,12 +63,11 @@ class ObservationSink {
 /// mutators — the serving stack funnels every observation through a
 /// single writer thread (service::IntakePipeline).  The inner state
 /// mutex guards the in-memory structures only and is never held
-/// across I/O, so readers (database() / counters() / databaseCopy() /
-/// classify()) cannot stall behind a log fsync.  What the locks
-/// cannot give is cross-call atomicity: references returned by
-/// database()/counters()/config() escape them; serving copies the
-/// database (databaseCopy) into an immutable WorldSnapshot instead of
-/// holding references while intake runs (see docs/serving.md).
+/// across I/O, so readers (database() / counters() / classify())
+/// cannot stall behind a log fsync.  What the locks cannot give is
+/// cross-call atomicity: the references counters()/config() return
+/// escape them; serving freezes a database() copy into an immutable
+/// WorldSnapshot instead (see docs/serving.md).
 class OnlineMotionDatabase {
  public:
   /// `reservoirCapacity` bounds per-pair memory; must be >= the
@@ -115,23 +115,12 @@ class OnlineMotionDatabase {
                      env::LocationId estimatedEnd, double directionDeg,
                      double offsetMeters);
 
-  /// The current queryable database.  Always coherent: every stored
-  /// pair reflects the latest refit of its reservoir.
-  ///
-  /// The returned reference escapes the intake mutex: readers holding
-  /// it across a concurrent addObservation see the database mid-update.
-  /// Serving snapshots the database instead of holding this reference
-  /// while intake runs (see docs/serving.md).
-  const MotionDatabase& database() const {
-    const util::MutexLock lock(mu_);
-    return db_;
-  }
-
   /// A value copy of the current queryable database, taken atomically
   /// under the state mutex — what the publisher freezes into a
-  /// core::WorldSnapshot.  Never blocks behind sink I/O (the write
-  /// mutex is not taken).
-  MotionDatabase databaseCopy() const {
+  /// core::WorldSnapshot.  Always coherent: every stored pair is the
+  /// latest refit of its reservoir.  Never blocks behind sink I/O (the
+  /// write mutex is not taken).
+  MotionDatabase database() const {
     const util::MutexLock lock(mu_);
     return db_;
   }
@@ -213,10 +202,12 @@ class OnlineMotionDatabase {
 
   /// Everything addObservation's behaviour depends on, frozen as plain
   /// data: the sanitation config, the per-pair reservoirs (with their
-  /// eviction counters), the published entries, the intake counters,
-  /// and the RNG state.  restore() of a snapshot followed by the same
-  /// addObservation calls is bit-identical to never having paused —
-  /// the contract store::recover builds on.
+  /// eviction counters), the intake counters, and the RNG state.  The
+  /// published entries are not part of it: each is a deterministic
+  /// refit of its reservoir, so restore() rebuilds them.  restore() of
+  /// a snapshot followed by the same addObservation calls is
+  /// bit-identical to never having paused — the contract
+  /// store::recover builds on.  Capture is O(retained samples).
   struct Snapshot {
     BuilderConfig config;
     std::size_t capacity = 0;
@@ -230,17 +221,15 @@ class OnlineMotionDatabase {
       std::vector<ReservoirSample> samples;  ///< Storage order.
     };
     std::vector<PairState> reservoirs;  ///< Canonical-key order.
-    struct Entry {
-      env::LocationId i = 0;
-      env::LocationId j = 0;
-      RlmStats stats;
-    };
-    std::vector<Entry> entries;  ///< All directed published entries.
   };
 
   Snapshot snapshot() const;
 
-  /// Replaces the full intake state with `snapshot`.  Throws
+  /// Replaces the full intake state with `snapshot` and republishes
+  /// every pair by refitting its restored reservoir — the same fit and
+  /// fine filter applyAccepted runs, so the entries are bit-identical
+  /// to the ones live when the snapshot was taken.  The refits count
+  /// nothing: the counters come from the snapshot.  Throws
   /// std::invalid_argument when the snapshot does not fit this
   /// database's floor plan (location count mismatch), its capacity is
   /// below the config's per-pair minimum, a pair key is invalid or
@@ -271,6 +260,19 @@ class OnlineMotionDatabase {
                         double directionDeg, double offsetMeters) const
       MOLOC_REQUIRES(mu_);
 
+  /// The Gaussian fit of one reservoir (Sec. IV.B): fine 2-sigma
+  /// pass when enabled, sigma floors applied.  `stats` is empty when
+  /// fewer than minSamplesPerPair samples support the pair.  Pure in
+  /// its arguments, so a restored reservoir refits bit-identically.
+  struct PairFit {
+    std::optional<RlmStats> stats;
+    std::size_t excludedFine = 0;  ///< Samples the fine filter dropped.
+  };
+  static PairFit fitReservoir(const BuilderConfig& config,
+                              const Reservoir& reservoir);
+
+  /// Refits `key` after its reservoir changed: publishes the fit (with
+  /// mirror) or withdraws a stale entry, and counts both.
   void refit(const PairKey& key, const Reservoir& reservoir)
       MOLOC_REQUIRES(mu_);
 

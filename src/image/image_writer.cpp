@@ -132,8 +132,7 @@ struct FdGuard {
 }  // namespace
 
 ImageWriteInfo writeVenueImage(const std::string& path,
-                               const core::WorldSnapshot& world,
-                               ImageWriteOptions options) {
+                               const core::WorldSnapshot& world) {
   const auto& db = world.fingerprints();
   if (!db)
     throw ImageError("writeVenueImage: world has no fingerprint database");
@@ -337,14 +336,14 @@ ImageWriteInfo writeVenueImage(const std::string& path,
                           reinterpret_cast<const char*>(table.data()),
                           table.size() * sizeof(SectionEntry), tmpPath);
 
-  if (options.fsync) store::detail::fsyncFd(fd.fd, tmpPath);
+  store::detail::fsyncFd(fd.fd, tmpPath);
   ::close(fd.fd);
   fd.fd = -1;
 
   if (::rename(tmpPath.c_str(), path.c_str()) != 0)
     throw store::StoreError("rename failed for " + tmpPath + " -> " +
                             path + ": " + util::errnoMessage(errno));
-  if (options.fsync) store::detail::fsyncDirectory(dir);
+  store::detail::fsyncDirectory(dir);
 
   return {fileSize, table.size()};
 }

@@ -1,18 +1,13 @@
 #include "io/serialization.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
-#include "util/error.hpp"
 
-#include "util/posix_error.hpp"
+#include "store/posix_file.hpp"
+#include "util/error.hpp"
 
 namespace moloc::io {
 
@@ -88,78 +83,6 @@ std::ifstream openForRead(const std::string& path) {
     throw util::IoError("moloc::io: cannot open for reading: " +
                              path);
   return in;
-}
-
-/// fsyncs an already-written file — ofstream cannot express this, and
-/// without it a power loss can let the rename survive while the data
-/// blocks do not (delayed allocation), replacing the old database with
-/// an empty or partial file.
-void fsyncFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0)
-    throw util::IoError("moloc::io: cannot reopen for fsync: " +
-                             path + ": " + util::errnoMessage(errno));
-  const int rc = ::fsync(fd);
-  const int savedErrno = errno;
-  ::close(fd);
-  if (rc != 0)
-    throw util::IoError("moloc::io: fsync failed: " + path + ": " +
-                             util::errnoMessage(savedErrno));
-}
-
-/// fsyncs the directory holding `path`, making the rename itself
-/// durable (a renamed file is not crash-safe until its directory entry
-/// is).
-void fsyncParentDirectory(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0)
-    throw util::IoError("moloc::io: cannot open directory: " + dir +
-                             ": " + util::errnoMessage(errno));
-  const int rc = ::fsync(fd);
-  const int savedErrno = errno;
-  ::close(fd);
-  if (rc != 0)
-    throw util::IoError("moloc::io: fsync failed on directory: " +
-                             dir + ": " + util::errnoMessage(savedErrno));
-}
-
-/// Crash-safe path save: streams through `body` into `path`.tmp,
-/// flushes and fsyncs it, renames onto `path`, then fsyncs the
-/// directory — so a crash or power loss at any point leaves either the
-/// old file or the new one, never a torn half-written database.
-/// Failures throw util::IoError naming the path and remove the
-/// temporary.
-template <typename SaveBody>
-void atomicSave(const std::string& path, SaveBody&& body) {
-  const std::string tmpPath = path + ".tmp";
-  {
-    std::ofstream out(tmpPath);
-    if (!out)
-      throw util::IoError("moloc::io: cannot open for writing: " +
-                               tmpPath);
-    body(out);
-    out.flush();
-    if (!out) {
-      std::remove(tmpPath.c_str());
-      throw util::IoError("moloc::io: write failed: " + tmpPath);
-    }
-  }
-  try {
-    fsyncFile(tmpPath);
-  } catch (...) {
-    std::remove(tmpPath.c_str());
-    throw;
-  }
-  if (std::rename(tmpPath.c_str(), path.c_str()) != 0) {
-    const std::string reason = util::errnoMessage(errno);
-    std::remove(tmpPath.c_str());
-    throw util::IoError("moloc::io: cannot rename '" + tmpPath +
-                             "' onto '" + path + "': " + reason);
-  }
-  fsyncParentDirectory(path);
 }
 
 }  // namespace
@@ -356,8 +279,12 @@ radio::ProbabilisticFingerprintDatabase loadProbabilisticDatabase(
 
 void saveFingerprintDatabase(const radio::FingerprintDatabase& db,
                              const std::string& path) {
-  atomicSave(path,
-             [&](std::ostream& out) { saveFingerprintDatabase(db, out); });
+  // Rendered whole, then published through the store's tmp + fsync +
+  // rename + dir-fsync sequence: a crash leaves the old file or the
+  // new one, never a torn half-write.
+  std::ostringstream out;
+  saveFingerprintDatabase(db, out);
+  store::detail::atomicWriteFile(path, std::move(out).str());
 }
 
 radio::FingerprintDatabase loadFingerprintDatabase(
@@ -368,8 +295,9 @@ radio::FingerprintDatabase loadFingerprintDatabase(
 
 void saveMotionDatabase(const core::MotionDatabase& db,
                         const std::string& path) {
-  atomicSave(path,
-             [&](std::ostream& out) { saveMotionDatabase(db, out); });
+  std::ostringstream out;
+  saveMotionDatabase(db, out);
+  store::detail::atomicWriteFile(path, std::move(out).str());
 }
 
 core::MotionDatabase loadMotionDatabase(const std::string& path) {

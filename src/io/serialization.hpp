@@ -44,11 +44,12 @@ void saveProbabilisticDatabase(
 radio::ProbabilisticFingerprintDatabase loadProbabilisticDatabase(
     std::istream& in);
 
-/// File-path conveniences.  Saves are crash-safe: they stream into
-/// `<path>.tmp`, flush and fsync it, rename onto `path`, and fsync the
-/// directory, so a crash, power loss, or full disk leaves either the
-/// previous file or the complete new one — never a torn half-write.
-/// All failures throw util::IoError naming the path.
+/// File-path conveniences.  Saves are crash-safe: they render the
+/// document, write it to `<path>.tmp`, fsync it, rename onto `path`,
+/// and fsync the directory (store::detail::atomicWriteFile), so a
+/// crash, power loss, or full disk leaves either the previous file or
+/// the complete new one — never a torn half-write.  All failures throw
+/// util::IoError naming the path (a save's is a store::StoreError).
 void saveFingerprintDatabase(const radio::FingerprintDatabase& db,
                              const std::string& path);
 radio::FingerprintDatabase loadFingerprintDatabase(

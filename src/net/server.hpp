@@ -26,8 +26,9 @@ struct ServerConfig {
   /// 0 picks an ephemeral port; read it back via Server::port().
   std::uint16_t port = 0;
   /// Serving threads, each running requests to completion; 0 selects
-  /// hardware concurrency (at least 1).  Distinct from the service's
-  /// internal batch pool.
+  /// hardware concurrency (at least 1).  They are the daemon's only
+  /// localization threads: the service runs every request, batches
+  /// included, on its caller's thread.
   std::size_t workerThreads = 0;
   /// Open connections; at the bound the listener stays disarmed until
   /// a connection closes.

@@ -412,7 +412,7 @@ void LocalizationService::publishWorld(core::OnlineMotionDatabase& db) {
   const std::uint64_t generation =
       worldGeneration_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto next = std::make_shared<const core::WorldSnapshot>(
-      fingerprints_, db.databaseCopy(), generation, records, index_);
+      fingerprints_, db.database(), generation, records, index_);
   const kernel::MotionAdjacency* hint = &next->adjacency();
   {
     // Held only for the handle swap; the retired world is released

@@ -17,13 +17,15 @@ namespace moloc::store {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kVersion = 1;
+/// v2 dropped v1's published-entry and radio-map blocks: a checkpoint
+/// holds the intake state and nothing derived from it.
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kCrcBytes = 4;
 /// Smallest possible encoding: magic(8) + version(4) + throughSeq(8) +
 /// config(46) + capacity/locationCount(16) + rng(32) + counters(48) +
-/// two zero counts(16) + absent fingerprints(1) + CRC(4).
+/// zero reservoir count(8) + CRC(4).
 constexpr std::size_t kMinFileBytes =
-    8 + 4 + 8 + 46 + 16 + 32 + 48 + 16 + 1 + kCrcBytes;
+    8 + 4 + 8 + 46 + 16 + 32 + 48 + 8 + kCrcBytes;
 
 std::string checkpointFileName(std::uint64_t throughSeq) {
   char buffer[48];
@@ -84,17 +86,6 @@ void encodeSnapshot(std::string& out,
       detail::putF64(out, sample.offsetMeters);
     }
   }
-
-  detail::putU64(out, s.entries.size());
-  for (const auto& entry : s.entries) {
-    detail::putI32(out, entry.i);
-    detail::putI32(out, entry.j);
-    detail::putF64(out, entry.stats.muDirectionDeg);
-    detail::putF64(out, entry.stats.sigmaDirectionDeg);
-    detail::putF64(out, entry.stats.muOffsetMeters);
-    detail::putF64(out, entry.stats.sigmaOffsetMeters);
-    detail::putI32(out, entry.stats.sampleCount);
-  }
 }
 
 /// Guards a count field against allocation bombs: a corrupt count must
@@ -149,64 +140,7 @@ core::OnlineMotionDatabase::Snapshot decodeSnapshot(detail::Cursor& in) {
     }
     s.reservoirs.push_back(std::move(pair));
   }
-
-  const std::uint64_t entryCount = checkedCount(in, 4 + 4 + 4 * 8 + 4);
-  s.entries.reserve(entryCount);
-  for (std::uint64_t e = 0; e < entryCount; ++e) {
-    core::OnlineMotionDatabase::Snapshot::Entry entry;
-    entry.i = in.readI32();
-    entry.j = in.readI32();
-    entry.stats.muDirectionDeg = in.readF64();
-    entry.stats.sigmaDirectionDeg = in.readF64();
-    entry.stats.muOffsetMeters = in.readF64();
-    entry.stats.sigmaOffsetMeters = in.readF64();
-    entry.stats.sampleCount = in.readI32();
-    s.entries.push_back(entry);
-  }
   return s;
-}
-
-void encodeFingerprints(std::string& out,
-                        const std::optional<radio::FingerprintDatabase>& db) {
-  if (!db) {
-    detail::putU8(out, 0);
-    return;
-  }
-  detail::putU8(out, 1);
-  const auto ids = db->locationIds();
-  detail::putU64(out, ids.size());
-  detail::putU64(out, db->apCount());
-  for (const env::LocationId id : ids) {
-    detail::putI32(out, id);
-    for (const double rss : db->entry(id).values()) detail::putF64(out, rss);
-  }
-}
-
-std::optional<radio::FingerprintDatabase> decodeFingerprints(
-    detail::Cursor& in) {
-  if (in.readU8() == 0) return std::nullopt;
-  const std::uint64_t count = checkedCount(in, 4);
-  const std::uint64_t apCount = in.readU64();
-  // The zero-location case must be bounded too: sizing `rss` from an
-  // unvalidated apCount was an allocation bomb when count == 0 (found
-  // by the checkpoint fuzz target; fuzz/corpus/regressions).
-  if (count == 0) {
-    if (apCount != 0)
-      throw CorruptionError(
-          "fingerprint block claims " + std::to_string(apCount) +
-          " APs with no locations");
-    return radio::FingerprintDatabase{};
-  }
-  if (apCount > in.remaining() / (8 * count))
-    throw CorruptionError("fingerprint dimensions exceed remaining data");
-  radio::FingerprintDatabase db;
-  std::vector<double> rss(apCount);
-  for (std::uint64_t e = 0; e < count; ++e) {
-    const env::LocationId id = in.readI32();
-    for (auto& value : rss) value = in.readF64();
-    db.addLocation(id, radio::Fingerprint(rss));
-  }
-  return db;
 }
 
 struct CheckpointFile {
@@ -256,7 +190,6 @@ CheckpointData decodeCheckpoint(const std::string& buffer,
   CheckpointData data;
   data.throughSeq = in.readU64();
   data.snapshot = decodeSnapshot(in);
-  data.fingerprints = decodeFingerprints(in);
   if (in.remaining() != 0)
     throw CorruptionError("trailing garbage in checkpoint '" + path + "'");
   return data;
@@ -264,8 +197,9 @@ CheckpointData decodeCheckpoint(const std::string& buffer,
 
 }  // namespace
 
-std::string writeCheckpointFile(const std::string& dir,
-                                const CheckpointData& data) {
+std::string writeCheckpointFile(
+    const std::string& dir, std::uint64_t throughSeq,
+    const core::OnlineMotionDatabase::Snapshot& snapshot) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec)
@@ -276,12 +210,11 @@ std::string writeCheckpointFile(const std::string& dir,
   body.reserve(1024);
   body.append(kMagic, sizeof kMagic);
   detail::putU32(body, kVersion);
-  detail::putU64(body, data.throughSeq);
-  encodeSnapshot(body, data.snapshot);
-  encodeFingerprints(body, data.fingerprints);
+  detail::putU64(body, throughSeq);
+  encodeSnapshot(body, snapshot);
   detail::putU32(body, crc32c(body.data(), body.size()));
 
-  const std::string path = dir + "/" + checkpointFileName(data.throughSeq);
+  const std::string path = dir + "/" + checkpointFileName(throughSeq);
   detail::atomicWriteFile(path, body);
   return path;
 }
@@ -301,8 +234,8 @@ std::optional<CheckpointLoadResult> loadNewestCheckpoint(
       ++result.skippedInvalid;
       continue;
     } catch (const std::exception&) {
-      // Structurally invalid contents (e.g. a fingerprint id repeated):
-      // same treatment as a CRC failure — skip, keep looking.
+      // Structurally invalid contents: same treatment as a CRC
+      // failure — skip, keep looking.
       ++result.skippedInvalid;
       continue;
     }

@@ -5,29 +5,28 @@
 #include <string>
 
 #include "core/online_motion_database.hpp"
-#include "radio/fingerprint_database.hpp"
 
 namespace moloc::store {
 
-/// One checkpoint: the full intake state as of WAL sequence
-/// `throughSeq`, plus (optionally) the radio map, which a deployment
-/// usually wants co-located with the motion state it was serving.
+/// One checkpoint: the intake state as of WAL sequence `throughSeq`.
+/// It holds the reservoirs, RNG state, config and counters and nothing
+/// derived from them — restore() refits the published entries.
 struct CheckpointData {
   /// Every WAL record with seq <= throughSeq is subsumed by this
   /// checkpoint; recovery replays only records after it.
   std::uint64_t throughSeq = 0;
   core::OnlineMotionDatabase::Snapshot snapshot;
-  std::optional<radio::FingerprintDatabase> fingerprints;
 };
 
-/// Serializes `data` (binary, little-endian, CRC32C-sealed) and
-/// publishes it atomically as `dir`/checkpoint-<throughSeq>.ckpt via
-/// the tmp + fsync + rename + dir-fsync sequence: a crash at any
-/// instant leaves the previous checkpoints intact and at worst a stray
-/// .tmp that readers ignore.  Returns the published path.  Throws
-/// StoreError on I/O failure.
-std::string writeCheckpointFile(const std::string& dir,
-                                const CheckpointData& data);
+/// Serializes `snapshot` as of `throughSeq` (binary, little-endian,
+/// CRC32C-sealed) and publishes it atomically as
+/// `dir`/checkpoint-<throughSeq>.ckpt via the tmp + fsync + rename +
+/// dir-fsync sequence: a crash at any instant leaves the previous
+/// checkpoints intact and at worst a stray .tmp that readers ignore.
+/// Returns the published path.  Throws StoreError on I/O failure.
+std::string writeCheckpointFile(
+    const std::string& dir, std::uint64_t throughSeq,
+    const core::OnlineMotionDatabase::Snapshot& snapshot);
 
 struct CheckpointLoadResult {
   CheckpointData data;

@@ -7,15 +7,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace moloc::store {
 
 /// Base class of every durable-store failure: I/O errors, invalid
 /// directories, write failures.  Carries a plain what() message that
-/// always names the offending path.
-class StoreError : public std::runtime_error {
+/// always names the offending path.  An util::IoError, so handlers of
+/// file failures catch the store's too.
+class StoreError : public util::IoError {
  public:
   explicit StoreError(const std::string& what)
-      : std::runtime_error("moloc::store: " + what) {}
+      : util::IoError("moloc::store: " + what) {}
 };
 
 /// Unrecoverable on-disk damage: a WAL record or checkpoint that fails

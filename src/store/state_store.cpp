@@ -1,7 +1,5 @@
 #include "store/state_store.hpp"
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <utility>
 
@@ -69,24 +67,6 @@ StateStore::StateStore(std::string dir, StoreConfig config)
 #endif
 }
 
-bool StateStore::hasImage() const {
-  struct stat st{};
-  return ::stat(imagePath().c_str(), &st) == 0;
-}
-
-image::ImageWriteInfo StateStore::saveImage(
-    const core::WorldSnapshot& world) {
-  // No store lock: writeVenueImage streams to its own .tmp and
-  // rename-publishes, so it cannot tear against WAL appends or a
-  // concurrent checkpoint (which use different files in the same
-  // directory).
-  return image::writeVenueImage(imagePath(), world);
-}
-
-image::VenueImage StateStore::openImage(image::LoadOptions options) const {
-  return image::VenueImage::open(imagePath(), options);
-}
-
 void StateStore::onAccepted(env::LocationId estimatedStart,
                             env::LocationId estimatedEnd,
                             double directionDeg, double offsetMeters) {
@@ -115,8 +95,7 @@ void StateStore::onAccepted(env::LocationId estimatedStart,
 
 CheckpointInfo StateStore::checkpoint(
     const core::OnlineMotionDatabase::Snapshot& snapshot,
-    std::uint64_t throughSeq,
-    const std::optional<radio::FingerprintDatabase>& fingerprints) {
+    std::uint64_t throughSeq) {
   const auto start = std::chrono::steady_clock::now();
   // Serializes concurrent checkpoint() calls: two at once would write
   // the same '<path>.tmp' (O_TRUNC) and could interleave, publishing a
@@ -140,11 +119,7 @@ CheckpointInfo StateStore::checkpoint(
   info.throughSeq = throughSeq;
   // Serialization and the atomic publish run outside the mutex:
   // appends keep flowing while the (potentially large) file is built.
-  CheckpointData data;
-  data.throughSeq = throughSeq;
-  data.snapshot = snapshot;
-  data.fingerprints = fingerprints;
-  info.path = writeCheckpointFile(dir_, data);
+  info.path = writeCheckpointFile(dir_, throughSeq, snapshot);
 
   {
     const util::MutexLock lock(mu_);
@@ -188,9 +163,8 @@ CheckpointInfo StateStore::checkpoint(
 }
 
 CheckpointInfo StateStore::checkpointNow(
-    const core::OnlineMotionDatabase& db,
-    const std::optional<radio::FingerprintDatabase>& fingerprints) {
-  return checkpoint(db.snapshot(), lastSeq(), fingerprints);
+    const core::OnlineMotionDatabase& db) {
+  return checkpoint(db.snapshot(), lastSeq());
 }
 
 void StateStore::sync() {
@@ -242,7 +216,6 @@ RecoveryResult recover(const std::string& dir,
     result.checkpointSeq = loaded->data.throughSeq;
     result.checkpointPath = loaded->path;
     result.invalidCheckpoints = loaded->skippedInvalid;
-    result.fingerprints = std::move(loaded->data.fingerprints);
     result.lastSeq = result.checkpointSeq;
   }
 

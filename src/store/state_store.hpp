@@ -2,15 +2,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/online_motion_database.hpp"
-#include "image/image_loader.hpp"
-#include "image/image_writer.hpp"
 #include "obs/metrics.hpp"
-#include "radio/fingerprint_database.hpp"
 #include "store/checkpoint.hpp"
 #include "store/wal.hpp"
 #include "util/mutex.hpp"
@@ -75,17 +71,12 @@ class StateStore final : public core::ObservationSink {
   /// (snapshot() and lastSeq() with no addObservation between them).
   CheckpointInfo checkpoint(
       const core::OnlineMotionDatabase::Snapshot& snapshot,
-      std::uint64_t throughSeq,
-      const std::optional<radio::FingerprintDatabase>& fingerprints =
-          std::nullopt);
+      std::uint64_t throughSeq);
 
   /// Convenience for single-threaded callers (examples, tests, batch
   /// jobs): snapshots `db` and checkpoints it at the current lastSeq().
   /// Requires that no other thread is feeding `db` concurrently.
-  CheckpointInfo checkpointNow(
-      const core::OnlineMotionDatabase& db,
-      const std::optional<radio::FingerprintDatabase>& fingerprints =
-          std::nullopt);
+  CheckpointInfo checkpointNow(const core::OnlineMotionDatabase& db);
 
   /// Forces the WAL to disk regardless of fsync policy.
   void sync();
@@ -103,34 +94,6 @@ class StateStore final : public core::ObservationSink {
   WalWriter::Stats walStats() const;
 
   const std::string& directory() const { return dir_; }
-
-  // ---- Venue image (src/image) --------------------------------------
-  //
-  // The store can keep one venue image alongside its checkpoint/WAL
-  // lineage.  The image is a *serving-world cache*, not part of the
-  // durability contract: the checkpoint + WAL remain the source of
-  // truth, recovery still replays the WAL tail on top of the newest
-  // checkpoint exactly as before, and a missing/damaged image only
-  // costs the rebuild it would have skipped.  The intended boot:
-  // openImage() to mmap the serving structures in milliseconds, then
-  // recover() into a fresh OnlineMotionDatabase so the intake side
-  // continues from the durable lineage.
-
-  /// The fixed image path inside this store's directory.
-  std::string imagePath() const { return dir_ + "/venue.img"; }
-
-  /// True when imagePath() exists (no validation; openImage validates).
-  bool hasImage() const;
-
-  /// Atomically publishes `world` as this store's venue image
-  /// (tmp+fsync+rename, like a checkpoint).  Thread-safe against
-  /// concurrent WAL appends and checkpoints — the image file is
-  /// independent of both.  Throws image::ImageError / StoreError.
-  image::ImageWriteInfo saveImage(const core::WorldSnapshot& world);
-
-  /// Opens and validates this store's venue image.  Throws
-  /// image::ImageError on damage and StoreError when absent.
-  image::VenueImage openImage(image::LoadOptions options = {}) const;
 
  private:
   /// Serializes whole checkpoint() calls (the publish step runs
@@ -176,8 +139,6 @@ struct RecoveryResult {
   bool droppedTornTail = false;
   std::uint64_t tailBytesDropped = 0;
   std::uint64_t lastSeq = 0;  ///< Highest sequence recovered.
-  /// The radio map the newest checkpoint carried, if any.
-  std::optional<radio::FingerprintDatabase> fingerprints;
 };
 
 /// Rebuilds `db` from the store directory: loads the newest valid

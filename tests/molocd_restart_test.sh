@@ -4,7 +4,9 @@
 # Two runs against one --wal-dir each report observations through
 # moloc_loadgen and stop on SIGTERM; background checkpoints (every 32
 # records) compact the WAL as they go.  A third boot must recover
-# exactly the observations both runs accepted.
+# exactly the observations both runs accepted, and serve what it
+# recovered: moloc_loadgen --wal-dir recovers the same directory into
+# its in-process reference and verifies every answer bitwise.
 #
 # Usage: molocd_restart_test.sh <molocd> <moloc_loadgen> <work dir>
 set -euo pipefail
@@ -75,10 +77,16 @@ done
 
 boot run3
 got=$(recovered run3)
-stop
 if [ "$got" != "$total" ]; then
   echo "third boot recovered ${got:-no} records, want $total"
   cat "$work/run3.log"
   exit 1
 fi
-echo "recovered $got of $total acknowledged observations"
+if ! "$loadgen" --smoke --wal-dir "$wal" --port-file "$work/run3.port" \
+    --out "$work/run3.json" > "$work/load3.log"; then
+  echo "third boot: bitwise verification against the recovered state failed"
+  cat "$work/load3.log"
+  exit 1
+fi
+stop
+echo "recovered $got of $total acknowledged observations; third boot verified bitwise"

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,7 @@
 
 #include "core/online_motion_database.hpp"
 #include "env/floor_plan.hpp"
+#include "intake_state.hpp"
 #include "store/fault_injection.hpp"
 #include "store/format.hpp"
 
@@ -27,54 +27,7 @@ std::string freshDir(const std::string& tag) {
   return dir;
 }
 
-/// Bitwise equality of two intake states — the recovery contract is
-/// "identical", not "close".
-void expectIdenticalState(const core::OnlineMotionDatabase& a,
-                          const core::OnlineMotionDatabase& b) {
-  const auto sa = a.snapshot();
-  const auto sb = b.snapshot();
-  EXPECT_EQ(sa.rngState, sb.rngState);
-  ASSERT_EQ(sa.reservoirs.size(), sb.reservoirs.size());
-  for (std::size_t p = 0; p < sa.reservoirs.size(); ++p) {
-    EXPECT_EQ(sa.reservoirs[p].i, sb.reservoirs[p].i);
-    EXPECT_EQ(sa.reservoirs[p].j, sb.reservoirs[p].j);
-    EXPECT_EQ(sa.reservoirs[p].seen, sb.reservoirs[p].seen);
-    ASSERT_EQ(sa.reservoirs[p].samples.size(),
-              sb.reservoirs[p].samples.size());
-    for (std::size_t k = 0; k < sa.reservoirs[p].samples.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    sa.reservoirs[p].samples[k].directionDeg),
-                std::bit_cast<std::uint64_t>(
-                    sb.reservoirs[p].samples[k].directionDeg));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    sa.reservoirs[p].samples[k].offsetMeters),
-                std::bit_cast<std::uint64_t>(
-                    sb.reservoirs[p].samples[k].offsetMeters));
-    }
-  }
-  ASSERT_EQ(sa.entries.size(), sb.entries.size());
-  for (std::size_t e = 0; e < sa.entries.size(); ++e) {
-    EXPECT_EQ(sa.entries[e].i, sb.entries[e].i);
-    EXPECT_EQ(sa.entries[e].j, sb.entries[e].j);
-    EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(sa.entries[e].stats.muDirectionDeg),
-        std::bit_cast<std::uint64_t>(sb.entries[e].stats.muDirectionDeg));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                  sa.entries[e].stats.sigmaDirectionDeg),
-              std::bit_cast<std::uint64_t>(
-                  sb.entries[e].stats.sigmaDirectionDeg));
-    EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(sa.entries[e].stats.muOffsetMeters),
-        std::bit_cast<std::uint64_t>(sb.entries[e].stats.muOffsetMeters));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                  sa.entries[e].stats.sigmaOffsetMeters),
-              std::bit_cast<std::uint64_t>(
-                  sb.entries[e].stats.sigmaOffsetMeters));
-    EXPECT_EQ(sa.entries[e].stats.sampleCount,
-              sb.entries[e].stats.sampleCount);
-  }
-  EXPECT_EQ(sa.counters.accepted, sb.counters.accepted);
-}
+using test_support::expectIdenticalIntakeState;
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -106,7 +59,7 @@ TEST_F(CheckpointTest, SnapshotRestoreRoundTripsAndStaysInLockstep) {
   auto& original = *originalPtr;
   core::OnlineMotionDatabase restored(plan_, {}, 4, /*seed=*/999);
   restored.restore(original.snapshot());
-  expectIdenticalState(original, restored);
+  expectIdenticalIntakeState(original, restored);
 
   // The real contract: after restore, the two databases evolve in
   // lockstep — same acceptances, same evictions, same refits.
@@ -115,7 +68,68 @@ TEST_F(CheckpointTest, SnapshotRestoreRoundTripsAndStaysInLockstep) {
     const bool b = restored.addObservation(0, 2, 89.5, 7.9 + 0.01 * k);
     EXPECT_EQ(a, b);
   }
-  expectIdenticalState(original, restored);
+  expectIdenticalIntakeState(original, restored);
+}
+
+TEST_F(CheckpointTest, RestoreRefitsEvictedAndInvalidatedPairsExactly) {
+  // The snapshot carries reservoirs, not entries: restore() refits
+  // every pair.  Exercise both refit outcomes — pairs published after
+  // evictions, and a pair whose fine filter withdrew its entry — and
+  // check the refits count nothing (the counters come from the
+  // snapshot).
+  core::BuilderConfig config;
+  config.minSamplesPerPair = 3;
+  config.fineSigmaMultiplier = 0.9;
+  const auto feed = [](core::OnlineMotionDatabase& db, int from, int to) {
+    std::vector<bool> accepted;
+    for (int k = from; k < to; ++k) {
+      // Pair (0,1) alternates blocks of three at 4.0 m and 6.9 m: the
+      // second block makes it bimodal, and the fine filter (0.9 sigma)
+      // drops every sample and withdraws the published entry.
+      accepted.push_back(
+          db.addObservation(0, 1, 90.0, (k / 3) % 2 == 0 ? 4.0 : 6.9));
+      accepted.push_back(db.addObservation(
+          1, 2, 89.0 + 0.4 * (k % 5), 3.9 + 0.05 * (k % 4)));
+      accepted.push_back(db.addObservation(2, 0, 270.0 + 0.5 * (k % 3),
+                                           8.0 + 0.03 * (k % 7)));
+      if (k % 9 == 4) accepted.push_back(db.addObservation(1, 1, 0.0, 0.0));
+      if (k % 11 == 7)
+        accepted.push_back(db.addObservation(0, 1, 179.0, 4.0));
+    }
+    return accepted;
+  };
+  const auto expectEqualCounters = [](const core::OnlineMotionDatabase& a,
+                                      const core::OnlineMotionDatabase& b) {
+    const auto ca = a.counters();
+    const auto cb = b.counters();
+    EXPECT_EQ(ca.observations, cb.observations);
+    EXPECT_EQ(ca.accepted, cb.accepted);
+    EXPECT_EQ(ca.rejectedCoarse, cb.rejectedCoarse);
+    EXPECT_EQ(ca.droppedSelfPairs, cb.droppedSelfPairs);
+    EXPECT_EQ(ca.rejectedFine, cb.rejectedFine);
+    EXPECT_EQ(ca.staleInvalidations, cb.staleInvalidations);
+  };
+
+  core::OnlineMotionDatabase original(plan_, config,
+                                      /*reservoirCapacity=*/6, 5);
+  feed(original, 0, 30);
+  const auto counters = original.counters();
+  ASSERT_GT(counters.staleInvalidations, 0u);
+  ASSERT_GT(counters.rejectedFine, 0u);
+  ASSERT_GT(counters.rejectedCoarse, 0u);
+  ASSERT_GT(counters.droppedSelfPairs, 0u);
+  const auto stats = original.reservoirStats();
+  ASSERT_GT(stats.totalSeen, stats.totalSamples);  // Evictions ran.
+  ASSERT_GT(original.database().entryCount(), 0u);
+
+  core::OnlineMotionDatabase restored(plan_, {}, 64, /*seed=*/999);
+  restored.restore(original.snapshot());
+  expectIdenticalIntakeState(original, restored);
+  expectEqualCounters(original, restored);
+
+  EXPECT_EQ(feed(original, 30, 60), feed(restored, 30, 60));
+  expectIdenticalIntakeState(original, restored);
+  expectEqualCounters(original, restored);
 }
 
 TEST_F(CheckpointTest, FileRoundTripIsExact) {
@@ -123,10 +137,7 @@ TEST_F(CheckpointTest, FileRoundTripIsExact) {
   auto dbPtr = populatedDb();
   auto& db = *dbPtr;
 
-  CheckpointData data;
-  data.throughSeq = 42;
-  data.snapshot = db.snapshot();
-  const std::string path = writeCheckpointFile(dir, data);
+  const std::string path = writeCheckpointFile(dir, 42, db.snapshot());
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
@@ -134,36 +145,10 @@ TEST_F(CheckpointTest, FileRoundTripIsExact) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->data.throughSeq, 42u);
   EXPECT_EQ(loaded->skippedInvalid, 0u);
-  EXPECT_FALSE(loaded->data.fingerprints.has_value());
 
   core::OnlineMotionDatabase restored(plan_);
   restored.restore(loaded->data.snapshot);
-  expectIdenticalState(db, restored);
-}
-
-TEST_F(CheckpointTest, FingerprintsRoundTrip) {
-  const std::string dir = freshDir("fps");
-  radio::FingerprintDatabase fps;
-  fps.addLocation(0, radio::Fingerprint({-40.0, -55.5, -71.25}));
-  fps.addLocation(2, radio::Fingerprint({-42.0, -50.0, -60.0}));
-
-  CheckpointData data;
-  data.throughSeq = 1;
-  data.snapshot = core::OnlineMotionDatabase(plan_).snapshot();
-  data.fingerprints = fps;
-  writeCheckpointFile(dir, data);
-
-  const auto loaded = loadNewestCheckpoint(dir);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_TRUE(loaded->data.fingerprints.has_value());
-  const auto& back = *loaded->data.fingerprints;
-  EXPECT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.apCount(), 3u);
-  EXPECT_EQ(back.locationIds(), fps.locationIds());
-  for (const auto id : fps.locationIds())
-    for (std::size_t i = 0; i < fps.apCount(); ++i)
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.entry(id)[i]),
-                std::bit_cast<std::uint64_t>(fps.entry(id)[i]));
+  expectIdenticalIntakeState(db, restored);
 }
 
 TEST_F(CheckpointTest, EmptyDirectoryLoadsNothing) {
@@ -175,16 +160,10 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
   auto dbPtr = populatedDb();
   auto& db = *dbPtr;
 
-  CheckpointData older;
-  older.throughSeq = 10;
-  older.snapshot = db.snapshot();
-  writeCheckpointFile(dir, older);
+  writeCheckpointFile(dir, 10, db.snapshot());
 
   db.addObservation(0, 1, 90.0, 4.0);
-  CheckpointData newer;
-  newer.throughSeq = 20;
-  newer.snapshot = db.snapshot();
-  const std::string newerPath = writeCheckpointFile(dir, newer);
+  const std::string newerPath = writeCheckpointFile(dir, 20, db.snapshot());
 
   testing::FaultFile(newerPath).flipByte(100);
 
@@ -198,10 +177,8 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
 
 TEST_F(CheckpointTest, StrayTmpAndForeignFilesAreIgnored) {
   const std::string dir = freshDir("stray");
-  CheckpointData data;
-  data.throughSeq = 5;
-  data.snapshot = core::OnlineMotionDatabase(plan_).snapshot();
-  const std::string path = writeCheckpointFile(dir, data);
+  const std::string path = writeCheckpointFile(
+      dir, 5, core::OnlineMotionDatabase(plan_).snapshot());
 
   // A crash mid-publish leaves a .tmp; operators leave notes.
   std::ofstream(path + ".tmp") << "torn half-written checkpoint";
@@ -216,10 +193,8 @@ TEST_F(CheckpointTest, StrayTmpAndForeignFilesAreIgnored) {
 
 TEST_F(CheckpointTest, NameContentSeqMismatchIsSkipped) {
   const std::string dir = freshDir("mismatch");
-  CheckpointData data;
-  data.throughSeq = 5;
-  data.snapshot = core::OnlineMotionDatabase(plan_).snapshot();
-  const std::string path = writeCheckpointFile(dir, data);
+  const std::string path = writeCheckpointFile(
+      dir, 5, core::OnlineMotionDatabase(plan_).snapshot());
   // Forge a "newer" checkpoint by renaming: contents still say 5.
   std::filesystem::rename(
       path, dir + "/checkpoint-00000000000000000009.ckpt");
@@ -228,12 +203,9 @@ TEST_F(CheckpointTest, NameContentSeqMismatchIsSkipped) {
 
 TEST_F(CheckpointTest, PruneKeepsNewest) {
   const std::string dir = freshDir("prune");
-  CheckpointData data;
-  data.snapshot = core::OnlineMotionDatabase(plan_).snapshot();
-  for (std::uint64_t seq : {3u, 7u, 11u, 15u}) {
-    data.throughSeq = seq;
-    writeCheckpointFile(dir, data);
-  }
+  const auto snapshot = core::OnlineMotionDatabase(plan_).snapshot();
+  for (std::uint64_t seq : {3u, 7u, 11u, 15u})
+    writeCheckpointFile(dir, seq, snapshot);
   EXPECT_EQ(pruneCheckpoints(dir, 2), 2u);
   const auto loaded = loadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.has_value());
@@ -285,7 +257,7 @@ TEST_F(CheckpointTest, RestoreValidatesAgainstThisDatabase) {
   }
   EXPECT_EQ(target.trackedPairs(), 0u);
   target.restore(good);  // And the good one still lands.
-  expectIdenticalState(db, target);
+  expectIdenticalIntakeState(db, target);
 }
 
 }  // namespace

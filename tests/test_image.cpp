@@ -326,8 +326,7 @@ TEST(VenueImage, WorldWithoutIndexRoundTripsWithoutIndexSections) {
   const std::string dir = freshDir("noindex");
   const std::string path = dir + "/venue.img";
   const auto world = makeWorld(60, 6, 67, /*withIndex=*/false);
-  const ImageWriteInfo info =
-      writeVenueImage(path, *world, {/*fsync=*/false});
+  const ImageWriteInfo info = writeVenueImage(path, *world);
   EXPECT_EQ(info.sections, 6u);
 
   const VenueImage image = VenueImage::open(path);
@@ -477,11 +476,13 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
   plan.addReferenceLocation({6.0, 2.0});
   plan.addReferenceLocation({10.0, 2.0});
 
+  // The image is a cache kept in the store's directory, next to (and
+  // independent of) the checkpoint + WAL lineage.
+  const std::string imagePath = dir + "/venue.img";
   const auto world = makeWorld(50, 6, 97, /*withIndex=*/true);
   std::uint64_t expectedLastSeq = 0;
   {
     store::StateStore store(dir);
-    EXPECT_FALSE(store.hasImage());
 
     core::OnlineMotionDatabase db(plan);
     db.setSink(&store);
@@ -491,8 +492,7 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
     store.checkpointNow(db);
 
     // The image publishes between the checkpoint and the WAL tail...
-    store.saveImage(*world);
-    EXPECT_TRUE(store.hasImage());
+    writeVenueImage(imagePath, *world);
 
     // ...and more records land after it.
     for (int k = 0; k < 7; ++k)
@@ -510,18 +510,18 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
   EXPECT_EQ(result.lastSeq, expectedLastSeq);
   EXPECT_EQ(result.replayedRecords, 7u);
 
-  // Meanwhile the image serves the world it captured.
+  // Reopening the store beside the image leaves both intact, and the
+  // image serves the world it captured.
   store::StateStore reopened(dir);
-  EXPECT_TRUE(reopened.hasImage());
-  const VenueImage image = reopened.openImage();
+  const VenueImage image = VenueImage::open(imagePath);
   EXPECT_EQ(image.locationCount(), 50u);
   EXPECT_TRUE(image.hasIndex());
 
   // A damaged image is a typed, recoverable failure — the durable
   // lineage does not depend on it.
-  const store::testing::FaultFile fault(reopened.imagePath());
+  const store::testing::FaultFile fault(imagePath);
   fault.flipByte(fault.size() - 1);
-  EXPECT_THROW(reopened.openImage(), ImageError);
+  EXPECT_THROW(VenueImage::open(imagePath), ImageError);
   core::OnlineMotionDatabase again(plan);
   EXPECT_EQ(store::recover(dir, again).lastSeq, expectedLastSeq);
 }

@@ -12,6 +12,7 @@
 
 #include "core/localization_session.hpp"
 #include "core/online_motion_database.hpp"
+#include "intake_state.hpp"
 #include "obs/metrics.hpp"
 #include "store/state_store.hpp"
 #include "sensors/accelerometer_model.hpp"
@@ -576,17 +577,7 @@ TEST(LocalizationService, BackgroundCheckpointTriggersByRecordCount) {
   core::OnlineMotionDatabase recovered(plan, {}, 4);
   const auto result = store::recover(dir, recovered);
   EXPECT_TRUE(result.checkpointLoaded);
-  const auto a = db.snapshot();
-  const auto b = recovered.snapshot();
-  EXPECT_EQ(a.rngState, b.rngState);
-  EXPECT_EQ(a.counters.accepted, b.counters.accepted);
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  for (std::size_t e = 0; e < a.entries.size(); ++e) {
-    EXPECT_EQ(a.entries[e].stats.muDirectionDeg,
-              b.entries[e].stats.muDirectionDeg);
-    EXPECT_EQ(a.entries[e].stats.sigmaOffsetMeters,
-              b.entries[e].stats.sigmaOffsetMeters);
-  }
+  test_support::expectIdenticalIntakeState(db, recovered);
 }
 
 TEST(LocalizationService, DestructionWakesCheckpointWaiters) {

@@ -176,7 +176,7 @@ TEST(MotionMatcherKernelTest, RebindAdoptsNewerPublishedWorld) {
 
   // Publish: freeze the database into a fresh shared index and rebind.
   const auto published =
-      std::make_shared<const MotionAdjacency>(online.databaseCopy());
+      std::make_shared<const MotionAdjacency>(online.database());
   matcher.rebind(published);
   EXPECT_EQ(matcher.adjacencyPtr().get(), published.get());
   EXPECT_GT(matcher.setProbability(prev, 1, motion), before);

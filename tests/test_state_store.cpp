@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,7 @@
 
 #include "core/online_motion_database.hpp"
 #include "env/floor_plan.hpp"
+#include "intake_state.hpp"
 #include "obs/metrics.hpp"
 #include "store/fault_injection.hpp"
 #include "store/format.hpp"
@@ -54,52 +54,7 @@ std::vector<Obs> mixedStream(int n) {
   return out;
 }
 
-void expectIdenticalState(const core::OnlineMotionDatabase& a,
-                          const core::OnlineMotionDatabase& b) {
-  const auto sa = a.snapshot();
-  const auto sb = b.snapshot();
-  EXPECT_EQ(sa.rngState, sb.rngState);
-  ASSERT_EQ(sa.reservoirs.size(), sb.reservoirs.size());
-  for (std::size_t p = 0; p < sa.reservoirs.size(); ++p) {
-    EXPECT_EQ(sa.reservoirs[p].i, sb.reservoirs[p].i);
-    EXPECT_EQ(sa.reservoirs[p].j, sb.reservoirs[p].j);
-    EXPECT_EQ(sa.reservoirs[p].seen, sb.reservoirs[p].seen);
-    ASSERT_EQ(sa.reservoirs[p].samples.size(),
-              sb.reservoirs[p].samples.size());
-    for (std::size_t k = 0; k < sa.reservoirs[p].samples.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    sa.reservoirs[p].samples[k].directionDeg),
-                std::bit_cast<std::uint64_t>(
-                    sb.reservoirs[p].samples[k].directionDeg));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    sa.reservoirs[p].samples[k].offsetMeters),
-                std::bit_cast<std::uint64_t>(
-                    sb.reservoirs[p].samples[k].offsetMeters));
-    }
-  }
-  ASSERT_EQ(sa.entries.size(), sb.entries.size());
-  for (std::size_t e = 0; e < sa.entries.size(); ++e) {
-    EXPECT_EQ(sa.entries[e].i, sb.entries[e].i);
-    EXPECT_EQ(sa.entries[e].j, sb.entries[e].j);
-    EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(sa.entries[e].stats.muDirectionDeg),
-        std::bit_cast<std::uint64_t>(sb.entries[e].stats.muDirectionDeg));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                  sa.entries[e].stats.sigmaDirectionDeg),
-              std::bit_cast<std::uint64_t>(
-                  sb.entries[e].stats.sigmaDirectionDeg));
-    EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(sa.entries[e].stats.muOffsetMeters),
-        std::bit_cast<std::uint64_t>(sb.entries[e].stats.muOffsetMeters));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                  sa.entries[e].stats.sigmaOffsetMeters),
-              std::bit_cast<std::uint64_t>(
-                  sb.entries[e].stats.sigmaOffsetMeters));
-    EXPECT_EQ(sa.entries[e].stats.sampleCount,
-              sb.entries[e].stats.sampleCount);
-  }
-  EXPECT_EQ(sa.counters.accepted, sb.counters.accepted);
-}
+using test_support::expectIdenticalIntakeState;
 
 class StateStoreTest : public ::testing::Test {
  protected:
@@ -162,7 +117,7 @@ TEST_F(StateStoreTest, RecoverFromWalOnlyIsBitIdentical) {
   EXPECT_EQ(result.replayedRecords, db.counters().accepted);
   EXPECT_EQ(result.skippedRecords, 0u);
   EXPECT_FALSE(result.droppedTornTail);
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
 }
 
 TEST_F(StateStoreTest, CheckpointPlusTailReplayIsBitIdentical) {
@@ -193,7 +148,7 @@ TEST_F(StateStoreTest, CheckpointPlusTailReplayIsBitIdentical) {
   EXPECT_EQ(result.checkpointSeq, info.throughSeq);
   EXPECT_EQ(result.replayedRecords, tail);
   EXPECT_EQ(result.lastSeq, store.lastSeq());
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
   // Documented caveat: coarse rejections after the checkpoint are not
   // logged, so the recovered rejection counters can lag the originals.
   EXPECT_LE(recovered.counters().rejectedCoarse,
@@ -250,7 +205,7 @@ TEST_F(StateStoreTest, KillAtAnyRecordBoundaryRecoversExactPrefix) {
     auto recovered = makeDb();  // Same birth seed: no checkpoint here.
     const RecoveryResult result = recover(cutDir, recovered);
     EXPECT_EQ(result.replayedRecords, k) << "boundary " << k;
-    expectIdenticalState(reference, recovered);
+    expectIdenticalIntakeState(reference, recovered);
   }
 }
 
@@ -292,7 +247,7 @@ TEST_F(StateStoreTest, TornAndFlippedTailsRecoverTheSurvivingPrefix) {
     EXPECT_TRUE(result.droppedTornTail);
     EXPECT_GT(result.tailBytesDropped, 0u);
     EXPECT_EQ(result.replayedRecords, acceptedArgs.size() - 1);
-    expectIdenticalState(reference, recovered);
+    expectIdenticalIntakeState(reference, recovered);
 
     // Reopening for writing repairs the tail and continues; the full
     // chain then replays with no damage reported.
@@ -307,7 +262,7 @@ TEST_F(StateStoreTest, TornAndFlippedTailsRecoverTheSurvivingPrefix) {
     const RecoveryResult again = recover(dir, recovered2);
     EXPECT_FALSE(again.droppedTornTail);
     EXPECT_EQ(again.lastSeq, acceptedArgs.size());  // -1 torn, +1 new.
-    expectIdenticalState(reference, recovered2);
+    expectIdenticalIntakeState(reference, recovered2);
   }
 }
 
@@ -339,7 +294,7 @@ TEST_F(StateStoreTest, CompactionDeletesCoveredSegmentsOnly) {
   auto recovered = makeDb(999);
   const RecoveryResult result = recover(dir, recovered);
   EXPECT_TRUE(result.checkpointLoaded);
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
 }
 
 /// The scenario behind the sequence-lower-bound rule: checkpoint
@@ -393,7 +348,7 @@ TEST_F(StateStoreTest, RestartBehindRecordFreeSegmentContinuesSequence) {
   // none may be skipped as checkpoint-covered.
   EXPECT_GT(result.replayedRecords, 0u);
   EXPECT_EQ(result.skippedRecords, 0u);
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
 }
 
 /// Belt-and-braces: even with every WAL segment gone (so no header can
@@ -430,7 +385,7 @@ TEST_F(StateStoreTest, CheckpointSeqSeedsWriterWhenWalIsGone) {
   const RecoveryResult result = recover(dir, recovered);
   EXPECT_TRUE(result.checkpointLoaded);
   EXPECT_EQ(result.skippedRecords, 0u);
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
 }
 
 TEST_F(StateStoreTest, ConcurrentCheckpointsPublishAValidFile) {
@@ -509,30 +464,6 @@ TEST_F(StateStoreTest, CheckpointRejectsFutureSeq) {
                std::invalid_argument);
 }
 
-TEST_F(StateStoreTest, CheckpointCarriesFingerprints) {
-  const std::string dir = freshDir("fps");
-  auto db = makeDb();
-  StoreConfig config;
-  config.wal.fsync = FsyncPolicy::kNone;
-  StateStore store(dir, config);
-  db.setSink(&store);
-  for (const auto& o : mixedStream(30))
-    db.addObservation(o.start, o.end, o.directionDeg, o.offsetMeters);
-
-  radio::FingerprintDatabase fps;
-  fps.addLocation(0, radio::Fingerprint({-40.0, -55.0}));
-  fps.addLocation(1, radio::Fingerprint({-45.0, -50.0}));
-  store.checkpointNow(db, fps);
-  db.setSink(nullptr);
-
-  auto recovered = makeDb(999);
-  const RecoveryResult result = recover(dir, recovered);
-  ASSERT_TRUE(result.fingerprints.has_value());
-  EXPECT_EQ(result.fingerprints->size(), 2u);
-  EXPECT_EQ(result.fingerprints->entry(1)[0], -45.0);
-  expectIdenticalState(db, recovered);
-}
-
 TEST_F(StateStoreTest, RecoveredDatabaseContinuesInLockstep) {
   const std::string dir = freshDir("lockstep");
   auto db = makeDb();
@@ -556,7 +487,7 @@ TEST_F(StateStoreTest, RecoveredDatabaseContinuesInLockstep) {
         recovered.addObservation(o.start, o.end, o.directionDeg,
                                  o.offsetMeters));
   }
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
 }
 
 TEST_F(StateStoreTest, MetricsExposeDurabilityActivity) {
@@ -610,7 +541,7 @@ TEST_F(StateStoreTest, MetricsExposeDurabilityActivity) {
       registry.findCounter("moloc_store_replayed_records_total");
   ASSERT_NE(replayed, nullptr);
   EXPECT_EQ(replayed->value(), 0.0);  // All subsumed by the checkpoint.
-  expectIdenticalState(db, recovered);
+  expectIdenticalIntakeState(db, recovered);
 #endif
 }
 

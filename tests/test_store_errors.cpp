@@ -119,13 +119,14 @@ TEST(StoreErrors, TruncatedCheckpointHeaderIsSkipped) {
   EXPECT_FALSE(loadNewestCheckpoint(dir).has_value());
 }
 
-TEST(StoreErrors, CheckpointApCountBombIsRejectedWithoutAllocating) {
+TEST(StoreErrors, CheckpointCountBombIsRejectedWithoutAllocating) {
   const std::string dir = freshDir("ckpt_bomb");
-  // CRC-valid checkpoint whose fingerprint block claims zero locations
-  // but 2^40 APs.  Before the fix the decoder sized an rss buffer from
-  // the unvalidated AP count — a multi-terabyte allocation attempt.
+  // CRC-valid checkpoint whose reservoir count claims 2^40 pairs.  A
+  // decoder that reserved from the unvalidated count would attempt a
+  // multi-terabyte allocation (v1's radio-map block had exactly this
+  // bug with its AP count).
   std::string body("MOLOCKPT", 8);
-  detail::putU32(body, 1);  // version
+  detail::putU32(body, 2);  // version
   detail::putU64(body, 1);  // throughSeq
   detail::putF64(body, 15.0);
   detail::putF64(body, 2.0);
@@ -136,14 +137,10 @@ TEST(StoreErrors, CheckpointApCountBombIsRejectedWithoutAllocating) {
   detail::putU8(body, 1);
   detail::putU8(body, 1);
   detail::putU64(body, 4);  // capacity
-  detail::putU64(body, 0);  // locationCount
+  detail::putU64(body, 3);  // locationCount
   for (int w = 0; w < 4; ++w) detail::putU64(body, 17 + w);  // rng
   for (int c = 0; c < 6; ++c) detail::putU64(body, 0);       // counters
-  detail::putU64(body, 0);  // reservoirs
-  detail::putU64(body, 0);  // entries
-  detail::putU8(body, 1);   // fingerprints present
-  detail::putU64(body, 0);  // zero locations...
-  detail::putU64(body, std::uint64_t{1} << 40);  // ...2^40 APs
+  detail::putU64(body, std::uint64_t{1} << 40);  // reservoirs
   detail::putU32(body, crc32c(body.data(), body.size()));
   writeFileBytes(dir + "/checkpoint-00000000000000000001.ckpt", body);
   // The loader's contract is skip-not-throw; completing at all (and

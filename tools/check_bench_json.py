@@ -82,6 +82,7 @@ KNOWN_TOP_LEVEL = frozenset(
         "verification",
         "append",
         "recovery",
+        "checkpoint_capture",
         "cold_start",
         "cold_start_summary",
         "session_create",
