@@ -164,7 +164,7 @@ RecoveryRow benchRecovery(const env::FloorPlan& plan,
                         static_cast<env::LocationId>(1 + k % 2),
                         88.0 + 0.2 * static_cast<double>(k % 9),
                         3.7 + 0.02 * static_cast<double>(k % 11));
-    if (checkpointed) store.checkpointNow(db);
+    if (checkpointed) store.checkpoint(db);
   }
 
   RecoveryRow row;

@@ -133,7 +133,7 @@ int main() {
             geometry::reverseHeadingDeg(rlm->directionDeg),
             rlm->offsetMeters * 2.2);
     }
-    const auto info = store.checkpointNow(online);
+    const auto info = store.checkpoint(online);
     std::printf("logged %llu accepted observations, checkpoint through "
                 "seq %llu (%zu WAL segment(s) compacted)\n",
                 static_cast<unsigned long long>(store.lastSeq()),

@@ -24,6 +24,7 @@
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "service/intake.hpp"
 #include "service/localization_service.hpp"
 #include "store/state_store.hpp"
@@ -80,8 +81,9 @@ int main(int argc, char** argv) {
                  "durable store directory for the intake WAL "
                  "(empty = in-memory intake only)");
   args.addOption("checkpoint-every", "0",
-                 "background checkpoint cadence in records "
-                 "(0 = off; requires --wal-dir)");
+                 "checkpoint cadence in records, checked at each world "
+                 "publish; the intake writer writes each checkpoint "
+                 "itself (0 = off; requires --wal-dir)");
   args.addOption("port-file", "",
                  "write the bound port to this file once listening");
   args.addOption("drain-timeout-ms", "5000",
@@ -191,15 +193,18 @@ int main(int argc, char** argv) {
         // carry on its sequence numbers over an empty database, and the
         // next checkpoint would claim (and compaction then delete) the
         // previous run's records.
-        const store::RecoveryResult recovered =
-            store::recover(walDir, *intakeDb);
+        const store::RecoveryResult recovered = store::recover(
+            walDir, *intakeDb, &obs::MetricsRegistry::global());
         intakeText += ", recovered " +
                       std::to_string(intakeDb->counters().accepted) +
                       " records (checkpoint seq " +
                       std::to_string(recovered.checkpointSeq) + ", " +
                       std::to_string(recovered.replayedRecords) +
                       " replayed)";
-        stateStore = std::make_unique<store::StateStore>(walDir);
+        store::StoreConfig storeConfig;
+        storeConfig.metrics = &obs::MetricsRegistry::global();
+        stateStore =
+            std::make_unique<store::StateStore>(walDir, storeConfig);
       }
       service.attachIntake(
           intakeDb.get(), stateStore.get(),

@@ -9,12 +9,8 @@ namespace moloc::service {
 
 IntakePipeline::IntakePipeline(core::OnlineMotionDatabase& db,
                                IntakePolicy policy, PublishHook publish,
-                               ApplyHook afterApply,
                                obs::MetricsRegistry* metrics)
-    : db_(db),
-      policy_(policy),
-      publish_(std::move(publish)),
-      afterApply_(std::move(afterApply)) {
+    : db_(db), policy_(policy), publish_(std::move(publish)) {
   if (policy_.queueCapacity == 0)
     throw util::ConfigError(
         "IntakePipeline: queue capacity must be >= 1");
@@ -97,7 +93,9 @@ void IntakePipeline::writerLoop() {
       appliedRecords = applied_;
     }
     // The hook runs with no pipeline lock held: freezing the database
-    // copies it, and submitters must not stall behind that.
+    // copies it (and a checkpoint writes it), and submitters must not
+    // stall behind that.  dirtySincePublish_ clears only after the hook
+    // returns, so a flush() waiting on it sees the hook's work done.
     if (publish_) publish_(appliedRecords);
     lastPublish = std::chrono::steady_clock::now();
     sincePublish = 0;
@@ -147,10 +145,6 @@ void IntakePipeline::writerLoop() {
           ++applied_;
           ++dirtySincePublish_;
         }
-        // Checkpoint trigger: the writer is the database's sole
-        // mutator, so state captured inside the hook is consistent
-        // with the WAL position by construction.
-        if (afterApply_) afterApply_();
       } catch (...) {
         // The write-ahead discipline already aborted the update (a
         // sink that throws logs nothing and applies nothing), so the

@@ -64,30 +64,29 @@ struct IntakePolicy {
 /// order are all the single thread's apply order.  On the cadence
 /// policy (record count or staleness bound) the writer invokes the
 /// publish hook, which freezes the database into an immutable
-/// WorldSnapshot for the readers.
+/// WorldSnapshot for the readers (and, in the service, writes a
+/// checkpoint when one is due).
 ///
 /// Durability window: submit() returning true means *admitted*, not
 /// yet durably logged; the log write happens at apply time on the
 /// writer.  flush() is the barrier — after it returns, everything
 /// previously admitted has been applied (or counted in
-/// Stats::applyFailures) and published.
+/// Stats::applyFailures) and a publish hook that began after the last
+/// of those applies has returned.
 class IntakePipeline {
  public:
-  /// Runs on the writer thread when the cadence policy fires, with no
-  /// pipeline lock held; `appliedRecords` is the cumulative applied
-  /// count folded into the world being published.
+  /// Runs on the writer thread when the cadence policy fires, between
+  /// applies and with no pipeline lock held; `appliedRecords` is the
+  /// cumulative applied count folded into the world being published.
+  /// The writer is the database's sole mutator, so state captured here
+  /// (a snapshot and the WAL position) is mutually consistent without
+  /// any global intake lock.
   using PublishHook = std::function<void(std::uint64_t appliedRecords)>;
-  /// Runs on the writer thread after each applied observation, with no
-  /// pipeline lock held — the service's checkpoint trigger.  Because
-  /// the writer is the database's sole mutator, state captured here
-  /// (snapshot + WAL position) is mutually consistent without any
-  /// global intake lock.
-  using ApplyHook = std::function<void()>;
 
   /// Starts the writer thread.  `db` must outlive the pipeline.
   /// Throws std::invalid_argument on a degenerate policy.
   IntakePipeline(core::OnlineMotionDatabase& db, IntakePolicy policy,
-                 PublishHook publish, ApplyHook afterApply,
+                 PublishHook publish,
                  obs::MetricsRegistry* metrics = nullptr);
 
   /// stop()s and joins the writer.
@@ -104,8 +103,8 @@ class IntakePipeline {
               double directionDeg, double offsetMeters);
 
   /// Blocks until every observation admitted before this call has been
-  /// applied (or failed) and the world containing them has been
-  /// published.  Throws ShutdownError if the pipeline stops while
+  /// applied (or failed) and the publish hook covering them has
+  /// returned.  Throws ShutdownError if the pipeline stops while
   /// waiting with work still pending.
   void flush();
 
@@ -139,7 +138,6 @@ class IntakePipeline {
   core::OnlineMotionDatabase& db_;
   const IntakePolicy policy_;
   const PublishHook publish_;
-  const ApplyHook afterApply_;
 
   mutable util::Mutex mu_;
   /// Wakes the writer: new work, a stop, or a flush that needs an

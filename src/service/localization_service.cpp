@@ -3,7 +3,6 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/online_motion_database.hpp"
@@ -109,12 +108,10 @@ LocalizationService::LocalizationService(
     metrics_.observationsReported = &registry.counter(
         "moloc_service_observations_reported_total",
         "Crowdsourced observations fed through reportObservation()");
-    metrics_.backgroundCheckpoints = &registry.counter(
-        "moloc_service_background_checkpoints_total",
-        "Background checkpoints triggered by the intake record count");
     metrics_.checkpointFailures = &registry.counter(
         "moloc_service_checkpoint_failures_total",
-        "Background checkpoints that failed with an exception");
+        "Checkpoints the intake writer attempted that failed with an "
+        "exception");
     metrics_.worldPublishes = &registry.counter(
         "moloc_service_world_publishes_total",
         "Immutable WorldSnapshots published by the intake writer");
@@ -126,20 +123,6 @@ LocalizationService::LocalizationService(
 }
 
 LocalizationService::~LocalizationService() {
-  // Wake checkpoint waiters with a typed error and drain them, so no
-  // thread is left blocked on a condition that can no longer change
-  // (waitForCheckpoint used to hang shutdown if a checkpoint was in
-  // flight when the service died).
-  {
-    const util::MutexLock lock(checkpointWaitMu_);
-    shuttingDown_ = true;
-  }
-  checkpointCv_.notifyAll();
-  {
-    const util::MutexLock lock(checkpointWaitMu_);
-    while (checkpointWaiters_ > 0) checkpointCv_.wait(checkpointWaitMu_);
-  }
-
   // Stop the intake writer outside intakeMu_ (its hooks take service
   // locks).  stop() drains the queue — admitted observations are still
   // logged and applied — and runs a final publish.
@@ -150,11 +133,6 @@ LocalizationService::~LocalizationService() {
     pipeline = std::move(pipeline_);
   }
   if (pipeline) pipeline->stop();
-  pipeline.reset();
-
-  // The writer has stopped, so no checkpoint can start any more; join
-  // the last one while everything it touches is still alive.
-  if (checkpointThread_.joinable()) checkpointThread_.join();
 }
 
 LocalizationService::Shard& LocalizationService::shardFor(SessionId id) {
@@ -457,10 +435,11 @@ void LocalizationService::attachIntake(core::OnlineMotionDatabase* db,
   if (store != nullptr) db->setSink(store);
   auto pipeline = std::make_shared<IntakePipeline>(
       *db, policy,
-      /*publish=*/[this, db](std::uint64_t) { publishWorld(*db); },
-      /*afterApply=*/
-      [this, db, store, checkpointEveryRecords] {
-        maybeCheckpointFromWriter(db, store, checkpointEveryRecords);
+      /*publish=*/
+      [this, db, store, checkpointEveryRecords](std::uint64_t) {
+        publishWorld(*db);
+        if (checkpointEveryRecords > 0)
+          checkpointIfDue(*db, *store, checkpointEveryRecords);
       },
       config_.metrics);
   {
@@ -526,81 +505,20 @@ IntakePipeline::Stats LocalizationService::intakeStats() const {
   return pipeline->stats();
 }
 
-void LocalizationService::maybeCheckpointFromWriter(
-    core::OnlineMotionDatabase* db, store::StateStore* store,
+void LocalizationService::checkpointIfDue(
+    const core::OnlineMotionDatabase& db, store::StateStore& store,
     std::uint64_t checkpointEveryRecords) {
-  if (store == nullptr || checkpointEveryRecords == 0) return;
-  if (store->recordsSinceCheckpoint() < checkpointEveryRecords) return;
-  // One checkpoint at a time: a second trigger while one is being
-  // written would snapshot redundantly and contend on the store.
-  if (checkpointInFlight_.exchange(true)) return;
-
-  // Snapshot and WAL position are captured here, on the intake writer
-  // thread between applies.  The writer is the database's sole
-  // mutator, so the pair is mutually consistent without any global
-  // intake lock; only the (slow) serialize-and-publish runs on the
-  // checkpoint thread.
-  auto snapshot = std::make_shared<core::OnlineMotionDatabase::Snapshot>(
-      db->snapshot());
-  const std::uint64_t throughSeq = store->lastSeq();
-  const auto finish = [this] {
-    {
-      const util::MutexLock done(checkpointWaitMu_);
-      checkpointInFlight_.store(false);
-    }
-    checkpointCv_.notifyAll();
-  };
-  // The previous checkpoint cleared the in-flight flag as its last
-  // step, so it has finished (or is returning) and the join is quick.
-  if (checkpointThread_.joinable()) checkpointThread_.join();
+  if (store.recordsSinceCheckpoint() < checkpointEveryRecords) return;
   try {
-    checkpointThread_ = std::thread([this, store, snapshot, throughSeq,
-                                     finish] {
-      try {
-        if (config_.checkpointTestHook) config_.checkpointTestHook();
-        store->checkpoint(*snapshot, throughSeq);
-#if MOLOC_METRICS_ENABLED
-        if (metrics_.backgroundCheckpoints)
-          metrics_.backgroundCheckpoints->inc();
-      } catch (...) {
-        // Durability degraded but serving is unaffected: the WAL still
-        // holds everything.  Surface via metrics rather than tearing
-        // the process down.
-        if (metrics_.checkpointFailures)
-          metrics_.checkpointFailures->inc();
-      }
-#else
-      } catch (...) {
-      }
-#endif
-      finish();
-    });
+    store.checkpoint(db);
   } catch (...) {
-    // The thread could not start: without this reset the flag would
-    // latch true forever, permanently disabling background
-    // checkpoints and hanging waitForCheckpoint().
-    finish();
+    // Durability degraded but serving is unaffected: the WAL still
+    // holds everything, and the next publish tries again.  Surface via
+    // metrics rather than tearing the writer down.
 #if MOLOC_METRICS_ENABLED
     if (metrics_.checkpointFailures) metrics_.checkpointFailures->inc();
 #endif
   }
-}
-
-void LocalizationService::waitForCheckpoint() {
-  const util::MutexLock lock(checkpointWaitMu_);
-  ++checkpointWaiters_;
-  while (checkpointInFlight_.load()) {
-    if (shuttingDown_) {
-      --checkpointWaiters_;
-      checkpointCv_.notifyAll();  // Unblock the destructor's drain.
-      throw ShutdownError(
-          "LocalizationService::waitForCheckpoint: service shutting "
-          "down");
-    }
-    checkpointCv_.wait(checkpointWaitMu_);
-  }
-  --checkpointWaiters_;
-  checkpointCv_.notifyAll();  // Unblock the destructor's drain.
 }
 
 std::size_t LocalizationService::sessionCount() const {

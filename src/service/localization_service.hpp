@@ -4,10 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -68,11 +66,6 @@ struct ServiceConfig {
   /// and bench do), or set nullptr to opt out at runtime.  Inert when
   /// the build sets MOLOC_METRICS=OFF.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
-  /// Test seam: when set, runs on every background checkpoint's
-  /// thread before the store write — lets tests hold a checkpoint
-  /// deterministically in flight (e.g. to race waitForCheckpoint
-  /// against shutdown).  Leave unset in production.
-  std::function<void()> checkpointTestHook;
 };
 
 /// One unit of batch work: a scan for one session, plus the IMU
@@ -100,8 +93,9 @@ struct ScanRequest {
 ///   - Intake mutates a private OnlineMotionDatabase on one writer
 ///     thread behind a bounded MPSC queue (service::IntakePipeline)
 ///     and publishes a fresh snapshot on a record-count/staleness
-///     cadence.  The localize path provably never touches the intake
-///     or checkpoint mutexes (MOLOC_EXCLUDES below).
+///     cadence, writing a checkpoint at a publish when one is due.
+///     The localize path provably never touches the intake mutex
+///     (MOLOC_EXCLUDES below).
 ///   - The session map is sharded; each shard's mutex guards only
 ///     lookup/insert/erase, never localization work.  A new session
 ///     is built on the current world first (O(k), no venue-sized
@@ -115,7 +109,7 @@ struct ScanRequest {
 ///
 /// Threads: the service runs localization on its callers' threads
 /// (molocd's serving threads, a bench's own threads) and starts only
-/// the intake writer and one background checkpoint thread of its own.
+/// the intake writer of its own.
 ///
 /// Determinism: a session's estimate depends only on that session's
 /// scan sequence and the worlds it adopted, so concurrent callers get
@@ -144,10 +138,8 @@ class LocalizationService {
   LocalizationService(const LocalizationService&) = delete;
   LocalizationService& operator=(const LocalizationService&) = delete;
 
-  /// Wakes any waitForCheckpoint() waiters with ShutdownError and
-  /// drains them, stops the intake writer (admitted observations are
-  /// still applied and covered by a final publish), then joins any
-  /// in-flight background checkpoint.
+  /// Stops the intake writer: admitted observations are still applied
+  /// and covered by a final publish (and any checkpoint it triggers).
   ~LocalizationService();
 
   const ServiceConfig& config() const { return config_; }
@@ -184,7 +176,7 @@ class LocalizationService {
   core::LocationEstimate submitScan(
       SessionId id, const radio::Fingerprint& scan,
       const sensors::ImuTrace& imuSinceLastScan)
-      MOLOC_EXCLUDES(intakeMu_, checkpointWaitMu_);
+      MOLOC_EXCLUDES(intakeMu_);
 
   /// Localizes a batch on the calling thread and returns the estimates
   /// in request order.  Every scan is matched against the radio map in
@@ -205,7 +197,7 @@ class LocalizationService {
   /// resetSession() it first.
   std::vector<core::LocationEstimate> localizeBatch(
       const std::vector<ScanRequest>& batch)
-      MOLOC_EXCLUDES(intakeMu_, checkpointWaitMu_);
+      MOLOC_EXCLUDES(intakeMu_);
 
   /// Forgets the retained candidate set of `id` (start of a new walk).
   /// No-op for unknown sessions.
@@ -223,17 +215,17 @@ class LocalizationService {
   // separate OnlineMotionDatabase mutated only by the pipeline's
   // writer thread, which preserves the WAL write-ahead discipline (the
   // WAL order, reservoir update order, and RNG draw order are all the
-  // writer's apply order), triggers background checkpoints so recovery
-  // replays a bounded WAL tail, and publishes each new generation of
-  // the serving world.
+  // writer's apply order), publishes each new generation of the
+  // serving world, and writes the checkpoints that keep the WAL tail
+  // recovery replays bounded.
 
   /// Wires the intake and starts its writer thread.  `db` must be
   /// non-null and outlive the service (as must `store`).  When `store`
   /// is non-null it is attached as `db`'s sink, so every applied
   /// observation is durably logged before it mutates the reservoirs;
-  /// `checkpointEveryRecords` > 0 (requires a store) writes a
-  /// checkpoint on a background thread whenever that many records
-  /// accumulate past the newest checkpoint.  `policy` sets the queue
+  /// `checkpointEveryRecords` > 0 (requires a store) makes the writer
+  /// checkpoint at a publish once that many records have accumulated
+  /// past the newest checkpoint.  `policy` sets the queue
   /// bound and the publish cadence.  The database's current contents
   /// (e.g. recovered state) are published immediately.  Re-attaching
   /// stops and drains the previous pipeline first.  Throws
@@ -258,8 +250,9 @@ class LocalizationService {
                          double offsetMeters);
 
   /// Blocks until every observation admitted before this call has been
-  /// applied and the world containing them published (durability and
-  /// visibility barrier; tests and orderly shutdown).  Throws
+  /// applied and the world containing them published, and every
+  /// checkpoint they triggered is on disk (durability and visibility
+  /// barrier; tests and orderly shutdown).  Throws
   /// std::logic_error when no intake is attached and ShutdownError if
   /// the pipeline stops mid-wait.
   void flushIntake();
@@ -269,21 +262,16 @@ class LocalizationService {
   /// is attached.
   IntakePipeline::Stats intakeStats() const;
 
-  /// Blocks until no background checkpoint is in flight (shutdown and
-  /// test hook).  Does not prevent a later report from starting a new
-  /// one.  Throws ShutdownError instead of hanging when the service is
-  /// destroyed while waiting.
-  void waitForCheckpoint();
-
  private:
-  /// Starts a background checkpoint when the trigger fires and none is
-  /// already running.  Runs on the intake writer thread between
-  /// applies — the writer is the database's sole mutator, so the
-  /// snapshot and its WAL position are mutually consistent without any
-  /// global intake lock.
-  void maybeCheckpointFromWriter(core::OnlineMotionDatabase* db,
-                                 store::StateStore* store,
-                                 std::uint64_t checkpointEveryRecords);
+  /// Writes a checkpoint of `db` into `store` when at least
+  /// `checkpointEveryRecords` (> 0) records follow the newest one.
+  /// Runs on the intake writer at a publish, between applies: the
+  /// writer is the database's sole mutator, so the snapshot the store
+  /// takes matches its WAL position.  A failure is counted, not
+  /// thrown — the WAL still holds everything.
+  void checkpointIfDue(const core::OnlineMotionDatabase& db,
+                       store::StateStore& store,
+                       std::uint64_t checkpointEveryRecords);
 
   /// Freezes `db` into a new WorldSnapshot and publishes it (release
   /// store).  Runs on the intake writer thread, and once at attach.
@@ -378,7 +366,6 @@ class LocalizationService {
     obs::Counter* scansNoFix = nullptr;
     obs::Counter* batchRequestsFailed = nullptr;
     obs::Counter* observationsReported = nullptr;
-    obs::Counter* backgroundCheckpoints = nullptr;
     obs::Counter* checkpointFailures = nullptr;
     obs::Counter* worldPublishes = nullptr;
     obs::Gauge* worldGeneration = nullptr;
@@ -398,24 +385,6 @@ class LocalizationService {
   /// flushIntake() arriving after that point to throw the typed
   /// ShutdownError rather than "no intake attached".
   bool intakeShutdown_ MOLOC_GUARDED_BY(intakeMu_) = false;
-  util::Mutex checkpointWaitMu_;
-  util::CondVar checkpointCv_;
-  /// Set by the destructor (under checkpointWaitMu_) before it wakes
-  /// and drains the checkpoint waiters.
-  bool shuttingDown_ MOLOC_GUARDED_BY(checkpointWaitMu_) = false;
-  /// Threads currently blocked in waitForCheckpoint(); the destructor
-  /// drains this to zero before tearing anything down.
-  int checkpointWaiters_ MOLOC_GUARDED_BY(checkpointWaitMu_) = 0;
-  /// Atomic rather than guarded: maybeCheckpointFromWriter() claims
-  /// the in-flight slot with exchange() on the writer thread, and the
-  /// checkpoint thread clears it under checkpointWaitMu_ for the
-  /// waiters.
-  std::atomic<bool> checkpointInFlight_{false};
-  /// The newest background checkpoint.  Touched only by the intake
-  /// writer (which joins the finished previous one before starting the
-  /// next) and by the destructor after the writer has stopped, which
-  /// joins it last.
-  std::thread checkpointThread_;
 };
 
 }  // namespace moloc::service

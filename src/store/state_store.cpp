@@ -93,9 +93,8 @@ void StateStore::onAccepted(env::LocationId estimatedStart,
 #endif
 }
 
-CheckpointInfo StateStore::checkpoint(
-    const core::OnlineMotionDatabase::Snapshot& snapshot,
-    std::uint64_t throughSeq) {
+CheckpointInfo StateStore::checkpoint(const core::OnlineMotionDatabase& db) {
+  const core::OnlineMotionDatabase::Snapshot snapshot = db.snapshot();
   const auto start = std::chrono::steady_clock::now();
   // Serializes concurrent checkpoint() calls: two at once would write
   // the same '<path>.tmp' (O_TRUNC) and could interleave, publishing a
@@ -103,15 +102,12 @@ CheckpointInfo StateStore::checkpoint(
   // while holding it) keeps appends flowing during the slow
   // serialize-and-publish below.
   const util::MutexLock checkpointLock(checkpointMu_);
+  std::uint64_t throughSeq = 0;
   {
     // The checkpoint must not claim a sequence the log has not durably
     // reached; sync before publishing.
     const util::MutexLock lock(mu_);
-    if (throughSeq > wal_->lastSeq())
-      throw util::ConfigError(
-          "StateStore::checkpoint: throughSeq " +
-          std::to_string(throughSeq) + " exceeds WAL lastSeq " +
-          std::to_string(wal_->lastSeq()));
+    throughSeq = wal_->lastSeq();
     wal_->sync();
   }
 
@@ -160,11 +156,6 @@ CheckpointInfo StateStore::checkpoint(
 #endif
   }
   return info;
-}
-
-CheckpointInfo StateStore::checkpointNow(
-    const core::OnlineMotionDatabase& db) {
-  return checkpoint(db.snapshot(), lastSeq());
 }
 
 void StateStore::sync() {

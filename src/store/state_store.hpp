@@ -60,23 +60,17 @@ class StateStore final : public core::ObservationSink {
                   env::LocationId estimatedEnd, double directionDeg,
                   double offsetMeters) override;
 
-  /// Publishes `snapshot` (captured by the caller at WAL position
-  /// `throughSeq`) as a checkpoint file, then prunes old checkpoints
-  /// and deletes WAL segments wholly covered by it.  The WAL is synced
-  /// first, so the checkpoint never claims a sequence the log has not
-  /// durably reached.
+  /// Snapshots `db` and publishes it as a checkpoint covering the
+  /// WAL through lastSeq(), then prunes old checkpoints and deletes WAL
+  /// segments wholly covered by it.  The WAL is synced first, so the
+  /// checkpoint never claims a sequence the log has not durably
+  /// reached.
   ///
-  /// Correctness requires that `snapshot` reflect exactly the records
-  /// with seq <= throughSeq — capture both under the same intake lock
-  /// (snapshot() and lastSeq() with no addObservation between them).
-  CheckpointInfo checkpoint(
-      const core::OnlineMotionDatabase::Snapshot& snapshot,
-      std::uint64_t throughSeq);
-
-  /// Convenience for single-threaded callers (examples, tests, batch
-  /// jobs): snapshots `db` and checkpoints it at the current lastSeq().
-  /// Requires that no other thread is feeding `db` concurrently.
-  CheckpointInfo checkpointNow(const core::OnlineMotionDatabase& db);
+  /// Correctness requires that nothing feed `db` during the call (the
+  /// snapshot must reflect exactly the records logged so far): call it
+  /// from the database's sole mutator, as the service's intake writer
+  /// does, or from single-threaded code.
+  CheckpointInfo checkpoint(const core::OnlineMotionDatabase& db);
 
   /// Forces the WAL to disk regardless of fsync policy.
   void sync();
@@ -87,8 +81,8 @@ class StateStore final : public core::ObservationSink {
   /// Sequence the newest checkpoint covers (0 when none).
   std::uint64_t lastCheckpointSeq() const;
 
-  /// Records appended since the last checkpoint — the background
-  /// checkpoint trigger LocalizationService polls.
+  /// Records appended since the last checkpoint — the checkpoint
+  /// trigger LocalizationService's intake writer polls.
   std::uint64_t recordsSinceCheckpoint() const;
 
   WalWriter::Stats walStats() const;

@@ -2,9 +2,10 @@
 # molocd keeps every acknowledged observation across restarts.
 #
 # Two runs against one --wal-dir each report observations through
-# moloc_loadgen and stop on SIGTERM; background checkpoints (every 32
-# records) compact the WAL as they go.  A third boot must recover
-# exactly the observations both runs accepted, and serve what it
+# moloc_loadgen and stop on SIGTERM; the intake writer checkpoints
+# (every 32 records, checked at each publish) and compacts the WAL as
+# it goes.  A third boot must recover exactly the observations both
+# runs accepted from a checkpoint those runs wrote, and serve what it
 # recovered: moloc_loadgen --wal-dir recovers the same directory into
 # its in-process reference and verifies every answer bitwise.
 #
@@ -82,6 +83,12 @@ if [ "$got" != "$total" ]; then
   cat "$work/run3.log"
   exit 1
 fi
+ckpt=$(sed -n 's/.*(checkpoint seq \([0-9]*\),.*/\1/p' "$work/run3.log")
+if [ -z "$ckpt" ] || [ "$ckpt" -le 0 ] || [ "$ckpt" -gt "$total" ]; then
+  echo "third boot loaded checkpoint seq ${ckpt:-none}, want 1..$total"
+  cat "$work/run3.log"
+  exit 1
+fi
 if ! "$loadgen" --smoke --wal-dir "$wal" --port-file "$work/run3.port" \
     --out "$work/run3.json" > "$work/load3.log"; then
   echo "third boot: bitwise verification against the recovered state failed"
@@ -89,4 +96,4 @@ if ! "$loadgen" --smoke --wal-dir "$wal" --port-file "$work/run3.port" \
   exit 1
 fi
 stop
-echo "recovered $got of $total acknowledged observations; third boot verified bitwise"
+echo "recovered $got of $total acknowledged observations from checkpoint seq $ckpt; third boot verified bitwise"

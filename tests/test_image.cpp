@@ -489,7 +489,7 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
     for (int k = 0; k < 20; ++k)
       db.addObservation(k % 2, 1 + k % 2, 87.0 + 0.3 * (k % 13),
                         3.6 + 0.03 * (k % 17));
-    store.checkpointNow(db);
+    store.checkpoint(db);
 
     // The image publishes between the checkpoint and the WAL tail...
     writeVenueImage(imagePath, *world);

@@ -57,15 +57,20 @@ class FailingSink : public core::ObservationSink {
   }
 };
 
-/// A one-way gate the writer thread can be parked on (via the apply
-/// hook), so tests can fill the queue deterministically.
-class Gate {
+/// A RecordingSink with a one-way gate: the writer parks inside the
+/// apply of the first observation it logs until open(), so tests can
+/// fill the queue deterministically.
+class GatedSink : public RecordingSink {
  public:
-  void arrive() {
-    const util::MutexLock lock(mu_);
-    ++arrivals_;
-    cv_.notifyAll();
-    while (!open_) cv_.wait(mu_);
+  void onAccepted(env::LocationId start, env::LocationId end,
+                  double directionDeg, double offsetMeters) override {
+    {
+      const util::MutexLock lock(mu_);
+      ++arrivals_;
+      cv_.notifyAll();
+      while (!open_) cv_.wait(mu_);
+    }
+    RecordingSink::onAccepted(start, end, directionDeg, offsetMeters);
   }
   void waitForArrival() {
     const util::MutexLock lock(mu_);
@@ -96,15 +101,15 @@ TEST(IntakePipeline, RejectsDegeneratePolicies) {
   core::OnlineMotionDatabase db(plan);
   IntakePolicy zeroCapacity;
   zeroCapacity.queueCapacity = 0;
-  EXPECT_THROW(IntakePipeline(db, zeroCapacity, nullptr, nullptr),
+  EXPECT_THROW(IntakePipeline(db, zeroCapacity, nullptr),
                std::invalid_argument);
   IntakePolicy zeroRecords;
   zeroRecords.publishEveryRecords = 0;
-  EXPECT_THROW(IntakePipeline(db, zeroRecords, nullptr, nullptr),
+  EXPECT_THROW(IntakePipeline(db, zeroRecords, nullptr),
                std::invalid_argument);
   IntakePolicy zeroStaleness;
   zeroStaleness.maxStaleness = std::chrono::milliseconds(0);
-  EXPECT_THROW(IntakePipeline(db, zeroStaleness, nullptr, nullptr),
+  EXPECT_THROW(IntakePipeline(db, zeroStaleness, nullptr),
                std::invalid_argument);
 }
 
@@ -113,7 +118,7 @@ TEST(IntakePipeline, AppliesInAdmissionOrderThroughTheWal) {
   core::OnlineMotionDatabase db(plan);
   RecordingSink sink;
   db.setSink(&sink);
-  IntakePipeline pipeline(db, slowPublishPolicy(), nullptr, nullptr);
+  IntakePipeline pipeline(db, slowPublishPolicy(), nullptr);
 
   EXPECT_TRUE(pipeline.submit(0, 1, 90.0, 4.0));
   EXPECT_TRUE(pipeline.submit(1, 2, 91.0, 4.1));
@@ -142,25 +147,24 @@ TEST(IntakePipeline, AppliesInAdmissionOrderThroughTheWal) {
 TEST(IntakePipeline, BackpressureIsTypedAndPreservesTheWalGuarantee) {
   const auto plan = corridorPlan();
   core::OnlineMotionDatabase db(plan);
-  RecordingSink sink;
+  GatedSink sink;
   db.setSink(&sink);
 
-  Gate gate;
   IntakePolicy policy = slowPublishPolicy();
   policy.queueCapacity = 2;
-  IntakePipeline pipeline(db, policy, nullptr,
-                          /*afterApply=*/[&gate] { gate.arrive(); });
+  IntakePipeline pipeline(db, policy, nullptr);
 
-  // Park the writer inside the first apply's hook, then fill the queue.
+  // Park the writer inside the first apply's log write, then fill the
+  // queue.
   EXPECT_TRUE(pipeline.submit(0, 1, 90.0, 4.0));
-  gate.waitForArrival();
+  sink.waitForArrival();
   EXPECT_TRUE(pipeline.submit(0, 1, 91.0, 4.1));
   EXPECT_TRUE(pipeline.submit(1, 2, 92.0, 4.2));
   EXPECT_THROW(pipeline.submit(1, 2, 93.0, 4.3), BackpressureError);
   EXPECT_EQ(pipeline.stats().backpressure, 1u);
   EXPECT_EQ(pipeline.stats().queueDepth, 2u);
 
-  gate.open();
+  sink.open();
   pipeline.flush();
 
   // The rejected submit was neither logged nor applied; everything
@@ -186,8 +190,7 @@ TEST(IntakePipeline, PublishesOnTheRecordCadence) {
       [&](std::uint64_t records) {
         publishes.fetch_add(1);
         lastRecords.store(records);
-      },
-      nullptr);
+      });
 
   for (int k = 0; k < 4; ++k)
     EXPECT_TRUE(pipeline.submit(k % 2, 1 + k % 2, 90.0 + k, 4.0));
@@ -209,8 +212,7 @@ TEST(IntakePipeline, PublishesWhenTheStalenessBoundExpires) {
   policy.maxStaleness = std::chrono::milliseconds(20);
   IntakePipeline pipeline(
       db, policy,
-      /*publish=*/[&](std::uint64_t) { publishes.fetch_add(1); },
-      nullptr);
+      /*publish=*/[&](std::uint64_t) { publishes.fetch_add(1); });
 
   EXPECT_TRUE(pipeline.submit(0, 1, 90.0, 4.0));
   // No flush: the staleness bound alone must surface the observation.
@@ -227,7 +229,7 @@ TEST(IntakePipeline, WriteAheadFailureIsCountedNotApplied) {
   core::OnlineMotionDatabase db(plan);
   FailingSink sink;
   db.setSink(&sink);
-  IntakePipeline pipeline(db, slowPublishPolicy(), nullptr, nullptr);
+  IntakePipeline pipeline(db, slowPublishPolicy(), nullptr);
 
   EXPECT_TRUE(pipeline.submit(0, 1, 90.0, 4.0));  // Admitted...
   pipeline.flush();
@@ -247,8 +249,7 @@ TEST(IntakePipeline, StopDrainsAdmittedWorkAndRejectsNewSubmits) {
   std::atomic<std::uint64_t> publishes{0};
   auto pipeline = std::make_unique<IntakePipeline>(
       db, slowPublishPolicy(),
-      /*publish=*/[&](std::uint64_t) { publishes.fetch_add(1); },
-      nullptr);
+      /*publish=*/[&](std::uint64_t) { publishes.fetch_add(1); });
 
   EXPECT_TRUE(pipeline->submit(0, 1, 90.0, 4.0));
   EXPECT_TRUE(pipeline->submit(1, 2, 91.0, 4.1));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -551,7 +553,15 @@ TEST(LocalizationService, ReportObservationFeedsTheAttachedDatabase) {
   EXPECT_EQ(svc.intakeStats().applied, 1u);
 }
 
-TEST(LocalizationService, BackgroundCheckpointTriggersByRecordCount) {
+/// Reports `count` observations the intake accepts, varied with `k0`.
+void reportAccepted(LocalizationService& svc, int k0, int count) {
+  for (int k = k0; k < k0 + count; ++k)
+    ASSERT_TRUE(svc.reportObservation(k % 2, 1 + k % 2,
+                                      88.0 + 0.2 * (k % 9),
+                                      3.7 + 0.02 * (k % 11)));
+}
+
+TEST(LocalizationService, FlushReturnsWithTriggeredCheckpointOnDisk) {
   const std::string dir = freshStoreDir("bg");
   const auto plan = intakePlan();
   core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4);
@@ -564,11 +574,10 @@ TEST(LocalizationService, BackgroundCheckpointTriggersByRecordCount) {
   svc.attachIntake(&db, &store, /*checkpointEveryRecords=*/10);
   EXPECT_EQ(db.sink(), &store);  // attachIntake wires the WAL hook.
 
-  for (int k = 0; k < 30; ++k)
-    svc.reportObservation(k % 2, 1 + k % 2, 88.0 + 0.2 * (k % 9),
-                          3.7 + 0.02 * (k % 11));
-  svc.flushIntake();  // All admitted observations applied + logged.
-  svc.waitForCheckpoint();
+  reportAccepted(svc, 0, 30);
+  // The barrier alone: the publish that covers the flushed records
+  // runs the checkpoint they triggered before flushIntake returns.
+  svc.flushIntake();
   EXPECT_GE(store.lastCheckpointSeq(), 10u);
   EXPECT_EQ(store.lastSeq(), db.counters().accepted);
 
@@ -580,65 +589,101 @@ TEST(LocalizationService, BackgroundCheckpointTriggersByRecordCount) {
   test_support::expectIdenticalIntakeState(db, recovered);
 }
 
-TEST(LocalizationService, DestructionWakesCheckpointWaiters) {
-  // Regression: waitForCheckpoint used to block on a bare condition
-  // that nothing signalled once the service started dying, so a waiter
-  // racing ~LocalizationService hung forever.  Now the destructor
-  // raises ShutdownError in every waiter and drains them before any
-  // member is torn down.  The checkpointTestHook holds a checkpoint
-  // deterministically in flight while we stage the race.
-  const std::string dir = freshStoreDir("shutdown");
+TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
+  const std::string dir = freshStoreDir("ckptfail");
   const auto plan = intakePlan();
   core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4);
   store::StoreConfig storeConfig;
   storeConfig.wal.fsync = store::FsyncPolicy::kNone;
+  obs::MetricsRegistry registry;
+  storeConfig.metrics = &registry;
   store::StateStore store(dir, storeConfig);
 
-  std::atomic<bool> hookEntered{false};
-  std::atomic<bool> hookRelease{false};
+  // Exactly ten accepted records reach the first trigger, so it
+  // checkpoints at seq 10; a directory where that checkpoint's .tmp
+  // file goes makes the write fail.
+  char name[64];
+  std::snprintf(name, sizeof name, "checkpoint-%020llu.ckpt.tmp", 10ULL);
+  const std::string obstacle = dir + "/" + name;
+  std::filesystem::create_directories(obstacle);
+
   ServiceConfig config = testConfig();
-  config.checkpointTestHook = [&] {
-    hookEntered.store(true);
-    while (!hookRelease.load()) std::this_thread::yield();
-  };
+  config.metrics = &registry;
+  LocalizationService svc(twinFingerprints(), twinMotion(), config);
+  // Publish (and so check the trigger) only at a flush.
+  IntakePolicy flushOnly;
+  flushOnly.publishEveryRecords = 1000000;
+  flushOnly.maxStaleness = std::chrono::hours(1);
+  svc.attachIntake(&db, &store, /*checkpointEveryRecords=*/10, flushOnly);
 
-  auto svc = std::make_unique<LocalizationService>(
-      twinFingerprints(), twinMotion(), config);
-  svc->attachIntake(&db, &store, /*checkpointEveryRecords=*/1);
-  ASSERT_TRUE(svc->reportObservation(0, 1, 90.0, 4.0));
-  svc->flushIntake();
-  while (!hookEntered.load()) std::this_thread::yield();
-  // A checkpoint is now provably in flight and pinned there.
+  reportAccepted(svc, 0, 10);
+  svc.flushIntake();
+  EXPECT_EQ(store.lastCheckpointSeq(), 0u);
+#if MOLOC_METRICS_ENABLED
+  EXPECT_DOUBLE_EQ(
+      registry.findCounter("moloc_service_checkpoint_failures_total")
+          ->value(),
+      1.0);
+#endif
+  // The failure cost durability of nothing: every accepted observation
+  // is logged and applied, and the service keeps serving.
+  EXPECT_EQ(store.lastSeq(), 10u);
+  EXPECT_EQ(db.counters().accepted, 10u);
+  EXPECT_EQ(svc.intakeStats().applied, 10u);
+  EXPECT_EQ(svc.intakeStats().applyFailures, 0u);
+  const auto walk = makeWalk(61);
+  EXPECT_TRUE(svc.submitScan(1, walk.scans[0], walk.imu[0]).hasFix());
 
-  // The waiter must not touch the unique_ptr itself (reset() below
-  // writes its pointer word); the service object is what survives
-  // until the destructor has drained every waiter.
-  LocalizationService* const service = svc.get();
-  std::atomic<bool> waiterStarted{false};
-  std::atomic<bool> sawShutdownError{false};
-  std::thread waiter([&] {
-    waiterStarted.store(true);
-    try {
-      service->waitForCheckpoint();
-    } catch (const ShutdownError&) {
-      sawShutdownError.store(true);
-    }
-  });
-  while (!waiterStarted.load()) std::this_thread::yield();
+  std::filesystem::remove_all(obstacle);
+  reportAccepted(svc, 10, 10);
+  svc.flushIntake();
+  EXPECT_EQ(store.lastCheckpointSeq(), 20u);
+#if MOLOC_METRICS_ENABLED
+  EXPECT_DOUBLE_EQ(
+      registry.findCounter("moloc_service_checkpoint_failures_total")
+          ->value(),
+      1.0);
+#endif
 
-  // Release the pinned checkpoint only after the destructor has
-  // drained the waiter — proving the wake-up does not depend on the
-  // checkpoint ever completing.
-  std::thread releaser([&] {
-    while (!sawShutdownError.load()) std::this_thread::yield();
-    hookRelease.store(true);
-  });
-
-  svc.reset();  // Must not hang.
-  waiter.join();
-  releaser.join();
-  EXPECT_TRUE(sawShutdownError.load());
+  db.setSink(nullptr);
+  core::OnlineMotionDatabase recovered(plan, {}, 4);
+  const auto result = store::recover(dir, recovered);
+  EXPECT_TRUE(result.checkpointLoaded);
+  EXPECT_EQ(result.checkpointSeq, 20u);
+  EXPECT_EQ(result.replayedRecords, 0u);
+  test_support::expectIdenticalIntakeState(db, recovered);
 }
+
+#if MOLOC_METRICS_ENABLED
+TEST(LocalizationService, SharedRegistryCountsCheckpointsOnce) {
+  const std::string dir = freshStoreDir("registry");
+  const auto plan = intakePlan();
+  core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4);
+  obs::MetricsRegistry registry;
+  store::StoreConfig storeConfig;
+  storeConfig.wal.fsync = store::FsyncPolicy::kNone;
+  storeConfig.metrics = &registry;
+  store::StateStore store(dir, storeConfig);
+
+  ServiceConfig config = testConfig();
+  config.metrics = &registry;
+  LocalizationService svc(twinFingerprints(), twinMotion(), config);
+  svc.attachIntake(&db, &store, /*checkpointEveryRecords=*/5);
+  reportAccepted(svc, 0, 5);
+  svc.flushIntake();
+
+  // The store's series is the one checkpoint count; the service keeps
+  // only the failures.
+  const obs::Counter* checkpoints =
+      registry.findCounter("moloc_store_checkpoints_total");
+  ASSERT_NE(checkpoints, nullptr);
+  EXPECT_GE(checkpoints->value(), 1.0);
+  EXPECT_DOUBLE_EQ(
+      registry.findCounter("moloc_service_checkpoint_failures_total")
+          ->value(),
+      0.0);
+}
+#endif
 
 /// Write-ahead sink that parks the intake writer inside an apply until
 /// released — the deterministic way to hold "admitted but not yet

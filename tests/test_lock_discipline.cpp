@@ -2,12 +2,14 @@
 // prove statically (see src/util/thread_annotations.hpp and
 // docs/static_analysis.md) exercised together dynamically — serving
 // batches from two callers, crowdsourced intake through the MPSC queue
-// into the single writer thread (WAL + reservoir + snapshot publishes),
-// and checkpoint waiters, all concurrently.  The suite name joins the
+// into the single writer thread (WAL + reservoir + snapshot publishes
+// + the checkpoints it writes), and flush barriers waiting on them,
+// all concurrently.  The suite name joins the
 // ThreadSanitizer CI job's filter, where this test is the cross-
 // subsystem deadlock/race probe: producers touch only the intake
 // queue lock and the database's inner mu_ (classify); the writer owns
-// writeMu_ → store mu_; serving readers take only shard/slot locks
+// writeMu_ → store mu_ and, at a publish, the store's checkpointMu_ →
+// mu_; serving readers take only shard/slot locks
 // plus acquire-loads of the published WorldSnapshot.
 
 #include <gtest/gtest.h>
@@ -89,7 +91,7 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
     });
   }
   // Intake: crowdsourced observations through db + WAL, triggering
-  // background checkpoints every few records.
+  // a checkpoint at publishes every few records.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&svc, &failures, t] {
       for (int i = 0; i < kRounds; ++i) {
@@ -103,10 +105,11 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
       }
     });
   }
-  // Checkpoint waiters: block on the in-flight flag while the others
-  // keep starting new checkpoints.
+  // Checkpoint waiters: each flush forces a publish, which writes the
+  // checkpoint it triggers before the barrier releases, while the
+  // others keep admitting records.
   threads.emplace_back([&svc] {
-    for (int i = 0; i < kRounds; ++i) svc.waitForCheckpoint();
+    for (int i = 0; i < kRounds; ++i) svc.flushIntake();
   });
   // Snapshot readers: pin published worlds while the writer keeps
   // publishing new ones; generations must be monotone per reader and
@@ -124,8 +127,8 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
   });
   for (auto& thread : threads) thread.join();
 
-  svc.flushIntake();  // Everything admitted is applied + published.
-  svc.waitForCheckpoint();
+  // Everything admitted is applied, published and checkpointed.
+  svc.flushIntake();
   EXPECT_EQ(0, failures.load());
   // Intake threads * rounds observations were offered (classified at
   // admission); every accepted one must have reached the WAL — the

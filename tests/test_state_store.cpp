@@ -132,7 +132,7 @@ TEST_F(StateStoreTest, CheckpointPlusTailReplayIsBitIdentical) {
   for (int k = 0; k < 50; ++k)
     db.addObservation(stream[k].start, stream[k].end,
                       stream[k].directionDeg, stream[k].offsetMeters);
-  const CheckpointInfo info = store.checkpointNow(db);
+  const CheckpointInfo info = store.checkpoint(db);
   EXPECT_EQ(info.throughSeq, store.lastSeq());
   EXPECT_EQ(store.recordsSinceCheckpoint(), 0u);
 
@@ -282,7 +282,7 @@ TEST_F(StateStoreTest, CompactionDeletesCoveredSegmentsOnly) {
   const std::size_t segmentsBefore = WalReader(dir).scan().segments.size();
   ASSERT_GT(segmentsBefore, 3u);
 
-  const CheckpointInfo info = store.checkpointNow(db);
+  const CheckpointInfo info = store.checkpoint(db);
   EXPECT_GT(info.compactedSegments, 0u);
   // Only the active segment survives: every closed one was covered.
   EXPECT_EQ(WalReader(dir).scan().segments.size(), 1u);
@@ -325,7 +325,7 @@ TEST_F(StateStoreTest, RestartBehindRecordFreeSegmentContinuesSequence) {
     // only the record-free active segment.
     StateStore store(dir, config);
     ASSERT_EQ(store.lastSeq(), checkpointSeq);
-    store.checkpoint(db.snapshot(), checkpointSeq);
+    store.checkpoint(db);
   }
   {
     // Restart #2: only an empty segment (header firstSeq =
@@ -365,7 +365,7 @@ TEST_F(StateStoreTest, CheckpointSeqSeedsWriterWhenWalIsGone) {
     db.setSink(&store);
     for (const auto& o : mixedStream(40))
       db.addObservation(o.start, o.end, o.directionDeg, o.offsetMeters);
-    store.checkpointNow(db);
+    store.checkpoint(db);
     db.setSink(nullptr);
     checkpointSeq = store.lastCheckpointSeq();
   }
@@ -399,14 +399,12 @@ TEST_F(StateStoreTest, ConcurrentCheckpointsPublishAValidFile) {
     db.addObservation(o.start, o.end, o.directionDeg, o.offsetMeters);
   db.setSink(nullptr);
 
-  // Same snapshot, same throughSeq, four threads: the publishes share
+  // Same database, same throughSeq, four threads: the publishes share
   // a .tmp path and must be serialized, or the file interleaves.
-  const auto snapshot = db.snapshot();
   const std::uint64_t throughSeq = store.lastSeq();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
-    threads.emplace_back(
-        [&] { store.checkpoint(snapshot, throughSeq); });
+    threads.emplace_back([&] { store.checkpoint(db); });
   for (auto& thread : threads) thread.join();
 
   const auto loaded = loadNewestCheckpoint(dir);
@@ -425,7 +423,7 @@ TEST_F(StateStoreTest, MissingCheckpointWithCompactedWalRaises) {
   db.setSink(&store);
   for (const auto& o : mixedStream(80))
     db.addObservation(o.start, o.end, o.directionDeg, o.offsetMeters);
-  store.checkpointNow(db);
+  store.checkpoint(db);
   for (int k = 0; k < 10; ++k)
     db.addObservation(0, 1, 89.0 + 0.1 * k, 4.0);
   db.setSink(nullptr);
@@ -450,14 +448,7 @@ TEST_F(StateStoreTest, RecoverRefusesAttachedSink) {
   EXPECT_THROW(recover(dir, db), StoreError);
 }
 
-TEST_F(StateStoreTest, CheckpointRejectsFutureSeq) {
-  const std::string dir = freshDir("future");
-  StoreConfig config;
-  config.wal.fsync = FsyncPolicy::kNone;
-  StateStore store(dir, config);
-  auto db = makeDb();
-  EXPECT_THROW(store.checkpoint(db.snapshot(), 5), std::invalid_argument);
-
+TEST_F(StateStoreTest, RejectsZeroKeptCheckpoints) {
   StoreConfig keepNone;
   keepNone.keepCheckpoints = 0;
   EXPECT_THROW(StateStore(freshDir("keep0"), keepNone),
@@ -506,7 +497,7 @@ TEST_F(StateStoreTest, MetricsExposeDurabilityActivity) {
                                   o.offsetMeters)
                     ? 1
                     : 0;
-  store.checkpointNow(db);
+  store.checkpoint(db);
   db.setSink(nullptr);
 
 #if MOLOC_METRICS_ENABLED
