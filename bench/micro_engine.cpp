@@ -19,11 +19,13 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "baseline/hmm_localizer.hpp"
 #include "baseline/particle_filter.hpp"
 #include "bench/common.hpp"
 #include "core/localization_session.hpp"
+#include "core/online_motion_database.hpp"
 #include "baseline/wifi_fingerprinting.hpp"
 #include "eval/experiment_world.hpp"
 #include "kernel/fingerprint_kernel.hpp"
@@ -95,24 +97,37 @@ void BM_MotionDbLookup(benchmark::State& state) {
 BENCHMARK(BM_MotionDbLookup);
 
 void BM_MotionDbBuild(benchmark::State& state) {
-  // Rebuild the sanitation pipeline over a synthetic intake of the
-  // given size.
-  const auto observations = state.range(0);
-  core::MotionDatabaseBuilder builder(world().hall().plan);
+  // The sanitation pipeline end to end: a synthetic intake of the given
+  // size fed into a fresh intake sized to hold all of it, the way
+  // ExperimentWorld builds its motion database.
+  struct Observation {
+    env::LocationId from;
+    env::LocationId to;
+    double directionDeg;
+    double offsetMeters;
+  };
+  std::vector<Observation> observations;
   util::Rng rng(5);
   const auto& graph = world().hall().graph;
-  for (long i = 0; i < observations; ++i) {
+  for (long i = 0; i < state.range(0); ++i) {
     const auto from = static_cast<env::LocationId>(
         rng.uniformInt(0, static_cast<int>(graph.nodeCount()) - 1));
     const auto neighbors = graph.neighbors(from);
     if (neighbors.empty()) continue;
     const auto& edge = neighbors[static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<int>(neighbors.size()) - 1))];
-    builder.addObservation(from, edge.to,
-                           edge.headingDeg + rng.normal(0.0, 4.0),
-                           edge.length + rng.normal(0.0, 0.2));
+    observations.push_back({from, edge.to,
+                            edge.headingDeg + rng.normal(0.0, 4.0),
+                            edge.length + rng.normal(0.0, 0.2)});
   }
-  for (auto _ : state) benchmark::DoNotOptimize(builder.build());
+  for (auto _ : state) {
+    core::OnlineMotionDatabase intake(world().hall().plan, {},
+                                      observations.size());
+    for (const auto& obs : observations)
+      intake.addObservation(obs.from, obs.to, obs.directionDeg,
+                            obs.offsetMeters);
+    benchmark::DoNotOptimize(intake.database());
+  }
 }
 BENCHMARK(BM_MotionDbBuild)->Arg(300)->Arg(3000);
 

@@ -3,14 +3,13 @@
 // endpoint), the coarse map-comparison filter, and the fine 2-sigma
 // filter — showing what each stage rejects and what the final Gaussians
 // look like next to the map's ground truth.  A final phase feeds the
-// same crowd stream through the online intake with the durable store
-// attached, then recovers from disk and shows the rebuilt state is
-// bit-identical (see docs/persistence.md).
+// honest and junk part of the crowd stream through an intake with the
+// durable store attached, then recovers from disk and shows the rebuilt
+// state is bit-identical (see docs/persistence.md).
 
 #include <cstdio>
 #include <filesystem>
 
-#include "core/motion_database_builder.hpp"
 #include "core/online_motion_database.hpp"
 #include "env/office_hall.hpp"
 #include "geometry/angles.hpp"
@@ -21,7 +20,9 @@ int main() {
   using namespace moloc;
 
   const auto hall = env::makeOfficeHall();
-  core::MotionDatabaseBuilder builder(hall.plan);
+  // The default 64-sample reservoirs hold every observation of a pair
+  // here, so nothing is evicted.
+  core::OnlineMotionDatabase intake(hall.plan);
   util::Rng rng(7);
 
   // Simulated crowd data for three legs: mostly honest measurements
@@ -40,22 +41,22 @@ int main() {
     const auto rlm = hall.graph.groundTruthRlm(leg.from, leg.to);
     for (int i = 0; i < 40; ++i) {
       // Honest: direction within a few degrees, offset within ~0.3 m.
-      builder.addObservation(leg.from, leg.to,
-                             rlm->directionDeg + rng.normal(0.0, 3.0),
-                             rlm->offsetMeters + rng.normal(0.0, 0.2));
+      intake.addObservation(leg.from, leg.to,
+                            rlm->directionDeg + rng.normal(0.0, 3.0),
+                            rlm->offsetMeters + rng.normal(0.0, 0.2));
       ++honest;
     }
     for (int i = 0; i < 6; ++i) {
       // Mislocated: the walker thought she was on a *different* pair,
       // so her (perfectly fine) measurement lands on the wrong entry.
-      builder.addObservation(leg.from, 27 - leg.to,
-                             rlm->directionDeg + rng.normal(0.0, 3.0),
-                             rlm->offsetMeters + rng.normal(0.0, 0.2));
+      intake.addObservation(leg.from, 27 - leg.to,
+                            rlm->directionDeg + rng.normal(0.0, 3.0),
+                            rlm->offsetMeters + rng.normal(0.0, 0.2));
       ++mislocated;
     }
     for (int i = 0; i < 3; ++i) {
       // Junk sensors: direction flipped, offset doubled.
-      builder.addObservation(
+      intake.addObservation(
           leg.from, leg.to,
           geometry::reverseHeadingDeg(rlm->directionDeg),
           rlm->offsetMeters * 2.2);
@@ -68,16 +69,14 @@ int main() {
               "observations\n\n",
               honest, mislocated, junk);
 
-  core::BuilderReport report;
-  const auto db = builder.build(report);
+  const core::BuilderReport report = intake.report();
+  const core::MotionDatabase db = intake.database();
 
   std::printf("sanitation report:\n");
   std::printf("  rejected by coarse map filter: %zu\n",
               report.rejectedCoarse);
   std::printf("  rejected by fine 2-sigma filter: %zu\n",
               report.rejectedFine);
-  std::printf("  pairs below the sample minimum: %zu\n",
-              report.underMinSamples);
   std::printf("  pairs stored: %zu\n\n", report.pairsStored);
 
   std::printf("learned entries vs map ground truth:\n");

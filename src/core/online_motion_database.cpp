@@ -299,6 +299,20 @@ void OnlineMotionDatabase::invalidateStaleEntry(const PairKey& key) {
 #endif
 }
 
+BuilderReport OnlineMotionDatabase::report() const {
+  const util::MutexLock lock(mu_);
+  BuilderReport report;
+  report.observations = counters_.observations;
+  report.droppedSelfPairs = counters_.droppedSelfPairs;
+  report.rejectedCoarse = counters_.rejectedCoarse;
+  for (const auto& [key, reservoir] : reservoirs_) {
+    const PairFit fit = fitReservoir(config_, reservoir);
+    report.rejectedFine += fit.excludedFine;
+    if (fit.stats) ++report.pairsStored;
+  }
+  return report;
+}
+
 OnlineMotionDatabase::ReservoirStats
 OnlineMotionDatabase::reservoirStats() const {
   const util::MutexLock lock(mu_);

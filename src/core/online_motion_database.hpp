@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "core/motion_database.hpp"
-#include "core/motion_database_builder.hpp"
 #include "env/floor_plan.hpp"
 #include "geometry/vec2.hpp"
 #include "obs/metrics.hpp"
@@ -18,6 +18,33 @@
 #include "util/thread_annotations.hpp"
 
 namespace moloc::core {
+
+/// Sanitation thresholds of the database construction unit
+/// (Sec. IV.B.2).  The coarse/fine toggles exist for the sanitation
+/// ablation; production use keeps both on.
+struct BuilderConfig {
+  double coarseDirectionThresholdDeg = 20.0;  ///< vs. map-derived RLM.
+  double coarseOffsetThresholdMeters = 3.0;   ///< vs. map-derived RLM.
+  double fineSigmaMultiplier = 2.0;  ///< Drop samples beyond k sigma.
+  int minSamplesPerPair = 3;         ///< Entries need this many samples.
+  /// Floors keep the fitted Gaussians from degenerating when a pair's
+  /// surviving samples happen to agree almost exactly.
+  double minDirectionSigmaDeg = 2.0;
+  double minOffsetSigmaMeters = 0.05;
+  bool enableCoarseFilter = true;
+  bool enableFineFilter = true;
+};
+
+/// What the sanitation pipeline did, so experiments (and operators)
+/// can see how dirty the crowd data was.  See
+/// OnlineMotionDatabase::report().
+struct BuilderReport {
+  std::size_t observations = 0;       ///< Total intake.
+  std::size_t droppedSelfPairs = 0;   ///< i == j observations.
+  std::size_t rejectedCoarse = 0;     ///< Failed the map comparison.
+  std::size_t rejectedFine = 0;       ///< Beyond k sigma of the fit.
+  std::size_t pairsStored = 0;        ///< Undirected pairs in the DB.
+};
 
 /// Write-ahead hook of the intake: receives every observation that
 /// passed the sanitation filters, with the *original* call arguments
@@ -36,17 +63,24 @@ class ObservationSink {
                           double directionDeg, double offsetMeters) = 0;
 };
 
-/// An incrementally-updated motion database for deployments where
-/// crowdsourcing never stops (the paper's batch builder assumes a
-/// train-then-serve split).
+/// The crowdsourcing intake and sanitation pipeline that constructs the
+/// motion database (Sec. IV.B), updated incrementally so crowdsourcing
+/// never has to stop.  Every motion database built from observations
+/// goes through it: an offline campaign is a stream the reservoirs are
+/// sized to hold whole (see eval::ExperimentWorld).
 ///
-/// Each accepted observation lands in a bounded per-pair reservoir
-/// (uniform reservoir sampling once full, so the model tracks the
-/// long-run distribution without unbounded memory), after which that
-/// pair's Gaussians are refitted — including the fine 2-sigma pass —
-/// and written through to the queryable database with its mirror.
-/// The coarse map filter runs at intake, so poisoned or mislocated
-/// observations are rejected before they consume reservoir space.
+/// Observations arrive as (estimated start, estimated end, measured
+/// direction, measured offset) and are *reassembled* onto the
+/// smaller-ID endpoint (mirroring the direction by 180 degrees —
+/// mutual reachability).  The coarse map filter (discard RLMs that
+/// disagree with the straight-line map RLM beyond the thresholds) runs
+/// at intake, so poisoned or mislocated observations are rejected
+/// before they consume reservoir space.  Each accepted observation
+/// lands in a bounded per-pair reservoir (uniform reservoir sampling
+/// once full, so the model tracks the long-run distribution without
+/// unbounded memory), after which that pair's Gaussians are refitted —
+/// fit, fine 2-sigma pass, refit, sigma floors — and written through
+/// to the queryable database with its mirror.
 ///
 /// Coherence invariant: the published database never disagrees with
 /// the reservoirs.  When a refit's fine filter leaves a pair with
@@ -129,6 +163,12 @@ class OnlineMotionDatabase {
     const util::MutexLock lock(mu_);
     return config_;
   }
+
+  /// The sanitation report of the current state: the intake counters
+  /// plus, from the current fit of every reservoir, the samples the
+  /// fine filter excludes and the pairs that have an entry.  Refits
+  /// every pair: O(retained samples).
+  BuilderReport report() const;
 
   /// Intake counters (coarse rejections, self-pairs, acceptances,
   /// fine-filter exclusions, stale-entry invalidations).

@@ -1,11 +1,12 @@
 #include "eval/experiment_world.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
 #include "baseline/wifi_fingerprinting.hpp"
-#include "geometry/angles.hpp"
 #include "core/online_motion_database.hpp"
+#include "geometry/angles.hpp"
 #include "sensors/compass_calibrator.hpp"
 #include "util/error.hpp"
 
@@ -138,29 +139,21 @@ void ExperimentWorld::buildMotionDatabase(util::Rng& trainingRng) {
       userBiasCorrections_[u] = calibrators[u].robustBiasDeg();
   }
 
-  if (config_.useOnlineBuilder) {
-    core::OnlineMotionDatabase online(hall_.plan, config_.builder);
-    for (const auto& obs : observations)
-      online.addObservation(
-          obs.estimatedStart, obs.estimatedEnd,
-          obs.directionDeg - userBiasCorrections_[obs.userIndex],
-          obs.offsetMeters);
-    motionDb_ = online.database();
-    builderReport_ = core::BuilderReport{};
-    builderReport_.observations = online.counters().observations;
-    builderReport_.rejectedCoarse = online.counters().rejectedCoarse;
-    builderReport_.droppedSelfPairs = online.counters().droppedSelfPairs;
-    builderReport_.pairsStored = motionDb_.entryCount() / 2;
-    return;
-  }
-
-  core::MotionDatabaseBuilder builder(hall_.plan, config_.builder);
+  // Reservoirs sized to the whole campaign never evict, so the RNG is
+  // never drawn and every entry is the fit of all of its pair's
+  // surviving observations.
+  core::OnlineMotionDatabase intake(
+      hall_.plan, config_.builder,
+      std::max(observations.size(),
+               static_cast<std::size_t>(
+                   std::max(config_.builder.minSamplesPerPair, 1))));
   for (const auto& obs : observations)
-    builder.addObservation(
+    intake.addObservation(
         obs.estimatedStart, obs.estimatedEnd,
         obs.directionDeg - userBiasCorrections_[obs.userIndex],
         obs.offsetMeters);
-  motionDb_ = builder.build(builderReport_);
+  motionDb_ = intake.database();
+  builderReport_ = intake.report();
 }
 
 traj::Trace ExperimentWorld::makeTrace(const traj::UserProfile& user,

@@ -7,7 +7,7 @@
 
 #include "core/moloc_engine.hpp"
 #include "core/motion_database.hpp"
-#include "core/motion_database_builder.hpp"
+#include "core/online_motion_database.hpp"
 #include "env/office_hall.hpp"
 #include "eval/error_stats.hpp"
 #include "radio/fingerprint_database.hpp"
@@ -46,10 +46,6 @@ struct WorldConfig {
   /// user's constant heading bias from the training legs and subtract
   /// it from training observations and evaluation-time measurements.
   bool calibrateCompass = false;
-  /// Build the motion database with the incremental
-  /// core::OnlineMotionDatabase (deployment mode) instead of the batch
-  /// builder.  The builder report then carries the online counters.
-  bool useOnlineBuilder = false;
   /// Overrides every user's placement bias (degrees); models a cohort
   /// without a placement-correcting front end.
   double userPlacementBiasDeg = 0.0;
@@ -71,6 +67,7 @@ class ExperimentWorld {
     return fingerprintDb_;
   }
   const core::MotionDatabase& motionDb() const { return motionDb_; }
+  /// The sanitation report of the intake that built motionDb().
   const core::BuilderReport& builderReport() const {
     return builderReport_;
   }

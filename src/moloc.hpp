@@ -59,7 +59,6 @@
 #include "core/localization_session.hpp"
 #include "core/moloc_engine.hpp"
 #include "core/motion_database.hpp"
-#include "core/motion_database_builder.hpp"
 #include "core/motion_matcher.hpp"
 #include "core/online_motion_database.hpp"
 #include "core/trace_smoother.hpp"

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace moloc::eval {
 namespace {
@@ -181,30 +184,53 @@ TEST(RunComparison, ErrorsAreConsistentWithGeometry) {
   }
 }
 
-TEST(ExperimentWorld, OnlineBuilderModeServes) {
-  auto batchConfig = smallConfig();
-  auto onlineConfig = smallConfig();
-  onlineConfig.useOnlineBuilder = true;
+/// FNV-1a over every motion-database entry — (i, j, the four doubles'
+/// bit patterns, sampleCount) in the database's iteration order — and
+/// then the builder report's counts.
+std::uint64_t motionDatabaseDigest(const ExperimentWorld& world) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto bits = [](double value) {
+    std::uint64_t out;
+    std::memcpy(&out, &value, sizeof out);
+    return out;
+  };
+  world.motionDb().forEachEntry(
+      [&](env::LocationId i, env::LocationId j, const core::RlmStats& s) {
+        mix(static_cast<std::uint64_t>(i));
+        mix(static_cast<std::uint64_t>(j));
+        mix(bits(s.muDirectionDeg));
+        mix(bits(s.sigmaDirectionDeg));
+        mix(bits(s.muOffsetMeters));
+        mix(bits(s.sigmaOffsetMeters));
+        mix(static_cast<std::uint64_t>(s.sampleCount));
+      });
+  const auto& report = world.builderReport();
+  mix(report.observations);
+  mix(report.droppedSelfPairs);
+  mix(report.rejectedCoarse);
+  mix(report.rejectedFine);
+  mix(report.pairsStored);
+  return hash;
+}
 
-  ExperimentWorld batch(batchConfig);
-  ExperimentWorld online(onlineConfig);
-
-  // Same intake stream, near-identical coverage (the online variant's
-  // reservoir only matters beyond its capacity).
-  EXPECT_EQ(online.builderReport().observations,
-            batch.builderReport().observations);
-  const auto batchPairs = batch.builderReport().pairsStored;
-  const auto onlinePairs = online.builderReport().pairsStored;
-  EXPECT_GE(onlinePairs + 3, batchPairs);
-
-  // And the deployment mode localizes comparably.
-  eval::ErrorStats batchStats;
-  eval::ErrorStats onlineStats;
-  for (const auto& o : runComparison(batch, 10, 8))
-    batchStats.addAll(o.moloc);
-  for (const auto& o : runComparison(online, 10, 8))
-    onlineStats.addAll(o.moloc);
-  EXPECT_GT(onlineStats.accuracy(), batchStats.accuracy() - 0.12);
+TEST(ExperimentWorld, MotionDatabaseIsPinned) {
+  // Paper-scale worlds, whose busiest pairs collect more than 64
+  // observations: every entry and report count is pinned bitwise, so a
+  // change to the fit, the filters or the reservoir sizing shows here.
+  const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+      {1, 0x38380ff9d74e503fULL}, {42, 0xea14887d7fcf0429ULL}};
+  for (const auto& [seed, digest] : pinned) {
+    WorldConfig config;
+    config.seed = seed;
+    EXPECT_EQ(motionDatabaseDigest(ExperimentWorld(config)), digest)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

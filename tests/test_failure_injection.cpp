@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "core/moloc_engine.hpp"
-#include "core/motion_database_builder.hpp"
 #include "core/online_motion_database.hpp"
 #include "eval/experiment_world.hpp"
 #include "radio/fingerprint_database.hpp"
@@ -36,25 +35,14 @@ TEST(FailureInjection, FingerprintDbRejectsNonFiniteQueries) {
                std::invalid_argument);
 }
 
-TEST(FailureInjection, BuilderRejectsNonFiniteMeasurements) {
-  env::FloorPlan plan(10.0, 10.0);
-  plan.addReferenceLocation({2.0, 5.0});
-  plan.addReferenceLocation({8.0, 5.0});
-  core::MotionDatabaseBuilder builder(plan);
-  EXPECT_THROW(builder.addObservation(0, 1, kNan, 4.0),
-               std::invalid_argument);
-  EXPECT_THROW(builder.addObservation(0, 1, 90.0, kInf),
-               std::invalid_argument);
-  EXPECT_THROW(builder.addObservation(0, 1, 90.0, -1.0),
-               std::invalid_argument);
-}
-
 TEST(FailureInjection, OnlineDbRejectsNonFiniteMeasurements) {
   env::FloorPlan plan(10.0, 10.0);
   plan.addReferenceLocation({2.0, 5.0});
   plan.addReferenceLocation({8.0, 5.0});
   core::OnlineMotionDatabase online(plan);
   EXPECT_THROW(online.addObservation(0, 1, kNan, 4.0),
+               std::invalid_argument);
+  EXPECT_THROW(online.addObservation(0, 1, 90.0, kInf),
                std::invalid_argument);
   EXPECT_THROW(online.addObservation(0, 1, 90.0, -0.5),
                std::invalid_argument);
@@ -79,25 +67,24 @@ TEST(FailureInjection, EngineSurvivesNonFiniteMotion) {
 
 TEST(FailureInjection, PoisonedCrowdDataIsFilteredOut) {
   // An adversary (or a chronically mislocated walker) floods the
-  // builder with fabricated RLMs that do not match the map; the
+  // intake with fabricated RLMs that do not match the map; the
   // sanitation must keep them all out of the database.
   env::FloorPlan plan(20.0, 10.0);
   plan.addReferenceLocation({2.0, 5.0});
   plan.addReferenceLocation({8.0, 5.0});
   plan.addReferenceLocation({14.0, 5.0});
-  core::MotionDatabaseBuilder builder(plan);
+  core::OnlineMotionDatabase online(plan);
 
   // Honest minority.
-  for (int i = 0; i < 10; ++i) builder.addObservation(0, 1, 90.0, 6.0);
+  for (int i = 0; i < 10; ++i) online.addObservation(0, 1, 90.0, 6.0);
   // Poison majority: reversed directions, absurd offsets.
   for (int i = 0; i < 100; ++i) {
-    builder.addObservation(0, 1, 270.0, 6.0);
-    builder.addObservation(0, 1, 90.0, 18.0);
+    online.addObservation(0, 1, 270.0, 6.0);
+    online.addObservation(0, 1, 90.0, 18.0);
   }
 
-  core::BuilderReport report;
-  const auto db = builder.build(report);
-  EXPECT_EQ(report.rejectedCoarse, 200u);
+  const auto db = online.database();
+  EXPECT_EQ(online.report().rejectedCoarse, 200u);
   ASSERT_TRUE(db.hasEntry(0, 1));
   EXPECT_EQ(db.entry(0, 1)->sampleCount, 10);
   EXPECT_NEAR(db.entry(0, 1)->muDirectionDeg, 90.0, 1.0);
@@ -109,23 +96,22 @@ TEST(FailureInjection, InPlanePoisonShiftsButFineFilterResists) {
   env::FloorPlan plan(20.0, 10.0);
   plan.addReferenceLocation({2.0, 5.0});
   plan.addReferenceLocation({8.0, 5.0});
-  core::MotionDatabaseBuilder builder(plan);
+  core::OnlineMotionDatabase online(plan);
   for (int i = 0; i < 50; ++i)
-    builder.addObservation(0, 1, 90.0 + (i % 5 - 2) * 0.5, 6.0);
+    online.addObservation(0, 1, 90.0 + (i % 5 - 2) * 0.5, 6.0);
   for (int i = 0; i < 5; ++i)
-    builder.addObservation(0, 1, 108.0, 6.0);  // 18 deg: inside gate.
+    online.addObservation(0, 1, 108.0, 6.0);  // 18 deg: inside gate.
 
-  core::BuilderReport report;
-  const auto db = builder.build(report);
+  const auto db = online.database();
   ASSERT_TRUE(db.hasEntry(0, 1));
   // The fine filter rejected the biased cluster.
-  EXPECT_EQ(report.rejectedFine, 5u);
+  EXPECT_EQ(online.report().rejectedFine, 5u);
   EXPECT_NEAR(db.entry(0, 1)->muDirectionDeg, 90.0, 1.5);
 }
 
 TEST(FailureInjection, MotionMatcherHandlesDegenerateStats) {
   core::MotionDatabase db(2);
-  // Zero sigmas (should never be produced by the builder, but the
+  // Zero sigmas (should never be produced by the intake, but the
   // matcher must not divide by zero if constructed by hand).
   db.setEntryWithMirror(0, 1, {90.0, 0.0, 4.0, 0.0, 1});
   const core::MotionMatcher matcher(db);

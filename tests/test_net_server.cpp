@@ -188,8 +188,8 @@ TEST(NetServer, ImageLoadedWorldServesBitwiseIdenticalToFreshlyBuilt) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/venue.img";
 
-  // Give the (small) world a tiered index so the image embeds
-  // signature planes and the served localize path exercises them.
+  // Give the (small) world a tiered index so the image embeds its
+  // shard signatures and the served localize path exercises them.
   const service::ServiceConfig config = testConfig();
   const auto radioMap =
       std::make_shared<const radio::FingerprintDatabase>(twinFingerprints());

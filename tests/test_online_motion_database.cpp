@@ -2,20 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "geometry/angles.hpp"
 #include "obs/metrics.hpp"
+#include "util/stats.hpp"
 
 namespace moloc::core {
 namespace {
 
-/// The 3-location corridor used by the batch-builder tests: map RLM
-/// 0 -> 1 is (90 deg, 4 m).
+/// A 3-location corridor along the x axis: 0 at (2,2), 1 at (6,2),
+/// 2 at (10,2).  The map RLMs 0 -> 1 and 1 -> 2 are (90 deg east, 4 m).
 class OnlineDbTest : public ::testing::Test {
  protected:
   OnlineDbTest() {
@@ -112,27 +115,88 @@ TEST_F(OnlineDbTest, FineFilterStillApplies) {
   EXPECT_NEAR(entry->muOffsetMeters, 4.0, 0.1);
 }
 
-TEST_F(OnlineDbTest, MatchesBatchBuilderOnCleanStream) {
-  // On a stream smaller than the reservoir, online == batch.
-  BuilderConfig config;
-  config.minSamplesPerPair = 3;
-  OnlineMotionDatabase online(plan_, config, 64);
-  MotionDatabaseBuilder batch(plan_, config);
-  for (int i = 0; i < 20; ++i) {
-    const double d = 90.0 + (i % 5 - 2);
-    const double o = 4.0 + 0.05 * (i % 3 - 1);
-    online.addObservation(0, 1, d, o);
-    batch.addObservation(0, 1, d, o);
+/// Sec. IV.B's fit written out directly: circular mean and spread of
+/// the directions, linear mean and spread of the offsets, one k-sigma
+/// pass against that first fit, a refit of the survivors, then the
+/// sigma floors.
+RlmStats referenceFit(const BuilderConfig& config,
+                      const std::vector<double>& directions,
+                      const std::vector<double>& offsets) {
+  const auto fit = [](const std::vector<double>& dirs,
+                      const std::vector<double>& offs) {
+    RlmStats stats;
+    stats.sampleCount = static_cast<int>(dirs.size());
+    stats.muDirectionDeg = geometry::circularMeanDeg(dirs);
+    std::vector<double> deviations;
+    for (double d : dirs)
+      deviations.push_back(
+          geometry::signedAngularDiffDeg(stats.muDirectionDeg, d));
+    stats.sigmaDirectionDeg = util::stddev(deviations);
+    stats.muOffsetMeters = util::mean(offs);
+    stats.sigmaOffsetMeters = util::stddev(offs);
+    return stats;
+  };
+  const RlmStats first = fit(directions, offsets);
+  const double dirLimit =
+      config.fineSigmaMultiplier *
+      std::max(first.sigmaDirectionDeg, config.minDirectionSigmaDeg);
+  const double offLimit =
+      config.fineSigmaMultiplier *
+      std::max(first.sigmaOffsetMeters, config.minOffsetSigmaMeters);
+  std::vector<double> keptDirections;
+  std::vector<double> keptOffsets;
+  for (std::size_t s = 0; s < directions.size(); ++s) {
+    if (geometry::angularDistDeg(directions[s], first.muDirectionDeg) <=
+            dirLimit &&
+        std::abs(offsets[s] - first.muOffsetMeters) <= offLimit) {
+      keptDirections.push_back(directions[s]);
+      keptOffsets.push_back(offsets[s]);
+    }
   }
-  const auto onlineEntry = online.database().entry(0, 1);
-  const auto batchEntry = batch.build().entry(0, 1);
-  ASSERT_TRUE(onlineEntry && batchEntry);
-  EXPECT_NEAR(onlineEntry->muDirectionDeg, batchEntry->muDirectionDeg,
-              1e-9);
-  EXPECT_NEAR(onlineEntry->muOffsetMeters, batchEntry->muOffsetMeters,
-              1e-9);
-  EXPECT_NEAR(onlineEntry->sigmaOffsetMeters,
-              batchEntry->sigmaOffsetMeters, 1e-9);
+  RlmStats stats = fit(keptDirections, keptOffsets);
+  stats.sigmaDirectionDeg =
+      std::max(stats.sigmaDirectionDeg, config.minDirectionSigmaDeg);
+  stats.sigmaOffsetMeters =
+      std::max(stats.sigmaOffsetMeters, config.minOffsetSigmaMeters);
+  return stats;
+}
+
+TEST_F(OnlineDbTest, FitMatchesReferenceFormula) {
+  // Two pairs, each with one coarse-legal outlier the fine pass drops:
+  // a tight one (0, 1) whose refit falls under both sigma floors, and
+  // a wide one (1, 2) whose refit stays above them.  Both entries are
+  // bitwise the reference fit of the pair's stream.
+  const BuilderConfig config;
+  OnlineMotionDatabase online(plan_, config);
+  for (const auto& [i, dirStep, offStep] :
+       {std::tuple{0, 0.5, 0.01}, std::tuple{1, 2.0, 0.1}}) {
+    std::vector<double> directions;
+    std::vector<double> offsets;
+    for (int s = 0; s < 21; ++s) {
+      const double d = s < 20 ? 90.0 + dirStep * (s % 5 - 2) : 90.0;
+      const double o = s < 20 ? 4.0 + offStep * (s % 3 - 1) : 5.5;
+      ASSERT_TRUE(online.addObservation(i, i + 1, d, o));
+      directions.push_back(d);
+      offsets.push_back(o);
+    }
+    const RlmStats expected = referenceFit(config, directions, offsets);
+    const auto entry = online.database().entry(i, i + 1);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->sampleCount, 20);
+    EXPECT_EQ(entry->sampleCount, expected.sampleCount);
+    EXPECT_EQ(entry->muDirectionDeg, expected.muDirectionDeg);
+    EXPECT_EQ(entry->sigmaDirectionDeg, expected.sigmaDirectionDeg);
+    EXPECT_EQ(entry->muOffsetMeters, expected.muOffsetMeters);
+    EXPECT_EQ(entry->sigmaOffsetMeters, expected.sigmaOffsetMeters);
+  }
+  EXPECT_EQ(online.database().entry(0, 1)->sigmaDirectionDeg,
+            config.minDirectionSigmaDeg);
+  EXPECT_EQ(online.database().entry(0, 1)->sigmaOffsetMeters,
+            config.minOffsetSigmaMeters);
+  EXPECT_GT(online.database().entry(1, 2)->sigmaDirectionDeg,
+            config.minDirectionSigmaDeg);
+  EXPECT_GT(online.database().entry(1, 2)->sigmaOffsetMeters,
+            config.minOffsetSigmaMeters);
 }
 
 TEST_F(OnlineDbTest, ThrowsOnUnknownLocations) {
@@ -388,6 +452,190 @@ TEST_F(OnlineDbTest, SinkFailureAbortsTheUpdate) {
   sink.throwNext = false;
   EXPECT_TRUE(online.addObservation(0, 1, 91.0, 4.1));
   EXPECT_EQ(online.counters().accepted, 2u);
+}
+
+// The Sec. IV.B sanitation contract that BuilderConfig configures and
+// report() summarizes: reassembling, the coarse and fine filters, the
+// per-pair minimum and the sigma floors.
+using BuilderTest = OnlineDbTest;
+
+TEST_F(BuilderTest, LearnsCleanObservations) {
+  OnlineMotionDatabase online(plan_);
+  for (int i = 0; i < 10; ++i)
+    online.addObservation(0, 1, 90.0 + (i % 3 - 1) * 2.0,
+                          4.0 + (i % 3 - 1) * 0.1);
+  const auto db = online.database();
+
+  EXPECT_EQ(online.report().pairsStored, 1u);
+  ASSERT_TRUE(db.hasEntry(0, 1));
+  const auto stats = db.entry(0, 1);
+  EXPECT_NEAR(stats->muDirectionDeg, 90.0, 0.5);
+  EXPECT_NEAR(stats->muOffsetMeters, 4.0, 0.05);
+  // The mirror entry exists with the reversed direction.
+  ASSERT_TRUE(db.hasEntry(1, 0));
+  EXPECT_NEAR(db.entry(1, 0)->muDirectionDeg, 270.0, 0.5);
+}
+
+TEST_F(BuilderTest, ReassemblesOntoSmallerId) {
+  OnlineMotionDatabase online(plan_);
+  // Observations reported from the larger-ID side (walking west).
+  for (int i = 0; i < 5; ++i) online.addObservation(1, 0, 270.0, 4.0);
+  const auto db = online.database();
+  ASSERT_TRUE(db.hasEntry(0, 1));
+  // Stored under the smaller ID as the eastward leg.
+  EXPECT_NEAR(db.entry(0, 1)->muDirectionDeg, 90.0, 1e-9);
+  EXPECT_NEAR(db.entry(1, 0)->muDirectionDeg, 270.0, 1e-9);
+}
+
+TEST_F(BuilderTest, ForwardAndBackwardObservationsPool) {
+  OnlineMotionDatabase online(plan_);
+  for (int i = 0; i < 3; ++i) online.addObservation(0, 1, 88.0, 3.9);
+  for (int i = 0; i < 3; ++i) online.addObservation(1, 0, 272.0, 4.1);
+  const auto db = online.database();
+  ASSERT_TRUE(db.hasEntry(0, 1));
+  EXPECT_EQ(db.entry(0, 1)->sampleCount, 6);
+  EXPECT_NEAR(db.entry(0, 1)->muDirectionDeg, 90.0, 1.0);
+  EXPECT_NEAR(db.entry(0, 1)->muOffsetMeters, 4.0, 0.05);
+}
+
+TEST_F(BuilderTest, SelfPairsDropped) {
+  OnlineMotionDatabase online(plan_);
+  online.addObservation(1, 1, 90.0, 4.0);
+  EXPECT_EQ(online.report().droppedSelfPairs, 1u);
+  EXPECT_EQ(online.database().entryCount(), 0u);
+}
+
+TEST_F(BuilderTest, CoarseFilterRejectsDirectionOutliers) {
+  OnlineMotionDatabase online(plan_);
+  for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 90.0, 4.0);
+  // 45 degrees off the map heading: beyond the 20-degree threshold.
+  online.addObservation(0, 1, 135.0, 4.0);
+  EXPECT_EQ(online.report().rejectedCoarse, 1u);
+  EXPECT_EQ(online.database().entry(0, 1)->sampleCount, 5);
+}
+
+TEST_F(BuilderTest, CoarseFilterRejectsOffsetOutliers) {
+  OnlineMotionDatabase online(plan_);
+  for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 90.0, 4.0);
+  online.addObservation(0, 1, 90.0, 8.5);  // 4.5 m off: beyond 3 m.
+  EXPECT_EQ(online.report().rejectedCoarse, 1u);
+}
+
+TEST_F(BuilderTest, CoarseFilterComparesAgainstMapNotSamples) {
+  // Consistently wrong observations (e.g. from misestimated locations)
+  // are all rejected even though they agree with each other.
+  OnlineMotionDatabase online(plan_);
+  for (int i = 0; i < 10; ++i) online.addObservation(0, 1, 180.0, 4.0);
+  EXPECT_EQ(online.report().rejectedCoarse, 10u);
+  EXPECT_FALSE(online.database().hasEntry(0, 1));
+}
+
+TEST_F(BuilderTest, FineFilterRejectsInliersBeyondTwoSigma) {
+  BuilderConfig config;
+  config.coarseDirectionThresholdDeg = 20.0;
+  config.minSamplesPerPair = 3;
+  OnlineMotionDatabase online(plan_, config);
+  // A tight cluster plus one sample inside the coarse gate but far from
+  // the cluster (in offset).
+  for (int i = 0; i < 20; ++i)
+    online.addObservation(0, 1, 90.0, 4.0 + 0.02 * (i % 5 - 2));
+  online.addObservation(0, 1, 90.0, 5.5);  // Within 3 m of map's 4 m.
+  const BuilderReport report = online.report();
+  EXPECT_EQ(report.rejectedCoarse, 0u);
+  EXPECT_EQ(report.rejectedFine, 1u);
+  EXPECT_EQ(online.database().entry(0, 1)->sampleCount, 20);
+}
+
+TEST_F(BuilderTest, FineFilterCanBeDisabled) {
+  BuilderConfig config;
+  config.enableFineFilter = false;
+  OnlineMotionDatabase online(plan_, config);
+  for (int i = 0; i < 20; ++i) online.addObservation(0, 1, 90.0, 4.0);
+  online.addObservation(0, 1, 90.0, 5.5);
+  EXPECT_EQ(online.report().rejectedFine, 0u);
+  EXPECT_EQ(online.database().entry(0, 1)->sampleCount, 21);
+}
+
+TEST_F(BuilderTest, CoarseFilterCanBeDisabled) {
+  BuilderConfig config;
+  config.enableCoarseFilter = false;
+  config.enableFineFilter = false;
+  OnlineMotionDatabase online(plan_, config);
+  for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 180.0, 9.0);
+  EXPECT_EQ(online.report().rejectedCoarse, 0u);
+  const auto db = online.database();
+  ASSERT_TRUE(db.hasEntry(0, 1));
+  EXPECT_NEAR(db.entry(0, 1)->muDirectionDeg, 180.0, 1e-9);
+}
+
+TEST_F(BuilderTest, MinSamplesGate) {
+  BuilderConfig config;
+  config.minSamplesPerPair = 3;
+  OnlineMotionDatabase online(plan_, config);
+  online.addObservation(0, 1, 90.0, 4.0);
+  online.addObservation(0, 1, 90.0, 4.0);
+  EXPECT_EQ(online.report().pairsStored, 0u);
+  EXPECT_FALSE(online.database().hasEntry(0, 1));
+}
+
+TEST_F(BuilderTest, SigmaFloorsApplied) {
+  BuilderConfig config;
+  config.minDirectionSigmaDeg = 2.0;
+  config.minOffsetSigmaMeters = 0.05;
+  OnlineMotionDatabase online(plan_, config);
+  // Identical samples would otherwise fit sigma = 0.
+  for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 90.0, 4.0);
+  const auto db = online.database();
+  EXPECT_GE(db.entry(0, 1)->sigmaDirectionDeg, 2.0);
+  EXPECT_GE(db.entry(0, 1)->sigmaOffsetMeters, 0.05);
+}
+
+TEST_F(BuilderTest, DirectionFitHandlesNorthWrap) {
+  // A pair whose map heading is north: samples straddle 0/360.
+  env::FloorPlan vertical(6.0, 12.0);
+  vertical.addReferenceLocation({2.0, 2.0});
+  vertical.addReferenceLocation({2.0, 6.0});  // Due north of 0.
+  OnlineMotionDatabase online(vertical);
+  for (double d : {355.0, 357.0, 0.0, 3.0, 5.0})
+    online.addObservation(0, 1, d, 4.0);
+  const auto db = online.database();
+  ASSERT_TRUE(db.hasEntry(0, 1));
+  EXPECT_LT(geometry::angularDistDeg(db.entry(0, 1)->muDirectionDeg, 0.0),
+            1.0);
+  EXPECT_LT(db.entry(0, 1)->sigmaDirectionDeg, 10.0);
+}
+
+TEST_F(BuilderTest, ThrowsOnUnknownLocations) {
+  OnlineMotionDatabase online(plan_);
+  EXPECT_THROW(online.addObservation(0, 7, 90.0, 4.0), std::out_of_range);
+  EXPECT_THROW(online.addObservation(-1, 1, 90.0, 4.0), std::out_of_range);
+}
+
+TEST_F(BuilderTest, ReportCountsObservations) {
+  OnlineMotionDatabase online(plan_);
+  for (int i = 0; i < 7; ++i) online.addObservation(0, 1, 90.0, 4.0);
+  online.addObservation(1, 1, 0.0, 0.0);
+  const BuilderReport report = online.report();
+  EXPECT_EQ(report.observations, 8u);
+  EXPECT_EQ(report.droppedSelfPairs, 1u);
+  EXPECT_EQ(report.pairsStored, 1u);
+}
+
+TEST_F(BuilderTest, SetConfigChangesSubsequentBuilds) {
+  // One stream into two databases: the config decides what survives.
+  BuilderConfig loose;
+  loose.enableCoarseFilter = false;
+  loose.enableFineFilter = false;
+  OnlineMotionDatabase strict(plan_);
+  OnlineMotionDatabase lax(plan_, loose);
+  for (OnlineMotionDatabase* online : {&strict, &lax}) {
+    for (int i = 0; i < 5; ++i) online->addObservation(0, 1, 90.0, 4.0);
+    online->addObservation(0, 1, 135.0, 4.0);  // Coarse outlier.
+  }
+  EXPECT_EQ(strict.report().rejectedCoarse, 1u);
+  EXPECT_EQ(strict.database().entry(0, 1)->sampleCount, 5);
+  EXPECT_EQ(lax.report().rejectedCoarse, 0u);
+  EXPECT_EQ(lax.database().entry(0, 1)->sampleCount, 6);
 }
 
 }  // namespace

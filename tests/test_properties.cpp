@@ -7,7 +7,7 @@
 #include <set>
 
 #include "core/moloc_engine.hpp"
-#include "core/motion_database_builder.hpp"
+#include "core/online_motion_database.hpp"
 #include "env/walk_graph.hpp"
 #include "geometry/angles.hpp"
 #include "radio/fingerprint_database.hpp"
@@ -99,7 +99,7 @@ TEST_P(SeededPropertyTest, GroundTruthRlmsMirror) {
 TEST_P(SeededPropertyTest, BuilderOutputAlwaysMirrorConsistent) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 3000);
   const auto plan = randomPlan(rng);
-  core::MotionDatabaseBuilder builder(plan);
+  core::OnlineMotionDatabase online(plan);
 
   // Random (noisy, sometimes junk) observations.
   const auto n = static_cast<env::LocationId>(plan.locationCount());
@@ -113,10 +113,10 @@ TEST_P(SeededPropertyTest, BuilderOutputAlwaysMirrorConsistent) {
         plan.location(i).pos, plan.location(j).pos);
     const double mapOff = geometry::distance(plan.location(i).pos,
                                              plan.location(j).pos);
-    builder.addObservation(i, j, mapDir + rng.normal(0.0, 8.0),
-                           std::max(0.0, mapOff + rng.normal(0.0, 0.8)));
+    online.addObservation(i, j, mapDir + rng.normal(0.0, 8.0),
+                          std::max(0.0, mapOff + rng.normal(0.0, 0.8)));
   }
-  const auto db = builder.build();
+  const auto db = online.database();
 
   // Invariants: every entry has a mirror with reversed direction and
   // identical offset stats, and positive sigmas.

@@ -170,8 +170,8 @@ TEST(TieredIndexTest, PrefilterPrunesShardsOnDisjointVisibility) {
   expectBitwiseEqual(exact, tiered);
 }
 
-// Satellite: an unheard AP must behave identically through the exact
-// kernel and the prefilter's presence plane — sweep a query pair that
+// An unheard AP must behave identically through the exact
+// kernel and the prefilter's bucket 0 — sweep a query pair that
 // differs only in hearing vs not hearing one AP.
 TEST(TieredIndexTest, UnheardApMatchesExactKernelSemantics) {
   auto db = std::make_shared<radio::FingerprintDatabase>();
