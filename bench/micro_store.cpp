@@ -14,8 +14,10 @@
 //   3. Checkpoint capture vs venue size: an intake holding four
 //      accepted observations per map leg of a generated campus venue
 //      is captured (OnlineMotionDatabase::snapshot()), written
-//      (store::writeCheckpointFile) and restored (a refit of every
-//      reservoir).  Capture must stay O(retained samples): the run
+//      (store::writeCheckpointFile), restored, and read: the first
+//      database() after restore() fits every reservoir, and a second
+//      read, every fit cached, is what a publish costs when no pair
+//      changed.  Capture must stay O(retained samples): the run
 //      exits non-zero when snapshot() time per retained sample at the
 //      largest venue exceeds 4x that at campus-1k, or when a restored
 //      database differs from the live one.
@@ -187,7 +189,9 @@ struct CaptureRow {
   std::size_t samples = 0;  ///< Retained samples across them.
   double snapshotSeconds = 0.0;  ///< Best of kCaptureReps.
   double writeSeconds = 0.0;     ///< Best of kCaptureReps.
-  double restoreSeconds = 0.0;   ///< One restore (refits every pair).
+  double restoreSeconds = 0.0;   ///< One restore (fits nothing).
+  double readSeconds = 0.0;      ///< First database(): fits every pair.
+  double rereadSeconds = 0.0;    ///< Best of kCaptureReps warm reads.
   std::uint64_t bytes = 0;
 };
 
@@ -229,12 +233,22 @@ CaptureRow benchCapture(std::size_t locations) {
     row.samples += pair.samples.size();
 
   core::OnlineMotionDatabase restored(plan);
-  const auto start = Clock::now();
+  auto start = Clock::now();
   restored.restore(snapshot);
   row.restoreSeconds = secondsSince(start);
-  // Correctness guard, outside the timed regions: every leg published,
-  // and the refit entries are the live ones (the text format prints
-  // round-trip precision, so equal text is equal bits).
+  start = Clock::now();
+  const core::MotionDatabase read = restored.database();
+  row.readSeconds = secondsSince(start);
+  row.rereadSeconds = 1e30;
+  core::MotionDatabase reread;
+  for (std::size_t r = 0; r < kCaptureReps; ++r) {
+    start = Clock::now();
+    reread = restored.database();
+    row.rereadSeconds = std::min(row.rereadSeconds, secondsSince(start));
+  }
+  // Correctness guard, outside the timed regions: every leg has an
+  // entry, and the restored reads are the live database (the text
+  // format prints round-trip precision, so equal text is equal bits).
   const auto text = [](const core::MotionDatabase& motion) {
     std::ostringstream out;
     io::saveMotionDatabase(motion, out);
@@ -242,10 +256,11 @@ CaptureRow benchCapture(std::size_t locations) {
   };
   const core::MotionDatabase live = db.database();
   const bool identical = live.entryCount() == 2 * row.pairs &&
-                         text(live) == text(restored.database());
+                         text(live) == text(read) &&
+                         text(live) == text(reread);
   if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: restore at %zu locations republished entries "
+                 "FAIL: restore at %zu locations read entries "
                  "differing from the live database\n",
                  row.locations);
     std::exit(EXIT_FAILURE);
@@ -489,9 +504,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n== micro_store: checkpoint capture vs venue size ==\n");
-  std::printf("  %9s %8s %9s %12s %12s %12s %10s\n", "locations",
-              "pairs", "samples", "snapshot_s", "write_s", "restore_s",
-              "ckpt_mb");
+  std::printf("  %9s %8s %9s %12s %12s %12s %12s %12s %10s\n",
+              "locations", "pairs", "samples", "snapshot_s", "write_s",
+              "restore_s", "read_s", "reread_s", "ckpt_mb");
   const std::vector<std::size_t> captureSizes =
       smoke ? std::vector<std::size_t>{1024, 16384}
             : std::vector<std::size_t>{1024, 4096, 16384};
@@ -499,9 +514,11 @@ int main(int argc, char** argv) {
   for (const std::size_t locations : captureSizes) {
     captureRows.push_back(benchCapture(locations));
     const CaptureRow& r = captureRows.back();
-    std::printf("  %9zu %8zu %9zu %12.6f %12.6f %12.6f %10.2f\n",
+    std::printf("  %9zu %8zu %9zu %12.6f %12.6f %12.6f %12.6f %12.6f "
+                "%10.2f\n",
                 r.locations, r.pairs, r.samples, r.snapshotSeconds,
-                r.writeSeconds, r.restoreSeconds,
+                r.writeSeconds, r.restoreSeconds, r.readSeconds,
+                r.rereadSeconds,
                 static_cast<double>(r.bytes) / (1024.0 * 1024.0));
   }
   const auto perSample = [](const CaptureRow& r) {
@@ -606,6 +623,8 @@ int main(int argc, char** argv) {
         .field("snapshot_seconds", r.snapshotSeconds)
         .field("write_seconds", r.writeSeconds)
         .field("restore_seconds", r.restoreSeconds)
+        .field("read_seconds", r.readSeconds)
+        .field("reread_seconds", r.rereadSeconds)
         .field("checkpoint_bytes", static_cast<double>(r.bytes))
         .endObject();
   }

@@ -171,7 +171,7 @@ void makeCheckpointSeeds(const fs::path& root) {
   // 2^40 pairs — the count must be bounded by the remaining bytes
   // before it sizes any allocation.
   std::string body("MOLOCKPT", 8);
-  putU32(body, 2);   // version
+  putU32(body, 3);   // version
   putU64(body, 1);   // throughSeq (matches the harness's file name)
   // Snapshot: default config.
   putF64(body, 15.0);  // coarseDirectionThresholdDeg
@@ -185,7 +185,7 @@ void makeCheckpointSeeds(const fs::path& root) {
   putU64(body, 4);     // capacity
   putU64(body, 3);     // locationCount
   for (int w = 0; w < 4; ++w) putU64(body, 0x9e3779b97f4a7c15ull + w);
-  for (int c = 0; c < 6; ++c) putU64(body, 0);  // counters
+  for (int c = 0; c < 4; ++c) putU64(body, 0);  // counters
   putU64(body, 1ull << 40);                     // reservoirs
   putU32(body, moloc::store::crc32c(body.data(), body.size()));
   writeFile(root / "regressions/checkpoint/reservoir-count-bomb.bin",

@@ -38,18 +38,6 @@ void MotionDatabase::setEntryWithMirror(env::LocationId i,
   setEntry(j, i, mirrored);
 }
 
-bool MotionDatabase::clearEntry(env::LocationId i, env::LocationId j) {
-  checkIds(i, j);
-  return entries_.erase(index(i, j)) > 0;
-}
-
-bool MotionDatabase::clearEntryWithMirror(env::LocationId i,
-                                          env::LocationId j) {
-  const bool forward = clearEntry(i, j);
-  const bool backward = clearEntry(j, i);
-  return forward || backward;
-}
-
 bool MotionDatabase::hasEntry(env::LocationId i, env::LocationId j) const {
   checkIds(i, j);
   return entries_.find(index(i, j)) != entries_.end();

@@ -47,16 +47,6 @@ class MotionDatabase {
   void setEntryWithMirror(env::LocationId i, env::LocationId j,
                           RlmStats stats);
 
-  /// Removes M[i][j] if present; returns whether an entry was removed.
-  /// Throws std::out_of_range on bad ids.
-  bool clearEntry(env::LocationId i, env::LocationId j);
-
-  /// Removes M[i][j] and its mirror M[j][i]; returns whether either
-  /// existed.  The inverse of setEntryWithMirror — used when an online
-  /// refit decides a published pair is no longer supported by its
-  /// samples.
-  bool clearEntryWithMirror(env::LocationId i, env::LocationId j);
-
   bool hasEntry(env::LocationId i, env::LocationId j) const;
 
   /// M[i][j], or nullopt when the pair was never learned.

@@ -18,8 +18,7 @@ OnlineMotionDatabase::OnlineMotionDatabase(const env::FloorPlan& plan,
     : plan_(plan),
       config_(config),
       capacity_(reservoirCapacity),
-      rng_(seed),
-      db_(plan.locationCount()) {
+      rng_(seed) {
   if (reservoirCapacity <
       static_cast<std::size_t>(std::max(config.minSamplesPerPair, 1)))
     throw util::ConfigError(
@@ -45,11 +44,6 @@ OnlineMotionDatabase::OnlineMotionDatabase(const env::FloorPlan& plan,
     metrics_.selfPairs = &metrics->counter(
         "moloc_intake_self_pairs_total",
         "Observations dropped because start == end", source);
-    metrics_.staleInvalidated = &metrics->counter(
-        "moloc_intake_stale_invalidated_total",
-        "Published pair entries removed after a refit fell below the "
-        "per-pair sample minimum",
-        source);
   }
 #else
   (void)metrics;
@@ -173,6 +167,7 @@ void OnlineMotionDatabase::applyAccepted(env::LocationId estimatedStart,
 
   const util::MutexLock lock(mu_);
   auto& reservoir = reservoirs_[{i, j}];
+  reservoir.fit.reset();
   ++reservoir.seen;
   if (reservoir.samples.size() < capacity_) {
     reservoir.samples.push_back({d, offsetMeters});
@@ -191,8 +186,6 @@ void OnlineMotionDatabase::applyAccepted(env::LocationId estimatedStart,
 #if MOLOC_METRICS_ENABLED
   if (metrics_.accepted) metrics_.accepted->inc();
 #endif
-
-  refit({i, j}, reservoir);
 }
 
 bool OnlineMotionDatabase::addObservation(env::LocationId estimatedStart,
@@ -270,33 +263,26 @@ OnlineMotionDatabase::PairFit OnlineMotionDatabase::fitReservoir(
   return result;
 }
 
-void OnlineMotionDatabase::refit(const PairKey& key,
-                                 const Reservoir& reservoir) {
-  const PairFit fit = fitReservoir(config_, reservoir);
-  if (fit.excludedFine > 0) {
-    counters_.rejectedFine += fit.excludedFine;
+const OnlineMotionDatabase::PairFit& OnlineMotionDatabase::cachedFit(
+    const Reservoir& reservoir) const {
+  if (!reservoir.fit) {
+    reservoir.fit = fitReservoir(config_, reservoir);
 #if MOLOC_METRICS_ENABLED
-    if (metrics_.rejectedFine)
-      metrics_.rejectedFine->inc(static_cast<double>(fit.excludedFine));
+    if (metrics_.rejectedFine && reservoir.fit->excludedFine > 0)
+      metrics_.rejectedFine->inc(
+          static_cast<double>(reservoir.fit->excludedFine));
 #endif
   }
-  if (fit.stats) {
-    db_.setEntryWithMirror(key.first, key.second, *fit.stats);
-  } else {
-    // Too few samples (or fine-filter survivors) support this pair.
-    // Keeping a previously published Gaussian would let the database
-    // disagree with the reservoir forever, so withdraw it instead.
-    invalidateStaleEntry(key);
-  }
+  return *reservoir.fit;
 }
 
-void OnlineMotionDatabase::invalidateStaleEntry(const PairKey& key) {
-  if (!db_.hasEntry(key.first, key.second)) return;
-  db_.clearEntryWithMirror(key.first, key.second);
-  ++counters_.staleInvalidations;
-#if MOLOC_METRICS_ENABLED
-  if (metrics_.staleInvalidated) metrics_.staleInvalidated->inc();
-#endif
+MotionDatabase OnlineMotionDatabase::database() const {
+  const util::MutexLock lock(mu_);
+  MotionDatabase db(plan_.locationCount());
+  for (const auto& [key, reservoir] : reservoirs_)
+    if (const auto& stats = cachedFit(reservoir).stats)
+      db.setEntryWithMirror(key.first, key.second, *stats);
+  return db;
 }
 
 BuilderReport OnlineMotionDatabase::report() const {
@@ -306,7 +292,7 @@ BuilderReport OnlineMotionDatabase::report() const {
   report.droppedSelfPairs = counters_.droppedSelfPairs;
   report.rejectedCoarse = counters_.rejectedCoarse;
   for (const auto& [key, reservoir] : reservoirs_) {
-    const PairFit fit = fitReservoir(config_, reservoir);
+    const PairFit& fit = cachedFit(reservoir);
     report.rejectedFine += fit.excludedFine;
     if (fit.stats) ++report.pairsStored;
   }
@@ -390,13 +376,6 @@ void OnlineMotionDatabase::restore(const Snapshot& snapshot) {
       throw util::ConfigError(
           "OnlineMotionDatabase::restore: duplicate reservoir pair");
   }
-  // Republish from the reservoirs alone.  Every live entry is the fit
-  // of its reservoir's current contents, so refitting the same samples
-  // in the same storage order reproduces it bit for bit.
-  MotionDatabase db(snapshot.locationCount);
-  for (const auto& [key, reservoir] : reservoirs)
-    if (const auto stats = fitReservoir(snapshot.config, reservoir).stats)
-      db.setEntryWithMirror(key.first, key.second, *stats);
   util::Rng rng(0);
   rng.setState(snapshot.rngState);  // Throws on the all-zero state.
 
@@ -406,7 +385,6 @@ void OnlineMotionDatabase::restore(const Snapshot& snapshot) {
   capacity_ = snapshot.capacity;
   rng_ = rng;
   reservoirs_ = std::move(reservoirs);
-  db_ = std::move(db);
   counters_ = snapshot.counters;
 }
 

@@ -78,17 +78,16 @@ class ObservationSink {
 /// before they consume reservoir space.  Each accepted observation
 /// lands in a bounded per-pair reservoir (uniform reservoir sampling
 /// once full, so the model tracks the long-run distribution without
-/// unbounded memory), after which that pair's Gaussians are refitted —
-/// fit, fine 2-sigma pass, refit, sigma floors — and written through
-/// to the queryable database with its mirror.
+/// unbounded memory).
 ///
-/// Coherence invariant: the published database never disagrees with
-/// the reservoirs.  When a refit's fine filter leaves a pair with
-/// fewer than `minSamplesPerPair` survivors, any previously published
-/// entry for that pair is *invalidated* (removed together with its
-/// mirror) rather than silently kept stale; the event is counted in
-/// `Counters::staleInvalidations` and, when a registry is attached,
-/// in `moloc_intake_stale_invalidated_total`.
+/// The reservoirs are the state; the queryable database is a read of
+/// them.  database() and report() fit each pair — fit, fine 2-sigma
+/// pass, refit, sigma floors — and database() adds the entry with its
+/// mirror.  A fit is cached on its reservoir until the next accepted
+/// observation for that pair, so a read costs O(pairs) plus one fit
+/// per pair touched since the previous read, and an offline campaign
+/// fits each pair once.  A pair whose samples no longer support a fit
+/// is simply absent from the next read.
 ///
 /// Thread safety: state lives behind two mutexes.  The outer write
 /// mutex serializes the mutators (applyAccepted / addObservation /
@@ -140,7 +139,8 @@ class OnlineMotionDatabase {
 
   /// The apply half: write-ahead logs the observation through the sink
   /// (under the write mutex only, so readers never wait behind the
-  /// log's fsync), then folds it into its pair's reservoir and refits.
+  /// log's fsync), then folds it into its pair's reservoir and drops
+  /// that pair's cached fit.
   /// Call only with observations classify() accepted — re-checked
   /// here; a rejected observation throws std::logic_error before
   /// anything is logged.  A sink exception propagates and aborts the
@@ -149,15 +149,12 @@ class OnlineMotionDatabase {
                      env::LocationId estimatedEnd, double directionDeg,
                      double offsetMeters);
 
-  /// A value copy of the current queryable database, taken atomically
-  /// under the state mutex — what the publisher freezes into a
-  /// core::WorldSnapshot.  Always coherent: every stored pair is the
-  /// latest refit of its reservoir.  Never blocks behind sink I/O (the
-  /// write mutex is not taken).
-  MotionDatabase database() const {
-    const util::MutexLock lock(mu_);
-    return db_;
-  }
+  /// The current queryable database, assembled atomically under the
+  /// state mutex from the fit of every reservoir — what the publisher
+  /// freezes into a core::WorldSnapshot.  Fits the pairs whose cache
+  /// is empty.  Never blocks behind sink I/O (the write mutex is not
+  /// taken).
+  MotionDatabase database() const;
 
   const BuilderConfig& config() const {
     const util::MutexLock lock(mu_);
@@ -166,26 +163,16 @@ class OnlineMotionDatabase {
 
   /// The sanitation report of the current state: the intake counters
   /// plus, from the current fit of every reservoir, the samples the
-  /// fine filter excludes and the pairs that have an entry.  Refits
-  /// every pair: O(retained samples).
+  /// fine filter excludes and the pairs that have an entry.  Reads the
+  /// same fits as database().
   BuilderReport report() const;
 
-  /// Intake counters (coarse rejections, self-pairs, acceptances,
-  /// fine-filter exclusions, stale-entry invalidations).
+  /// Intake counters: what was offered and what admission decided.
   struct Counters {
     std::size_t observations = 0;
     std::size_t accepted = 0;
     std::size_t rejectedCoarse = 0;
     std::size_t droppedSelfPairs = 0;
-    /// Samples excluded by the fine filter, summed over refits (a
-    /// reservoir sample surviving several refits before being evicted
-    /// is counted once per refit that excluded it) — a rate signal
-    /// for how noisy the accepted stream is, not a distinct-sample
-    /// count.
-    std::size_t rejectedFine = 0;
-    /// Published entries removed because a refit's fine filter left
-    /// the pair below minSamplesPerPair.
-    std::size_t staleInvalidations = 0;
   };
   const Counters& counters() const {
     const util::MutexLock lock(mu_);
@@ -242,9 +229,9 @@ class OnlineMotionDatabase {
 
   /// Everything addObservation's behaviour depends on, frozen as plain
   /// data: the sanitation config, the per-pair reservoirs (with their
-  /// eviction counters), the intake counters, and the RNG state.  The
-  /// published entries are not part of it: each is a deterministic
-  /// refit of its reservoir, so restore() rebuilds them.  restore() of
+  /// eviction counters), the intake counters, and the RNG state.  No
+  /// fit is part of it: each is a deterministic function of its
+  /// reservoir, so a read after restore() recomputes it.  restore() of
   /// a snapshot followed by the same addObservation calls is
   /// bit-identical to never having paused — the contract
   /// store::recover builds on.  Capture is O(retained samples).
@@ -265,11 +252,10 @@ class OnlineMotionDatabase {
 
   Snapshot snapshot() const;
 
-  /// Replaces the full intake state with `snapshot` and republishes
-  /// every pair by refitting its restored reservoir — the same fit and
-  /// fine filter applyAccepted runs, so the entries are bit-identical
-  /// to the ones live when the snapshot was taken.  The refits count
-  /// nothing: the counters come from the snapshot.  Throws
+  /// Replaces the full intake state with `snapshot`.  Fits nothing:
+  /// the restored reservoirs start with empty caches, and the next
+  /// read fits them bit-identically to the fits live when the
+  /// snapshot was taken.  Throws
   /// std::invalid_argument when the snapshot does not fit this
   /// database's floor plan (location count mismatch), its capacity is
   /// below the config's per-pair minimum, a pair key is invalid or
@@ -282,9 +268,21 @@ class OnlineMotionDatabase {
     double directionDeg;
     double offsetMeters;
   };
+
+  /// The Gaussian fit of one reservoir (Sec. IV.B): fine 2-sigma
+  /// pass when enabled, sigma floors applied.  `stats` is empty when
+  /// fewer than minSamplesPerPair samples support the pair.
+  struct PairFit {
+    std::optional<RlmStats> stats;
+    std::size_t excludedFine = 0;  ///< Samples the fine filter dropped.
+  };
+
   struct Reservoir {
     std::vector<RawRlm> samples;
     std::uint64_t seen = 0;  ///< Total accepted, including evicted.
+    /// fitReservoir of the current samples, filled by the first read
+    /// after they last changed.  Guarded by mu_ like the reservoir.
+    mutable std::optional<PairFit> fit;
   };
   using PairKey = std::pair<env::LocationId, env::LocationId>;
 
@@ -300,24 +298,15 @@ class OnlineMotionDatabase {
                         double directionDeg, double offsetMeters) const
       MOLOC_REQUIRES(mu_);
 
-  /// The Gaussian fit of one reservoir (Sec. IV.B): fine 2-sigma
-  /// pass when enabled, sigma floors applied.  `stats` is empty when
-  /// fewer than minSamplesPerPair samples support the pair.  Pure in
-  /// its arguments, so a restored reservoir refits bit-identically.
-  struct PairFit {
-    std::optional<RlmStats> stats;
-    std::size_t excludedFine = 0;  ///< Samples the fine filter dropped.
-  };
+  /// Computes a reservoir's fit.  Pure in its arguments, so a
+  /// restored reservoir fits bit-identically.
   static PairFit fitReservoir(const BuilderConfig& config,
                               const Reservoir& reservoir);
 
-  /// Refits `key` after its reservoir changed: publishes the fit (with
-  /// mirror) or withdraws a stale entry, and counts both.
-  void refit(const PairKey& key, const Reservoir& reservoir)
+  /// The cached fit of `reservoir`, computed (and its fine-filter
+  /// exclusions counted in the metrics) when the cache is empty.
+  const PairFit& cachedFit(const Reservoir& reservoir) const
       MOLOC_REQUIRES(mu_);
-
-  /// Drops the published entry (and mirror) for `key` if one exists.
-  void invalidateStaleEntry(const PairKey& key) MOLOC_REQUIRES(mu_);
 
   const env::FloorPlan& plan_;
   /// Outer mutex: serializes the mutators and is held across the
@@ -331,7 +320,6 @@ class OnlineMotionDatabase {
   std::size_t capacity_ MOLOC_GUARDED_BY(mu_);
   util::Rng rng_ MOLOC_GUARDED_BY(mu_);
   std::map<PairKey, Reservoir> reservoirs_ MOLOC_GUARDED_BY(mu_);
-  MotionDatabase db_ MOLOC_GUARDED_BY(mu_);
   Counters counters_ MOLOC_GUARDED_BY(mu_);
   ObservationSink* sink_ MOLOC_GUARDED_BY(mu_) = nullptr;
 
@@ -342,7 +330,6 @@ class OnlineMotionDatabase {
     obs::Counter* rejectedCoarse = nullptr;
     obs::Counter* rejectedFine = nullptr;
     obs::Counter* selfPairs = nullptr;
-    obs::Counter* staleInvalidated = nullptr;
   };
   Metrics metrics_;
 #endif

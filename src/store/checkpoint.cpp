@@ -17,15 +17,16 @@ namespace moloc::store {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'K', 'P', 'T'};
-/// v2 dropped v1's published-entry and radio-map blocks: a checkpoint
-/// holds the intake state and nothing derived from it.
-constexpr std::uint32_t kVersion = 2;
+/// v2 dropped v1's published-entry and radio-map blocks, and v3 drops
+/// v2's two refit-history counters: a checkpoint holds the intake
+/// state and nothing derived from it.
+constexpr std::uint32_t kVersion = 3;
 constexpr std::size_t kCrcBytes = 4;
 /// Smallest possible encoding: magic(8) + version(4) + throughSeq(8) +
-/// config(46) + capacity/locationCount(16) + rng(32) + counters(48) +
+/// config(46) + capacity/locationCount(16) + rng(32) + counters(32) +
 /// zero reservoir count(8) + CRC(4).
 constexpr std::size_t kMinFileBytes =
-    8 + 4 + 8 + 46 + 16 + 32 + 48 + 8 + kCrcBytes;
+    8 + 4 + 8 + 46 + 16 + 32 + 32 + 8 + kCrcBytes;
 
 std::string checkpointFileName(std::uint64_t throughSeq) {
   char buffer[48];
@@ -71,8 +72,6 @@ void encodeSnapshot(std::string& out,
   detail::putU64(out, s.counters.accepted);
   detail::putU64(out, s.counters.rejectedCoarse);
   detail::putU64(out, s.counters.droppedSelfPairs);
-  detail::putU64(out, s.counters.rejectedFine);
-  detail::putU64(out, s.counters.staleInvalidations);
 
   detail::putU64(out, s.reservoirs.size());
   for (const auto& pair : s.reservoirs) {
@@ -117,8 +116,6 @@ core::OnlineMotionDatabase::Snapshot decodeSnapshot(detail::Cursor& in) {
   s.counters.accepted = in.readU64();
   s.counters.rejectedCoarse = in.readU64();
   s.counters.droppedSelfPairs = in.readU64();
-  s.counters.rejectedFine = in.readU64();
-  s.counters.staleInvalidations = in.readU64();
 
   const std::uint64_t pairCount = checkedCount(in, 4 + 4 + 8 + 4);
   s.reservoirs.reserve(pairCount);

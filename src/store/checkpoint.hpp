@@ -10,7 +10,7 @@ namespace moloc::store {
 
 /// One checkpoint: the intake state as of WAL sequence `throughSeq`.
 /// It holds the reservoirs, RNG state, config and counters and nothing
-/// derived from them — restore() refits the published entries.
+/// derived from them — a read after restore() fits the entries.
 struct CheckpointData {
   /// Every WAL record with seq <= throughSeq is subsumed by this
   /// checkpoint; recovery replays only records after it.

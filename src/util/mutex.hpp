@@ -10,7 +10,7 @@ namespace moloc::util {
 
 // Annotated wrappers over std::mutex / std::condition_variable.
 //
-// All mutex-protected state in src/ uses these (tools/lint.sh bans raw
+// All mutex-protected state in src/ uses these (moloc_check bans raw
 // std::mutex members outside util/) so that clang's -Wthread-safety
 // analysis can verify, at compile time, that every MOLOC_GUARDED_BY
 // member is only touched with its mutex held. See

@@ -12,7 +12,7 @@ namespace moloc::util {
 /// mid-WAL-append or mid-socket-read surfaced as a spurious
 /// StoreError/NetError; every raw ::read/::write/::fsync/::open/
 /// ::accept call site in src/store and src/net now goes through here
-/// (tools/lint.sh rule `raw-eintr` enforces it).
+/// (moloc_check rule `raw-eintr` enforces it).
 ///
 /// `fn` is a zero-argument callable wrapping exactly one syscall and
 /// returning its result (an int or ssize_t, negative on failure with

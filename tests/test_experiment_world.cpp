@@ -179,7 +179,9 @@ TEST(RunComparison, ErrorsAreConsistentWithGeometry) {
       EXPECT_NEAR(record.errorMeters,
                   world.locationDistance(record.estimated, record.truth),
                   1e-12);
-      if (record.accurate()) EXPECT_EQ(record.errorMeters, 0.0);
+      if (record.accurate()) {
+        EXPECT_EQ(record.errorMeters, 0.0);
+      }
     }
   }
 }

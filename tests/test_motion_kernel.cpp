@@ -119,9 +119,10 @@ TEST(MotionAdjacencyTest, BuiltIndexIsFrozenAndAFreshBuildSeesChanges) {
   ASSERT_NE(populated.find(0, 1), nullptr);
   EXPECT_EQ(populated.find(0, 1)->muDirectionDeg, 90.0);
 
-  EXPECT_TRUE(db.clearEntry(0, 1));
+  db.setEntry(1, 2, stats(0.0, 15.0, 5.0, 1.2));
   EXPECT_EQ(populated.edgeCount(), 1u);  // Still the frozen build.
-  EXPECT_EQ(MotionAdjacency(db).edgeCount(), 0u);
+  EXPECT_EQ(populated.find(1, 2), nullptr);
+  EXPECT_EQ(MotionAdjacency(db).edgeCount(), 2u);
 }
 
 TEST(MotionMatcherKernelTest, ScoreCandidatesMatchesSetProbabilityBitwise) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "geometry/angles.hpp"
+#include "intake_state.hpp"
 #include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
@@ -225,9 +226,9 @@ TEST_F(OnlineDbTest, MeasurementValidatedBeforeLocationLookup) {
 
 TEST_F(OnlineDbTest, StaleEntryInvalidatedWhenFineFilterDropsPair) {
   // Regression for the stale-publication bug: once a pair is
-  // published, a later refit whose fine filter leaves fewer than
-  // minSamplesPerPair survivors must withdraw the entry (plus mirror)
-  // instead of silently serving the outdated Gaussian.
+  // published, a later fit whose fine filter leaves fewer than
+  // minSamplesPerPair survivors must leave the pair (plus mirror) out
+  // of the database instead of serving the outdated Gaussian.
   //
   // Construction: capacity 6 holds the whole stream (no eviction, so
   // the arithmetic below is exact).  Three samples at offset 4.0
@@ -250,12 +251,79 @@ TEST_F(OnlineDbTest, StaleEntryInvalidatedWhenFineFilterDropsPair) {
   online.addObservation(0, 1, 90.0, 6.9);
 
   EXPECT_FALSE(online.database().hasEntry(0, 1));
-  EXPECT_FALSE(online.database().hasEntry(1, 0));  // Mirror withdrawn.
-  EXPECT_EQ(online.counters().staleInvalidations, 1u);
-  EXPECT_GT(online.counters().rejectedFine, 0u);
+  EXPECT_FALSE(online.database().hasEntry(1, 0));  // Mirror gone too.
   // The reservoir itself keeps its samples; a later consistent stream
   // can re-publish the pair.
   EXPECT_EQ(online.reservoirSamples(0, 1).size(), 6u);
+}
+
+TEST_F(OnlineDbTest, ReadsDoNotChangeResults) {
+  // Reads fill the fit caches, so they must be invisible: a database
+  // read after every observation ends bitwise where one read only at
+  // the end does, on both sides of a snapshot()/restore().  The stream
+  // evicts (capacity 6), makes pair (0,1) lose and regain its fit
+  // (fine filter at 0.9 sigma on blocks of 4.0 m and 6.9 m), and
+  // carries self-pairs and coarse rejects.
+  BuilderConfig config;
+  config.minSamplesPerPair = 3;
+  config.fineSigmaMultiplier = 0.9;
+  const auto feed = [](OnlineMotionDatabase& db, int from, int to,
+                       bool readEach) {
+    const auto offer = [&](env::LocationId i, env::LocationId j,
+                           double directionDeg, double offsetMeters) {
+      db.addObservation(i, j, directionDeg, offsetMeters);
+      if (readEach) {
+        (void)db.database();
+        (void)db.report();
+      }
+    };
+    for (int k = from; k < to; ++k) {
+      offer(0, 1, 90.0, (k / 3) % 2 == 0 ? 4.0 : 6.9);
+      offer(1, 2, 89.0 + 0.4 * (k % 5), 3.9 + 0.05 * (k % 4));
+      offer(2, 0, 270.0 + 0.5 * (k % 3), 8.0 + 0.03 * (k % 7));
+      if (k % 9 == 4) offer(1, 1, 0.0, 0.0);
+      if (k % 11 == 7) offer(0, 1, 179.0, 4.0);
+    }
+  };
+  const auto expectSame = [](const OnlineMotionDatabase& a,
+                             const OnlineMotionDatabase& b) {
+    test_support::expectIdenticalIntakeState(a, b);
+    const auto ca = a.counters();
+    const auto cb = b.counters();
+    EXPECT_EQ(ca.observations, cb.observations);
+    EXPECT_EQ(ca.rejectedCoarse, cb.rejectedCoarse);
+    EXPECT_EQ(ca.droppedSelfPairs, cb.droppedSelfPairs);
+    const auto ra = a.report();
+    const auto rb = b.report();
+    EXPECT_EQ(ra.observations, rb.observations);
+    EXPECT_EQ(ra.droppedSelfPairs, rb.droppedSelfPairs);
+    EXPECT_EQ(ra.rejectedCoarse, rb.rejectedCoarse);
+    EXPECT_EQ(ra.rejectedFine, rb.rejectedFine);
+    EXPECT_EQ(ra.pairsStored, rb.pairsStored);
+  };
+
+  OnlineMotionDatabase eager(plan_, config, 6, 5);
+  OnlineMotionDatabase lazy(plan_, config, 6, 5);
+  feed(eager, 0, 20, true);
+  feed(lazy, 0, 20, false);
+  // Halfway, (0,1) holds a full reservoir that supports no entry.
+  OnlineMotionDatabase eagerRestored(plan_, {}, 64, 999);
+  OnlineMotionDatabase lazyRestored(plan_, {}, 64, 999);
+  eagerRestored.restore(eager.snapshot());
+  lazyRestored.restore(lazy.snapshot());
+  ASSERT_FALSE(eager.database().hasEntry(0, 1));
+  ASSERT_EQ(eager.reservoirSamples(0, 1).size(), 6u);
+  ASSERT_GT(eager.reservoirStats().totalSeen,
+            eager.reservoirStats().totalSamples);  // Evictions ran.
+  expectSame(eager, lazy);
+
+  feed(eager, 20, 60, true);
+  feed(eagerRestored, 20, 60, true);
+  feed(lazyRestored, 20, 60, false);
+  expectSame(eager, lazyRestored);
+  expectSame(eager, eagerRestored);
+  EXPECT_GT(eager.counters().droppedSelfPairs, 0u);
+  EXPECT_GT(eager.counters().rejectedCoarse, 0u);
 }
 
 TEST_F(OnlineDbTest, ReservoirSamplesAccessor) {
@@ -345,15 +413,30 @@ TEST_F(OnlineDbTest, IntakeCountersMirroredToRegistry) {
                    {{"source", "online"}, {"filter", "coarse"}}),
       static_cast<double>(online.counters().rejectedCoarse));
   EXPECT_DOUBLE_EQ(
-      counterValue("moloc_intake_rejected_total",
-                   {{"source", "online"}, {"filter", "fine"}}),
-      static_cast<double>(online.counters().rejectedFine));
-  EXPECT_DOUBLE_EQ(
       counterValue("moloc_intake_self_pairs_total", online_),
       static_cast<double>(online.counters().droppedSelfPairs));
-  EXPECT_DOUBLE_EQ(
-      counterValue("moloc_intake_stale_invalidated_total", online_),
-      1.0);
+
+  // The fine counter moves when a fit is computed, and fits run on
+  // reads: none yet, then the one fit of (0, 1), whose bimodal
+  // reservoir loses all six samples.  A second read reuses the cached
+  // fit and counts nothing.
+  const obs::Labels fine{{"source", "online"}, {"filter", "fine"}};
+  EXPECT_DOUBLE_EQ(counterValue("moloc_intake_rejected_total", fine), 0.0);
+  EXPECT_FALSE(online.database().hasEntry(0, 1));
+  const auto fitExcluded = static_cast<double>(online.report().rejectedFine);
+  EXPECT_DOUBLE_EQ(fitExcluded, 6.0);
+  EXPECT_DOUBLE_EQ(counterValue("moloc_intake_rejected_total", fine),
+                   fitExcluded);
+  // A new sample drops the cached fit; the next read fits again.
+  online.addObservation(0, 1, 90.0, 4.0);
+  const auto refitExcluded =
+      static_cast<double>(online.report().rejectedFine);
+  EXPECT_DOUBLE_EQ(counterValue("moloc_intake_rejected_total", fine),
+                   fitExcluded + refitExcluded);
+  // No entry is stored, so none is ever withdrawn.
+  EXPECT_EQ(registry.findCounter("moloc_intake_stale_invalidated_total",
+                                 online_),
+            nullptr);
 }
 #endif
 

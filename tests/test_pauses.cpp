@@ -24,8 +24,9 @@ TEST(Pauses, TrajectoryCanRepeatNodes) {
   EXPECT_LT(pauses, 150);
   // Non-pause steps remain graph legs.
   for (std::size_t i = 1; i < walk.size(); ++i)
-    if (walk[i] != walk[i - 1])
+    if (walk[i] != walk[i - 1]) {
       EXPECT_TRUE(hall.graph.adjacent(walk[i - 1], walk[i]));
+    }
 }
 
 TEST(Pauses, ZeroProbabilityNeverPauses) {

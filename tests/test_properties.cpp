@@ -47,17 +47,21 @@ TEST_P(SeededPropertyTest, WalkGraphIsSymmetricAndMetric) {
       EXPECT_EQ(graph.adjacent(i, j), graph.adjacent(j, i));
       const double dij = graph.walkableDistance(i, j);
       const double dji = graph.walkableDistance(j, i);
-      if (std::isfinite(dij))
+      if (std::isfinite(dij)) {
         EXPECT_NEAR(dij, dji, 1e-9);
-      else
+      } else {
         EXPECT_FALSE(std::isfinite(dji));
+      }
       // Walkable distance dominates straight-line distance.
-      if (std::isfinite(dij) && i != j)
+      if (std::isfinite(dij) && i != j) {
         EXPECT_GE(dij + 1e-9,
                   geometry::distance(plan.location(i).pos,
                                      plan.location(j).pos));
+      }
       // Identity.
-      if (i == j) EXPECT_DOUBLE_EQ(dij, 0.0);
+      if (i == j) {
+        EXPECT_DOUBLE_EQ(dij, 0.0);
+      }
     }
   }
 }
@@ -72,8 +76,9 @@ TEST_P(SeededPropertyTest, WalkGraphTriangleInequality) {
       for (env::LocationId k = 0; k < n; ++k) {
         const double viaK = graph.walkableDistance(i, k) +
                             graph.walkableDistance(k, j);
-        if (std::isfinite(viaK))
+        if (std::isfinite(viaK)) {
           EXPECT_LE(graph.walkableDistance(i, j), viaK + 1e-9);
+        }
       }
 }
 

@@ -126,7 +126,7 @@ TEST(StoreErrors, CheckpointCountBombIsRejectedWithoutAllocating) {
   // multi-terabyte allocation (v1's radio-map block had exactly this
   // bug with its AP count).
   std::string body("MOLOCKPT", 8);
-  detail::putU32(body, 2);  // version
+  detail::putU32(body, 3);  // version
   detail::putU64(body, 1);  // throughSeq
   detail::putF64(body, 15.0);
   detail::putF64(body, 2.0);
@@ -139,7 +139,7 @@ TEST(StoreErrors, CheckpointCountBombIsRejectedWithoutAllocating) {
   detail::putU64(body, 4);  // capacity
   detail::putU64(body, 3);  // locationCount
   for (int w = 0; w < 4; ++w) detail::putU64(body, 17 + w);  // rng
-  for (int c = 0; c < 6; ++c) detail::putU64(body, 0);       // counters
+  for (int c = 0; c < 4; ++c) detail::putU64(body, 0);       // counters
   detail::putU64(body, std::uint64_t{1} << 40);  // reservoirs
   detail::putU32(body, crc32c(body.data(), body.size()));
   writeFileBytes(dir + "/checkpoint-00000000000000000001.ckpt", body);
