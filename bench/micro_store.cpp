@@ -14,24 +14,23 @@
 //   3. Checkpoint capture vs venue size: an intake holding four
 //      accepted observations per map leg of a generated campus venue
 //      is captured (OnlineMotionDatabase::snapshot()), written
-//      (store::writeCheckpointFile), restored, and read: the first
-//      database() after restore() fits every reservoir, and a second
-//      read, every fit cached, is what a publish costs when no pair
-//      changed.  Capture must stay O(retained samples): the run
-//      exits non-zero when snapshot() time per retained sample at the
-//      largest venue exceeds 4x that at campus-1k, or when a restored
-//      database differs from the live one.
+//      (store::writeCheckpointFile), and restored into fresh intakes,
+//      each then read twice: the first database() after restore()
+//      fits every reservoir, and the second, every fit cached, is what
+//      a publish costs when no pair changed.  Every figure is the best
+//      of kCaptureReps cycles.  Capture must stay O(retained samples):
+//      the run exits non-zero when snapshot() time per retained sample
+//      at the largest venue exceeds 4x that at campus-1k, or when a
+//      restored read differs bitwise from the live database.
 //   4. Cold start vs venue size (campus-1k .. campus-64k): time from
-//      "files on disk" to "the three serving structures are ready"
-//      (FingerprintDatabase + MotionAdjacency + TieredIndex), along
-//      four paths:
-//        text_load          — legacy text radio map + motion db parse,
-//                             then CSR + index rebuild (the ROADMAP
-//                             item-2 baseline)
-//        binary_deserialize — venue image via the read() fallback:
-//                             whole-file read + full CRC + views over
-//                             the private heap copy
-//        mmap_image_full    — mmap + CRC every section
+//      "venue image on disk" to "the three serving structures are
+//      ready" (FingerprintDatabase + MotionAdjacency + TieredIndex),
+//      along three paths:
+//        binary_deserialize — whole-file read into a heap buffer, then
+//                             VenueImage::fromBuffer: full CRC + views
+//                             over the private heap copy
+//        mmap_image_full    — VenueImage::open: mmap + CRC every
+//                             section
 //        mmap_image_bulk    — mmap + metadata-only CRC (the
 //                             millisecond cold-attach path)
 //      Every loaded variant answers one probe query bitwise-identical
@@ -49,6 +48,7 @@
 // 16k, cold start at 1k only, shortened append/recovery loops).
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -57,7 +57,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <sstream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,10 +69,9 @@
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
 #include "index/tiered_index.hpp"
-#include "io/serialization.hpp"
-#include "kernel/motion_kernel.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "store/checkpoint.hpp"
+#include "store/posix_file.hpp"
 #include "store/state_store.hpp"
 #include "store/wal.hpp"
 #include "util/args.hpp"
@@ -187,15 +186,35 @@ struct CaptureRow {
   std::size_t locations = 0;
   std::size_t pairs = 0;    ///< Reservoirs (map legs) in the snapshot.
   std::size_t samples = 0;  ///< Retained samples across them.
-  double snapshotSeconds = 0.0;  ///< Best of kCaptureReps.
-  double writeSeconds = 0.0;     ///< Best of kCaptureReps.
-  double restoreSeconds = 0.0;   ///< One restore (fits nothing).
-  double readSeconds = 0.0;      ///< First database(): fits every pair.
-  double rereadSeconds = 0.0;    ///< Best of kCaptureReps warm reads.
+  // Each figure is the best of kCaptureReps.
+  double snapshotSeconds = 0.0;
+  double writeSeconds = 0.0;
+  double restoreSeconds = 0.0;  ///< restore(): fits nothing.
+  double readSeconds = 0.0;     ///< First database(): fits every pair.
+  double rereadSeconds = 0.0;   ///< Second database(): every fit cached.
   std::uint64_t bytes = 0;
 };
 
 constexpr std::size_t kCaptureReps = 5;
+
+/// Every entry of `motion` in forEachEntry order as raw bits: both
+/// ids, the four moments and the sample count.  Equal vectors are
+/// bitwise-equal databases.
+std::vector<std::uint64_t> entryBits(const core::MotionDatabase& motion) {
+  std::vector<std::uint64_t> bits;
+  motion.forEachEntry([&](env::LocationId i, env::LocationId j,
+                          const core::RlmStats& stats) {
+    bits.insert(bits.end(),
+                {static_cast<std::uint64_t>(i),
+                 static_cast<std::uint64_t>(j),
+                 std::bit_cast<std::uint64_t>(stats.muDirectionDeg),
+                 std::bit_cast<std::uint64_t>(stats.sigmaDirectionDeg),
+                 std::bit_cast<std::uint64_t>(stats.muOffsetMeters),
+                 std::bit_cast<std::uint64_t>(stats.sigmaOffsetMeters),
+                 static_cast<std::uint64_t>(stats.sampleCount)});
+  });
+  return bits;
+}
 
 CaptureRow benchCapture(std::size_t locations) {
   const worldgen::GeneratedVenue venue(
@@ -232,32 +251,26 @@ CaptureRow benchCapture(std::size_t locations) {
   for (const auto& pair : snapshot.reservoirs)
     row.samples += pair.samples.size();
 
-  core::OnlineMotionDatabase restored(plan);
-  auto start = Clock::now();
-  restored.restore(snapshot);
-  row.restoreSeconds = secondsSince(start);
-  start = Clock::now();
-  const core::MotionDatabase read = restored.database();
-  row.readSeconds = secondsSince(start);
-  row.rereadSeconds = 1e30;
-  core::MotionDatabase reread;
-  for (std::size_t r = 0; r < kCaptureReps; ++r) {
-    start = Clock::now();
-    reread = restored.database();
-    row.rereadSeconds = std::min(row.rereadSeconds, secondsSince(start));
-  }
   // Correctness guard, outside the timed regions: every leg has an
-  // entry, and the restored reads are the live database (the text
-  // format prints round-trip precision, so equal text is equal bits).
-  const auto text = [](const core::MotionDatabase& motion) {
-    std::ostringstream out;
-    io::saveMotionDatabase(motion, out);
-    return std::move(out).str();
-  };
+  // entry, and every restored read is the live database bit for bit.
   const core::MotionDatabase live = db.database();
-  const bool identical = live.entryCount() == 2 * row.pairs &&
-                         text(live) == text(read) &&
-                         text(live) == text(reread);
+  const std::vector<std::uint64_t> liveBits = entryBits(live);
+  bool identical = live.entryCount() == 2 * row.pairs;
+  row.restoreSeconds = row.readSeconds = row.rereadSeconds = 1e30;
+  for (std::size_t r = 0; r < kCaptureReps; ++r) {
+    core::OnlineMotionDatabase restored(plan);
+    auto start = Clock::now();
+    restored.restore(snapshot);
+    row.restoreSeconds = std::min(row.restoreSeconds, secondsSince(start));
+    start = Clock::now();
+    const core::MotionDatabase read = restored.database();
+    row.readSeconds = std::min(row.readSeconds, secondsSince(start));
+    start = Clock::now();
+    const core::MotionDatabase reread = restored.database();
+    row.rereadSeconds = std::min(row.rereadSeconds, secondsSince(start));
+    identical = identical && entryBits(read) == liveBits &&
+                entryBits(reread) == liveBits;
+  }
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: restore at %zu locations read entries "
@@ -269,7 +282,7 @@ CaptureRow benchCapture(std::size_t locations) {
   return row;
 }
 
-// ---- Cold start: text parse vs binary deserialize vs mmap ----------
+// ---- Cold start: binary deserialize vs mmap ------------------------
 
 struct ColdVariant {
   std::string name;
@@ -280,10 +293,10 @@ struct ColdVariant {
 struct ColdStartRow {
   std::size_t locations = 0;
   std::size_t apCount = 0;
-  std::uint64_t textBytes = 0;
   std::uint64_t imageBytes = 0;
   double imageWriteSeconds = 0.0;
-  std::vector<ColdVariant> variants;  ///< text_load first.
+  /// binary_deserialize, mmap_image_full, mmap_image_bulk.
+  std::vector<ColdVariant> variants;
 };
 
 bool matchesBitwise(const std::vector<radio::Match>& a,
@@ -297,32 +310,26 @@ bool matchesBitwise(const std::vector<radio::Match>& a,
   return true;
 }
 
-/// The loaded structures a cold-start variant must produce before its
-/// clock stops: the radio map, the CSR adjacency, and the index.
-struct LoadedWorld {
-  std::shared_ptr<const radio::FingerprintDatabase> fingerprints;
-  std::shared_ptr<const kernel::MotionAdjacency> adjacency;
-  std::shared_ptr<const index::TieredIndex> index;
-};
-
+/// Times `loadOnce`, which must produce the three serving structures
+/// (radio map, CSR adjacency, index) before its clock stops.
 ColdVariant timeColdVariant(
     const std::string& name, std::size_t reps,
     const radio::Fingerprint& probe,
     const std::vector<radio::Match>& expected,
-    const std::function<LoadedWorld()>& loadOnce) {
+    const std::function<image::VenueImage()>& loadOnce) {
   ColdVariant variant;
   variant.name = name;
   std::vector<double> samples;
   samples.reserve(reps);
   for (std::size_t r = 0; r < reps; ++r) {
     const auto start = Clock::now();
-    const LoadedWorld world = loadOnce();
+    const image::VenueImage world = loadOnce();
     samples.push_back(secondsSince(start));
 
     // Correctness guard, outside the timed region: a load path that
     // got faster by serving different bytes is not a data point.
     std::vector<radio::Match> got;
-    world.fingerprints->queryInto(probe, kProbeTopK, got);
+    world.fingerprints()->queryInto(probe, kProbeTopK, got);
     if (!matchesBitwise(got, expected)) {
       std::fprintf(stderr,
                    "FAIL: %s served a probe query differing from the "
@@ -330,7 +337,7 @@ ColdVariant timeColdVariant(
                    name.c_str());
       std::exit(EXIT_FAILURE);
     }
-    if (world.adjacency == nullptr || world.index == nullptr) {
+    if (world.adjacency() == nullptr || world.tieredIndex() == nullptr) {
       std::fprintf(stderr, "FAIL: %s produced an incomplete world\n",
                    name.c_str());
       std::exit(EXIT_FAILURE);
@@ -350,31 +357,22 @@ ColdVariant timeColdVariant(
 ColdStartRow benchColdStart(std::size_t locations, std::size_t reps) {
   const std::string dir =
       scratchDir("cold_" + std::to_string(locations));
-  const std::string radioPath = dir + "/radio_map.txt";
-  const std::string motionPath = dir + "/motion_db.txt";
   const std::string imagePath = dir + "/venue.img";
 
   // Setup (untimed): generate the venue, build the index once, publish
-  // both the legacy text pair and the venue image.
+  // the venue image.
   worldgen::VenueSpec spec = worldgen::venueSpecForLocations(locations);
   const worldgen::GeneratedVenue venue(spec);
   const std::shared_ptr<const radio::FingerprintDatabase> db =
       venue.sharedFingerprints();
-  index::IndexConfig indexConfig;
   const auto index = std::make_shared<const index::TieredIndex>(
-      db, indexConfig, venue.shardStarts());
+      db, index::IndexConfig{}, venue.shardStarts());
   const core::WorldSnapshot world(db, venue.motion(), /*generation=*/1,
                                   /*intakeRecords=*/0, index);
-
-  io::saveFingerprintDatabase(*db, radioPath);
-  io::saveMotionDatabase(venue.motion(), motionPath);
 
   ColdStartRow row;
   row.locations = venue.locationCount();
   row.apCount = venue.apCount();
-  row.textBytes =
-      static_cast<std::uint64_t>(std::filesystem::file_size(radioPath)) +
-      static_cast<std::uint64_t>(std::filesystem::file_size(motionPath));
   {
     const auto start = Clock::now();
     row.imageBytes = image::writeVenueImage(imagePath, world).bytes;
@@ -390,38 +388,25 @@ ColdStartRow benchColdStart(std::size_t locations, std::size_t reps) {
   std::vector<radio::Match> expected;
   db->queryInto(probe, kProbeTopK, expected);
 
-  const std::vector<std::size_t> shardStarts = venue.shardStarts();
-  row.variants.push_back(timeColdVariant(
-      "text_load", reps, probe, expected, [&]() -> LoadedWorld {
-        LoadedWorld loaded;
-        loaded.fingerprints =
-            std::make_shared<const radio::FingerprintDatabase>(
-                io::loadFingerprintDatabase(radioPath));
-        const core::MotionDatabase motion =
-            io::loadMotionDatabase(motionPath);
-        loaded.adjacency =
-            std::make_shared<const kernel::MotionAdjacency>(motion);
-        loaded.index = std::make_shared<const index::TieredIndex>(
-            loaded.fingerprints, indexConfig, shardStarts);
-        return loaded;
-      }));
-
-  const auto imageVariant = [&](const char* name,
-                                image::LoadOptions options) {
-    row.variants.push_back(timeColdVariant(
-        name, reps, probe, expected, [&]() -> LoadedWorld {
-          const image::VenueImage img =
-              image::VenueImage::open(imagePath, options);
-          return LoadedWorld{img.fingerprints(), img.adjacency(),
-                             img.tieredIndex()};
-        }));
+  const auto variant = [&](const char* name,
+                           const std::function<image::VenueImage()>& load) {
+    row.variants.push_back(
+        timeColdVariant(name, reps, probe, expected, load));
   };
-  imageVariant("binary_deserialize",
-               {image::LoadMode::kReadFallback, image::VerifyMode::kFull});
-  imageVariant("mmap_image_full",
-               {image::LoadMode::kMmap, image::VerifyMode::kFull});
-  imageVariant("mmap_image_bulk", {image::LoadMode::kMmap,
-                                   image::VerifyMode::kBulkUnverified});
+  variant("binary_deserialize", [&] {
+    std::string bytes;
+    if (!store::detail::readFile(imagePath, bytes))
+      throw store::StoreError("open failed for " + imagePath);
+    return image::VenueImage::fromBuffer(
+        {reinterpret_cast<const std::uint8_t*>(bytes.data()),
+         bytes.size()});
+  });
+  variant("mmap_image_full",
+          [&] { return image::VenueImage::open(imagePath); });
+  variant("mmap_image_bulk", [&] {
+    return image::VenueImage::open(imagePath,
+                                   image::VerifyMode::kBulkUnverified);
+  });
 
   std::filesystem::remove_all(dir);
   return row;
@@ -540,9 +525,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n== micro_store: cold start vs venue size ==\n");
-  std::printf("  %9s %5s %10s %10s %12s %12s %12s %12s\n", "locations",
-              "aps", "text_mb", "image_mb", "text_s", "binary_s",
-              "mmap_full_s", "mmap_bulk_s");
+  std::printf("  %9s %5s %10s %12s %12s %12s\n", "locations", "aps",
+              "image_mb", "binary_s", "mmap_full_s", "mmap_bulk_s");
 
   std::vector<std::size_t> coldSizes{1024};
   if (!smoke) {
@@ -553,25 +537,25 @@ int main(int argc, char** argv) {
 
   std::vector<ColdStartRow> coldRows;
   for (const std::size_t locations : coldSizes) {
-    // One rep at the big sizes (the text parse alone runs minutes at
-    // 64k); best-of-3 where reruns are cheap enough to smooth noise.
-    const std::size_t reps = locations >= 16384 ? 1 : 3;
+    // One rep at campus-64k, whose ~900 MB image binary_deserialize
+    // holds twice in memory; best-of-3 elsewhere to smooth noise.
+    const std::size_t reps = locations >= 65536 ? 1 : 3;
     coldRows.push_back(benchColdStart(locations, reps));
     const ColdStartRow& r = coldRows.back();
-    std::printf("  %9zu %5zu %10.1f %10.1f %12.4f %12.4f %12.4f %12.4f\n",
-                r.locations, r.apCount,
-                static_cast<double>(r.textBytes) / (1024.0 * 1024.0),
+    std::printf("  %9zu %5zu %10.1f %12.4f %12.4f %12.4f\n", r.locations,
+                r.apCount,
                 static_cast<double>(r.imageBytes) / (1024.0 * 1024.0),
                 r.variants[0].seconds, r.variants[1].seconds,
-                r.variants[2].seconds, r.variants[3].seconds);
+                r.variants[2].seconds);
   }
   {
     const ColdStartRow& r = coldRows.back();
-    const double text = r.variants[0].seconds;
-    const double bulk = r.variants[3].seconds;
+    const double binary = r.variants[0].seconds;
+    const double bulk = r.variants[2].seconds;
     std::printf("  at %zu locations: mmap_image_bulk %.1fx faster than "
-                "text_load (%.4fs vs %.4fs)\n",
-                r.locations, bulk > 0.0 ? text / bulk : 0.0, bulk, text);
+                "binary_deserialize (%.4fs vs %.4fs)\n",
+                r.locations, bulk > 0.0 ? binary / bulk : 0.0, bulk,
+                binary);
   }
   std::printf("  determinism: every load path answered the probe query "
               "bitwise-identical to the generator's database\n");
@@ -632,11 +616,10 @@ int main(int argc, char** argv) {
 
   json.beginArray("cold_start");
   for (const ColdStartRow& r : coldRows) {
-    const double text = r.variants[0].seconds;
+    const double binary = r.variants[0].seconds;
     json.beginObject()
         .field("locations", static_cast<double>(r.locations))
         .field("ap_count", static_cast<double>(r.apCount))
-        .field("text_bytes", static_cast<double>(r.textBytes))
         .field("image_bytes", static_cast<double>(r.imageBytes))
         .field("image_write_seconds", r.imageWriteSeconds);
     json.beginArray("variants");
@@ -645,8 +628,8 @@ int main(int argc, char** argv) {
           .field("name", v.name)
           .field("seconds", v.seconds)
           .field("mean_seconds", v.meanSeconds)
-          .field("speedup_vs_text",
-                 v.seconds > 0.0 ? text / v.seconds : 0.0)
+          .field("speedup_vs_binary",
+                 v.seconds > 0.0 ? binary / v.seconds : 0.0)
           .endObject();
     }
     json.endArray();
@@ -658,15 +641,15 @@ int main(int argc, char** argv) {
   // measured, so the trajectory (and CI) need not walk the sweep.
   {
     const ColdStartRow& r = coldRows.back();
-    const double text = r.variants[0].seconds;
-    const double mmapFull = r.variants[2].seconds;
-    const double mmapBulk = r.variants[3].seconds;
+    const double binary = r.variants[0].seconds;
+    const double mmapFull = r.variants[1].seconds;
+    const double mmapBulk = r.variants[2].seconds;
     json.beginObject("cold_start_summary")
         .field("max_locations", static_cast<double>(r.locations))
-        .field("speedup_mmap_full_vs_text",
-               mmapFull > 0.0 ? text / mmapFull : 0.0)
-        .field("speedup_mmap_bulk_vs_text",
-               mmapBulk > 0.0 ? text / mmapBulk : 0.0)
+        .field("speedup_mmap_full_vs_binary",
+               mmapFull > 0.0 ? binary / mmapFull : 0.0)
+        .field("speedup_mmap_bulk_vs_binary",
+               mmapBulk > 0.0 ? binary / mmapBulk : 0.0)
         .endObject();
   }
   json.field("determinism_bitwise", true).endObject();

@@ -2,20 +2,22 @@
 //
 // Runs the full pipeline (survey -> crowdsourced motion database ->
 // paired MoLoc/WiFi evaluation) with every major knob exposed as a
-// flag, prints a summary report, and can persist the trained databases
-// for later sessions.
+// flag, prints a summary report, and can save the trained world as a
+// venue image that `molocd --image` serves.
 //
 //   ./moloc_cli --aps 5 --seed 7 --traces 50 --legs 15
 //   ./moloc_cli --k 4 --alpha 30 --temporal-noise 4
-//   ./moloc_cli --save-fingerprint-db fp.txt --save-motion-db motion.txt
+//   ./moloc_cli --save-image hall.img && ./molocd --image hall.img
 
 #include <cstdio>
 #include <exception>
+#include <memory>
 
 #include "baseline/wifi_fingerprinting.hpp"
 #include "eval/convergence.hpp"
+#include "core/world_snapshot.hpp"
 #include "eval/experiment_world.hpp"
-#include "io/serialization.hpp"
+#include "image/image_writer.hpp"
 #include "io/trace_io.hpp"
 #include "util/args.hpp"
 
@@ -37,10 +39,9 @@ int main(int argc, char** argv) {
   args.addOption("temporal-noise", "6.5",
                  "per-scan RSS noise sigma (dB)");
   args.addOption("drift", "0", "radio-map staleness drift sigma (dB)");
-  args.addOption("save-fingerprint-db", "",
-                 "write the radio map to this path");
-  args.addOption("save-motion-db", "",
-                 "write the motion database to this path");
+  args.addOption("save-image", "",
+                 "write the trained world (radio map and motion "
+                 "database) to this venue image");
   args.addOption("record-traces", "",
                  "write the evaluated test walks to this path");
   args.addOption("replay-traces", "",
@@ -165,17 +166,21 @@ int main(int argc, char** argv) {
                   convWifi.subsequentAccuracy);
     }
 
-    const std::string fpPath = args.getString("save-fingerprint-db");
-    if (!fpPath.empty()) {
-      io::saveFingerprintDatabase(world.fingerprintDb(), fpPath);
-      if (!quiet) std::printf("radio map written to %s\n", fpPath.c_str());
-    }
-    const std::string motionPath = args.getString("save-motion-db");
-    if (!motionPath.empty()) {
-      io::saveMotionDatabase(world.motionDb(), motionPath);
+    const std::string imagePath = args.getString("save-image");
+    if (!imagePath.empty()) {
+      // The boot world molocd would serve for this hall: generation 0,
+      // no intake records, and no index (the hall is far below the
+      // service's tiered-index threshold).
+      const core::WorldSnapshot boot(
+          std::make_shared<const radio::FingerprintDatabase>(
+              world.fingerprintDb()),
+          world.motionDb(), /*generation=*/0, /*intakeRecords=*/0);
+      const image::ImageWriteInfo info =
+          image::writeVenueImage(imagePath, boot);
       if (!quiet)
-        std::printf("motion database written to %s\n",
-                    motionPath.c_str());
+        std::printf("venue image written to %s (%llu bytes)\n",
+                    imagePath.c_str(),
+                    static_cast<unsigned long long>(info.bytes));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

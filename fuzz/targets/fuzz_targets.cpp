@@ -15,7 +15,6 @@
 #include "core/world_snapshot.hpp"
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
-#include "io/serialization.hpp"
 #include "net/wire.hpp"
 #include "store/checkpoint.hpp"
 #include "store/format.hpp"
@@ -157,61 +156,6 @@ int runCheckpointLoad(const std::uint8_t* data, std::size_t size) {
       a.snapshot.reservoirs.size() != b.snapshot.reservoirs.size() ||
       sampleCount(a) != sampleCount(b))
     invariantFailed("checkpoint", "decode/encode/decode was not stable");
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Text serialization
-
-int runSerializationLoad(const std::uint8_t* data, std::size_t size) {
-  if (size > kMaxInputBytes) return 0;
-  const std::string text(reinterpret_cast<const char*>(data), size);
-
-  // Loaders reject with std::runtime_error (line-numbered); any other
-  // escape is a harness crash by design.
-  {
-    std::istringstream in(text);
-    try {
-      const auto db = io::loadFingerprintDatabase(in);
-      std::ostringstream first;
-      io::saveFingerprintDatabase(db, first);
-      std::istringstream again(first.str());
-      std::ostringstream second;
-      io::saveFingerprintDatabase(io::loadFingerprintDatabase(again),
-                                  second);
-      if (first.str() != second.str())
-        invariantFailed("serialization",
-                        "fingerprint save/load is not a fixed point");
-    } catch (const std::runtime_error&) {
-    }
-  }
-  {
-    std::istringstream in(text);
-    try {
-      const auto db = io::loadMotionDatabase(in);
-      // The save path scans the dense n x n matrix; bound the
-      // round-trip check so a legitimately huge accepted header cannot
-      // turn one iteration into seconds of work.
-      if (db.locationCount() <= 64) {
-        std::ostringstream first;
-        io::saveMotionDatabase(db, first);
-        std::istringstream again(first.str());
-        std::ostringstream second;
-        io::saveMotionDatabase(io::loadMotionDatabase(again), second);
-        if (first.str() != second.str())
-          invariantFailed("serialization",
-                          "motion save/load is not a fixed point");
-      }
-    } catch (const std::runtime_error&) {
-    }
-  }
-  {
-    std::istringstream in(text);
-    try {
-      io::loadProbabilisticDatabase(in);
-    } catch (const std::runtime_error&) {
-    }
-  }
   return 0;
 }
 

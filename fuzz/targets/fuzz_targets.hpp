@@ -33,11 +33,6 @@ int runWalReader(const std::uint8_t* data, std::size_t size);
 /// through; accepted files must decode → re-encode → decode stably.
 int runCheckpointLoad(const std::uint8_t* data, std::size_t size);
 
-/// io/serialization text loaders (fingerprint, motion, probabilistic)
-/// over one document.  Rejections must be std::runtime_error with no
-/// partial state; accepted documents must be save/load fixed points.
-int runSerializationLoad(const std::uint8_t* data, std::size_t size);
-
 /// util::parseCsv over one document.  Rejections must be
 /// std::invalid_argument; accepted documents must round-trip through
 /// RFC 4180 re-serialization to identical rows.

@@ -7,7 +7,7 @@
 // The binary seeds must come from the actual writers — hand-maintained
 // hex would drift the moment a format changes — so this tool links the
 // library and round-trips through WalWriter / writeCheckpointFile /
-// the io::save* functions.  Text seeds (CSV, malformed documents) are
+// writeVenueImage.  Text seeds (CSV, malformed documents) are
 // committed directly and not rewritten here.
 
 #include <unistd.h>
@@ -28,10 +28,8 @@
 #include "image/format.hpp"
 #include "image/image_writer.hpp"
 #include "index/tiered_index.hpp"
-#include "io/serialization.hpp"
 #include "net/wire.hpp"
 #include "radio/fingerprint_database.hpp"
-#include "radio/probabilistic_database.hpp"
 #include "store/checkpoint.hpp"
 #include "store/crc32c.hpp"
 #include "store/format.hpp"
@@ -190,37 +188,6 @@ void makeCheckpointSeeds(const fs::path& root) {
   putU32(body, moloc::store::crc32c(body.data(), body.size()));
   writeFile(root / "regressions/checkpoint/reservoir-count-bomb.bin",
             body);
-}
-
-void makeSerializationSeeds(const fs::path& root) {
-  {
-    moloc::radio::FingerprintDatabase db;
-    db.addLocation(0, moloc::radio::Fingerprint({-40.5, -70.25, -55.0}));
-    db.addLocation(2, moloc::radio::Fingerprint({-60.125, -45.0, -80.5}));
-    std::ostringstream out;
-    moloc::io::saveFingerprintDatabase(db, out);
-    writeFile(root / "serialization/fingerprint-db.txt", out.str());
-  }
-  {
-    moloc::core::MotionDatabase db(4);
-    db.setEntryWithMirror(0, 1, {90.25, 4.5, 5.7, 0.25, 17});
-    db.setEntryWithMirror(1, 2, {180.0, 3.0, 4.0, 0.125, 9});
-    std::ostringstream out;
-    moloc::io::saveMotionDatabase(db, out);
-    writeFile(root / "serialization/motion-db.txt", out.str());
-  }
-  {
-    moloc::radio::ProbabilisticFingerprintDatabase db;
-    const moloc::radio::Fingerprint samples[] = {
-        moloc::radio::Fingerprint({-40.0, -70.0}),
-        moloc::radio::Fingerprint({-42.0, -68.0}),
-        moloc::radio::Fingerprint({-41.0, -69.0}),
-    };
-    db.addLocation(0, samples);
-    std::ostringstream out;
-    moloc::io::saveProbabilisticDatabase(db, out);
-    writeFile(root / "serialization/probabilistic-db.txt", out.str());
-  }
 }
 
 /// Venue-image seeds: real images through the real writer (with and
@@ -461,7 +428,6 @@ int main(int argc, char** argv) {
   const fs::path root(argv[1]);
   makeWalSeeds(root);
   makeCheckpointSeeds(root);
-  makeSerializationSeeds(root);
   makeWireSeeds(root);
   makeImageSeeds(root);
   return 0;

@@ -45,10 +45,11 @@ class ImageError : public std::runtime_error {
 /// Every section carries its own CRC32C in the table; the table
 /// itself is covered by FileHeader::tableCrc.  Sections are raw host
 /// arrays, which is why the header pins a layout tag (endianness,
-/// size_t width, PairWindow size): an image is a host-format cache
-/// rebuilt from the durable text/WAL/checkpoint lineage, not an
-/// interchange format — a loader on a different ABI rejects it with a
-/// typed error instead of misreading it.
+/// size_t width, PairWindow size): an image is a host-format cache of
+/// a built world (a venue build, or the WAL/checkpoint lineage), to be
+/// rewritten from that source on each host, not an interchange format
+/// — a loader on a different ABI rejects it with a typed error instead
+/// of misreading it.
 
 inline constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'I',
                                    'M', 'G'};

@@ -15,7 +15,6 @@
 #include "kernel/fingerprint_kernel.hpp"
 #include "store/crc32c.hpp"
 #include "store/format.hpp"
-#include "store/posix_file.hpp"
 #include "util/posix_error.hpp"
 #include "util/retry_eintr.hpp"
 
@@ -443,40 +442,30 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   return image;
 }
 
-VenueImage VenueImage::open(const std::string& path, LoadOptions options) {
+VenueImage VenueImage::open(const std::string& path, VerifyMode verify) {
   auto core = std::make_shared<Core>();
-  if (options.mode == LoadMode::kMmap) {
-    FdGuard fd;
-    fd.fd = util::retryEintr(
-        [&] { return ::open(path.c_str(), O_RDONLY | O_CLOEXEC); });
-    if (fd.fd < 0)
-      throw store::StoreError("open failed for " + path + ": " +
-                              util::errnoMessage(errno));
-    struct stat st{};
-    if (::fstat(fd.fd, &st) != 0)
-      throw store::StoreError("fstat failed for " + path + ": " +
-                              util::errnoMessage(errno));
-    const auto size = static_cast<std::size_t>(st.st_size);
-    if (size < sizeof(FileHeader))
-      fail("truncated header");
-    void* mapped =
-        ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.fd, 0);
-    if (mapped == MAP_FAILED)
-      throw store::StoreError("mmap failed for " + path + ": " +
-                              util::errnoMessage(errno));
-    core->mapBase = mapped;
-    core->mapLength = size;
-    core->data = static_cast<const std::uint8_t*>(mapped);
-    core->size = size;
-  } else {
-    std::string contents;
-    if (!store::detail::readFile(path, contents))
-      throw store::StoreError("open failed for " + path);
-    core->heap.assign(contents.begin(), contents.end());
-    core->data = core->heap.data();
-    core->size = core->heap.size();
-  }
-  return load(std::move(core), options.verify);
+  FdGuard fd;
+  fd.fd = util::retryEintr(
+      [&] { return ::open(path.c_str(), O_RDONLY | O_CLOEXEC); });
+  if (fd.fd < 0)
+    throw store::StoreError("open failed for " + path + ": " +
+                            util::errnoMessage(errno));
+  struct stat st{};
+  if (::fstat(fd.fd, &st) != 0)
+    throw store::StoreError("fstat failed for " + path + ": " +
+                            util::errnoMessage(errno));
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (size < sizeof(FileHeader))
+    fail("truncated header");
+  void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.fd, 0);
+  if (mapped == MAP_FAILED)
+    throw store::StoreError("mmap failed for " + path + ": " +
+                            util::errnoMessage(errno));
+  core->mapBase = mapped;
+  core->mapLength = size;
+  core->data = static_cast<const std::uint8_t*>(mapped);
+  core->size = size;
+  return load(std::move(core), verify);
 }
 
 VenueImage VenueImage::fromBuffer(std::span<const std::uint8_t> bytes,

@@ -12,18 +12,6 @@
 
 namespace moloc::image {
 
-/// How the image's bytes get into the address space.
-enum class LoadMode {
-  /// mmap the file read-only: load cost is independent of venue size
-  /// (pages fault in lazily from the page cache).  The default.
-  kMmap,
-  /// read() the whole file into one heap buffer: for platforms or
-  /// filesystems where mmap is unavailable, and for the bitwise
-  /// mmap-vs-fallback identity tests.  Every downstream view is built
-  /// over the identical bytes, so behavior is bitwise the same.
-  kReadFallback,
-};
-
 /// How much of the file the loader checksums before serving it.
 /// Structural validation (header, table CRC, section bounds, overlap
 /// and alignment checks, row-start monotonicity, shard geometry, id
@@ -42,11 +30,6 @@ enum class VerifyMode {
   kBulkUnverified,
 };
 
-struct LoadOptions {
-  LoadMode mode = LoadMode::kMmap;
-  VerifyMode verify = VerifyMode::kFull;
-};
-
 /// A loaded venue image: the mapping plus zero-copy serving structures
 /// built over it.  All accessors hand out shared_ptrs whose control
 /// blocks pin the mapping, so a caller can drop the VenueImage and
@@ -60,13 +43,16 @@ struct LoadOptions {
 /// megabytes, per location.
 class VenueImage {
  public:
-  /// Opens and fully validates `path`.  Throws ImageError for any
-  /// format damage and store::StoreError for I/O failures.
-  static VenueImage open(const std::string& path, LoadOptions options = {});
+  /// Maps `path` read-only and fully validates it: load cost is
+  /// independent of venue size (pages fault in lazily from the page
+  /// cache).  Throws ImageError for any format damage and
+  /// store::StoreError for I/O failures.
+  static VenueImage open(const std::string& path,
+                         VerifyMode verify = VerifyMode::kFull);
 
-  /// Parses an in-memory buffer (copies it): the fuzz surface and the
-  /// fault-injection tests go through here and through open()'s
-  /// fallback path with identical semantics.
+  /// Parses an in-memory buffer (copies it) with the same validation
+  /// as open(): the fuzz surface and the fault-injection tests go
+  /// through here.
   static VenueImage fromBuffer(std::span<const std::uint8_t> bytes,
                                VerifyMode verify = VerifyMode::kFull);
 
@@ -74,7 +60,7 @@ class VenueImage {
   std::size_t locationCount() const { return meta_.locationCount; }
   std::size_t apCount() const { return meta_.apCount; }
   bool hasIndex() const { return index_ != nullptr; }
-  /// Whether the bytes are an actual mmap (false on the fallback).
+  /// Whether the bytes are an actual mmap (false after fromBuffer).
   bool mapped() const { return mapped_; }
 
   const std::shared_ptr<const radio::FingerprintDatabase>& fingerprints()

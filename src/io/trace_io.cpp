@@ -17,10 +17,8 @@ constexpr char kTraceHeader[] = "moloc-trace v1";
 /// Upper bound on the trace count a collection header may claim.
 /// The header is untrusted input: without a cap, `1e18 traces` sizes
 /// the vector reservation from the raw count before a single trace
-/// line is read — the same allocation-bomb class as the motion-db
-/// `locations` header fixed in src/io/serialization.cpp
-/// (kMaxMotionLocations).  Generous: the largest committed sweeps use
-/// tens of thousands of traces.
+/// line is read (an allocation bomb).  Generous: the largest
+/// committed sweeps use tens of thousands of traces.
 constexpr std::size_t kMaxTraceCount = 10'000'000;
 
 [[noreturn]] void fail(int line, const std::string& what) {

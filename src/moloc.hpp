@@ -78,7 +78,6 @@
 #include "eval/experiment_world.hpp"
 
 // Persistence.
-#include "io/serialization.hpp"
 #include "io/trace_io.hpp"
 
 // Concurrent serving layer.

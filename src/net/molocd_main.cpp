@@ -125,12 +125,11 @@ int main(int argc, char** argv) {
       if (verify != "full" && verify != "bulk")
         throw util::ConfigError(
             "--image-verify must be 'full' or 'bulk'");
-      image::LoadOptions loadOptions;
-      loadOptions.verify = verify == "bulk"
-                               ? image::VerifyMode::kBulkUnverified
-                               : image::VerifyMode::kFull;
       venueImage = std::make_unique<image::VenueImage>(
-          image::VenueImage::open(imagePath, loadOptions));
+          image::VenueImage::open(imagePath,
+                                  verify == "bulk"
+                                      ? image::VerifyMode::kBulkUnverified
+                                      : image::VerifyMode::kFull));
     } else if (!venueSpecText.empty()) {
       worldgen::VenueSpec spec = worldgen::parseVenueSpec(venueSpecText);
       spec.seed = static_cast<std::uint64_t>(args.getInt("venue-seed"));

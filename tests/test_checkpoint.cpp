@@ -155,6 +155,50 @@ TEST_F(CheckpointTest, FileRoundTripIsExact) {
   expectIdenticalIntakeState(db, restored);
 }
 
+TEST_F(CheckpointTest, RewriteReplacesTheFileWholeAndLeavesNoTemporary) {
+  const std::string dir = freshDir("rewrite");
+  auto firstPtr = populatedDb(/*seed=*/7);
+  auto secondPtr = populatedDb(/*seed=*/8);
+  const std::string path = writeCheckpointFile(dir, 42, firstPtr->snapshot());
+  EXPECT_EQ(writeCheckpointFile(dir, 42, secondPtr->snapshot()), path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  const auto loaded = loadNewestCheckpoint(dir);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->skippedInvalid, 0u);
+  core::OnlineMotionDatabase restored(plan_);
+  restored.restore(loaded->data.snapshot);
+  expectIdenticalIntakeState(*secondPtr, restored);
+}
+
+TEST_F(CheckpointTest, FailedWriteNamesThePath) {
+  const auto snapshot = populatedDb()->snapshot();
+  const auto expectStoreErrorNaming = [&](const std::string& dir,
+                                          const std::string& named) {
+    try {
+      writeCheckpointFile(dir, 42, snapshot);
+      ADD_FAILURE() << "expected a StoreError naming " << named;
+    } catch (const StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // The directory cannot be created: a regular file holds its name.
+  const std::string blocked = freshDir("blocked");
+  std::ofstream(blocked) << "not a directory";
+  expectStoreErrorNaming(blocked, blocked);
+
+  // The final rename fails: a directory holds the checkpoint's name.
+  // The temporary is removed, not left behind.
+  const std::string dir = freshDir("occupied");
+  const std::string path = writeCheckpointFile(dir, 42, snapshot);
+  std::filesystem::remove(path);
+  std::filesystem::create_directory(path);
+  expectStoreErrorNaming(dir, path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
 TEST_F(CheckpointTest, EmptyDirectoryLoadsNothing) {
   EXPECT_FALSE(loadNewestCheckpoint(freshDir("none")).has_value());
 }

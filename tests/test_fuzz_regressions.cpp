@@ -60,10 +60,6 @@ TEST(FuzzRegressions, CheckpointCorpusReplaysClean) {
   EXPECT_GE(replaySurface("checkpoint", runCheckpointLoad), 3u);
 }
 
-TEST(FuzzRegressions, SerializationCorpusReplaysClean) {
-  EXPECT_GE(replaySurface("serialization", runSerializationLoad), 5u);
-}
-
 TEST(FuzzRegressions, CsvCorpusReplaysClean) {
   EXPECT_GE(replaySurface("csv", runCsvParse), 8u);
 }
@@ -82,7 +78,6 @@ TEST(FuzzRegressions, EmptyInputIsCleanEverywhere) {
   const std::uint8_t dummy = 0;
   EXPECT_EQ(0, runWalReader(&dummy, 0));
   EXPECT_EQ(0, runCheckpointLoad(&dummy, 0));
-  EXPECT_EQ(0, runSerializationLoad(&dummy, 0));
   EXPECT_EQ(0, runCsvParse(&dummy, 0));
   EXPECT_EQ(0, runWireDecode(&dummy, 0));
   EXPECT_EQ(0, runImageLoad(&dummy, 0));

@@ -1,6 +1,6 @@
 // Tests of the venue-image subsystem (src/image): write -> load round
-// trips must reproduce every serving structure bitwise, mmap and the
-// read() fallback must be indistinguishable, views must pin the
+// trips must reproduce every serving structure bitwise, mmap and a
+// heap copy of the file must be indistinguishable, views must pin the
 // mapping, damaged files must raise typed ImageErrors (never crash or
 // over-read), and the writer must keep the store's crash discipline.
 
@@ -23,6 +23,7 @@
 #include "core/online_motion_database.hpp"
 #include "core/world_snapshot.hpp"
 #include "env/floor_plan.hpp"
+#include "eval/experiment_world.hpp"
 #include "image/format.hpp"
 #include "index/tiered_index.hpp"
 #include "kernel/fingerprint_kernel.hpp"
@@ -199,22 +200,20 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
   }
 }
 
-TEST(VenueImage, MmapAndReadFallbackAreBitwiseIdentical) {
-  const std::string dir = freshDir("fallback");
+TEST(VenueImage, MmapAndFromBufferAreBitwiseIdentical) {
+  const std::string dir = freshDir("buffer");
   const std::string path = dir + "/venue.img";
   const auto world = makeWorld(150, 8, 23, /*withIndex=*/true);
   writeVenueImage(path, *world);
 
-  const VenueImage viaMmap =
-      VenueImage::open(path, {LoadMode::kMmap, VerifyMode::kFull});
-  const VenueImage viaRead =
-      VenueImage::open(path, {LoadMode::kReadFallback, VerifyMode::kFull});
+  const VenueImage viaMmap = VenueImage::open(path);
+  const VenueImage viaBuffer = VenueImage::fromBuffer(readBytes(path));
   EXPECT_TRUE(viaMmap.mapped());
-  EXPECT_FALSE(viaRead.mapped());
+  EXPECT_FALSE(viaBuffer.mapped());
 
-  ASSERT_EQ(viaMmap.locationCount(), viaRead.locationCount());
+  ASSERT_EQ(viaMmap.locationCount(), viaBuffer.locationCount());
   EXPECT_EQ(std::memcmp(viaMmap.adjacency()->edges().data(),
-                        viaRead.adjacency()->edges().data(),
+                        viaBuffer.adjacency()->edges().data(),
                         viaMmap.adjacency()->edgeCount() *
                             sizeof(kernel::PairWindow)),
             0);
@@ -224,8 +223,54 @@ TEST(VenueImage, MmapAndReadFallbackAreBitwiseIdentical) {
   for (int trial = 0; trial < 20; ++trial) {
     const radio::Fingerprint query = makeQuery(8, rng);
     viaMmap.tieredIndex()->queryInto(query, 6, a);
-    viaRead.tieredIndex()->queryInto(query, 6, b);
+    viaBuffer.tieredIndex()->queryInto(query, 6, b);
     expectMatchesBitwiseEqual(a, b);
+  }
+}
+
+TEST(VenueImage, HallWorldRoundTripsBitwise) {
+  // The office hall's boot world, as molocd --save-image and moloc_cli
+  // --save-image write it: generation 0, no intake records, and no
+  // index (the hall is far below the tiered-index threshold).
+  const eval::ExperimentWorld world;
+  const core::WorldSnapshot boot(
+      std::make_shared<const radio::FingerprintDatabase>(
+          world.fingerprintDb()),
+      world.motionDb(), /*generation=*/0, /*intakeRecords=*/0);
+  const std::string path = freshDir("hall") + "/hall.img";
+  writeVenueImage(path, boot);
+  const VenueImage image = VenueImage::open(path);
+  EXPECT_FALSE(image.hasIndex());
+
+  const kernel::MotionAdjacency expected(world.motionDb());
+  const kernel::MotionAdjacency& loaded = *image.adjacency();
+  ASSERT_GT(expected.edgeCount(), 0u);
+  ASSERT_EQ(loaded.locationCount(), expected.locationCount());
+  ASSERT_EQ(loaded.edgeCount(), expected.edgeCount());
+  EXPECT_EQ(std::memcmp(expected.rowStarts().data(),
+                        loaded.rowStarts().data(),
+                        expected.rowStarts().size() * sizeof(std::size_t)),
+            0);
+  EXPECT_EQ(std::memcmp(expected.edges().data(), loaded.edges().data(),
+                        expected.edgeCount() * sizeof(kernel::PairWindow)),
+            0);
+
+  // Probes: every surveyed fingerprint, then random scans.
+  const radio::FingerprintDatabase& db = world.fingerprintDb();
+  std::vector<radio::Fingerprint> probes;
+  for (std::size_t r = 0; r < db.size(); ++r)
+    probes.push_back(db.entryAt(r));
+  util::Rng rng(13);
+  for (int trial = 0; trial < 20; ++trial)
+    probes.push_back(makeQuery(db.apCount(), rng));
+  std::vector<radio::Match> exact;
+  std::vector<radio::Match> viaImage;
+  for (const radio::Fingerprint& probe : probes) {
+    for (const std::size_t k : {1u, 4u, 12u}) {
+      db.queryInto(probe, k, exact);
+      image.fingerprints()->queryInto(probe, k, viaImage);
+      expectMatchesBitwiseEqual(exact, viaImage);
+    }
   }
 }
 
@@ -235,10 +280,9 @@ TEST(VenueImage, BulkUnverifiedModeServesIdentically) {
   const auto world = makeWorld(120, 8, 31, /*withIndex=*/true);
   writeVenueImage(path, *world);
 
-  const VenueImage full =
-      VenueImage::open(path, {LoadMode::kMmap, VerifyMode::kFull});
-  const VenueImage fast = VenueImage::open(
-      path, {LoadMode::kMmap, VerifyMode::kBulkUnverified});
+  const VenueImage full = VenueImage::open(path);
+  const VenueImage fast =
+      VenueImage::open(path, VerifyMode::kBulkUnverified);
   util::Rng rng(9);
   std::vector<radio::Match> a;
   std::vector<radio::Match> b;
@@ -434,16 +478,9 @@ TEST(VenueImage, CrashFaultsOnThePublishedFileAreTypedErrors) {
   EXPECT_NO_THROW(VenueImage::open(path));
   fault.truncateTo(size / 2);
   EXPECT_THROW(VenueImage::open(path), ImageError);
-  EXPECT_THROW(
-      VenueImage::open(path, {LoadMode::kReadFallback, VerifyMode::kFull}),
-      ImageError);
 
   // Missing files are I/O errors, not format damage.
   EXPECT_THROW(VenueImage::open(dir + "/absent.img"), store::StoreError);
-  EXPECT_THROW(VenueImage::open(dir + "/absent.img",
-                                {LoadMode::kReadFallback,
-                                 VerifyMode::kFull}),
-               store::StoreError);
 }
 
 TEST(VenueImage, ViewStructuresRefuseMutation) {
