@@ -193,20 +193,20 @@ bench::LatencySummary measureOp(std::size_t rounds, std::size_t reps,
   return bench::summarizeNs(std::move(ns));
 }
 
-/// A fingerprint database flattened back into the pre-kernel access
-/// pattern (entry pointers in insertion order), so the reference
-/// implementations below pay the same memory layout the old code did
-/// and nothing else.
+/// A fingerprint database copied back into the pre-kernel layout (one
+/// owning fingerprint, with its own heap vector, per entry in insertion
+/// order), so the reference implementations below pay the same memory
+/// layout the old code did and nothing else.
 struct ReferenceView {
   std::vector<env::LocationId> ids;
-  std::vector<const radio::Fingerprint*> entries;
+  std::vector<radio::Fingerprint> entries;
 };
 
 ReferenceView referenceView(const radio::FingerprintDatabase& db) {
   ReferenceView view;
   view.ids = db.locationIds();
   view.entries.reserve(view.ids.size());
-  for (const auto id : view.ids) view.entries.push_back(&db.entry(id));
+  for (const auto id : view.ids) view.entries.push_back(db.entry(id));
   return view;
 }
 
@@ -221,7 +221,7 @@ void referenceQuery(const ReferenceView& view,
   out.reserve(view.entries.size());
   for (std::size_t i = 0; i < view.entries.size(); ++i)
     out.push_back(
-        {view.ids[i], radio::dissimilarity(query, *view.entries[i]), 0.0});
+        {view.ids[i], radio::dissimilarity(query, view.entries[i]), 0.0});
   const std::size_t kept = std::min(k, out.size());
   std::partial_sort(out.begin(), out.begin() + static_cast<long>(kept),
                     out.end(), [](const radio::Match& a,
@@ -242,10 +242,10 @@ void referenceQuery(const ReferenceView& view,
 env::LocationId referenceNearest(const ReferenceView& view,
                                  const radio::Fingerprint& query) {
   std::size_t best = 0;
-  double bestDis = radio::squaredDissimilarity(query, *view.entries[0]);
+  double bestDis = radio::squaredDissimilarity(query, view.entries[0]);
   for (std::size_t i = 0; i < view.entries.size(); ++i) {
     const double dis =
-        radio::squaredDissimilarity(query, *view.entries[i]);
+        radio::squaredDissimilarity(query, view.entries[i]);
     if (dis < bestDis) {
       bestDis = dis;
       best = i;

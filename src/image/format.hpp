@@ -28,13 +28,13 @@ class ImageError : public std::runtime_error {
 /// # Venue image: one mmap-able file, cold start without a rebuild
 ///
 /// A venue image stores the *exact in-memory layouts* the serving
-/// stack computes at startup — the blocked kernel::FlatMatrix, the
-/// row-major RSS values behind per-entry fingerprints, the CSR
-/// kernel::MotionAdjacency arrays (precomputed PairWindow constants
-/// included), and the index::TieredIndex shards (signature bytes and
-/// column profiles) — so the loader maps the file read-only and serves
-/// straight out of the page cache: no parsing, no quantizing, no pass
-/// over rows.
+/// stack computes at startup — the blocked kernel::FlatMatrix (the
+/// radio map's only copy), the CSR kernel::MotionAdjacency arrays
+/// (precomputed PairWindow constants included), and the
+/// index::TieredIndex shards (signature bytes and column profiles) —
+/// so the loader maps the file read-only and serves straight out of
+/// the page cache: no parsing, no quantizing, no pass over the RSS
+/// values.
 ///
 /// File layout (docs/persistence.md has the full spec):
 ///
@@ -53,20 +53,21 @@ class ImageError : public std::runtime_error {
 
 inline constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'I',
                                    'M', 'G'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section payloads start at multiples of this (cache-line sized, and
 /// a multiple of every element alignment used by a section).
 inline constexpr std::size_t kSectionAlignment = 64;
 
-/// Hard cap on the section count: v2 defines 13 section ids, so any
+/// Hard cap on the section count: v3 defines 12 section ids, so any
 /// larger table is damage (and the cap bounds hostile allocation).
 inline constexpr std::uint32_t kMaxSections = 64;
 
 enum class SectionId : std::uint32_t {
   kMeta = 1,               ///< Encoded ImageMeta (store::detail codec).
   kLocationIds = 2,        ///< env::LocationId[n], insertion order.
-  kRowValues = 3,          ///< double[n * apCount], row-major.
+  // Id 3 held a row-major copy of the RSS values up to v2; it is
+  // retired, and a v3 loader rejects it as an unknown section.
   kFlatBlocked = 4,        ///< double[paddedRows * apCount], AoSoA.
   kAdjacencyRowStart = 5,  ///< std::size_t[adjacencyLocations + 1].
   kAdjacencyEdges = 6,     ///< kernel::PairWindow[edgeCount].

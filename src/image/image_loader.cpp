@@ -58,7 +58,6 @@ const char* sectionName(SectionId id) {
   switch (id) {
     case SectionId::kMeta: return "meta";
     case SectionId::kLocationIds: return "location_ids";
-    case SectionId::kRowValues: return "row_values";
     case SectionId::kFlatBlocked: return "flat_blocked";
     case SectionId::kAdjacencyRowStart: return "adjacency_row_start";
     case SectionId::kAdjacencyEdges: return "adjacency_edges";
@@ -74,16 +73,17 @@ const char* sectionName(SectionId id) {
 }
 
 bool knownSection(std::uint32_t id) {
+  constexpr std::uint32_t kRetiredRowValues = 3;
   return id >= static_cast<std::uint32_t>(SectionId::kMeta) &&
-         id <= static_cast<std::uint32_t>(SectionId::kIndexColumnValues);
+         id <= static_cast<std::uint32_t>(SectionId::kIndexColumnValues) &&
+         id != kRetiredRowValues;
 }
 
 /// Bulk sections: their CRC check is what VerifyMode::kBulkUnverified
 /// skips (and their content scans with it).  Everything else is
 /// metadata-sized and always verified.
 bool bulkSection(SectionId id) {
-  return id == SectionId::kRowValues || id == SectionId::kFlatBlocked ||
-         id == SectionId::kAdjacencyEdges ||
+  return id == SectionId::kFlatBlocked || id == SectionId::kAdjacencyEdges ||
          id == SectionId::kIndexSignatures;
 }
 
@@ -219,9 +219,8 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
     return sections[static_cast<std::uint32_t>(id)];
   };
   for (const SectionId required :
-       {SectionId::kMeta, SectionId::kLocationIds, SectionId::kRowValues,
-        SectionId::kFlatBlocked, SectionId::kAdjacencyRowStart,
-        SectionId::kAdjacencyEdges})
+       {SectionId::kMeta, SectionId::kLocationIds, SectionId::kFlatBlocked,
+        SectionId::kAdjacencyRowStart, SectionId::kAdjacencyEdges})
     if (!section(required).present)
       fail(std::string("missing ") + sectionName(required) + " section");
 
@@ -249,9 +248,6 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
                n, sizeof(env::LocationId));
   {
     std::uint64_t expected = 0;
-    if (!mulFits(n, apCount, sizeof(double), &expected) ||
-        section(SectionId::kRowValues).length != expected)
-      fail("row_values section length does not match the meta counts");
     if (!mulFits(paddedRowCount(n), apCount, sizeof(double), &expected) ||
         section(SectionId::kFlatBlocked).length != expected)
       fail("flat_blocked section length does not match the meta counts");
@@ -402,14 +398,11 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   }
 
   // ---- Build the zero-copy views ------------------------------------
-  const auto* rowValues = reinterpret_cast<const double*>(
-      section(SectionId::kRowValues).data);
   const auto* flatData = reinterpret_cast<const double*>(
       section(SectionId::kFlatBlocked).data);
   try {
     core->db = radio::FingerprintDatabase::fromImageView(
         {ids, static_cast<std::size_t>(n)},
-        static_cast<std::size_t>(apCount), rowValues,
         kernel::FlatMatrix::view(flatData, static_cast<std::size_t>(n),
                                  static_cast<std::size_t>(apCount)));
   } catch (const std::invalid_argument& e) {

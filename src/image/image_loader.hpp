@@ -23,10 +23,10 @@ enum class VerifyMode {
   kFull,
   /// CRC the metadata-sized sections only (meta, ids, row starts,
   /// shard table, active-AP tables, bucket ranges, column profiles)
-  /// and skip the bulk arrays (RSS values, flat matrix, edges,
-  /// signatures).  This is the millisecond cold-attach path for images
-  /// the same host just wrote and published atomically; bulk content
-  /// is still bounds-safe, merely not re-checksummed.
+  /// and skip the bulk arrays (flat matrix, edges, signatures).  This
+  /// is the millisecond cold-attach path for images the same host just
+  /// wrote and published atomically; bulk content is still
+  /// bounds-safe, merely not re-checksummed.
   kBulkUnverified,
 };
 
@@ -37,10 +37,10 @@ enum class VerifyMode {
 /// out from under a view.
 ///
 /// Construction performs no parsing or allocation proportional to the
-/// bulk data: the FlatMatrix, per-entry fingerprints, CSR adjacency,
-/// and index shards are views into the mapping.  The only O(n) work is
-/// the small per-row tables (id hash, row spans) — bytes, not
-/// megabytes, per location.
+/// bulk data: the FlatMatrix (the radio map's only copy), CSR
+/// adjacency, and index shards are views into the mapping.  The only
+/// O(n) work is the small per-row tables (the id table and its hash)
+/// — bytes, not megabytes, per location.
 class VenueImage {
  public:
   /// Maps `path` read-only and fully validates it: load cost is

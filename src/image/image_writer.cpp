@@ -181,7 +181,7 @@ ImageWriteInfo writeVenueImage(const std::string& path,
     throw store::StoreError("open failed for " + tmpPath + ": " +
                             util::errnoMessage(errno));
 
-  const std::size_t sectionCount = 6 + (meta.hasIndex ? 7 : 0);
+  const std::size_t sectionCount = 5 + (meta.hasIndex ? 7 : 0);
   std::vector<SectionEntry> table;
   table.reserve(sectionCount);
 
@@ -201,21 +201,13 @@ ImageWriteInfo writeVenueImage(const std::string& path,
   // kLocationIds
   out.beginSection();
   {
-    std::vector<env::LocationId> ids(db->locationIds());
+    const std::vector<env::LocationId>& ids = db->locationIds();
     out.write(ids.data(), ids.size() * sizeof(env::LocationId));
   }
   table.push_back(out.endSection(SectionId::kLocationIds));
 
-  // kRowValues: row-major doubles, one entry at a time.
-  out.beginSection();
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::span<const double> values = db->entryAt(r).values();
-    out.write(values.data(), values.size() * sizeof(double));
-  }
-  table.push_back(out.endSection(SectionId::kRowValues));
-
-  // kFlatBlocked: the kernel mirror verbatim (appendRow zero-fills the
-  // trailing block, so these bytes are deterministic).
+  // kFlatBlocked: the radio map's matrix verbatim (appendRow
+  // zero-fills the trailing block, so these bytes are deterministic).
   out.beginSection();
   {
     const kernel::FlatMatrix& flat = db->flatMatrix();

@@ -136,17 +136,18 @@ void TieredIndex::buildShard(std::size_t shard, std::size_t rowBegin,
   const std::size_t apCount = db_->apCount();
   ShardStorage& st = storage_[shard];
 
-  // One pass over the shard's rows: quantize every value (row-major
-  // scratch) and profile every column by bit pattern, so -0.0 and +0.0
-  // count as different values.
+  // One pass over the shard's rows, read in place from the database's
+  // matrix: quantize every value (row-major scratch) and profile every
+  // column by bit pattern, so -0.0 and +0.0 count as different values.
+  const kernel::FlatMatrix& flat = db_->flatMatrix();
   std::vector<std::uint8_t> buckets(count * apCount);
   std::vector<std::uint64_t> firstBits(apCount);
   std::vector<bool> varies(apCount, false);
   for (std::size_t e = 0; e < count; ++e) {
-    const std::span<const double> row = db_->entryAt(rowBegin + e).values();
     for (std::size_t c = 0; c < apCount; ++c) {
-      buckets[e * apCount + c] = quantizeRss(row[c], config_.quantizer);
-      const auto bits = std::bit_cast<std::uint64_t>(row[c]);
+      const double rss = flat.at(rowBegin + e, c);
+      buckets[e * apCount + c] = quantizeRss(rss, config_.quantizer);
+      const auto bits = std::bit_cast<std::uint64_t>(rss);
       if (e == 0)
         firstBits[c] = bits;
       else if (bits != firstBits[c])

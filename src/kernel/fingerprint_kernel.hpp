@@ -63,8 +63,8 @@ class FlatMatrix {
     return borrowed_ != nullptr ? borrowed_ : data_.data();
   }
 
-  /// Element access through the interleaved layout (test/debug path;
-  /// the kernels index the raw block layout directly).
+  /// Element access through the interleaved layout (row gathers and
+  /// the index build; the kernels index the raw block layout directly).
   double at(std::size_t row, std::size_t col) const {
     return data()[(row / kRowBlock) * kRowBlock * cols_ +
                   col * kRowBlock + row % kRowBlock];

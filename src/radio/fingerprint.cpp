@@ -7,18 +7,10 @@
 
 namespace moloc::radio {
 
-double& Fingerprint::operator[](std::size_t i) {
-  if (isView())
-    throw util::StateError("Fingerprint: cannot mutate an immutable view");
-  return rss_[i];
-}
-
 Fingerprint Fingerprint::truncated(std::size_t n) const {
-  const std::span<const double> v = values();
-  if (n >= v.size() && !isView()) return *this;
-  const std::size_t keep = n < v.size() ? n : v.size();
-  return Fingerprint(std::vector<double>(v.begin(),
-                                         v.begin() + static_cast<long>(keep)));
+  if (n >= rss_.size()) return *this;
+  return Fingerprint(std::vector<double>(
+      rss_.begin(), rss_.begin() + static_cast<long>(n)));
 }
 
 double squaredDissimilarity(const Fingerprint& a, const Fingerprint& b) {

@@ -14,42 +14,20 @@ class Fingerprint {
   explicit Fingerprint(std::vector<double> rssDbm)
       : rss_(std::move(rssDbm)) {}
 
-  /// A non-owning view over externally owned RSS values — the
-  /// zero-copy path of the mmap venue image (src/image).  The storage
-  /// behind `rssDbm` must outlive the fingerprint and every copy of
-  /// it.  A view is read-only: the mutating operator[] throws
-  /// std::logic_error.
-  static Fingerprint view(std::span<const double> rssDbm) {
-    Fingerprint fp;
-    fp.borrowed_ = rssDbm;
-    return fp;
-  }
+  std::size_t size() const { return rss_.size(); }
+  bool empty() const { return rss_.empty(); }
 
-  std::size_t size() const { return values().size(); }
-  bool empty() const { return size() == 0; }
+  double operator[](std::size_t i) const { return rss_[i]; }
+  double& operator[](std::size_t i) { return rss_[i]; }
 
-  /// True when this fingerprint borrows external storage (see view()).
-  bool isView() const { return borrowed_.data() != nullptr; }
-
-  double operator[](std::size_t i) const { return values()[i]; }
-  double& operator[](std::size_t i);
-
-  std::span<const double> values() const {
-    return borrowed_.data() != nullptr ? borrowed_
-                                       : std::span<const double>(rss_);
-  }
+  std::span<const double> values() const { return rss_; }
 
   /// Keeps only the first `n` APs; used to derive the paper's 4/5-AP
   /// configurations from a 6-AP survey.  No-op when n >= size().
-  /// Always returns an owning fingerprint, even from a view.
   Fingerprint truncated(std::size_t n) const;
 
  private:
   std::vector<double> rss_;
-  /// Set iff this fingerprint is a view; owning fingerprints read rss_
-  /// so default copy/move stay correct (a copied view stays a shallow
-  /// view, a copied owner re-points at its own vector).
-  std::span<const double> borrowed_;
 };
 
 /// Euclidean dissimilarity phi(F, F') between two fingerprints (Eq. 1).

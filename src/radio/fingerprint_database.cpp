@@ -29,27 +29,19 @@ kernel::QueryWorkspace& threadWorkspace() {
 }  // namespace
 
 FingerprintDatabase FingerprintDatabase::fromImageView(
-    std::span<const env::LocationId> ids, std::size_t apCount,
-    const double* rowMajorValues, kernel::FlatMatrix blockedFlat) {
-  if (!ids.empty() && (apCount == 0 || rowMajorValues == nullptr))
-    throw util::ConfigError(
-        "FingerprintDatabase: view needs apCount >= 1 and values");
+    std::span<const env::LocationId> ids, kernel::FlatMatrix blockedFlat) {
   if (blockedFlat.rows() != ids.size() ||
-      (!ids.empty() && blockedFlat.cols() != apCount))
+      (!ids.empty() && blockedFlat.cols() == 0))
     throw util::ConfigError(
         "FingerprintDatabase: view flat-matrix shape mismatch");
   FingerprintDatabase db;
-  db.entries_.reserve(ids.size());
+  db.ids_.assign(ids.begin(), ids.end());
   db.indexById_.reserve(ids.size());
-  for (std::size_t r = 0; r < ids.size(); ++r) {
-    db.entries_.push_back(
-        {ids[r], Fingerprint::view({rowMajorValues + r * apCount,
-                                    apCount})});
+  for (std::size_t r = 0; r < ids.size(); ++r)
     if (!db.indexById_.emplace(ids[r], r).second)
       throw util::ConfigError(
           "FingerprintDatabase: duplicate location " +
           std::to_string(ids[r]));
-  }
   db.flat_ = std::move(blockedFlat);
   return db;
 }
@@ -61,44 +53,38 @@ void FingerprintDatabase::addLocation(env::LocationId id,
   if (!allFinite(radioMapEntry))
     throw util::ConfigError(
         "FingerprintDatabase: non-finite RSS value");
-  if (!entries_.empty() &&
-      radioMapEntry.size() != entries_.front().fingerprint.size())
+  if (!ids_.empty() && radioMapEntry.size() != apCount())
     throw util::ConfigError(
         "FingerprintDatabase: mismatched AP dimensionality");
   if (contains(id))
     throw util::ConfigError("FingerprintDatabase: duplicate location " +
                                 std::to_string(id));
-  if (entries_.empty()) flat_.reset(radioMapEntry.size());
+  if (ids_.empty()) flat_.reset(radioMapEntry.size());
   flat_.appendRow(radioMapEntry.values());
-  entries_.push_back({id, std::move(radioMapEntry)});
-  indexById_.emplace(id, entries_.size() - 1);
+  ids_.push_back(id);
+  indexById_.emplace(id, ids_.size() - 1);
 }
 
-std::size_t FingerprintDatabase::apCount() const {
-  return entries_.empty() ? 0 : entries_.front().fingerprint.size();
-}
-
-const Fingerprint& FingerprintDatabase::entry(env::LocationId id) const {
+Fingerprint FingerprintDatabase::entry(env::LocationId id) const {
   const auto it = indexById_.find(id);
   if (it == indexById_.end())
     throw std::out_of_range("FingerprintDatabase: unknown location " +
                             std::to_string(id));
-  return entries_[it->second].fingerprint;
+  return entryAt(it->second);
+}
+
+Fingerprint FingerprintDatabase::entryAt(std::size_t row) const {
+  std::vector<double> rss(flat_.cols());
+  for (std::size_t c = 0; c < rss.size(); ++c) rss[c] = flat_.at(row, c);
+  return Fingerprint(std::move(rss));
 }
 
 bool FingerprintDatabase::contains(env::LocationId id) const {
   return indexById_.find(id) != indexById_.end();
 }
 
-std::vector<env::LocationId> FingerprintDatabase::locationIds() const {
-  std::vector<env::LocationId> ids;
-  ids.reserve(entries_.size());
-  for (const auto& e : entries_) ids.push_back(e.id);
-  return ids;
-}
-
 env::LocationId FingerprintDatabase::nearest(const Fingerprint& query) const {
-  if (entries_.empty())
+  if (ids_.empty())
     throw util::StateError("FingerprintDatabase: empty database");
   if (!allFinite(query))
     throw util::ConfigError(
@@ -116,7 +102,7 @@ env::LocationId FingerprintDatabase::nearest(const Fingerprint& query) const {
   std::size_t best = 0;
   for (std::size_t r = 1; r < flat_.rows(); ++r)
     if (ws.distances[r] < ws.distances[best]) best = r;
-  return entries_[best].id;
+  return ids_[best];
 }
 
 std::vector<Match> FingerprintDatabase::query(const Fingerprint& query,
@@ -145,7 +131,7 @@ void FingerprintDatabase::queryPrepared(const Fingerprint& query,
   out.reserve(ws.topk.size());
   for (const auto& top : ws.topk)
     out.push_back(
-        {entries_[top.row].id, std::sqrt(top.squaredDistance), 0.0});
+        {ids_[top.row], std::sqrt(top.squaredDistance), 0.0});
 
   double invSum = 0.0;
   for (const auto& m : out)
@@ -159,7 +145,7 @@ void FingerprintDatabase::queryInto(const Fingerprint& query, std::size_t k,
                                     std::vector<Match>& out) const {
   if (k == 0)
     throw util::ConfigError("FingerprintDatabase: k must be >= 1");
-  if (entries_.empty())
+  if (ids_.empty())
     throw util::StateError("FingerprintDatabase: empty database");
   if (!allFinite(query))
     throw util::ConfigError(
@@ -177,7 +163,7 @@ void FingerprintDatabase::queryBatchInto(
     std::vector<std::exception_ptr>* errors) const {
   if (k == 0)
     throw util::ConfigError("FingerprintDatabase: k must be >= 1");
-  if (entries_.empty())
+  if (ids_.empty())
     throw util::StateError("FingerprintDatabase: empty database");
   out.resize(queries.size());
   if (errors) errors->assign(queries.size(), nullptr);
@@ -202,8 +188,8 @@ void FingerprintDatabase::queryBatchInto(
 
 FingerprintDatabase FingerprintDatabase::truncatedTo(std::size_t n) const {
   FingerprintDatabase reduced;
-  for (const auto& e : entries_)
-    reduced.addLocation(e.id, e.fingerprint.truncated(n));
+  for (std::size_t r = 0; r < ids_.size(); ++r)
+    reduced.addLocation(ids_[r], entryAt(r).truncated(n));
   return reduced;
 }
 

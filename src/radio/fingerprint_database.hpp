@@ -36,60 +36,56 @@ struct Match {
 ///   - `query` implements Eq. 3-4 (the k-nearest candidate set with
 ///     probabilities P(x = l_i | F) = (1/m_i) / sum_j (1/m_j)).
 ///
-/// Matching runs on a data-oriented kernel (src/kernel): entries are
-/// mirrored into a contiguous row-major flat matrix (entries x APs,
-/// stride padded to the kernel block) maintained incrementally by
-/// addLocation, squared distances are computed by a blocked kernel
-/// (auto-vectorized scalar, or runtime-dispatched AVX2 when the build
-/// enables MOLOC_SIMD), and the top k are selected with a bounded
-/// max-heap instead of materializing and partial-sorting all matches.
-/// Ties in dissimilarity rank the earlier-inserted entry first.
+/// The radio map lives in one place: the data-oriented kernel's
+/// blocked flat matrix (src/kernel, entries x APs, stride padded to
+/// the kernel block), appended to by addLocation.  Squared distances
+/// are computed by a blocked kernel (auto-vectorized scalar, or
+/// runtime-dispatched AVX2 when the build enables MOLOC_SIMD), and the
+/// top k are selected with a bounded max-heap instead of materializing
+/// and partial-sorting all matches.  entry()/entryAt() gather a row
+/// back out of the matrix, bit for bit.  Ties in dissimilarity rank
+/// the earlier-inserted entry first.
 class FingerprintDatabase {
  public:
   FingerprintDatabase() = default;
 
-  /// Zero-copy construction from a venue image (src/image): entry r
-  /// becomes a Fingerprint::view over row r of `rowMajorValues`
-  /// (ids.size() x apCount doubles, row-major) and the kernel mirror
-  /// adopts `blockedFlat` (a FlatMatrix::view over the image's blocked
-  /// section) instead of re-packing it.  Both buffers must outlive the
-  /// database — the image loader pins the mapping for it.  Only the
-  /// shape and id uniqueness are validated here; value-level integrity
-  /// is the image's CRC contract.  Throws std::invalid_argument on a
-  /// shape mismatch or duplicate id.
+  /// Zero-copy construction from a venue image (src/image): the
+  /// matrix adopts `blockedFlat` (a FlatMatrix::view over the image's
+  /// blocked section) instead of re-packing it, and row r belongs to
+  /// ids[r].  The viewed buffer must outlive the database — the image
+  /// loader pins the mapping for it.  Only the shape and id uniqueness
+  /// are validated here; value-level integrity is the image's CRC
+  /// contract.  Throws std::invalid_argument on a shape mismatch or
+  /// duplicate id.
   static FingerprintDatabase fromImageView(
-      std::span<const env::LocationId> ids, std::size_t apCount,
-      const double* rowMajorValues, kernel::FlatMatrix blockedFlat);
+      std::span<const env::LocationId> ids, kernel::FlatMatrix blockedFlat);
 
   /// Registers the radio-map entry for a location.  Entries must share
   /// one AP dimensionality; ids may arrive in any order but must be
   /// unique.  Throws std::invalid_argument on violations.
   void addLocation(env::LocationId id, Fingerprint radioMapEntry);
 
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  std::size_t size() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
 
   /// Dimensionality (number of APs) of stored fingerprints; 0 if empty.
-  std::size_t apCount() const;
+  std::size_t apCount() const { return flat_.cols(); }
 
-  /// The stored radio-map entry for `id`; throws std::out_of_range when
-  /// the id was never added.
-  const Fingerprint& entry(env::LocationId id) const;
+  /// A copy of the stored radio-map entry for `id`, gathered from its
+  /// matrix row; throws std::out_of_range when the id was never added.
+  Fingerprint entry(env::LocationId id) const;
 
-  /// The entry at insertion position `row` (row order matches
-  /// flatMatrix() rows); exposed for the venue-image writer and the
-  /// tiered index so per-row walks skip the id hash.  `row` must be
+  /// A copy of the entry at insertion position `row` (row order
+  /// matches flatMatrix() rows), skipping the id hash.  `row` must be
   /// < size().
-  const Fingerprint& entryAt(std::size_t row) const {
-    return entries_[row].fingerprint;
-  }
-  env::LocationId idAt(std::size_t row) const { return entries_[row].id; }
+  Fingerprint entryAt(std::size_t row) const;
+  env::LocationId idAt(std::size_t row) const { return ids_[row]; }
 
   /// True iff `id` has a radio-map entry.
   bool contains(env::LocationId id) const;
 
   /// All stored location ids, in insertion order.
-  std::vector<env::LocationId> locationIds() const;
+  const std::vector<env::LocationId>& locationIds() const { return ids_; }
 
   /// Eq. 2: the single location of least dissimilarity (ties keep the
   /// earliest-inserted entry).  Throws std::logic_error on an empty
@@ -133,25 +129,20 @@ class FingerprintDatabase {
   const kernel::FlatMatrix& flatMatrix() const { return flat_; }
 
  private:
-  struct Entry {
-    env::LocationId id;
-    Fingerprint fingerprint;
-  };
-
   /// Shared body of queryInto/queryBatchInto: distances + top-k +
   /// Eq. 4 probabilities for one already-validated query.
   void queryPrepared(const Fingerprint& query, std::size_t k,
                      kernel::QueryWorkspace& ws,
                      std::vector<Match>& out) const;
 
-  std::vector<Entry> entries_;
-  /// id -> position in entries_, so entry()/contains() are O(1) and DB
-  /// construction is amortized O(n) instead of the O(n^2) of scanning
-  /// entries_ per lookup.  Positions stay valid because entries_ is
-  /// append-only.
+  /// Row r's location id.
+  std::vector<env::LocationId> ids_;
+  /// id -> row, so entry()/contains() are O(1) and DB construction is
+  /// amortized O(n) instead of the O(n^2) of scanning ids_ per lookup.
+  /// Rows stay valid because the database is append-only.
   std::unordered_map<env::LocationId, std::size_t> indexById_;
-  /// Row r mirrors entries_[r].fingerprint in the kernel's blocked
-  /// interleaved layout; rebuilt never, appended on every addLocation.
+  /// Row r holds ids_[r]'s RSS values in the kernel's blocked
+  /// interleaved layout — the only copy; appended on every addLocation.
   kernel::FlatMatrix flat_;
 };
 

@@ -68,7 +68,12 @@ std::uint64_t Rng::uniformIndex(std::uint64_t bound) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  return std::normal_distribution<double>(mean, stddev)(*this);
+  // A standard deviate scaled here rather than by the distribution,
+  // whose precondition is stddev > 0: libstdc++ computes the same
+  // z * stddev + mean, so the stream and every value are unchanged,
+  // and stddev == 0 returns `mean` after the same draws.
+  const double z = std::normal_distribution<double>(0.0, 1.0)(*this);
+  return z * stddev + mean;
 }
 
 bool Rng::chance(double p) {

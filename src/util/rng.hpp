@@ -39,7 +39,8 @@ class Rng {
   /// draws over long crowdsourcing streams.
   std::uint64_t uniformIndex(std::uint64_t bound);
 
-  /// Normal deviate with the given mean and standard deviation.
+  /// Normal deviate with the given mean and standard deviation
+  /// (stddev >= 0; stddev == 0 returns `mean` and draws as any other).
   double normal(double mean, double stddev);
 
   /// Bernoulli trial with success probability `p` (clamped to [0, 1]).

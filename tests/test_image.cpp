@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -155,8 +156,10 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
   EXPECT_EQ(loaded.apCount(), db.apCount());
   for (std::size_t r = 0; r < db.size(); ++r) {
     EXPECT_EQ(loaded.idAt(r), db.idAt(r));
-    const auto a = db.entryAt(r).values();
-    const auto b = loaded.entryAt(r).values();
+    const radio::Fingerprint fpA = db.entryAt(r);
+    const radio::Fingerprint fpB = loaded.entryAt(r);
+    const auto a = fpA.values();
+    const auto b = fpB.values();
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
               0)
@@ -371,7 +374,7 @@ TEST(VenueImage, WorldWithoutIndexRoundTripsWithoutIndexSections) {
   const std::string path = dir + "/venue.img";
   const auto world = makeWorld(60, 6, 67, /*withIndex=*/false);
   const ImageWriteInfo info = writeVenueImage(path, *world);
-  EXPECT_EQ(info.sections, 6u);
+  EXPECT_EQ(info.sections, 5u);
 
   const VenueImage image = VenueImage::open(path);
   EXPECT_FALSE(image.hasIndex());
@@ -496,14 +499,65 @@ TEST(VenueImage, ViewStructuresRefuseMutation) {
                std::logic_error);
   EXPECT_THROW(flat.reset(6), std::logic_error);
 
+  // An entry is a copy gathered from the mapped matrix: writing to it
+  // leaves the image untouched.
   radio::Fingerprint entry = image.fingerprints()->entryAt(0);
-  EXPECT_THROW(entry[0] = -1.0, std::logic_error);
-  // truncated() must hand back an owning fingerprint, not a view.
-  radio::Fingerprint owned = entry.truncated(3);
-  EXPECT_NO_THROW(owned[0] = -1.0);
+  const double stored = entry[0];
+  entry[0] = -1.0;
+  EXPECT_EQ(image.fingerprints()->entryAt(0)[0], stored);
 
   const kernel::MotionAdjacency adjacency = *image.adjacency();
   EXPECT_TRUE(adjacency.isView());  // A copied view stays a view.
+}
+
+TEST(FingerprintDatabase, EntriesGatherTheBitsThatWereAdded) {
+  // Seven rows (a partial trailing kernel block) under permuted ids,
+  // holding values whose bits a careless gather would change: signed
+  // zero, subnormals, and both ends of the double range.
+  constexpr std::size_t kRows = 7;
+  static_assert(kRows % kernel::kRowBlock != 0);
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const std::vector<env::LocationId> ids = {4, 0, 6, 2, 5, 1, 3};
+  std::vector<std::vector<double>> rows;
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  for (std::size_t r = 0; r < kRows; ++r) {
+    rows.push_back({-0.0, subnormal * static_cast<double>(r + 1), 1e300,
+                    -1e300, -40.0 - static_cast<double>(r)});
+    db->addLocation(ids[r], radio::Fingerprint(rows.back()));
+  }
+
+  const auto expectBits = [&](const radio::FingerprintDatabase& d,
+                              std::size_t apCount, const char* what) {
+    ASSERT_EQ(d.size(), kRows) << what;
+    ASSERT_EQ(d.apCount(), apCount) << what;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const radio::Fingerprint byRow = d.entryAt(r);
+      const radio::Fingerprint byId = d.entry(ids[r]);
+      ASSERT_EQ(byRow.size(), apCount) << what;
+      ASSERT_EQ(byId.size(), apCount) << what;
+      EXPECT_EQ(std::memcmp(byRow.values().data(), rows[r].data(),
+                            apCount * sizeof(double)),
+                0)
+          << what << ", row " << r;
+      EXPECT_EQ(std::memcmp(byId.values().data(), rows[r].data(),
+                            apCount * sizeof(double)),
+                0)
+          << what << ", id " << ids[r];
+    }
+  };
+  expectBits(*db, 5, "addLocation");
+  const radio::FingerprintDatabase copy = *db;
+  expectBits(copy, 5, "copy");
+  expectBits(db->truncatedTo(3), 3, "truncatedTo(3)");
+
+  const std::string dir = freshDir("gather");
+  const std::string path = dir + "/venue.img";
+  writeVenueImage(path, core::WorldSnapshot(db, makeMotion(kRows, 5),
+                                            /*generation=*/1,
+                                            /*intakeRecords=*/0));
+  expectBits(*VenueImage::open(path).fingerprints(), 5, "open");
+  expectBits(*VenueImage::fromBuffer(readBytes(path)).fingerprints(), 5,
+             "fromBuffer");
 }
 
 TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
@@ -637,23 +691,63 @@ TEST(VenueImage, LoadedIndexServesTheBuiltIndexBitwise) {
   }
 }
 
-TEST(VenueImage, Version1ImagesAreRejectedWithATypedError) {
-  const std::string dir = freshDir("v1");
+TEST(VenueImage, OlderVersionImagesAreRejectedWithATypedError) {
+  const std::string dir = freshDir("old_version");
   const std::string path = dir + "/venue.img";
   writeVenueImage(path, *makeWorld(20, 4, 107, /*withIndex=*/true));
-  std::vector<std::uint8_t> bytes = readBytes(path);
+  const std::vector<std::uint8_t> written = readBytes(path);
   FileHeader header{};
-  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::memcpy(&header, written.data(), sizeof(header));
   ASSERT_EQ(header.version, kFormatVersion);
-  header.version = 1;
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  try {
-    VenueImage::fromBuffer(bytes);
-    ADD_FAILURE() << "a v1 image loaded";
-  } catch (const ImageError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
-              std::string::npos)
-        << e.what();
+  // v1: thermometer bit planes, no column profiles.  v2: a row-major
+  // copy of the radio map in section 3.
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::vector<std::uint8_t> bytes = written;
+    header.version = version;
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    try {
+      VenueImage::fromBuffer(bytes);
+      ADD_FAILURE() << "a v" << version << " image loaded";
+    } catch (const ImageError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(VenueImage, WrittenImagesCarryNoRowMajorSection) {
+  // Section id 3 held a row-major copy of the radio map up to v2; the
+  // blocked matrix is now its only copy, and the id is retired.
+  constexpr std::uint32_t kRetiredRowValues = 3;
+  for (const bool withIndex : {false, true}) {
+    const std::string dir = freshDir("no_row_section");
+    const std::string path = dir + "/venue.img";
+    writeVenueImage(path, *makeWorld(20, 4, 127, withIndex));
+    std::vector<std::uint8_t> bytes = readBytes(path);
+    FileHeader header{};
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::vector<SectionEntry> table(header.sectionCount);
+    std::memcpy(table.data(), bytes.data() + sizeof(FileHeader),
+                header.sectionCount * sizeof(SectionEntry));
+    for (const SectionEntry& entry : table)
+      EXPECT_NE(entry.id, kRetiredRowValues) << "withIndex " << withIndex;
+
+    // A table that names the retired id is damage: the loader rejects
+    // it rather than skip it.
+    const std::size_t at = sectionEntryAt(bytes, SectionId::kLocationIds);
+    std::memcpy(bytes.data() + at, &kRetiredRowValues,
+                sizeof(kRetiredRowValues));
+    resealTable(bytes);
+    try {
+      VenueImage::fromBuffer(bytes);
+      ADD_FAILURE() << "an image with section id 3 loaded";
+    } catch (const ImageError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown section id 3"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -63,6 +65,32 @@ TEST(Rng, NormalMomentsRoughlyCorrect) {
   const double var = sumSq / n - mean * mean;
   EXPECT_NEAR(mean, 3.0, 0.1);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsTheMeanAndKeepsTheStream) {
+  for (const double mean : {-3.5, 0.0, 7.25}) {
+    Rng rng(19);
+    Rng twin(19);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(rng.normal(mean, 0.0), mean);
+      twin.normal(mean, 1.0);
+      ASSERT_EQ(rng.state(), twin.state()) << "draw " << i;
+    }
+  }
+}
+
+TEST(Rng, NormalMatchesTheLibraryDistributionBitwise) {
+  Rng rng(23);
+  Rng twin(23);
+  for (int i = 0; i < 1000; ++i) {
+    const double mean = -60.0 + 0.5 * (i % 7);
+    const double stddev = 0.25 + 0.75 * (i % 5);
+    const double expected =
+        std::normal_distribution<double>(mean, stddev)(twin);
+    const double x = rng.normal(mean, stddev);
+    ASSERT_EQ(std::memcmp(&x, &expected, sizeof(double)), 0)
+        << "draw " << i;
+  }
 }
 
 TEST(Rng, ChanceExtremes) {

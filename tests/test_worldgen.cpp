@@ -139,12 +139,12 @@ TEST(WorldgenTest, IsDeterministicInTheSpec) {
   const GeneratedVenue b(smallSpec());
   ASSERT_EQ(a.locationCount(), b.locationCount());
   for (std::size_t loc = 0; loc < a.locationCount(); ++loc) {
-    const auto va = a.fingerprints()
-                        .entry(static_cast<env::LocationId>(loc))
-                        .values();
-    const auto vb = b.fingerprints()
-                        .entry(static_cast<env::LocationId>(loc))
-                        .values();
+    const radio::Fingerprint fa =
+        a.fingerprints().entry(static_cast<env::LocationId>(loc));
+    const radio::Fingerprint fb =
+        b.fingerprints().entry(static_cast<env::LocationId>(loc));
+    const auto va = fa.values();
+    const auto vb = fb.values();
     ASSERT_EQ(va.size(), vb.size());
     EXPECT_EQ(std::memcmp(va.data(), vb.data(),
                           va.size() * sizeof(double)),
@@ -169,12 +169,12 @@ TEST(WorldgenTest, IsDeterministicInTheSpec) {
   bool anyDifferent = false;
   for (std::size_t loc = 0; loc < a.locationCount() && !anyDifferent;
        ++loc) {
-    const auto va = a.fingerprints()
-                        .entry(static_cast<env::LocationId>(loc))
-                        .values();
-    const auto vc = c.fingerprints()
-                        .entry(static_cast<env::LocationId>(loc))
-                        .values();
+    const radio::Fingerprint fa =
+        a.fingerprints().entry(static_cast<env::LocationId>(loc));
+    const radio::Fingerprint fc =
+        c.fingerprints().entry(static_cast<env::LocationId>(loc));
+    const auto va = fa.values();
+    const auto vc = fc.values();
     anyDifferent = std::memcmp(va.data(), vc.data(),
                                va.size() * sizeof(double)) != 0;
   }
