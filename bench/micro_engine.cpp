@@ -361,7 +361,6 @@ void runPerfTrajectory(bool smoke) {
       .field("simd_compiled", static_cast<bool>(MOLOC_SIMD_ENABLED))
       .field("simd_active",
              kernel::simdLevelName(kernel::activeSimdLevel()))
-      .field("metrics_compiled", static_cast<bool>(MOLOC_METRICS_ENABLED))
       .field("rounds", static_cast<double>(rounds))
       .field("smoke", smoke)
       .field("world_locations", static_cast<double>(db.size()))

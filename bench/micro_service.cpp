@@ -62,7 +62,7 @@ constexpr double kMaxSessionCreateRatio = 4.0;
 
 /// Rounds per session; MOLOC_BENCH_ROUNDS overrides the default for
 /// longer (less scheduler-noise-prone) measurements, e.g. when
-/// comparing MOLOC_METRICS=ON vs OFF builds.
+/// comparing two builds.
 std::size_t roundsPerSession() {
   static const std::size_t rounds = moloc::bench::envRounds(20);
   return rounds;
@@ -106,10 +106,10 @@ struct RunResult {
   double seconds = 0.0;
   std::vector<core::LocationEstimate> estimates;  // Round-major.
   // Per-scan latency percentiles from the service's own histogram
-  // (milliseconds); negative when the build has metrics compiled out.
-  double p50Ms = -1.0;
-  double p95Ms = -1.0;
-  double p99Ms = -1.0;
+  // (milliseconds).
+  double p50Ms = 0.0;
+  double p95Ms = 0.0;
+  double p99Ms = 0.0;
   std::string promText;  ///< Rendered registry snapshot.
 };
 
@@ -155,12 +155,11 @@ RunResult runWithCallers(const eval::ExperimentWorld& world,
                        std::chrono::steady_clock::now() - start)
                        .count();
 
-  if (const obs::Histogram* latency = registry.findHistogram(
-          "moloc_service_scan_latency_seconds")) {
-    result.p50Ms = latency->quantile(0.50) * 1e3;
-    result.p95Ms = latency->quantile(0.95) * 1e3;
-    result.p99Ms = latency->quantile(0.99) * 1e3;
-  }
+  const obs::Histogram& latency =
+      *registry.findHistogram("moloc_service_scan_latency_seconds");
+  result.p50Ms = latency.quantile(0.50) * 1e3;
+  result.p95Ms = latency.quantile(0.95) * 1e3;
+  result.p99Ms = latency.quantile(0.99) * 1e3;
   result.promText = obs::renderPrometheus(registry);
   return result;
 }
@@ -230,9 +229,6 @@ int main() {
               " = %zu queries; hardware_concurrency=%u)\n",
               kSessions, roundsPerSession(), queries,
               std::thread::hardware_concurrency());
-  if (!MOLOC_METRICS_ENABLED)
-    std::printf("  note: built with MOLOC_METRICS=OFF — latency"
-                " percentiles unavailable\n");
 
   util::CsvWriter csv(moloc::bench::resultsDir() + "/micro_service.csv",
                       {"threads", "queries", "seconds", "qps",
@@ -309,8 +305,6 @@ int main() {
         .field("simd_compiled", static_cast<bool>(MOLOC_SIMD_ENABLED))
         .field("simd_active",
                kernel::simdLevelName(kernel::activeSimdLevel()))
-        .field("metrics_compiled",
-               static_cast<bool>(MOLOC_METRICS_ENABLED))
         .field("hardware_concurrency",
                static_cast<double>(std::thread::hardware_concurrency()))
         .field("cpu_model", bench::cpuModel())
@@ -381,7 +375,7 @@ int main() {
       std::printf("  perf trajectory: %s\n", jsonPath.c_str());
   }
 
-  if (!rows.empty() && rows.front().run.p50Ms >= 0.0) {
+  if (!rows.empty()) {
     std::printf("\nPer-scan latency from moloc_service_scan_latency_"
                 "seconds (ms):\n");
     std::printf("  %7s  %8s  %8s  %8s\n", "threads", "p50", "p95",

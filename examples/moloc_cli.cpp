@@ -15,10 +15,10 @@
 
 #include "baseline/wifi_fingerprinting.hpp"
 #include "eval/convergence.hpp"
-#include "core/world_snapshot.hpp"
 #include "eval/experiment_world.hpp"
 #include "image/image_writer.hpp"
 #include "io/trace_io.hpp"
+#include "service/localization_service.hpp"
 #include "util/args.hpp"
 
 int main(int argc, char** argv) {
@@ -168,15 +168,13 @@ int main(int argc, char** argv) {
 
     const std::string imagePath = args.getString("save-image");
     if (!imagePath.empty()) {
-      // The boot world molocd would serve for this hall: generation 0,
-      // no intake records, and no index (the hall is far below the
-      // service's tiered-index threshold).
-      const core::WorldSnapshot boot(
+      // The boot world molocd would serve for this hall.
+      const auto boot = service::bootWorld(
           std::make_shared<const radio::FingerprintDatabase>(
               world.fingerprintDb()),
-          world.motionDb(), /*generation=*/0, /*intakeRecords=*/0);
+          world.motionDb(), service::ServiceConfig{});
       const image::ImageWriteInfo info =
-          image::writeVenueImage(imagePath, boot);
+          image::writeVenueImage(imagePath, *boot);
       if (!quiet)
         std::printf("venue image written to %s (%llu bytes)\n",
                     imagePath.c_str(),

@@ -34,7 +34,6 @@ MoLocEngine::MoLocEngine(
 }
 
 void MoLocEngine::initMetrics() {
-#if MOLOC_METRICS_ENABLED
   obs::MetricsRegistry* registry = config_.metrics;
   if (!registry) return;
   const std::string stageHelp =
@@ -55,25 +54,20 @@ void MoLocEngine::initMetrics() {
       "moloc_engine_candidates",
       "Candidate-set size the estimator yielded per round",
       obs::Histogram::linearBuckets(1.0, 1.0, 32));
-#endif
 }
 
 LocationEstimate MoLocEngine::localize(
     const radio::Fingerprint& query,
     const std::optional<sensors::MotionMeasurement>& motion) {
-#if MOLOC_METRICS_ENABLED
   // Stage boundaries share timestamps where they can (5 tick reads per
   // round instead of three timers' 6), which is what keeps per-stage
   // timing cheap enough to leave enabled in serving builds.
   const bool timed = stageFingerprint_ != nullptr;
   const std::uint64_t t0 = timed ? obs::detail::ticksNow() : 0;
-#endif
   estimator_.estimateInto(query, candidateScratch_);
-#if MOLOC_METRICS_ENABLED
   if (timed)
     stageFingerprint_->observe(
         obs::detail::ticksToSeconds(t0, obs::detail::ticksNow()));
-#endif
   return fuse(candidateScratch_, motion);
 }
 
@@ -86,12 +80,10 @@ LocationEstimate MoLocEngine::localizeWithCandidates(
 LocationEstimate MoLocEngine::fuse(
     std::span<const Candidate> candidates,
     const std::optional<sensors::MotionMeasurement>& motion) {
-#if MOLOC_METRICS_ENABLED
   const bool timed = stageMotion_ != nullptr;
   const std::uint64_t t1 = timed ? obs::detail::ticksNow() : 0;
   if (candidateSetSize_)
     candidateSetSize_->observe(static_cast<double>(candidates.size()));
-#endif
 
   // A candidate source that yields nothing means there is no basis for
   // a fix this round; report "no fix" and keep the retained set so a
@@ -130,10 +122,8 @@ LocationEstimate MoLocEngine::fuse(
     scored.push_back({candidates[i].location, weight});
     total += weight;
   }
-#if MOLOC_METRICS_ENABLED
   const std::uint64_t t2 = timed ? obs::detail::ticksNow() : 0;
   if (timed) stageMotion_->observe(obs::detail::ticksToSeconds(t1, t2));
-#endif
 
   if (total <= 0.0) {
     // Every candidate's motion mass vanished (can only happen with a
@@ -159,11 +149,9 @@ LocationEstimate MoLocEngine::fuse(
   }
 
   LocationEstimate estimate = finalize(std::move(scored));
-#if MOLOC_METRICS_ENABLED
   if (timed)
     stageFusion_->observe(
         obs::detail::ticksToSeconds(t2, obs::detail::ticksNow()));
-#endif
   return estimate;
 }
 

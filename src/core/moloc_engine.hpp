@@ -20,8 +20,7 @@ struct MoLocConfig {
   /// Optional observability sink: a non-null registry receives the
   /// per-stage timers (`moloc_engine_stage_seconds{stage=...}`) and
   /// the candidate-set size distribution (`moloc_engine_candidates`).
-  /// Metrics never influence estimates; the field is inert when the
-  /// build sets MOLOC_METRICS=OFF.
+  /// Metrics never influence estimates.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -152,12 +151,10 @@ class MoLocEngine {
   std::vector<env::LocationId> motionIdScratch_;
   std::vector<double> motionScoreScratch_;
 
-#if MOLOC_METRICS_ENABLED
   obs::Histogram* stageFingerprint_ = nullptr;  ///< Eq. 3-4 matching.
   obs::Histogram* stageMotion_ = nullptr;       ///< Eq. 5-6 scoring.
   obs::Histogram* stageFusion_ = nullptr;       ///< Eq. 7 + ranking.
   obs::Histogram* candidateSetSize_ = nullptr;
-#endif
 };
 
 }  // namespace moloc::core

@@ -24,7 +24,6 @@ OnlineMotionDatabase::OnlineMotionDatabase(const env::FloorPlan& plan,
     throw util::ConfigError(
         "OnlineMotionDatabase: reservoir smaller than the per-pair "
         "sample minimum");
-#if MOLOC_METRICS_ENABLED
   if (metrics) {
     const obs::Labels source{{"source", "online"}};
     metrics_.observations = &metrics->counter(
@@ -45,9 +44,6 @@ OnlineMotionDatabase::OnlineMotionDatabase(const env::FloorPlan& plan,
         "moloc_intake_self_pairs_total",
         "Observations dropped because start == end", source);
   }
-#else
-  (void)metrics;
-#endif
 }
 
 namespace {
@@ -103,22 +99,16 @@ bool OnlineMotionDatabase::classify(env::LocationId estimatedStart,
   const auto& endLoc = plan_.location(estimatedEnd);
   const util::MutexLock lock(mu_);
   ++counters_.observations;
-#if MOLOC_METRICS_ENABLED
   if (metrics_.observations) metrics_.observations->inc();
-#endif
   switch (decideLocked(estimatedStart, estimatedEnd, startLoc.pos,
                        endLoc.pos, directionDeg, offsetMeters)) {
     case Decision::kSelfPair:
       ++counters_.droppedSelfPairs;
-#if MOLOC_METRICS_ENABLED
       if (metrics_.selfPairs) metrics_.selfPairs->inc();
-#endif
       return false;
     case Decision::kRejectedCoarse:
       ++counters_.rejectedCoarse;
-#if MOLOC_METRICS_ENABLED
       if (metrics_.rejectedCoarse) metrics_.rejectedCoarse->inc();
-#endif
       return false;
     case Decision::kAccepted:
       return true;
@@ -183,9 +173,7 @@ void OnlineMotionDatabase::applyAccepted(env::LocationId estimatedStart,
                                                            offsetMeters};
   }
   ++counters_.accepted;
-#if MOLOC_METRICS_ENABLED
   if (metrics_.accepted) metrics_.accepted->inc();
-#endif
 }
 
 bool OnlineMotionDatabase::addObservation(env::LocationId estimatedStart,
@@ -267,11 +255,9 @@ const OnlineMotionDatabase::PairFit& OnlineMotionDatabase::cachedFit(
     const Reservoir& reservoir) const {
   if (!reservoir.fit) {
     reservoir.fit = fitReservoir(config_, reservoir);
-#if MOLOC_METRICS_ENABLED
     if (metrics_.rejectedFine && reservoir.fit->excludedFine > 0)
       metrics_.rejectedFine->inc(
           static_cast<double>(reservoir.fit->excludedFine));
-#endif
   }
   return *reservoir.fit;
 }

@@ -107,8 +107,7 @@ class OnlineMotionDatabase {
   /// config's minSamplesPerPair (throws std::invalid_argument).
   /// A non-null `metrics` registry receives the intake counters as
   /// `moloc_intake_*{source="online"}` series (see
-  /// docs/observability.md); instrumentation is inert when the build
-  /// sets MOLOC_METRICS=OFF.
+  /// docs/observability.md).
   OnlineMotionDatabase(const env::FloorPlan& plan,
                        BuilderConfig config = {},
                        std::size_t reservoirCapacity = 64,
@@ -323,7 +322,6 @@ class OnlineMotionDatabase {
   Counters counters_ MOLOC_GUARDED_BY(mu_);
   ObservationSink* sink_ MOLOC_GUARDED_BY(mu_) = nullptr;
 
-#if MOLOC_METRICS_ENABLED
   struct Metrics {
     obs::Counter* observations = nullptr;
     obs::Counter* accepted = nullptr;
@@ -332,7 +330,6 @@ class OnlineMotionDatabase {
     obs::Counter* selfPairs = nullptr;
   };
   Metrics metrics_;
-#endif
 };
 
 }  // namespace moloc::core

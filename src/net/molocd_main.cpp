@@ -148,10 +148,11 @@ int main(int argc, char** argv) {
     serviceConfig.shardCount =
         static_cast<std::size_t>(args.getInt("shards"));
     // A generated venue hands the index its natural per-floor shard
-    // boundaries; the service builds the tiered index for campus-scale
-    // maps and skips it for the small office hall.  An image serves
-    // exactly what it embeds: its index if it has one, else the exact
-    // scan.
+    // boundaries, and its boot world shares the venue's radio map
+    // rather than copying it; bootWorld builds the tiered index for
+    // campus-scale maps and skips it for the small office hall.  An
+    // image serves exactly what it embeds: its index if it has one,
+    // else the exact scan.
     if (venue) serviceConfig.indexShardStarts = venue->shardStarts();
     auto makeService = [&]() -> service::LocalizationService {
       if (venueImage)
@@ -162,9 +163,13 @@ int main(int argc, char** argv) {
                 venueImage->meta().intakeRecords,
                 venueImage->tieredIndex()),
             serviceConfig);
+      if (venue)
+        return service::LocalizationService(
+            service::bootWorld(venue->sharedFingerprints(), venue->motion(),
+                               serviceConfig),
+            serviceConfig);
       return service::LocalizationService(
-          venue ? venue->fingerprints() : world->fingerprintDb(),
-          venue ? venue->motion() : world->motionDb(), serviceConfig);
+          world->fingerprintDb(), world->motionDb(), serviceConfig);
     };
     service::LocalizationService service = makeService();
 

@@ -14,14 +14,6 @@
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-/// MOLOC_METRICS_ENABLED gates the *instrumentation call sites* in the
-/// serving stack (service, pool, engine, intake).  The instruments and
-/// the registry below always compile — only the hooks in hot paths are
-/// removed when the build sets -DMOLOC_METRICS=OFF.
-#ifndef MOLOC_METRICS_ENABLED
-#define MOLOC_METRICS_ENABLED 1
-#endif
-
 namespace moloc::obs {
 
 /// Key/value pairs identifying one series within a metric family.
@@ -194,35 +186,33 @@ class Histogram {
 };
 
 /// RAII wall-clock timer: records the elapsed seconds into a histogram
-/// when it goes out of scope.  A null sink makes it a no-op, so call
-/// sites do not need their own null checks.  Timing uses the tick
-/// clock (detail::ticksNow), not steady_clock — two orders of
-/// magnitude cheaper per read on x86.
+/// when it goes out of scope.  A null sink makes it a no-op that reads
+/// no clock, so call sites do not need their own null checks and a
+/// null registry adds no clock reads.  Timing uses the tick clock
+/// (detail::ticksNow), not steady_clock — two orders of magnitude
+/// cheaper per read on x86.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* sink)
-      : sink_(sink), startTicks_(detail::ticksNow()) {}
+      : sink_(sink), startTicks_(sink ? detail::ticksNow() : 0) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-  ~ScopedTimer() {
-    if (sink_) sink_->observe(elapsedSeconds());
-  }
+  ~ScopedTimer() { stop(); }
 
-  /// Records now instead of at scope exit; returns the elapsed seconds.
+  /// Records now instead of at scope exit; returns the elapsed seconds,
+  /// or 0 for a null or already stopped timer.
   double stop() {
-    const double elapsed = elapsedSeconds();
-    if (sink_) sink_->observe(elapsed);
+    if (!sink_) return 0.0;
+    const double elapsed =
+        detail::ticksToSeconds(startTicks_, detail::ticksNow());
+    sink_->observe(elapsed);
     sink_ = nullptr;
     return elapsed;
   }
 
  private:
-  double elapsedSeconds() const {
-    return detail::ticksToSeconds(startTicks_, detail::ticksNow());
-  }
-
   Histogram* sink_;
   std::uint64_t startTicks_;
 };

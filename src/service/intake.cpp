@@ -20,7 +20,6 @@ IntakePipeline::IntakePipeline(core::OnlineMotionDatabase& db,
   if (policy_.maxStaleness <= std::chrono::milliseconds::zero())
     throw util::ConfigError(
         "IntakePipeline: maxStaleness must be positive");
-#if MOLOC_METRICS_ENABLED
   if (metrics) {
     metrics_.queueDepth = &metrics->gauge(
         "moloc_intake_queue_depth",
@@ -32,9 +31,6 @@ IntakePipeline::IntakePipeline(core::OnlineMotionDatabase& db,
         "moloc_intake_apply_failures_total",
         "Admitted observations lost to a write-ahead/apply error");
   }
-#else
-  (void)metrics;
-#endif
   writer_ = std::thread([this] { writerLoop(); });
 }
 
@@ -60,9 +56,7 @@ bool IntakePipeline::submit(env::LocationId estimatedStart,
       throw ShutdownError("IntakePipeline: shutting down");
     if (queue_.size() >= policy_.queueCapacity) {
       ++backpressure_;
-#if MOLOC_METRICS_ENABLED
       if (metrics_.backpressure) metrics_.backpressure->inc();
-#endif
       throw BackpressureError(
           "IntakePipeline: observation queue is full (capacity " +
           std::to_string(policy_.queueCapacity) + ")");
@@ -70,10 +64,8 @@ bool IntakePipeline::submit(env::LocationId estimatedStart,
     queue_.push_back(
         {estimatedStart, estimatedEnd, directionDeg, offsetMeters});
     ++enqueued_;
-#if MOLOC_METRICS_ENABLED
     if (metrics_.queueDepth)
       metrics_.queueDepth->set(static_cast<double>(queue_.size()));
-#endif
   }
   readyCv_.notifyOne();
   return true;
@@ -130,9 +122,7 @@ void IntakePipeline::writerLoop() {
         batch.push_back(queue_.front());
         queue_.pop_front();
       }
-#if MOLOC_METRICS_ENABLED
       if (metrics_.queueDepth) metrics_.queueDepth->set(0.0);
-#endif
     }
 
     for (const auto& obs : batch) {
@@ -152,9 +142,7 @@ void IntakePipeline::writerLoop() {
         // rather than tearing down the writer.
         const util::MutexLock lock(mu_);
         ++applyFailures_;
-#if MOLOC_METRICS_ENABLED
         if (metrics_.applyFailures) metrics_.applyFailures->inc();
-#endif
       }
       if (sincePublish >= policy_.publishEveryRecords) publishNow();
     }

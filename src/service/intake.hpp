@@ -159,14 +159,12 @@ class IntakePipeline {
   std::uint64_t dirtySincePublish_ MOLOC_GUARDED_BY(mu_) = 0;
   int flushWaiters_ MOLOC_GUARDED_BY(mu_) = 0;
 
-#if MOLOC_METRICS_ENABLED
   struct Metrics {
     obs::Gauge* queueDepth = nullptr;
     obs::Counter* backpressure = nullptr;
     obs::Counter* applyFailures = nullptr;
   };
   Metrics metrics_;
-#endif
 
   /// Last member: started after everything above is initialized and
   /// joined (via stop()) before any of it is destroyed.

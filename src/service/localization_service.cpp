@@ -13,11 +13,14 @@ namespace moloc::service {
 
 namespace {
 
-std::size_t checkShardCount(std::size_t shardCount) {
-  if (shardCount == 0)
+ServiceConfig checkedConfig(ServiceConfig config) {
+  if (config.shardCount == 0)
     throw util::ConfigError(
         "LocalizationService: shard count must be >= 1");
-  return shardCount;
+  if (config.engine.candidateCount == 0)
+    throw util::ConfigError(
+        "LocalizationService: candidate count must be >= 1");
+  return config;
 }
 
 /// The radio map of `world`, the one thing a service cannot serve
@@ -25,58 +28,49 @@ std::size_t checkShardCount(std::size_t shardCount) {
 std::shared_ptr<const radio::FingerprintDatabase> radioMapOf(
     const std::shared_ptr<const core::WorldSnapshot>& world) {
   if (!world) throw util::ConfigError("LocalizationService: null world");
-  if (!world->fingerprints())
+  if (!world->fingerprints() || world->fingerprints()->empty())
     throw util::ConfigError(
         "LocalizationService: world without a radio map");
   return world->fingerprints();
 }
 
-/// The boot world (generation 0) over a freshly handed-in radio map.
-/// The one place the tiered-index policy is decided: large maps get
-/// the index; small, empty or k == 0 configurations keep the exact
-/// scan (and, for the last two, its per-session errors).
+}  // namespace
+
 std::shared_ptr<const core::WorldSnapshot> bootWorld(
-    radio::FingerprintDatabase fingerprints,
-    std::shared_ptr<const kernel::MotionAdjacency> motion,
-    const ServiceConfig& config) {
-  auto radioMap = std::make_shared<const radio::FingerprintDatabase>(
-      std::move(fingerprints));
+    std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
+    const core::MotionDatabase& motion, const ServiceConfig& config) {
   std::shared_ptr<const index::TieredIndex> index;
-  if (radioMap->size() >= kTieredIndexMinEntries &&
-      config.engine.candidateCount > 0) {
+  if (fingerprints && fingerprints->size() >= kTieredIndexMinEntries) {
     index::IndexConfig indexConfig;
     indexConfig.buildThreads = config.threadCount;
     index = std::make_shared<const index::TieredIndex>(
-        radioMap, indexConfig, config.indexShardStarts);
+        fingerprints, indexConfig, config.indexShardStarts);
   }
   return std::make_shared<const core::WorldSnapshot>(
-      std::move(radioMap), std::move(motion), 0, 0, std::move(index));
+      std::move(fingerprints), motion, 0, 0, std::move(index));
 }
-
-}  // namespace
 
 LocalizationService::LocalizationService(
     radio::FingerprintDatabase fingerprints,
     const core::MotionDatabase& motion, const ServiceConfig& config)
     : LocalizationService(
-          bootWorld(std::move(fingerprints),
-                    std::make_shared<const kernel::MotionAdjacency>(motion),
-                    config),
+          bootWorld(std::make_shared<const radio::FingerprintDatabase>(
+                        std::move(fingerprints)),
+                    motion, config),
           config) {}
 
 LocalizationService::LocalizationService(
     std::shared_ptr<const core::WorldSnapshot> world, ServiceConfig config)
-    : config_(std::move(config)),
+    : config_(checkedConfig(std::move(config))),
       fingerprints_(radioMapOf(world)),
       index_(world->tieredIndex()),
       world_(std::move(world)),
       worldHint_(&world_->adjacency()),
       worldGeneration_(world_->generation()),
-      shards_(checkShardCount(config_.shardCount)) {
+      shards_(config_.shardCount) {
   // Sessions inherit the service's registry unless the caller wired
   // the engine to its own.
   if (!config_.engine.metrics) config_.engine.metrics = config_.metrics;
-#if MOLOC_METRICS_ENABLED
   if (config_.metrics) {
     auto& registry = *config_.metrics;
     metrics_.scanLatency = &registry.histogram(
@@ -119,7 +113,6 @@ LocalizationService::LocalizationService(
         "moloc_service_world_generation",
         "Generation number of the currently serving world");
   }
-#endif
 }
 
 LocalizationService::~LocalizationService() {
@@ -179,9 +172,7 @@ LocalizationService::findOrCreate(SessionId id, double stepLengthMeters) {
   auto slot = makeSlot(stepLengthMeters);
   const util::MutexLock lock(shard.mu);
   const auto [it, inserted] = shard.sessions.try_emplace(id, std::move(slot));
-#if MOLOC_METRICS_ENABLED
   if (inserted && metrics_.sessionsActive) metrics_.sessionsActive->inc();
-#endif
   return it->second;
 }
 
@@ -193,9 +184,7 @@ void LocalizationService::openSession(SessionId id,
   if (!shard.sessions.try_emplace(id, std::move(slot)).second)
     throw util::ConfigError("LocalizationService: session " +
                                 std::to_string(id) + " already exists");
-#if MOLOC_METRICS_ENABLED
   if (metrics_.sessionsActive) metrics_.sessionsActive->inc();
-#endif
 }
 
 void LocalizationService::adoptWorld(core::LocalizationSession& session) {
@@ -224,16 +213,12 @@ void LocalizationService::adoptWorld(core::LocalizationSession& session) {
 core::LocationEstimate LocalizationService::localizeLocked(
     core::LocalizationSession& session, const radio::Fingerprint& scan,
     const sensors::ImuTrace& imu) {
-#if MOLOC_METRICS_ENABLED
   obs::ScopedTimer timer(metrics_.scanLatency);
-#endif
   adoptWorld(session);
   core::LocationEstimate estimate = session.onScan(scan, imu);
-#if MOLOC_METRICS_ENABLED
   if (metrics_.scansTotal) metrics_.scansTotal->inc();
   if (metrics_.scansNoFix && !estimate.hasFix())
     metrics_.scansNoFix->inc();
-#endif
   return estimate;
 }
 
@@ -241,17 +226,13 @@ core::LocationEstimate LocalizationService::localizePreparedLocked(
     core::LocalizationSession& session,
     std::span<const core::Candidate> candidates,
     std::exception_ptr scanError, const sensors::ImuTrace& imu) {
-#if MOLOC_METRICS_ENABLED
   obs::ScopedTimer timer(metrics_.scanLatency);
-#endif
   adoptWorld(session);
   core::LocationEstimate estimate =
       session.onScanWithCandidates(candidates, scanError, imu);
-#if MOLOC_METRICS_ENABLED
   if (metrics_.scansTotal) metrics_.scansTotal->inc();
   if (metrics_.scansNoFix && !estimate.hasFix())
     metrics_.scansNoFix->inc();
-#endif
   return estimate;
 }
 
@@ -267,27 +248,19 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
     const std::vector<ScanRequest>& batch) {
   std::vector<core::LocationEstimate> results(batch.size());
   if (batch.empty()) return results;
-#if MOLOC_METRICS_ENABLED
   if (metrics_.batchSize)
     metrics_.batchSize->observe(static_cast<double>(batch.size()));
-#endif
 
   // Batched fingerprint matching: every scan in the batch goes through
   // one fingerprint-kernel invocation up front, instead of each
   // session running its own independent query.  Per-request errors
   // are captured and rethrown inside the owning session's round at the
   // same point the unbatched query would have thrown, so the
-  // documented failure semantics are unchanged.  The degenerate
-  // configurations (empty radio map, k == 0) keep the unbatched path
-  // because their errors surface per session, not per batch.
-  const bool prepared =
-      !fingerprints_->empty() && config_.engine.candidateCount > 0;
+  // documented failure semantics are unchanged.
   std::vector<std::vector<core::Candidate>> batchCandidates;
   std::vector<std::exception_ptr> batchErrors;
-  if (prepared) {
-#if MOLOC_METRICS_ENABLED
+  {
     obs::ScopedTimer matchTimer(metrics_.batchMatch);
-#endif
     std::vector<const radio::Fingerprint*> scans;
     scans.reserve(batch.size());
     for (const auto& request : batch) scans.push_back(&request.scan);
@@ -325,12 +298,9 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
       const util::MutexLock lock(slot->mu);
       for (; position < indices.size(); ++position) {
         const std::size_t i = indices[position];
-        results[i] =
-            prepared ? localizePreparedLocked(slot->session,
-                                              batchCandidates[i],
-                                              batchErrors[i], batch[i].imu)
-                     : localizeLocked(slot->session, batch[i].scan,
-                                      batch[i].imu);
+        results[i] = localizePreparedLocked(slot->session,
+                                            batchCandidates[i],
+                                            batchErrors[i], batch[i].imu);
       }
     } catch (...) {
       // A session is a stateful Bayesian filter: once one of its scans
@@ -342,11 +312,9 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
         firstFailedIndex = failed;
         firstFailure = std::current_exception();
       }
-#if MOLOC_METRICS_ENABLED
       if (metrics_.batchRequestsFailed)
         metrics_.batchRequestsFailed->inc(
             static_cast<double>(indices.size() - position));
-#endif
     }
   }
   if (firstFailure) std::rethrow_exception(firstFailure);
@@ -370,9 +338,7 @@ bool LocalizationService::endSession(SessionId id) {
   auto& shard = shardFor(id);
   const util::MutexLock lock(shard.mu);
   const bool erased = shard.sessions.erase(id) > 0;
-#if MOLOC_METRICS_ENABLED
   if (erased && metrics_.sessionsActive) metrics_.sessionsActive->dec();
-#endif
   return erased;
 }
 
@@ -402,11 +368,9 @@ void LocalizationService::publishWorld(core::OnlineMotionDatabase& db) {
   // Publish the identity last: a reader that sees the new hint is
   // guaranteed to find (at least) this world under worldMu_.
   worldHint_.store(hint, std::memory_order_release);
-#if MOLOC_METRICS_ENABLED
   if (metrics_.worldPublishes) metrics_.worldPublishes->inc();
   if (metrics_.worldGeneration)
     metrics_.worldGeneration->set(static_cast<double>(generation));
-#endif
 }
 
 void LocalizationService::attachIntake(core::OnlineMotionDatabase* db,
@@ -444,7 +408,6 @@ void LocalizationService::attachIntake(core::OnlineMotionDatabase* db,
       config_.metrics);
   {
     const util::MutexLock lock(intakeMu_);
-    intakeDb_ = db;
     pipeline_ = std::move(pipeline);
   }
   // Surface the database's current contents (e.g. state recovered
@@ -468,9 +431,7 @@ bool LocalizationService::reportObservation(env::LocationId estimatedStart,
         "(call attachIntake first)");
   const bool accepted = pipeline->submit(estimatedStart, estimatedEnd,
                                          directionDeg, offsetMeters);
-#if MOLOC_METRICS_ENABLED
   if (metrics_.observationsReported) metrics_.observationsReported->inc();
-#endif
   return accepted;
 }
 
@@ -515,9 +476,7 @@ void LocalizationService::checkpointIfDue(
     // Durability degraded but serving is unaffected: the WAL still
     // holds everything, and the next publish tries again.  Surface via
     // metrics rather than tearing the writer down.
-#if MOLOC_METRICS_ENABLED
     if (metrics_.checkpointFailures) metrics_.checkpointFailures->inc();
-#endif
   }
 }
 

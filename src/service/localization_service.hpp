@@ -48,25 +48,37 @@ struct ServiceConfig {
   /// its caller's thread.
   std::size_t threadCount = 0;
   /// Shards of the session map; more shards = less lock contention on
-  /// session lookup.  Must be >= 1 (throws std::invalid_argument).
+  /// session lookup.  Must be >= 1 (throws util::ConfigError).
   std::size_t shardCount = 16;
   /// Step length assigned to sessions auto-created by submitScan();
   /// openSession() can override per user.
   double defaultStepLengthMeters = 0.72;
+  /// Engine tunables; engine.candidateCount must be >= 1 (throws
+  /// util::ConfigError).
   core::MoLocConfig engine;
   sensors::MotionProcessorParams motion;
-  /// Natural shard boundaries for the tiered index the databases
-  /// constructor builds (e.g. a generated venue's per-floor starts);
-  /// empty lets the index split uniformly.
+  /// Natural shard boundaries for the tiered index bootWorld() builds
+  /// (e.g. a generated venue's per-floor starts); empty lets the index
+  /// split uniformly.
   std::vector<std::size_t> indexShardStarts;
   /// Registry receiving the service/engine instruments (see
   /// docs/observability.md).  Defaults to the process-wide registry so
   /// a plain service is observable out of the box; point it at a
   /// private registry to isolate one service's series (as the tests
-  /// and bench do), or set nullptr to opt out at runtime.  Inert when
-  /// the build sets MOLOC_METRICS=OFF.
+  /// and bench do), or set nullptr to opt out.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
 };
+
+/// The boot world (generation 0) a service serves for `fingerprints`
+/// and `motion`, with no intake records.  The one place the
+/// tiered-index policy is decided: a radio map with at least
+/// kTieredIndexMinEntries entries gets the index (built on
+/// config.threadCount threads over config.indexShardStarts); a
+/// smaller one keeps the exact scan.  The world shares `fingerprints`
+/// rather than copying it.
+std::shared_ptr<const core::WorldSnapshot> bootWorld(
+    std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
+    const core::MotionDatabase& motion, const ServiceConfig& config);
 
 /// One unit of batch work: a scan for one session, plus the IMU
 /// recording since that session's previous scan (empty for a first
@@ -123,14 +135,13 @@ class LocalizationService {
   /// world: its radio map, tiered index (null = exact scan) and motion
   /// adjacency are what every session is built on, and every world the
   /// intake publishes later shares the radio map and index.  Throws
-  /// std::invalid_argument on a null world or one without a radio map.
+  /// util::ConfigError on a null world, one without a radio map or
+  /// with an empty one, zero shards, or a candidate count of zero.
   explicit LocalizationService(
       std::shared_ptr<const core::WorldSnapshot> world,
       ServiceConfig config = {});
 
-  /// Builds the boot world (generation 0) from the databases and serves
-  /// it.  The radio map gets the tiered index when it has at least
-  /// kTieredIndexMinEntries entries (and k >= 1).
+  /// Serves bootWorld() over the databases.
   LocalizationService(radio::FingerprintDatabase fingerprints,
                       const core::MotionDatabase& motion,
                       const ServiceConfig& config = {});
@@ -356,7 +367,6 @@ class LocalizationService {
   std::atomic<std::uint64_t> worldGeneration_{0};
   std::vector<Shard> shards_;
 
-#if MOLOC_METRICS_ENABLED
   struct Metrics {
     obs::Histogram* scanLatency = nullptr;
     obs::Histogram* batchSize = nullptr;
@@ -371,12 +381,9 @@ class LocalizationService {
     obs::Gauge* worldGeneration = nullptr;
   };
   Metrics metrics_;
-#endif
 
   // Intake state.
   mutable util::Mutex intakeMu_;
-  core::OnlineMotionDatabase* intakeDb_ MOLOC_GUARDED_BY(intakeMu_) =
-      nullptr;
   /// Shared so reportObservation can hand a submit to a pipeline that
   /// a concurrent re-attach is replacing (a stopped pipeline throws
   /// ShutdownError; it is never destroyed mid-call).

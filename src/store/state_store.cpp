@@ -34,7 +34,6 @@ StateStore::StateStore(std::string dir, StoreConfig config)
   closed_ = scan.segments;
   reported_ = wal_->stats();
 
-#if MOLOC_METRICS_ENABLED
   if (auto* reg = config_.metrics) {
     metrics_.recordsAppended =
         &reg->counter("moloc_store_wal_records_appended_total",
@@ -64,7 +63,6 @@ StateStore::StateStore(std::string dir, StoreConfig config)
             ? lastKnownSeq - lastCheckpointSeq_
             : 0));
   }
-#endif
 }
 
 void StateStore::onAccepted(env::LocationId estimatedStart,
@@ -73,7 +71,6 @@ void StateStore::onAccepted(env::LocationId estimatedStart,
   const util::MutexLock lock(mu_);
   const std::uint64_t seq =
       wal_->append(estimatedStart, estimatedEnd, directionDeg, offsetMeters);
-#if MOLOC_METRICS_ENABLED
   if (config_.metrics) {
     const WalWriter::Stats& now = wal_->stats();
     metrics_.recordsAppended->inc(
@@ -88,9 +85,6 @@ void StateStore::onAccepted(env::LocationId estimatedStart,
     metrics_.sinceCheckpoint->set(
         static_cast<double>(seq - lastCheckpointSeq_));
   }
-#else
-  (void)seq;
-#endif
 }
 
 CheckpointInfo StateStore::checkpoint(const core::OnlineMotionDatabase& db) {
@@ -139,7 +133,6 @@ CheckpointInfo StateStore::checkpoint(const core::OnlineMotionDatabase& db) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-#if MOLOC_METRICS_ENABLED
     if (config_.metrics) {
       metrics_.checkpoints->inc();
       metrics_.compactedSegments->inc(
@@ -153,7 +146,6 @@ CheckpointInfo StateStore::checkpoint(const core::OnlineMotionDatabase& db) {
           static_cast<double>(now.fsyncs - reported_.fsyncs));
       reported_ = now;
     }
-#endif
   }
   return info;
 }
@@ -161,14 +153,12 @@ CheckpointInfo StateStore::checkpoint(const core::OnlineMotionDatabase& db) {
 void StateStore::sync() {
   const util::MutexLock lock(mu_);
   wal_->sync();
-#if MOLOC_METRICS_ENABLED
   if (config_.metrics) {
     const WalWriter::Stats& now = wal_->stats();
     metrics_.fsyncs->inc(
         static_cast<double>(now.fsyncs - reported_.fsyncs));
     reported_ = now;
   }
-#endif
 }
 
 std::uint64_t StateStore::lastSeq() const {
@@ -241,7 +231,6 @@ RecoveryResult recover(const std::string& dir,
   result.droppedTornTail = scan.tailDamaged;
   result.tailBytesDropped = scan.tailBytesDropped;
 
-#if MOLOC_METRICS_ENABLED
   if (metrics) {
     metrics
         ->counter("moloc_store_replayed_records_total",
@@ -256,9 +245,6 @@ RecoveryResult recover(const std::string& dir,
                   "Checkpoint files skipped as invalid during recovery")
         .inc(static_cast<double>(result.invalidCheckpoints));
   }
-#else
-  (void)metrics;
-#endif
   return result;
 }
 

@@ -21,7 +21,7 @@ struct StoreConfig {
   /// corrupt on disk.
   std::size_t keepCheckpoints = 2;
   /// Receives the moloc_store_* series when non-null (see
-  /// docs/observability.md); inert under MOLOC_METRICS=OFF.
+  /// docs/observability.md).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -106,7 +106,6 @@ class StateStore final : public core::ObservationSink {
   /// Stats already pushed to counters.
   WalWriter::Stats reported_ MOLOC_GUARDED_BY(mu_);
 
-#if MOLOC_METRICS_ENABLED
   struct Metrics {
     obs::Counter* recordsAppended = nullptr;
     obs::Counter* bytesWritten = nullptr;
@@ -118,7 +117,6 @@ class StateStore final : public core::ObservationSink {
     obs::Gauge* sinceCheckpoint = nullptr;
   };
   Metrics metrics_;
-#endif
 };
 
 /// What store::recover() reconstructed.

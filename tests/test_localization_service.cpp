@@ -19,6 +19,7 @@
 #include "store/state_store.hpp"
 #include "sensors/accelerometer_model.hpp"
 #include "sensors/compass_model.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace moloc::service {
@@ -81,12 +82,16 @@ Walk makeWalk(std::uint64_t seed) {
 
 bool estimatesBitwiseEqual(const core::LocationEstimate& a,
                            const core::LocationEstimate& b) {
+  using test_support::bits;
   if (a.location != b.location || a.probability != b.probability ||
+      bits(a.probability) != bits(b.probability) ||
       a.candidates.size() != b.candidates.size())
     return false;
   for (std::size_t i = 0; i < a.candidates.size(); ++i)
     if (a.candidates[i].location != b.candidates[i].location ||
-        a.candidates[i].probability != b.candidates[i].probability)
+        a.candidates[i].probability != b.candidates[i].probability ||
+        bits(a.candidates[i].probability) !=
+            bits(b.candidates[i].probability))
       return false;
   return true;
 }
@@ -302,12 +307,10 @@ TEST(LocalizationService, ConcurrentFirstScansCreateOneSession) {
 
     EXPECT_EQ(mismatches.load(), 0) << "round " << round;
     EXPECT_EQ(svc.sessionCount(), 1u) << "round " << round;
-#if MOLOC_METRICS_ENABLED
     const obs::Gauge* active =
         registry.findGauge("moloc_service_sessions_active");
     ASSERT_NE(active, nullptr);
     EXPECT_DOUBLE_EQ(active->value(), 1.0) << "round " << round;
-#endif
   }
 }
 
@@ -412,7 +415,6 @@ TEST(LocalizationService, BatchRethrowsEarliestFailureInBatchOrder) {
   }
 }
 
-#if MOLOC_METRICS_ENABLED
 TEST(LocalizationService, ServiceMetricsTrackScansSessionsAndBatches) {
   obs::MetricsRegistry registry;
   ServiceConfig config = testConfig();
@@ -493,7 +495,62 @@ TEST(LocalizationService, NullRegistryDisablesMetricsAtRuntime) {
   const auto estimate = svc.submitScan(1, walk.scans[0], walk.imu[0]);
   EXPECT_TRUE(estimate.hasFix());  // Works, just unobserved.
 }
-#endif
+
+TEST(LocalizationService, EstimatesDoNotDependOnTheRegistry) {
+  // Instrumentation only observes: the same scans through a service
+  // with a private registry and through one with none must give the
+  // same bits.
+  obs::MetricsRegistry registry;
+  ServiceConfig observedConfig = testConfig();
+  observedConfig.metrics = &registry;
+  ServiceConfig unobservedConfig = testConfig();
+  unobservedConfig.metrics = nullptr;
+  LocalizationService observed(twinFingerprints(), twinMotion(),
+                               observedConfig);
+  LocalizationService unobserved(twinFingerprints(), twinMotion(),
+                                 unobservedConfig);
+
+  const auto walk = makeWalk(53);
+  for (std::size_t r = 0; r < walk.scans.size(); ++r)
+    EXPECT_TRUE(estimatesBitwiseEqual(
+        observed.submitScan(1, walk.scans[r], walk.imu[r]),
+        unobserved.submitScan(1, walk.scans[r], walk.imu[r])))
+        << "round " << r;
+  const auto other = makeWalk(59);
+  std::vector<ScanRequest> batch;
+  for (std::size_t r = 0; r < other.scans.size(); ++r) {
+    batch.push_back({2, other.scans[r], other.imu[r]});
+    batch.push_back({3, walk.scans[r], walk.imu[r]});
+  }
+  const auto fromObserved = observed.localizeBatch(batch);
+  const auto fromUnobserved = unobserved.localizeBatch(batch);
+  ASSERT_EQ(fromObserved.size(), fromUnobserved.size());
+  for (std::size_t i = 0; i < fromObserved.size(); ++i)
+    EXPECT_TRUE(estimatesBitwiseEqual(fromObserved[i], fromUnobserved[i]))
+        << "request " << i;
+  // The observed service did record what it served.
+  EXPECT_DOUBLE_EQ(
+      registry.findCounter("moloc_service_scans_total")->value(),
+      static_cast<double>(walk.scans.size() + batch.size()));
+}
+
+TEST(LocalizationService, RejectsZeroCandidatesAndAnEmptyRadioMap) {
+  ServiceConfig noCandidates = testConfig();
+  noCandidates.engine.candidateCount = 0;
+  EXPECT_THROW(LocalizationService(twinFingerprints(), twinMotion(),
+                                   noCandidates),
+               util::ConfigError);
+  EXPECT_THROW(LocalizationService(radio::FingerprintDatabase{},
+                                   twinMotion(), testConfig()),
+               util::ConfigError);
+  // The world constructor, which the databases one delegates to, is
+  // where both are checked.
+  const auto emptyWorld = std::make_shared<const core::WorldSnapshot>(
+      std::make_shared<const radio::FingerprintDatabase>(), twinMotion(),
+      0, 0);
+  EXPECT_THROW(LocalizationService(emptyWorld, testConfig()),
+               util::ConfigError);
+}
 
 TEST(LocalizationService, RejectsZeroShards) {
   ServiceConfig config = testConfig();
@@ -619,12 +676,10 @@ TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
   reportAccepted(svc, 0, 10);
   svc.flushIntake();
   EXPECT_EQ(store.lastCheckpointSeq(), 0u);
-#if MOLOC_METRICS_ENABLED
   EXPECT_DOUBLE_EQ(
       registry.findCounter("moloc_service_checkpoint_failures_total")
           ->value(),
       1.0);
-#endif
   // The failure cost durability of nothing: every accepted observation
   // is logged and applied, and the service keeps serving.
   EXPECT_EQ(store.lastSeq(), 10u);
@@ -638,12 +693,10 @@ TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
   reportAccepted(svc, 10, 10);
   svc.flushIntake();
   EXPECT_EQ(store.lastCheckpointSeq(), 20u);
-#if MOLOC_METRICS_ENABLED
   EXPECT_DOUBLE_EQ(
       registry.findCounter("moloc_service_checkpoint_failures_total")
           ->value(),
       1.0);
-#endif
 
   db.setSink(nullptr);
   core::OnlineMotionDatabase recovered(plan, {}, 4);
@@ -654,7 +707,6 @@ TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
   test_support::expectIdenticalIntakeState(db, recovered);
 }
 
-#if MOLOC_METRICS_ENABLED
 TEST(LocalizationService, SharedRegistryCountsCheckpointsOnce) {
   const std::string dir = freshStoreDir("registry");
   const auto plan = intakePlan();
@@ -683,7 +735,6 @@ TEST(LocalizationService, SharedRegistryCountsCheckpointsOnce) {
           ->value(),
       0.0);
 }
-#endif
 
 /// Write-ahead sink that parks the intake writer inside an apply until
 /// released — the deterministic way to hold "admitted but not yet

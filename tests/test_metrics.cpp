@@ -205,11 +205,16 @@ TEST(ScopedTimer, TickClockTracksWallTime) {
 }
 
 TEST(ScopedTimer, NullSinkIsSafeAndStopIsIdempotent) {
+  // A null timer reads no clock: however long it runs, it reports 0.
   ScopedTimer nullTimer(nullptr);  // Must not crash at destruction.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(nullTimer.stop(), 0.0);
+  EXPECT_EQ(nullTimer.stop(), 0.0);
   Histogram h({1.0});
   ScopedTimer timer(&h);
-  timer.stop();
-  timer.stop();  // Second stop must not double-observe.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GT(timer.stop(), 0.0);
+  EXPECT_EQ(timer.stop(), 0.0);  // Second stop must not double-observe.
   EXPECT_EQ(h.count(), 1u);
 }
 

@@ -385,7 +385,6 @@ TEST_F(OnlineDbTest, ReservoirRetentionIsUniform) {
   EXPECT_GT(survivals[kStreamLength - 1], 0);
 }
 
-#if MOLOC_METRICS_ENABLED
 TEST_F(OnlineDbTest, IntakeCountersMirroredToRegistry) {
   obs::MetricsRegistry registry;
   BuilderConfig config;
@@ -438,7 +437,6 @@ TEST_F(OnlineDbTest, IntakeCountersMirroredToRegistry) {
                                  online_),
             nullptr);
 }
-#endif
 
 TEST_F(OnlineDbTest, ReservoirStatsAggregateOccupancy) {
   OnlineMotionDatabase online(plan_, {}, /*reservoirCapacity=*/3);

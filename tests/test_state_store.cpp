@@ -500,7 +500,6 @@ TEST_F(StateStoreTest, MetricsExposeDurabilityActivity) {
   store.checkpoint(db);
   db.setSink(nullptr);
 
-#if MOLOC_METRICS_ENABLED
   auto* records =
       registry.findCounter("moloc_store_wal_records_appended_total");
   ASSERT_NE(records, nullptr);
@@ -533,7 +532,6 @@ TEST_F(StateStoreTest, MetricsExposeDurabilityActivity) {
   ASSERT_NE(replayed, nullptr);
   EXPECT_EQ(replayed->value(), 0.0);  // All subsumed by the checkpoint.
   expectIdenticalIntakeState(db, recovered);
-#endif
 }
 
 }  // namespace

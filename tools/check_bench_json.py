@@ -32,8 +32,11 @@ Checks, per file:
      per venue) and session_create_ratio.  micro_scale's per-shard
      active_aps_mean / varying_columns_mean, speedup_p50 and the
      variants' p90_ns fall under the same patterns.
-     (Percentile fields like p50_ms stay optional: a MOLOC_METRICS=OFF
-     build reports them as -1, and a missing histogram may null them.)
+     Every percentile in milliseconds (p50_ms, p95_ms, p99_ms) is a
+     required numeric field too, and every micro_service sweep row
+     must carry all three (SWEEP_REQUIRED): the service's latency
+     histogram is always compiled in, so a missing percentile is a
+     broken run.
   4. The host facts cpu_model and build_type (micro_service,
      micro_scale, micro_net), wherever they appear, are non-empty
      strings: a measurement whose host is unrecorded cannot be
@@ -106,6 +109,7 @@ REQUIRED_NUMERIC = [
         r"^index_build_seconds$",
         r"_mean$",
         r"_ratio$",
+        r"^p\d+_ms$",
     )
 ]
 
@@ -123,6 +127,9 @@ HOST_REQUIRED = {
     ),
 }
 RETIRED_SECTIONS = {"micro_net": ("latency",)}
+# Per bench: fields every "sweep" row must carry (walk() checks
+# their type).
+SWEEP_REQUIRED = {"micro_service": ("p50_ms", "p95_ms", "p99_ms")}
 
 NONFINITE_TOKEN = re.compile(r"(?<![\w\"])(NaN|-?Infinity)(?![\w\"])")
 
@@ -224,6 +231,11 @@ def check_file(name):
     for key in RETIRED_SECTIONS.get(bench, ()):
         if key in document:
             errors.append(f"'{key}': retired section in a {bench} snapshot")
+
+    for index, row in enumerate(document.get("sweep") or []):
+        for key in SWEEP_REQUIRED.get(bench, ()):
+            if not isinstance(row, dict) or key not in row:
+                errors.append(f"sweep[{index}].{key}: missing")
 
     walk(document, "", errors)
     return errors
