@@ -33,7 +33,7 @@ int main() {
   core::MoLocEngine molocDet = world.makeEngine();
   core::MoLocEngine molocProb(
       core::CandidateEstimator(probDb, config.moloc.candidateCount),
-      std::make_shared<const kernel::MotionAdjacency>(world.motionDb()),
+      std::make_shared<const core::MotionDatabase>(world.motionDb()),
       config.moloc);
 
   eval::ErrorStats nearestStats, horusStats, molocDetStats,

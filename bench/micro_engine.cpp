@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -64,7 +65,8 @@ void BM_CandidateQuery(benchmark::State& state) {
 BENCHMARK(BM_CandidateQuery)->Arg(1)->Arg(5)->Arg(12)->Arg(28);
 
 void BM_MotionPairProbability(benchmark::State& state) {
-  const core::MotionMatcher matcher(world().motionDb());
+  const core::MotionMatcher matcher(
+      std::make_shared<const core::MotionDatabase>(world().motionDb()));
   const sensors::MotionMeasurement motion{90.0, 5.7};
   for (auto _ : state)
     benchmark::DoNotOptimize(matcher.pairProbability(0, 1, motion));
@@ -446,7 +448,8 @@ void runPerfTrajectory(bool smoke) {
   // (reference) vs the CSR adjacency path, per-candidate ns.
   {
     const auto& motionDb = world().motionDb();
-    const core::MotionMatcher matcher(motionDb);
+    const core::MotionMatcher matcher(
+        std::make_shared<const core::MotionDatabase>(motionDb));
     const std::size_t m = std::min<std::size_t>(
         12, motionDb.locationCount());
     std::vector<core::WeightedCandidate> prev;

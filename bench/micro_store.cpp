@@ -24,7 +24,7 @@
 //      restored read differs bitwise from the live database.
 //   4. Cold start vs venue size (campus-1k .. campus-64k): time from
 //      "venue image on disk" to "the three serving structures are
-//      ready" (FingerprintDatabase + MotionAdjacency + TieredIndex),
+//      ready" (FingerprintDatabase + MotionDatabase + TieredIndex),
 //      along three paths:
 //        binary_deserialize — whole-file read into a heap buffer, then
 //                             VenueImage::fromBuffer: full CRC + views
@@ -367,8 +367,9 @@ ColdStartRow benchColdStart(std::size_t locations, std::size_t reps) {
       venue.sharedFingerprints();
   const auto index = std::make_shared<const index::TieredIndex>(
       db, index::IndexConfig{}, venue.shardStarts());
-  const core::WorldSnapshot world(db, venue.motion(), /*generation=*/1,
-                                  /*intakeRecords=*/0, index);
+  const core::WorldSnapshot world(
+      db, std::make_shared<const core::MotionDatabase>(venue.motion()),
+      /*generation=*/1, /*intakeRecords=*/0, index);
 
   ColdStartRow row;
   row.locations = venue.locationCount();

@@ -7,6 +7,7 @@
 // ExperimentWorld convenience wrapper.
 
 #include <cstdio>
+#include <vector>
 
 #include "baseline/wifi_fingerprinting.hpp"
 #include "core/moloc_engine.hpp"
@@ -60,18 +61,17 @@ int main() {
               wrong, queries);
 
   // The motion database knows the walkable legs p -> q and p -> q'.
-  core::MotionDatabase motion(plan.locationCount());
   const auto pPos = plan.location(p).pos;
   const auto qPos = plan.location(q).pos;
   const auto qTwinPos = plan.location(qTwin).pos;
-  motion.setEntryWithMirror(
-      p, q,
-      {geometry::headingBetweenDeg(pPos, qPos), 5.0,
-       geometry::distance(pPos, qPos), 0.3, 20});
-  motion.setEntryWithMirror(
-      p, qTwin,
-      {geometry::headingBetweenDeg(pPos, qTwinPos), 5.0,
-       geometry::distance(pPos, qTwinPos), 0.3, 20});
+  std::vector<core::MotionEntry> legs;
+  core::appendWithMirror(legs, p, q,
+                         {geometry::headingBetweenDeg(pPos, qPos), 5.0,
+                          geometry::distance(pPos, qPos), 0.3, 20});
+  core::appendWithMirror(legs, p, qTwin,
+                         {geometry::headingBetweenDeg(pPos, qTwinPos), 5.0,
+                          geometry::distance(pPos, qTwinPos), 0.3, 20});
+  const core::MotionDatabase motion(plan.locationCount(), legs);
 
   // Fig. 1(b): the user starts at p (unique fingerprint), then walks
   // to q.  The motion (north-east-ish) matches p -> q, not p -> q'.

@@ -208,10 +208,12 @@ void makeImageSeeds(const fs::path& root) {
       rss[static_cast<std::size_t>(a)] = -40.0 - 3.0 * i - 1.5 * a;
     db->addLocation(i, moloc::radio::Fingerprint(rss));
   }
-  moloc::core::MotionDatabase motion(12);
+  std::vector<moloc::core::MotionEntry> corridor;
   for (int i = 0; i + 1 < 12; ++i)
-    motion.setEntryWithMirror(i, i + 1,
-                              {90.0, 4.0, 5.0 + 0.25 * i, 0.3, 20});
+    moloc::core::appendWithMirror(corridor, i, i + 1,
+                                  {90.0, 4.0, 5.0 + 0.25 * i, 0.3, 20});
+  const auto motion =
+      std::make_shared<const moloc::core::MotionDatabase>(12, corridor);
   moloc::index::IndexConfig indexConfig;
   indexConfig.maxShardEntries = 4;
   const auto index = std::make_shared<const moloc::index::TieredIndex>(

@@ -1,29 +1,31 @@
 #include "core/construction_methods.hpp"
 
+#include <vector>
+
 #include "geometry/angles.hpp"
 
 namespace moloc::core {
 
 MotionDatabase buildMotionDatabaseManually(const env::WalkGraph& graph,
                                            ComputedRlmSpread spread) {
-  MotionDatabase db(graph.nodeCount());
+  std::vector<MotionEntry> entries;
   for (env::LocationId i = 0;
        i < static_cast<env::LocationId>(graph.nodeCount()); ++i) {
     for (const auto& edge : graph.neighbors(i)) {
       if (edge.to < i) continue;  // Each undirected leg once.
-      db.setEntryWithMirror(i, edge.to,
-                            {edge.headingDeg, spread.sigmaDirectionDeg,
-                             edge.length, spread.sigmaOffsetMeters, 0});
+      appendWithMirror(entries, i, edge.to,
+                       {edge.headingDeg, spread.sigmaDirectionDeg,
+                        edge.length, spread.sigmaOffsetMeters, 0});
     }
   }
-  return db;
+  return MotionDatabase(graph.nodeCount(), entries);
 }
 
 MotionDatabase buildMotionDatabaseFromMap(const env::FloorPlan& plan,
                                           double maxAdjacencyDist,
                                           ComputedRlmSpread spread) {
   const auto locations = plan.locations();
-  MotionDatabase db(locations.size());
+  std::vector<MotionEntry> entries;
   for (std::size_t i = 0; i < locations.size(); ++i) {
     for (std::size_t j = i + 1; j < locations.size(); ++j) {
       const auto a = locations[i].pos;
@@ -31,22 +33,22 @@ MotionDatabase buildMotionDatabaseFromMap(const env::FloorPlan& plan,
       const double dist = geometry::distance(a, b);
       if (dist > maxAdjacencyDist) continue;
       // Deliberately no wall test: the map method cannot see walls.
-      db.setEntryWithMirror(
-          locations[i].id, locations[j].id,
+      appendWithMirror(
+          entries, locations[i].id, locations[j].id,
           {geometry::headingBetweenDeg(a, b), spread.sigmaDirectionDeg,
            dist, spread.sigmaOffsetMeters, 0});
     }
   }
-  return db;
+  return MotionDatabase(locations.size(), entries);
 }
 
 std::size_t countUnwalkableEntries(const MotionDatabase& db,
                                    const env::WalkGraph& graph) {
   std::size_t violations = 0;
-  const auto n = static_cast<env::LocationId>(db.locationCount());
-  for (env::LocationId i = 0; i < n; ++i)
-    for (env::LocationId j = i + 1; j < n; ++j)
-      if (db.hasEntry(i, j) && !graph.adjacent(i, j)) ++violations;
+  db.forEachEntry(
+      [&](env::LocationId i, env::LocationId j, const RlmStats&) {
+        if (i < j && !graph.adjacent(i, j)) ++violations;
+      });
   return violations;
 }
 

@@ -29,7 +29,7 @@ LocalizationSession::LocalizationSession(
 
 LocalizationSession::LocalizationSession(
     CandidateEstimator estimator,
-    std::shared_ptr<const kernel::MotionAdjacency> motion,
+    std::shared_ptr<const MotionDatabase> motion,
     double stepLengthMeters, MoLocConfig config,
     sensors::MotionProcessorParams motionParams)
     : engine_(std::move(estimator), std::move(motion), config),

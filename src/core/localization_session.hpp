@@ -23,20 +23,20 @@ class LocalizationSession {
   /// `stepLengthMeters` is the user's estimated step length (from the
   /// profile height/weight; see sensors::estimateStepLength).  Must be
   /// positive (throws std::invalid_argument).  The fingerprint
-  /// database must outlive the session; `motion` is not retained.
+  /// database must outlive the session; `motion` is copied.
   LocalizationSession(const radio::FingerprintDatabase& fingerprints,
                       const MotionDatabase& motion,
                       double stepLengthMeters, MoLocConfig config = {},
                       sensors::MotionProcessorParams motionParams = {});
 
   /// The general form (see MoLocEngine's): any candidate source over
-  /// a shared, prebuilt motion adjacency — how the serving layer builds
+  /// a shared motion database — how the serving layer builds
   /// a session on its current world without copying anything
   /// venue-sized.  `config.candidateCount` is ignored in favour of the
   /// estimator's own k.  Whatever the estimator captures must outlive
   /// the session.
   LocalizationSession(CandidateEstimator estimator,
-                      std::shared_ptr<const kernel::MotionAdjacency> motion,
+                      std::shared_ptr<const MotionDatabase> motion,
                       double stepLengthMeters, MoLocConfig config = {},
                       sensors::MotionProcessorParams motionParams = {});
 
@@ -62,19 +62,17 @@ class LocalizationSession {
   /// Starts a new walk (forgets retained candidates).
   void reset() { engine_.reset(); }
 
-  /// Adopts a newer motion world (a published WorldSnapshot's
-  /// adjacency) without disturbing the walk in progress.  Serialized by
+  /// Adopts a newer motion world (a published WorldSnapshot's motion
+  /// database) without disturbing the walk in progress.  Serialized by
   /// the caller against onScan* on the same session — the serving
   /// layer's per-session slot lock covers both.  Throws on null.
-  void rebindMotion(
-      std::shared_ptr<const kernel::MotionAdjacency> adjacency) {
+  void rebindMotion(std::shared_ptr<const MotionDatabase> adjacency) {
     engine_.rebindMotion(std::move(adjacency));
   }
 
-  /// The motion adjacency the session currently scores against
+  /// The motion database the session currently scores against
   /// (identity comparisons drive snapshot adoption in the service).
-  const std::shared_ptr<const kernel::MotionAdjacency>& motionAdjacency()
-      const {
+  const std::shared_ptr<const MotionDatabase>& motionAdjacency() const {
     return engine_.motionAdjacency();
   }
 

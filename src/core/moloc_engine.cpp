@@ -18,14 +18,15 @@ double LocationEstimate::normalizedEntropy() const {
 MoLocEngine::MoLocEngine(const radio::FingerprintDatabase& fingerprints,
                          const MotionDatabase& motion, MoLocConfig config)
     : estimator_(fingerprints, config.candidateCount),
-      matcher_(motion, config.matcher),
+      matcher_(std::make_shared<const MotionDatabase>(motion),
+               config.matcher),
       config_(config) {
   initMetrics();
 }
 
 MoLocEngine::MoLocEngine(
     CandidateEstimator estimator,
-    std::shared_ptr<const kernel::MotionAdjacency> motion,
+    std::shared_ptr<const MotionDatabase> motion,
     MoLocConfig config)
     : estimator_(std::move(estimator)),
       matcher_(std::move(motion), config.matcher),

@@ -61,20 +61,19 @@ struct LocationEstimate {
 class MoLocEngine {
  public:
   /// The paper's deterministic candidate source over `fingerprints`,
-  /// scoring motion on an adjacency built from `motion`.  The
-  /// fingerprint database must outlive the engine; `motion` is not
-  /// retained.
+  /// scoring motion on a private copy of `motion`.  The fingerprint
+  /// database must outlive the engine.
   MoLocEngine(const radio::FingerprintDatabase& fingerprints,
               const MotionDatabase& motion, MoLocConfig config = {});
 
   /// The general form: any candidate source (e.g. the Horus-style
   /// probabilistic radio map, or the serving layer's tiered index)
-  /// scoring motion on a shared, prebuilt adjacency (e.g. a published
+  /// scoring motion on a shared motion database (e.g. a published
   /// WorldSnapshot's).  `config.candidateCount` is ignored in favour
   /// of the estimator's own k.  Throws std::invalid_argument on a null
-  /// adjacency.
+  /// database.
   MoLocEngine(CandidateEstimator estimator,
-              std::shared_ptr<const kernel::MotionAdjacency> motion,
+              std::shared_ptr<const MotionDatabase> motion,
               MoLocConfig config = {});
 
   const MoLocConfig& config() const { return config_; }
@@ -110,19 +109,17 @@ class MoLocEngine {
     return previous_;
   }
 
-  /// Swaps the motion matcher onto a newer adjacency (a freshly
-  /// published WorldSnapshot's index).  Retained candidates survive —
+  /// Swaps the motion matcher onto a newer motion database (a freshly
+  /// published WorldSnapshot's).  Retained candidates survive —
   /// the next fix scores them against the new motion world.  Callers
   /// serialize this with localize() on the same engine (the serving
   /// layer's per-session lock does).  Throws on null.
-  void rebindMotion(
-      std::shared_ptr<const kernel::MotionAdjacency> adjacency) {
+  void rebindMotion(std::shared_ptr<const MotionDatabase> adjacency) {
     matcher_.rebind(std::move(adjacency));
   }
 
-  /// The adjacency the motion matcher currently scores against.
-  const std::shared_ptr<const kernel::MotionAdjacency>& motionAdjacency()
-      const {
+  /// The motion database the matcher currently scores against.
+  const std::shared_ptr<const MotionDatabase>& motionAdjacency() const {
     return matcher_.adjacencyPtr();
   }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "geometry/angles.hpp"
@@ -28,24 +26,15 @@ double circularGaussianWindowProbability(double deviationDeg,
                                     1.0 / (sigmaDeg * kernel::kSqrt2));
 }
 
-MotionMatcher::MotionMatcher(const MotionDatabase& db,
+MotionMatcher::MotionMatcher(std::shared_ptr<const MotionDatabase> db,
                              MotionMatcherParams params)
-    : adj_(std::make_shared<const kernel::MotionAdjacency>(db)),
-      params_(params) {}
-
-MotionMatcher::MotionMatcher(
-    std::shared_ptr<const kernel::MotionAdjacency> adjacency,
-    MotionMatcherParams params)
-    : adj_(std::move(adjacency)), params_(params) {
-  if (!adj_)
-    throw util::ConfigError("MotionMatcher: null adjacency");
+    : adj_(std::move(db)), params_(params) {
+  if (!adj_) throw util::ConfigError("MotionMatcher: null database");
 }
 
-void MotionMatcher::rebind(
-    std::shared_ptr<const kernel::MotionAdjacency> adjacency) {
-  if (!adjacency)
-    throw util::ConfigError("MotionMatcher::rebind: null adjacency");
-  adj_ = std::move(adjacency);
+void MotionMatcher::rebind(std::shared_ptr<const MotionDatabase> db) {
+  if (!db) throw util::ConfigError("MotionMatcher::rebind: null database");
+  adj_ = std::move(db);
 }
 
 double MotionMatcher::directionFactor(const RlmStats& stats,
@@ -101,30 +90,18 @@ double MotionMatcher::stationaryProbability(
                   params_.unreachableFloor);
 }
 
-void MotionMatcher::requireValidPair(env::LocationId i,
-                                     env::LocationId j) const {
-  const std::size_t n = adj_->locationCount();
-  if (i < 0 || j < 0 || static_cast<std::size_t>(i) >= n ||
-      static_cast<std::size_t>(j) >= n)
-    throw std::out_of_range("MotionDatabase: bad location pair (" +
-                            std::to_string(i) + ", " + std::to_string(j) +
-                            ")");
-}
-
 double MotionMatcher::pairProbability(
     env::LocationId i, env::LocationId j,
     const sensors::MotionMeasurement& motion) const {
-  requireValidPair(i, j);
+  // find() rejects bad ids, the stationary pair's included.  The
+  // window path is bitwise-identical to the RlmStats path (same
+  // precomputed 1/(sigma*sqrt(2)) expression; pinned by
+  // MotionMatcherKernelTest).
+  const kernel::PairWindow* w = adj_->find(i, j);
   if (i == j) {
     if (!params_.allowStationary) return params_.unreachableFloor;
     return stationaryProbability(motion);
   }
-
-  // The CSR window path is bitwise-identical to the dense RlmStats
-  // path (same precomputed 1/(sigma*sqrt(2)) expression; pinned by
-  // MotionMatcherKernelTest), so this lookup swap is invisible to
-  // results.
-  const kernel::PairWindow* w = adj_->find(i, j);
   if (!w) return params_.unreachableFloor;
   const double p = windowDirectionFactor(*w, motion.directionDeg) *
                    windowOffsetFactor(*w, motion.offsetMeters);
@@ -145,7 +122,6 @@ double MotionMatcher::scoreOne(std::span<const WeightedCandidate> prev,
       }
       continue;
     }
-    requireValidPair(candidate.location, j);
     if (const kernel::PairWindow* w = adj_->find(candidate.location, j)) {
       const double p = windowDirectionFactor(*w, motion.directionDeg) *
                        windowOffsetFactor(*w, motion.offsetMeters);

@@ -6,7 +6,6 @@
 
 #include "core/candidate_estimator.hpp"
 #include "core/motion_database.hpp"
-#include "kernel/motion_kernel.hpp"
 #include "sensors/motion_processor.hpp"
 
 namespace moloc::core {
@@ -39,42 +38,26 @@ struct MotionMatcherParams {
 /// The motion matching unit: evaluates how well a measured (direction,
 /// offset) pair matches the motion database between locations.
 ///
-/// Scoring runs on a kernel::MotionAdjacency — a CSR view of the
-/// database holding only populated pairs with their window constants
-/// (1/(sigma*sqrt(2))) precomputed.  The matcher *owns a share of* its
-/// adjacency (shared_ptr<const>) rather than caching one against a
-/// database reference: the index is built eagerly at construction (or
-/// adopted prebuilt from a published core::WorldSnapshot) and is
-/// immutable thereafter, so every scoring method is const, lock-free,
-/// and safe to call from any number of threads concurrently.  Scoring
-/// also stays valid after the source database is destroyed — the
-/// matcher never dereferences it again.
-///
-/// The previous design kept a lazily-synced cache keyed by a
-/// process-wide version stamp; a destroyed database whose address was
-/// reused could alias a stale cache (ABA).  Snapshot ownership removes
-/// the identity comparison entirely.  The cost is that a database
-/// mutation after construction is *not* seen; callers that serve over
-/// an evolving OnlineMotionDatabase adopt each published snapshot via
+/// Scoring runs on the database's CSR rows, whose window constants
+/// (1/(sigma*sqrt(2))) are precomputed.  The matcher *owns a share of*
+/// its database (shared_ptr<const>): the database is immutable, so
+/// every scoring method is const, lock-free, and safe to call from any
+/// number of threads concurrently.  Callers that serve over an evolving
+/// OnlineMotionDatabase adopt each published snapshot's database via
 /// rebind() (the serving layer does this per session under its slot
 /// lock — see docs/serving.md).
 class MotionMatcher {
  public:
-  /// Builds a private adjacency from `db`'s current contents.  `db` is
-  /// not retained.
-  MotionMatcher(const MotionDatabase& db, MotionMatcherParams params = {});
+  /// Scores against `db` (e.g. the one a published WorldSnapshot
+  /// owns).  Throws std::invalid_argument on null.
+  explicit MotionMatcher(std::shared_ptr<const MotionDatabase> db,
+                         MotionMatcherParams params = {});
 
-  /// Adopts a prebuilt immutable adjacency (e.g. one owned by a
-  /// published WorldSnapshot).  Throws std::invalid_argument on null.
-  explicit MotionMatcher(
-      std::shared_ptr<const kernel::MotionAdjacency> adjacency,
-      MotionMatcherParams params = {});
-
-  /// Swaps in a newer adjacency (a freshly published snapshot's).  Not
+  /// Swaps in a newer database (a freshly published snapshot's).  Not
   /// synchronized with concurrent scoring on *this* matcher — callers
   /// serialize rebind against their own scoring, which the serving
   /// layer's per-session lock already does.  Throws on null.
-  void rebind(std::shared_ptr<const kernel::MotionAdjacency> adjacency);
+  void rebind(std::shared_ptr<const MotionDatabase> db);
 
   const MotionMatcherParams& params() const { return params_; }
 
@@ -110,14 +93,12 @@ class MotionMatcher {
   /// The offset factor O_ij alone; exposed for tests and ablations.
   double offsetFactor(const RlmStats& stats, double offsetMeters) const;
 
-  /// The adjacency this matcher scores against (immutable once built);
-  /// exposed for tests and so benchmarks can inspect the index.
-  const kernel::MotionAdjacency& adjacency() const { return *adj_; }
+  /// The database this matcher scores against; exposed for tests.
+  const MotionDatabase& adjacency() const { return *adj_; }
 
-  /// The same adjacency as a shareable handle — what a session hands
-  /// to a twin matcher, or a test uses to pin a snapshot's index.
-  const std::shared_ptr<const kernel::MotionAdjacency>& adjacencyPtr()
-      const {
+  /// The same database as a shareable handle — what a session hands
+  /// to a twin matcher, or a test uses to pin a snapshot's database.
+  const std::shared_ptr<const MotionDatabase>& adjacencyPtr() const {
     return adj_;
   }
 
@@ -142,14 +123,9 @@ class MotionMatcher {
   double windowOffsetFactor(const kernel::PairWindow& w,
                             double offsetMeters) const;
 
-  /// Throws std::out_of_range when (i, j) is outside the adjacency's
-  /// location range, so the CSR fast path rejects bad ids exactly like
-  /// the dense MotionDatabase::entry lookup did.
-  void requireValidPair(env::LocationId i, env::LocationId j) const;
-
-  /// Immutable once built; shared so the owning snapshot (and any twin
-  /// matcher) stays alive while this matcher can still score.
-  std::shared_ptr<const kernel::MotionAdjacency> adj_;
+  /// Shared so the owning snapshot (and any twin matcher) stays alive
+  /// while this matcher can still score.
+  std::shared_ptr<const MotionDatabase> adj_;
   MotionMatcherParams params_;
 };
 

@@ -263,12 +263,15 @@ const OnlineMotionDatabase::PairFit& OnlineMotionDatabase::cachedFit(
 }
 
 MotionDatabase OnlineMotionDatabase::database() const {
-  const util::MutexLock lock(mu_);
-  MotionDatabase db(plan_.locationCount());
-  for (const auto& [key, reservoir] : reservoirs_)
-    if (const auto& stats = cachedFit(reservoir).stats)
-      db.setEntryWithMirror(key.first, key.second, *stats);
-  return db;
+  std::vector<MotionEntry> entries;
+  {
+    const util::MutexLock lock(mu_);
+    entries.reserve(2 * reservoirs_.size());
+    for (const auto& [key, reservoir] : reservoirs_)
+      if (const auto& stats = cachedFit(reservoir).stats)
+        appendWithMirror(entries, key.first, key.second, *stats);
+  }
+  return MotionDatabase(plan_.locationCount(), entries);
 }
 
 BuilderReport OnlineMotionDatabase::report() const {

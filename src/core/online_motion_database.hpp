@@ -82,12 +82,12 @@ class ObservationSink {
 ///
 /// The reservoirs are the state; the queryable database is a read of
 /// them.  database() and report() fit each pair — fit, fine 2-sigma
-/// pass, refit, sigma floors — and database() adds the entry with its
-/// mirror.  A fit is cached on its reservoir until the next accepted
-/// observation for that pair, so a read costs O(pairs) plus one fit
-/// per pair touched since the previous read, and an offline campaign
-/// fits each pair once.  A pair whose samples no longer support a fit
-/// is simply absent from the next read.
+/// pass, refit, sigma floors — and database() builds the entry and its
+/// mirror straight from the fits.  A fit is cached on its reservoir
+/// until the next accepted observation for that pair, so a read costs
+/// O(pairs) plus one fit per pair touched since the previous read, and
+/// an offline campaign fits each pair once.  A pair whose samples no
+/// longer support a fit is simply absent from the next read.
 ///
 /// Thread safety: state lives behind two mutexes.  The outer write
 /// mutex serializes the mutators (applyAccepted / addObservation /
@@ -99,7 +99,7 @@ class ObservationSink {
 /// across I/O, so readers (database() / counters() / classify())
 /// cannot stall behind a log fsync.  What the locks cannot give is
 /// cross-call atomicity: the references counters()/config() return
-/// escape them; serving freezes a database() copy into an immutable
+/// escape them; serving freezes a database() read into an immutable
 /// WorldSnapshot instead (see docs/serving.md).
 class OnlineMotionDatabase {
  public:
@@ -148,8 +148,9 @@ class OnlineMotionDatabase {
                      env::LocationId estimatedEnd, double directionDeg,
                      double offsetMeters);
 
-  /// The current queryable database, assembled atomically under the
-  /// state mutex from the fit of every reservoir — what the publisher
+  /// The current queryable database, built from the fit of every
+  /// reservoir as read atomically under the state mutex (the CSR build
+  /// itself runs after the mutex is released) — what the publisher
   /// freezes into a core::WorldSnapshot.  Fits the pairs whose cache
   /// is empty.  Never blocks behind sink I/O (the write mutex is not
   /// taken).

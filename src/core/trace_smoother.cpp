@@ -13,7 +13,8 @@ TraceSmoother::TraceSmoother(const radio::FingerprintDatabase& fingerprints,
                              const MotionDatabase& motion,
                              MoLocConfig config)
     : estimator_(fingerprints, config.candidateCount),
-      matcher_(motion, config.matcher),
+      matcher_(std::make_shared<const MotionDatabase>(motion),
+               config.matcher),
       config_(config) {}
 
 std::vector<env::LocationId> TraceSmoother::smooth(

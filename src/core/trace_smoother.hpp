@@ -23,8 +23,9 @@ namespace moloc::core {
 /// retroactively from later evidence.
 class TraceSmoother {
  public:
-  /// The databases must outlive the smoother; `config` carries the
-  /// same k / alpha / beta knobs the engine uses.
+  /// The radio map must outlive the smoother (the motion database is
+  /// copied); `config` carries the same k / alpha / beta knobs the
+  /// engine uses.
   TraceSmoother(const radio::FingerprintDatabase& fingerprints,
                 const MotionDatabase& motion, MoLocConfig config = {});
 

@@ -7,16 +7,15 @@
 
 #include "core/motion_database.hpp"
 #include "index/tiered_index.hpp"
-#include "kernel/motion_kernel.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/error.hpp"
 
 namespace moloc::core {
 
 /// One immutable, internally consistent serving world: the radio map,
-/// its optional tiered index, and the CSR motion adjacency built from
-/// the motion database at a publish point.  A LocalizationService and
-/// every session it creates are built from a snapshot and nothing else.
+/// its optional tiered index, and the motion database of a publish
+/// point.  A LocalizationService and every session it creates are
+/// built from a snapshot and nothing else.
 ///
 /// Snapshots are the unit of the serving stack's epoch/RCU-style read
 /// path (docs/serving.md).  The intake writer thread builds one from
@@ -29,32 +28,20 @@ namespace moloc::core {
 /// grace periods to track.
 ///
 /// The fingerprint database and the index are shared (they do not
-/// change online), so a publish builds only a new adjacency, which
-/// every session adopting the snapshot then shares (see
-/// kernel::MotionAdjacency).
+/// change online), so a publish builds only a new motion database,
+/// which every session adopting the snapshot then shares.
 class WorldSnapshot {
  public:
-  /// Builds the adjacency from `motion`; the dense database is not
-  /// kept.  `fingerprints` may be null for motion-only worlds (tests);
-  /// `generation` is the publish sequence number, `intakeRecords` the
-  /// number of accepted observations folded into this world
-  /// (staleness accounting).  `tieredIndex`, when non-null, is the
-  /// prefilter built over `fingerprints`.
+  /// `fingerprints` may be null for motion-only worlds (tests);
+  /// `adjacency` — e.g. a non-owning view into an mmap'd venue image
+  /// (src/image), kept alive by whatever its control block owns — must
+  /// be non-null (throws std::invalid_argument).  `generation` is the
+  /// publish sequence number, `intakeRecords` the number of accepted
+  /// observations folded into this world (staleness accounting).
+  /// `tieredIndex`, when non-null, is the prefilter built over
+  /// `fingerprints`.
   WorldSnapshot(std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-                const MotionDatabase& motion, std::uint64_t generation,
-                std::uint64_t intakeRecords,
-                std::shared_ptr<const index::TieredIndex> tieredIndex =
-                    nullptr)
-      : WorldSnapshot(std::move(fingerprints),
-                      std::make_shared<const kernel::MotionAdjacency>(motion),
-                      generation, intakeRecords, std::move(tieredIndex)) {}
-
-  /// Adopts a prebuilt adjacency — e.g. a non-owning view into an
-  /// mmap'd venue image (src/image), kept alive by whatever
-  /// `adjacency`'s control block owns.  `adjacency` must be non-null
-  /// (throws std::invalid_argument).
-  WorldSnapshot(std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-                std::shared_ptr<const kernel::MotionAdjacency> adjacency,
+                std::shared_ptr<const MotionDatabase> adjacency,
                 std::uint64_t generation, std::uint64_t intakeRecords,
                 std::shared_ptr<const index::TieredIndex> tieredIndex =
                     nullptr)
@@ -80,13 +67,13 @@ class WorldSnapshot {
   /// The tiered candidate index over fingerprints(), when the serving
   /// layer built one; null otherwise.  Built once before the snapshot
   /// is published, never mutated after — the same immutability
-  /// contract as the adjacency.
+  /// contract as the motion database.
   const std::shared_ptr<const index::TieredIndex>& tieredIndex() const {
     return tieredIndex_;
   }
 
-  /// The CSR index sessions score against; built once, immutable.
-  const kernel::MotionAdjacency& adjacency() const { return *adjacency_; }
+  /// The motion database sessions score against.
+  const MotionDatabase& adjacency() const { return *adjacency_; }
 
   /// Monotonic publish sequence number (the boot world is 0).
   std::uint64_t generation() const { return generation_; }
@@ -99,23 +86,23 @@ class WorldSnapshot {
     return publishedAt_;
   }
 
-  /// The snapshot's adjacency as a handle that *pins the snapshot*:
-  /// an aliasing shared_ptr whose control block owns the whole
-  /// WorldSnapshot.  Sessions hold only this — the motion world they
+  /// The snapshot's motion database as a handle that *pins the
+  /// snapshot*: an aliasing shared_ptr whose control block owns the
+  /// whole WorldSnapshot.  Sessions hold only this — the motion world they
   /// score against cannot be reclaimed out from under them even after
   /// the service publishes ten newer generations.
-  static std::shared_ptr<const kernel::MotionAdjacency> adjacencyOf(
+  static std::shared_ptr<const MotionDatabase> adjacencyOf(
       std::shared_ptr<const WorldSnapshot> snapshot) {
     if (!snapshot) return nullptr;
-    const kernel::MotionAdjacency* adjacency = &snapshot->adjacency();
-    return std::shared_ptr<const kernel::MotionAdjacency>(
-        std::move(snapshot), adjacency);
+    const MotionDatabase* adjacency = &snapshot->adjacency();
+    return std::shared_ptr<const MotionDatabase>(std::move(snapshot),
+                                                 adjacency);
   }
 
  private:
   std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
   std::shared_ptr<const index::TieredIndex> tieredIndex_;
-  std::shared_ptr<const kernel::MotionAdjacency> adjacency_;
+  std::shared_ptr<const MotionDatabase> adjacency_;
   std::uint64_t generation_ = 0;
   std::uint64_t intakeRecords_ = 0;
   std::chrono::steady_clock::time_point publishedAt_;

@@ -29,9 +29,9 @@ class ImageError : public std::runtime_error {
 ///
 /// A venue image stores the *exact in-memory layouts* the serving
 /// stack computes at startup — the blocked kernel::FlatMatrix (the
-/// radio map's only copy), the CSR kernel::MotionAdjacency arrays
-/// (precomputed PairWindow constants included), and the
-/// index::TieredIndex shards (signature bytes and column profiles) —
+/// radio map's only copy), the CSR arrays of core::MotionDatabase
+/// (each entry a kernel::PairWindow, window constants included), and
+/// the index::TieredIndex shards (signature bytes and column profiles) —
 /// so the loader maps the file read-only and serves straight out of
 /// the page cache: no parsing, no quantizing, no pass over the RSS
 /// values.
@@ -53,13 +53,13 @@ class ImageError : public std::runtime_error {
 
 inline constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'I',
                                    'M', 'G'};
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Section payloads start at multiples of this (cache-line sized, and
 /// a multiple of every element alignment used by a section).
 inline constexpr std::size_t kSectionAlignment = 64;
 
-/// Hard cap on the section count: v3 defines 12 section ids, so any
+/// Hard cap on the section count: v4 defines 12 section ids, so any
 /// larger table is damage (and the cap bounds hostile allocation).
 inline constexpr std::uint32_t kMaxSections = 64;
 
@@ -67,7 +67,7 @@ enum class SectionId : std::uint32_t {
   kMeta = 1,               ///< Encoded ImageMeta (store::detail codec).
   kLocationIds = 2,        ///< env::LocationId[n], insertion order.
   // Id 3 held a row-major copy of the RSS values up to v2; it is
-  // retired, and a v3 loader rejects it as an unknown section.
+  // retired, and the loader rejects it as an unknown section.
   kFlatBlocked = 4,        ///< double[paddedRows * apCount], AoSoA.
   kAdjacencyRowStart = 5,  ///< std::size_t[adjacencyLocations + 1].
   kAdjacencyEdges = 6,     ///< kernel::PairWindow[edgeCount].
@@ -135,6 +135,7 @@ static_assert(std::has_unique_object_representations_v<ShardRecord>);
 static_assert(sizeof(kernel::PairWindow) == 56);
 static_assert(alignof(kernel::PairWindow) == 8);
 static_assert(offsetof(kernel::PairWindow, to) == 0);
+static_assert(offsetof(kernel::PairWindow, sampleCount) == 4);
 static_assert(offsetof(kernel::PairWindow, muDirectionDeg) == 8);
 static_assert(offsetof(kernel::PairWindow, sigmaDirectionDeg) == 16);
 static_assert(offsetof(kernel::PairWindow, invSqrt2SigmaDir) == 24);
@@ -155,7 +156,7 @@ inline constexpr std::uint32_t kLayoutTag =
 struct ImageMeta {
   std::uint64_t locationCount = 0;
   std::uint64_t apCount = 0;
-  /// MotionAdjacency::locationCount() — may exceed locationCount (the
+  /// MotionDatabase::locationCount() — may exceed locationCount (the
   /// motion world can know locations the survey never fingerprinted)
   /// but every fingerprinted id must lie below it.
   std::uint64_t adjacencyLocationCount = 0;

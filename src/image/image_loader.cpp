@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "kernel/fingerprint_kernel.hpp"
@@ -31,9 +30,7 @@ struct VenueImage::Core {
   std::vector<std::uint8_t> heap;
 
   radio::FingerprintDatabase db;
-  /// Set once the views are built (an adjacency is always built from
-  /// a database or as a view, never empty).
-  std::optional<kernel::MotionAdjacency> adjacency;
+  core::MotionDatabase adjacency;
 
   Core() = default;
   Core(const Core&) = delete;
@@ -408,7 +405,7 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   } catch (const std::invalid_argument& e) {
     fail(std::string("fingerprint sections rejected: ") + e.what());
   }
-  core->adjacency = kernel::MotionAdjacency::view(
+  core->adjacency = core::MotionDatabase::view(
       {rowStart, static_cast<std::size_t>(adjLocs) + 1},
       {edges, static_cast<std::size_t>(meta.edgeCount)});
 
@@ -418,8 +415,8 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   std::shared_ptr<const Core> owned = std::move(core);
   image.fingerprints_ = std::shared_ptr<const radio::FingerprintDatabase>(
       owned, &owned->db);
-  image.adjacency_ = std::shared_ptr<const kernel::MotionAdjacency>(
-      owned, &*owned->adjacency);
+  image.adjacency_ = std::shared_ptr<const core::MotionDatabase>(
+      owned, &owned->adjacency);
   if (meta.hasIndex) {
     index::IndexConfig config = meta.index;
     config.exhaustiveCheck = false;

@@ -5,9 +5,9 @@
 #include <span>
 #include <string>
 
+#include "core/motion_database.hpp"
 #include "image/format.hpp"
 #include "index/tiered_index.hpp"
-#include "kernel/motion_kernel.hpp"
 #include "radio/fingerprint_database.hpp"
 
 namespace moloc::image {
@@ -37,10 +37,10 @@ enum class VerifyMode {
 /// out from under a view.
 ///
 /// Construction performs no parsing or allocation proportional to the
-/// bulk data: the FlatMatrix (the radio map's only copy), CSR
-/// adjacency, and index shards are views into the mapping.  The only
-/// O(n) work is the small per-row tables (the id table and its hash)
-/// — bytes, not megabytes, per location.
+/// bulk data: the FlatMatrix (the radio map's only copy), the motion
+/// database's CSR rows, and index shards are views into the mapping.
+/// The only O(n) work is the small per-row tables (the id table and
+/// its hash) — bytes, not megabytes, per location.
 class VenueImage {
  public:
   /// Maps `path` read-only and fully validates it: load cost is
@@ -67,7 +67,7 @@ class VenueImage {
       const {
     return fingerprints_;
   }
-  const std::shared_ptr<const kernel::MotionAdjacency>& adjacency() const {
+  const std::shared_ptr<const core::MotionDatabase>& adjacency() const {
     return adjacency_;
   }
   /// Null when the image was written without an index.
@@ -83,7 +83,7 @@ class VenueImage {
 
   std::shared_ptr<const Core> core_;
   std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
-  std::shared_ptr<const kernel::MotionAdjacency> adjacency_;
+  std::shared_ptr<const core::MotionDatabase> adjacency_;
   std::shared_ptr<const index::TieredIndex> index_;
   ImageMeta meta_;
   bool mapped_ = false;

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <span>
@@ -136,7 +135,7 @@ ImageWriteInfo writeVenueImage(const std::string& path,
   const auto& db = world.fingerprints();
   if (!db)
     throw ImageError("writeVenueImage: world has no fingerprint database");
-  const kernel::MotionAdjacency& adjacency = world.adjacency();
+  const core::MotionDatabase& adjacency = world.adjacency();
   const index::TieredIndex* index = world.tieredIndex().get();
 
   const std::size_t n = db->size();
@@ -146,7 +145,7 @@ ImageWriteInfo writeVenueImage(const std::string& path,
   meta.locationCount = n;
   meta.apCount = apCount;
   meta.adjacencyLocationCount = adjacency.locationCount();
-  meta.edgeCount = adjacency.edgeCount();
+  meta.edgeCount = adjacency.entryCount();
   meta.generation = world.generation();
   meta.intakeRecords = world.intakeRecords();
   meta.hasIndex = index != nullptr;
@@ -220,43 +219,16 @@ ImageWriteInfo writeVenueImage(const std::string& path,
   out.beginSection();
   {
     const std::span<const std::size_t> rowStarts = adjacency.rowStarts();
-    if (rowStarts.empty()) {
-      // A never-built adjacency has no offsets; its CSR form is one
-      // zero sentinel over zero locations.
-      const std::size_t zero = 0;
-      out.write(&zero, sizeof(zero));
-    } else {
-      out.write(rowStarts.data(), rowStarts.size() * sizeof(std::size_t));
-    }
+    out.write(rowStarts.data(), rowStarts.size() * sizeof(std::size_t));
   }
   table.push_back(out.endSection(SectionId::kAdjacencyRowStart));
 
-  // kAdjacencyEdges: PairWindow has 4 padding bytes after `to`; copy
-  // chunks through a zeroed staging buffer, field by field, so the
-  // file never carries uninitialized padding (and the CRC is a pure
-  // function of the values).
+  // kAdjacencyEdges: PairWindow has no padding, so the array is
+  // written verbatim.
   out.beginSection();
   {
     const std::span<const kernel::PairWindow> edges = adjacency.edges();
-    constexpr std::size_t kEdgeChunk = 2048;
-    std::vector<kernel::PairWindow> staged(
-        std::min(edges.size(), kEdgeChunk));
-    for (std::size_t base = 0; base < edges.size(); base += kEdgeChunk) {
-      const std::size_t take = std::min(kEdgeChunk, edges.size() - base);
-      std::memset(static_cast<void*>(staged.data()), 0,
-                  take * sizeof(kernel::PairWindow));
-      for (std::size_t e = 0; e < take; ++e) {
-        const kernel::PairWindow& w = edges[base + e];
-        staged[e].to = w.to;
-        staged[e].muDirectionDeg = w.muDirectionDeg;
-        staged[e].sigmaDirectionDeg = w.sigmaDirectionDeg;
-        staged[e].invSqrt2SigmaDir = w.invSqrt2SigmaDir;
-        staged[e].muOffsetMeters = w.muOffsetMeters;
-        staged[e].sigmaOffsetMeters = w.sigmaOffsetMeters;
-        staged[e].invSqrt2SigmaOff = w.invSqrt2SigmaOff;
-      }
-      out.write(staged.data(), take * sizeof(kernel::PairWindow));
-    }
+    out.write(edges.data(), edges.size() * sizeof(kernel::PairWindow));
   }
   table.push_back(out.endSection(SectionId::kAdjacencyEdges));
 

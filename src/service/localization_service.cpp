@@ -47,7 +47,9 @@ std::shared_ptr<const core::WorldSnapshot> bootWorld(
         fingerprints, indexConfig, config.indexShardStarts);
   }
   return std::make_shared<const core::WorldSnapshot>(
-      std::move(fingerprints), motion, 0, 0, std::move(index));
+      std::move(fingerprints),
+      std::make_shared<const core::MotionDatabase>(motion), 0, 0,
+      std::move(index));
 }
 
 LocalizationService::LocalizationService(
@@ -194,7 +196,7 @@ void LocalizationService::adoptWorld(core::LocalizationSession& session) {
   // pins the adjacency it is bound to, so equal addresses always
   // mean the same live index (a freed one cannot be reused while
   // the session still holds it).
-  const kernel::MotionAdjacency* hint =
+  const core::MotionDatabase* hint =
       worldHint_.load(std::memory_order_acquire);
   if (hint == nullptr || session.motionAdjacency().get() == hint) return;
   // The world moved: copy the pinning handle under the brief world
@@ -356,8 +358,10 @@ void LocalizationService::publishWorld(core::OnlineMotionDatabase& db) {
   const std::uint64_t generation =
       worldGeneration_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto next = std::make_shared<const core::WorldSnapshot>(
-      fingerprints_, db.database(), generation, records, index_);
-  const kernel::MotionAdjacency* hint = &next->adjacency();
+      fingerprints_,
+      std::make_shared<const core::MotionDatabase>(db.database()),
+      generation, records, index_);
+  const core::MotionDatabase* hint = &next->adjacency();
   {
     // Held only for the handle swap; the retired world is released
     // outside the lock (its refcount may be the last).

@@ -133,7 +133,7 @@ class LocalizationService {
  public:
   /// Serves `world` as generation `world->generation()` of the serving
   /// world: its radio map, tiered index (null = exact scan) and motion
-  /// adjacency are what every session is built on, and every world the
+  /// database are what every session is built on, and every world the
   /// intake publishes later shares the radio map and index.  Throws
   /// util::ConfigError on a null world, one without a radio map or
   /// with an empty one, zero shards, or a candidate count of zero.
@@ -296,7 +296,7 @@ class LocalizationService {
   /// A session plus the mutex serializing its scans.
   struct SessionSlot {
     SessionSlot(core::CandidateEstimator estimator,
-                std::shared_ptr<const kernel::MotionAdjacency> motion,
+                std::shared_ptr<const core::MotionDatabase> motion,
                 double stepLengthMeters, const core::MoLocConfig& engine,
                 const sensors::MotionProcessorParams& motionParams)
         : session(std::move(estimator), std::move(motion),
@@ -362,7 +362,7 @@ class LocalizationService {
   mutable util::Mutex worldMu_;
   std::shared_ptr<const core::WorldSnapshot> world_
       MOLOC_GUARDED_BY(worldMu_);
-  std::atomic<const kernel::MotionAdjacency*> worldHint_{nullptr};
+  std::atomic<const core::MotionDatabase*> worldHint_{nullptr};
   /// Publish sequence; starts at the served world's generation.
   std::atomic<std::uint64_t> worldGeneration_{0};
   std::vector<Shard> shards_;

@@ -275,7 +275,8 @@ GeneratedVenue::GeneratedVenue(VenueSpec spec)
 
   // Map-derived motion database: one RLM pair (and its mirror) per
   // walk edge.
-  motion_ = core::MotionDatabase(n);
+  std::vector<core::MotionEntry> entries;
+  entries.reserve(2 * edges.size());
   for (const auto& edge : edges) {
     core::RlmStats stats;
     stats.muDirectionDeg = edge.headingDeg;
@@ -283,8 +284,9 @@ GeneratedVenue::GeneratedVenue(VenueSpec spec)
     stats.muOffsetMeters = edge.length;
     stats.sigmaOffsetMeters = kRlmSigmaOffsetMeters;
     stats.sampleCount = kRlmSampleCount;
-    motion_.setEntryWithMirror(edge.a, edge.b, stats);
+    core::appendWithMirror(entries, edge.a, edge.b, stats);
   }
+  motion_ = core::MotionDatabase(n, entries);
 }
 
 void GeneratedVenue::fillScan(env::LocationId location,

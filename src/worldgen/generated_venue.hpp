@@ -49,7 +49,7 @@ struct FloorInfo {
 /// WalkGraph::fromEdges; a survey-protocol radio map (trainSamples
 /// noisy kSurvey scans per location, cycling N/E/S/W facings,
 /// averaged per AP) into a radio::FingerprintDatabase; and
-/// map-derived RLM entries for every walk edge into a sparse
+/// map-derived RLM entries for every walk edge into a
 /// core::MotionDatabase.  The result plugs into
 /// LocalizationService / molocd unchanged.
 class GeneratedVenue {

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "core/moloc_engine.hpp"
+#include "motion_support.hpp"
 #include "radio/probabilistic_database.hpp"
 
 namespace moloc::core {
@@ -30,11 +31,9 @@ radio::ProbabilisticFingerprintDatabase twinWorldDb() {
 }
 
 MotionDatabase twinWorldMotion() {
-  MotionDatabase motion(3);
   // 0 -> 2: east; 1 -> 2: north (the disambiguating legs).
-  motion.setEntryWithMirror(0, 2, {90.0, 4.0, 6.0, 0.3, 20});
-  motion.setEntryWithMirror(1, 2, {0.0, 4.0, 6.0, 0.3, 20});
-  return motion;
+  return test_support::mirroredDb(3, {{0, 2, {90.0, 4.0, 6.0, 0.3, 20}},
+                                      {1, 2, {0.0, 4.0, 6.0, 0.3, 20}}});
 }
 
 /// The engine over the probabilistic backend, via the general
@@ -43,7 +42,7 @@ MoLocEngine probabilisticEngine(
     const radio::ProbabilisticFingerprintDatabase& db,
     const MotionDatabase& motion) {
   return MoLocEngine(CandidateEstimator(db, 3),
-                     std::make_shared<const kernel::MotionAdjacency>(motion),
+                     std::make_shared<const MotionDatabase>(motion),
                      {3, {}});
 }
 

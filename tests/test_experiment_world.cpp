@@ -1,10 +1,10 @@
 #include "eval/experiment_world.hpp"
 #include "geometry/angles.hpp"
+#include "motion_support.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -190,35 +190,15 @@ TEST(RunComparison, ErrorsAreConsistentWithGeometry) {
 /// bit patterns, sampleCount) in the database's iteration order — and
 /// then the builder report's counts.
 std::uint64_t motionDatabaseDigest(const ExperimentWorld& world) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xffU;
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  const auto bits = [](double value) {
-    std::uint64_t out;
-    std::memcpy(&out, &value, sizeof out);
-    return out;
-  };
-  world.motionDb().forEachEntry(
-      [&](env::LocationId i, env::LocationId j, const core::RlmStats& s) {
-        mix(static_cast<std::uint64_t>(i));
-        mix(static_cast<std::uint64_t>(j));
-        mix(bits(s.muDirectionDeg));
-        mix(bits(s.sigmaDirectionDeg));
-        mix(bits(s.muOffsetMeters));
-        mix(bits(s.sigmaOffsetMeters));
-        mix(static_cast<std::uint64_t>(s.sampleCount));
-      });
+  test_support::Fnv64 hash;
+  hash.mix(world.motionDb());
   const auto& report = world.builderReport();
-  mix(report.observations);
-  mix(report.droppedSelfPairs);
-  mix(report.rejectedCoarse);
-  mix(report.rejectedFine);
-  mix(report.pairsStored);
-  return hash;
+  hash.mix(report.observations);
+  hash.mix(report.droppedSelfPairs);
+  hash.mix(report.rejectedCoarse);
+  hash.mix(report.rejectedFine);
+  hash.mix(report.pairsStored);
+  return hash.value();
 }
 
 TEST(ExperimentWorld, MotionDatabaseIsPinned) {

@@ -6,10 +6,12 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "core/moloc_engine.hpp"
 #include "core/online_motion_database.hpp"
 #include "eval/experiment_world.hpp"
+#include "motion_support.hpp"
 #include "radio/fingerprint_database.hpp"
 
 namespace moloc {
@@ -52,8 +54,8 @@ TEST(FailureInjection, EngineSurvivesNonFiniteMotion) {
   radio::FingerprintDatabase fingerprints;
   fingerprints.addLocation(0, radio::Fingerprint({-40.0, -70.0}));
   fingerprints.addLocation(1, radio::Fingerprint({-70.0, -40.0}));
-  core::MotionDatabase motion(2);
-  motion.setEntryWithMirror(0, 1, {90.0, 5.0, 4.0, 0.3, 9});
+  const core::MotionDatabase motion =
+      test_support::mirroredDb(2, {{0, 1, {90.0, 5.0, 4.0, 0.3, 9}}});
 
   core::MoLocEngine engine(fingerprints, motion);
   engine.localize(radio::Fingerprint({-40.0, -70.0}), std::nullopt);
@@ -110,11 +112,11 @@ TEST(FailureInjection, InPlanePoisonShiftsButFineFilterResists) {
 }
 
 TEST(FailureInjection, MotionMatcherHandlesDegenerateStats) {
-  core::MotionDatabase db(2);
   // Zero sigmas (should never be produced by the intake, but the
   // matcher must not divide by zero if constructed by hand).
-  db.setEntryWithMirror(0, 1, {90.0, 0.0, 4.0, 0.0, 1});
-  const core::MotionMatcher matcher(db);
+  const core::MotionMatcher matcher(
+      std::make_shared<const core::MotionDatabase>(
+          test_support::mirroredDb(2, {{0, 1, {90.0, 0.0, 4.0, 0.0, 1}}})));
   const double exact = matcher.pairProbability(0, 1, {90.0, 4.0});
   const double off = matcher.pairProbability(0, 1, {140.0, 9.0});
   EXPECT_TRUE(std::isfinite(exact));

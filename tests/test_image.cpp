@@ -76,22 +76,21 @@ radio::Fingerprint makeQuery(std::size_t apCount, util::Rng& rng) {
   return radio::Fingerprint(std::move(rss));
 }
 
-core::MotionDatabase makeMotion(std::size_t locations,
-                                std::uint64_t seed) {
-  core::MotionDatabase motion(locations);
+std::shared_ptr<const core::MotionDatabase> makeMotion(
+    std::size_t locations, std::uint64_t seed) {
+  std::vector<core::MotionEntry> entries;
   util::Rng rng(seed);
   for (std::size_t i = 0; i + 1 < locations; ++i) {
-    motion.setEntry(static_cast<env::LocationId>(i),
-                    static_cast<env::LocationId>(i + 1),
-                    {rng.uniform(0.0, 180.0), 4.0,
-                     rng.uniform(2.0, 6.0), 0.3, 20});
+    const auto from = static_cast<env::LocationId>(i);
+    entries.push_back({from, from + 1,
+                       {rng.uniform(0.0, 180.0), 4.0,
+                        rng.uniform(2.0, 6.0), 0.3, 20}});
     if (i + 2 < locations && i % 3 == 0)
-      motion.setEntry(static_cast<env::LocationId>(i + 2),
-                      static_cast<env::LocationId>(i),
-                      {rng.uniform(-180.0, 0.0), 5.0,
-                       rng.uniform(2.0, 6.0), 0.4, 12});
+      entries.push_back({from + 2, from,
+                         {rng.uniform(-180.0, 0.0), 5.0,
+                          rng.uniform(2.0, 6.0), 0.4, 12}});
   }
-  return motion;
+  return std::make_shared<const core::MotionDatabase>(locations, entries);
 }
 
 std::shared_ptr<const core::WorldSnapshot> makeWorld(
@@ -179,13 +178,16 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
   const auto& adjB = *image.adjacency();
   EXPECT_TRUE(adjB.isView());
   ASSERT_EQ(adjB.locationCount(), adjA.locationCount());
-  ASSERT_EQ(adjB.edgeCount(), adjA.edgeCount());
+  ASSERT_EQ(adjB.entryCount(), adjA.entryCount());
   EXPECT_EQ(std::memcmp(adjA.rowStarts().data(), adjB.rowStarts().data(),
                         adjA.rowStarts().size() * sizeof(std::size_t)),
             0);
   EXPECT_EQ(std::memcmp(adjA.edges().data(), adjB.edges().data(),
-                        adjA.edgeCount() * sizeof(kernel::PairWindow)),
+                        adjA.entryCount() * sizeof(kernel::PairWindow)),
             0);
+  // Every entry field survives, the sample count included.
+  EXPECT_EQ(adjB.entry(0, 1)->sampleCount, 20);
+  EXPECT_EQ(adjB.entry(2, 0)->sampleCount, 12);
 
   // Index: same shard structure, bitwise-identical answers.
   ASSERT_EQ(image.tieredIndex()->shardCount(),
@@ -217,7 +219,7 @@ TEST(VenueImage, MmapAndFromBufferAreBitwiseIdentical) {
   ASSERT_EQ(viaMmap.locationCount(), viaBuffer.locationCount());
   EXPECT_EQ(std::memcmp(viaMmap.adjacency()->edges().data(),
                         viaBuffer.adjacency()->edges().data(),
-                        viaMmap.adjacency()->edgeCount() *
+                        viaMmap.adjacency()->entryCount() *
                             sizeof(kernel::PairWindow)),
             0);
   util::Rng rng(7);
@@ -239,23 +241,24 @@ TEST(VenueImage, HallWorldRoundTripsBitwise) {
   const core::WorldSnapshot boot(
       std::make_shared<const radio::FingerprintDatabase>(
           world.fingerprintDb()),
-      world.motionDb(), /*generation=*/0, /*intakeRecords=*/0);
+      std::make_shared<const core::MotionDatabase>(world.motionDb()),
+      /*generation=*/0, /*intakeRecords=*/0);
   const std::string path = freshDir("hall") + "/hall.img";
   writeVenueImage(path, boot);
   const VenueImage image = VenueImage::open(path);
   EXPECT_FALSE(image.hasIndex());
 
-  const kernel::MotionAdjacency expected(world.motionDb());
-  const kernel::MotionAdjacency& loaded = *image.adjacency();
-  ASSERT_GT(expected.edgeCount(), 0u);
+  const core::MotionDatabase& expected = world.motionDb();
+  const core::MotionDatabase& loaded = *image.adjacency();
+  ASSERT_GT(expected.entryCount(), 0u);
   ASSERT_EQ(loaded.locationCount(), expected.locationCount());
-  ASSERT_EQ(loaded.edgeCount(), expected.edgeCount());
+  ASSERT_EQ(loaded.entryCount(), expected.entryCount());
   EXPECT_EQ(std::memcmp(expected.rowStarts().data(),
                         loaded.rowStarts().data(),
                         expected.rowStarts().size() * sizeof(std::size_t)),
             0);
   EXPECT_EQ(std::memcmp(expected.edges().data(), loaded.edges().data(),
-                        expected.edgeCount() * sizeof(kernel::PairWindow)),
+                        expected.entryCount() * sizeof(kernel::PairWindow)),
             0);
 
   // Probes: every surveyed fingerprint, then random scans.
@@ -304,7 +307,7 @@ TEST(VenueImage, ViewsPinTheMappingAfterTheImageHandleDies) {
   writeVenueImage(path, *world);
 
   std::shared_ptr<const radio::FingerprintDatabase> db;
-  std::shared_ptr<const kernel::MotionAdjacency> adjacency;
+  std::shared_ptr<const core::MotionDatabase> adjacency;
   std::shared_ptr<const index::TieredIndex> index;
   {
     const VenueImage image = VenueImage::open(path);
@@ -321,7 +324,7 @@ TEST(VenueImage, ViewsPinTheMappingAfterTheImageHandleDies) {
   db->queryInto(query, 4, exact);
   index->queryInto(query, 4, tiered);
   expectMatchesBitwiseEqual(exact, tiered);
-  EXPECT_GT(adjacency->edgeCount(), 0u);
+  EXPECT_GT(adjacency->entryCount(), 0u);
   EXPECT_EQ(adjacency->outEdges(0).size(),
             world->adjacency().outEdges(0).size());
   // Drop the database and index; the adjacency alone must still pin
@@ -330,7 +333,7 @@ TEST(VenueImage, ViewsPinTheMappingAfterTheImageHandleDies) {
   index.reset();
   EXPECT_EQ(std::memcmp(adjacency->edges().data(),
                         world->adjacency().edges().data(),
-                        adjacency->edgeCount() * sizeof(kernel::PairWindow)),
+                        adjacency->entryCount() * sizeof(kernel::PairWindow)),
             0);
 }
 
@@ -355,7 +358,7 @@ TEST(VenueImage, ImageBackedWorldSnapshotServesTheSameWorld) {
   auto alias = core::WorldSnapshot::adjacencyOf(adopted);
   adopted.reset();
   ASSERT_NE(alias, nullptr);
-  EXPECT_EQ(alias->edgeCount(), world->adjacency().edgeCount());
+  EXPECT_EQ(alias->entryCount(), world->adjacency().entryCount());
   for (env::LocationId id = 0;
        static_cast<std::size_t>(id) < world->adjacency().locationCount();
        ++id) {
@@ -393,7 +396,8 @@ TEST(VenueImage, WriterRejectsWorldViolatingTheServingInvariant) {
   // outEdges() over-read at serve time; the writer must refuse.
   auto db = std::make_shared<radio::FingerprintDatabase>();
   db->addLocation(5, radio::Fingerprint({-50.0, -60.0}));
-  const core::WorldSnapshot world(db, core::MotionDatabase(3), 1, 0);
+  const core::WorldSnapshot world(
+      db, std::make_shared<const core::MotionDatabase>(3), 1, 0);
   const std::string dir = freshDir("invariant");
   EXPECT_THROW(writeVenueImage(dir + "/venue.img", world), ImageError);
 }
@@ -506,7 +510,7 @@ TEST(VenueImage, ViewStructuresRefuseMutation) {
   entry[0] = -1.0;
   EXPECT_EQ(image.fingerprints()->entryAt(0)[0], stored);
 
-  const kernel::MotionAdjacency adjacency = *image.adjacency();
+  const core::MotionDatabase adjacency = *image.adjacency();
   EXPECT_TRUE(adjacency.isView());  // A copied view stays a view.
 }
 
@@ -700,8 +704,9 @@ TEST(VenueImage, OlderVersionImagesAreRejectedWithATypedError) {
   std::memcpy(&header, written.data(), sizeof(header));
   ASSERT_EQ(header.version, kFormatVersion);
   // v1: thermometer bit planes, no column profiles.  v2: a row-major
-  // copy of the radio map in section 3.
-  for (const std::uint32_t version : {1u, 2u}) {
+  // copy of the radio map in section 3.  v3: zeroed padding where v4
+  // stores each edge's sample count.
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     std::vector<std::uint8_t> bytes = written;
     header.version = version;
     std::memcpy(bytes.data(), &header, sizeof(header));

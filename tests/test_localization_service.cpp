@@ -15,6 +15,7 @@
 #include "core/localization_session.hpp"
 #include "core/online_motion_database.hpp"
 #include "intake_state.hpp"
+#include "motion_support.hpp"
 #include "obs/metrics.hpp"
 #include "store/state_store.hpp"
 #include "sensors/accelerometer_model.hpp"
@@ -38,12 +39,10 @@ radio::FingerprintDatabase twinFingerprints() {
 }
 
 core::MotionDatabase twinMotion() {
-  core::MotionDatabase db(5);
-  db.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
-  db.setEntryWithMirror(2, 3, {90.0, 4.0, 4.0, 0.3, 20});
-  db.setEntryWithMirror(1, 4, {117.0, 4.0, 8.9, 0.4, 20});
-  db.setEntryWithMirror(3, 4, {63.0, 4.0, 8.9, 0.4, 20});
-  return db;
+  return test_support::mirroredDb(5, {{0, 1, {90.0, 4.0, 4.0, 0.3, 20}},
+                                      {2, 3, {90.0, 4.0, 4.0, 0.3, 20}},
+                                      {1, 4, {117.0, 4.0, 8.9, 0.4, 20}},
+                                      {3, 4, {63.0, 4.0, 8.9, 0.4, 20}}});
 }
 
 /// A deterministic walking IMU trace (3 s at 50 Hz, heading east).
@@ -546,8 +545,8 @@ TEST(LocalizationService, RejectsZeroCandidatesAndAnEmptyRadioMap) {
   // The world constructor, which the databases one delegates to, is
   // where both are checked.
   const auto emptyWorld = std::make_shared<const core::WorldSnapshot>(
-      std::make_shared<const radio::FingerprintDatabase>(), twinMotion(),
-      0, 0);
+      std::make_shared<const radio::FingerprintDatabase>(),
+      std::make_shared<const core::MotionDatabase>(twinMotion()), 0, 0);
   EXPECT_THROW(LocalizationService(emptyWorld, testConfig()),
                util::ConfigError);
 }

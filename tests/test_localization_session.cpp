@@ -102,9 +102,7 @@ TEST(LocalizationSession, ProbabilisticBackendWorks) {
                                       radio::Fingerprint({-71.0, -41.0})};
   fingerprints.addLocation(0, near);
   fingerprints.addLocation(1, far);
-  const MotionDatabase motion(2);
-  const auto adjacency =
-      std::make_shared<const kernel::MotionAdjacency>(motion);
+  const auto adjacency = std::make_shared<const MotionDatabase>(2);
   const CandidateEstimator estimator(fingerprints,
                                      MoLocConfig{}.candidateCount);
   LocalizationSession session(estimator, adjacency, 0.72);

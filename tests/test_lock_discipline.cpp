@@ -22,6 +22,7 @@
 
 #include "core/online_motion_database.hpp"
 #include "env/floor_plan.hpp"
+#include "motion_support.hpp"
 #include "sensors/imu_trace.hpp"
 #include "service/localization_service.hpp"
 #include "store/state_store.hpp"
@@ -38,10 +39,8 @@ radio::FingerprintDatabase fingerprints() {
 }
 
 core::MotionDatabase motion() {
-  core::MotionDatabase db(3);
-  db.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
-  db.setEntryWithMirror(1, 2, {117.0, 4.0, 8.9, 0.4, 20});
-  return db;
+  return test_support::mirroredDb(3, {{0, 1, {90.0, 4.0, 4.0, 0.3, 20}},
+                                      {1, 2, {117.0, 4.0, 8.9, 0.4, 20}}});
 }
 
 std::string freshDir() {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 
+#include "motion_support.hpp"
+
 namespace moloc::core {
 namespace {
 
@@ -20,7 +22,7 @@ namespace {
 /// legs 0-1 and 2-3 (east, 4 m) and the legs 1-4 / 3-4.
 class TwinWorld {
  public:
-  TwinWorld() : motion_(5) {
+  TwinWorld() {
     // Twins share a fingerprint; the unique location is far away in
     // signal space.
     fingerprints_.addLocation(0, radio::Fingerprint({-50.0, -60.0}));
@@ -28,16 +30,15 @@ class TwinWorld {
     fingerprints_.addLocation(2, radio::Fingerprint({-50.1, -60.1}));
     fingerprints_.addLocation(3, radio::Fingerprint({-55.1, -57.1}));
     fingerprints_.addLocation(4, radio::Fingerprint({-70.0, -40.0}));
-
-    motion_.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
-    motion_.setEntryWithMirror(2, 3, {90.0, 4.0, 4.0, 0.3, 20});
-    // 1 -> 4: south-east; 3 -> 4: north-east.
-    motion_.setEntryWithMirror(1, 4, {117.0, 4.0, 8.9, 0.4, 20});
-    motion_.setEntryWithMirror(3, 4, {63.0, 4.0, 8.9, 0.4, 20});
   }
 
   radio::FingerprintDatabase fingerprints_;
-  MotionDatabase motion_;
+  // 0 -> 1 and 2 -> 3: east; 1 -> 4: south-east; 3 -> 4: north-east.
+  MotionDatabase motion_ =
+      test_support::mirroredDb(5, {{0, 1, {90.0, 4.0, 4.0, 0.3, 20}},
+                                   {2, 3, {90.0, 4.0, 4.0, 0.3, 20}},
+                                   {1, 4, {117.0, 4.0, 8.9, 0.4, 20}},
+                                   {3, 4, {63.0, 4.0, 8.9, 0.4, 20}}});
 };
 
 class EngineTest : public ::testing::Test {
@@ -263,8 +264,7 @@ TEST(EngineDegenerateCandidates, EmptyCandidateSourceYieldsNoFix) {
       },
       5);
   MoLocEngine engine(std::move(empty),
-                     std::make_shared<const kernel::MotionAdjacency>(
-                         world.motion_),
+                     std::make_shared<const MotionDatabase>(world.motion_),
                      MoLocConfig{5, {}});
 
   const auto first =
@@ -300,8 +300,7 @@ TEST(EngineDegenerateCandidates, AllZeroProbabilitiesYieldUniformNotNaN) {
       },
       3);
   MoLocEngine engine(std::move(zeros),
-                     std::make_shared<const kernel::MotionAdjacency>(
-                         world.motion_),
+                     std::make_shared<const MotionDatabase>(world.motion_),
                      MoLocConfig{3, {}});
   const auto fix =
       engine.localize(radio::Fingerprint({-50.0, -60.0}), std::nullopt);

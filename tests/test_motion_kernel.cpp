@@ -22,8 +22,9 @@ core::RlmStats stats(double muDir, double sigmaDir, double muOff,
 }
 
 TEST(MotionKernelTest, MakeWindowPrecomputesInverseSigmaConstants) {
-  const auto w = makeWindow(3, stats(90.0, 12.0, 4.0, 0.8));
+  const auto w = core::makeWindow(3, stats(90.0, 12.0, 4.0, 0.8));
   EXPECT_EQ(w.to, 3);
+  EXPECT_EQ(w.sampleCount, 5);
   EXPECT_EQ(w.muDirectionDeg, 90.0);
   EXPECT_EQ(w.invSqrt2SigmaDir, 1.0 / (12.0 * kSqrt2));
   EXPECT_EQ(w.muOffsetMeters, 4.0);
@@ -31,10 +32,10 @@ TEST(MotionKernelTest, MakeWindowPrecomputesInverseSigmaConstants) {
 }
 
 TEST(MotionKernelTest, MakeWindowZeroesConstantsForDegenerateSigma) {
-  const auto zero = makeWindow(0, stats(0.0, 0.0, 1.0, -1.0));
+  const auto zero = core::makeWindow(0, stats(0.0, 0.0, 1.0, -1.0));
   EXPECT_EQ(zero.invSqrt2SigmaDir, 0.0);
   EXPECT_EQ(zero.invSqrt2SigmaOff, 0.0);
-  const auto nan = makeWindow(
+  const auto nan = core::makeWindow(
       0, stats(0.0, std::numeric_limits<double>::quiet_NaN(), 1.0, 2.0));
   EXPECT_EQ(nan.invSqrt2SigmaDir, 0.0);
   EXPECT_NE(nan.invSqrt2SigmaOff, 0.0);
@@ -76,61 +77,67 @@ TEST(MotionKernelTest, GaussianWindowGuardsNonFiniteSigma) {
   EXPECT_EQ(core::circularGaussianWindowProbability(40.0, 15.0, nan), 0.0);
 }
 
-TEST(MotionAdjacencyTest, RebuildIndexesExactlyThePopulatedPairs) {
-  core::MotionDatabase db(4);
-  db.setEntry(0, 1, stats(90.0, 10.0, 4.0, 1.0));
-  db.setEntry(0, 3, stats(45.0, 8.0, 6.0, 1.5));
-  db.setEntry(2, 1, stats(270.0, 12.0, 3.0, 0.5));
+TEST(MotionDatabaseCsrTest, RebuildIndexesExactlyThePopulatedPairs) {
+  // Entries arrive in any order; each row comes out sorted by
+  // destination and holds exactly its populated pairs.
+  const std::vector<core::MotionEntry> entries{
+      {0, 3, stats(45.0, 8.0, 6.0, 1.5)},
+      {2, 1, stats(270.0, 12.0, 3.0, 0.5)},
+      {0, 1, stats(90.0, 10.0, 4.0, 1.0)}};
+  const core::MotionDatabase db(4, entries);
+  EXPECT_EQ(db.locationCount(), 4u);
+  EXPECT_EQ(db.entryCount(), entries.size());
+  ASSERT_EQ(db.rowStarts().size(), 5u);
+  EXPECT_EQ(db.rowStarts().back(), db.edges().size());
 
-  const MotionAdjacency adj(db);
-  EXPECT_EQ(adj.locationCount(), 4u);
-  EXPECT_EQ(adj.edgeCount(), db.entryCount());
-
-  const auto row0 = adj.outEdges(0);
+  const auto row0 = db.outEdges(0);
   ASSERT_EQ(row0.size(), 2u);
   EXPECT_EQ(row0[0].to, 1);  // Sorted by destination.
   EXPECT_EQ(row0[1].to, 3);
-  EXPECT_TRUE(adj.outEdges(1).empty());
-  EXPECT_TRUE(adj.outEdges(3).empty());
+  EXPECT_TRUE(db.outEdges(1).empty());
+  EXPECT_TRUE(db.outEdges(3).empty());
 
-  const PairWindow* found = adj.find(2, 1);
+  const PairWindow* found = db.find(2, 1);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->muDirectionDeg, 270.0);
+  EXPECT_EQ(found->sampleCount, 5);
   EXPECT_EQ(found->invSqrt2SigmaOff, 1.0 / (0.5 * kSqrt2));
-  EXPECT_EQ(adj.find(1, 2), nullptr);
-  EXPECT_EQ(adj.find(3, 0), nullptr);
+  EXPECT_EQ(db.find(1, 2), nullptr);
+  EXPECT_EQ(db.find(3, 0), nullptr);
 }
 
-TEST(MotionAdjacencyTest, BuiltIndexIsFrozenAndAFreshBuildSeesChanges) {
-  // The index has no link back to its source database: mutations after
-  // a build are invisible to it, and only a fresh build sees them.
-  // This is the contract the snapshot publication path relies on.
-  core::MotionDatabase db(3);
-  const MotionAdjacency empty(db);
+TEST(MotionDatabaseCsrTest, BuiltIndexIsFrozenAndAFreshBuildSeesChanges) {
+  // A database keeps no link to the entries it was built from: changes
+  // to them after a build are invisible to it, and only a fresh build
+  // sees them.  This is the contract the snapshot publication path
+  // relies on.
+  std::vector<core::MotionEntry> entries;
+  const core::MotionDatabase empty(3, entries);
   EXPECT_EQ(empty.locationCount(), 3u);
-  EXPECT_EQ(empty.edgeCount(), 0u);
+  EXPECT_EQ(empty.entryCount(), 0u);
 
-  db.setEntry(0, 1, stats(90.0, 10.0, 4.0, 1.0));
-  EXPECT_EQ(empty.edgeCount(), 0u);
+  entries.push_back({0, 1, stats(90.0, 10.0, 4.0, 1.0)});
+  EXPECT_EQ(empty.entryCount(), 0u);
   EXPECT_EQ(empty.find(0, 1), nullptr);
 
-  const MotionAdjacency populated(db);
-  EXPECT_EQ(populated.edgeCount(), 1u);
+  const core::MotionDatabase populated(3, entries);
+  EXPECT_EQ(populated.entryCount(), 1u);
   ASSERT_NE(populated.find(0, 1), nullptr);
   EXPECT_EQ(populated.find(0, 1)->muDirectionDeg, 90.0);
 
-  db.setEntry(1, 2, stats(0.0, 15.0, 5.0, 1.2));
-  EXPECT_EQ(populated.edgeCount(), 1u);  // Still the frozen build.
+  entries.push_back({1, 2, stats(0.0, 15.0, 5.0, 1.2)});
+  EXPECT_EQ(populated.entryCount(), 1u);  // Still the frozen build.
   EXPECT_EQ(populated.find(1, 2), nullptr);
-  EXPECT_EQ(MotionAdjacency(db).edgeCount(), 2u);
+  EXPECT_EQ(core::MotionDatabase(3, entries).entryCount(), 2u);
 }
 
 TEST(MotionMatcherKernelTest, ScoreCandidatesMatchesSetProbabilityBitwise) {
-  core::MotionDatabase db(5);
-  db.setEntryWithMirror(0, 1, stats(90.0, 10.0, 4.0, 1.0));
-  db.setEntryWithMirror(1, 2, stats(0.0, 15.0, 5.0, 1.2));
-  db.setEntry(3, 4, stats(180.0, 9.0, 2.5, 0.7));
-  const core::MotionMatcher matcher(db);
+  std::vector<core::MotionEntry> entries;
+  core::appendWithMirror(entries, 0, 1, stats(90.0, 10.0, 4.0, 1.0));
+  core::appendWithMirror(entries, 1, 2, stats(0.0, 15.0, 5.0, 1.2));
+  entries.push_back({3, 4, stats(180.0, 9.0, 2.5, 0.7)});
+  const core::MotionMatcher matcher(
+      std::make_shared<const core::MotionDatabase>(5, entries));
 
   const std::vector<core::WeightedCandidate> prev{
       {0, 0.4}, {1, 0.3}, {2, 0.2}, {4, 0.1}};
@@ -159,7 +166,8 @@ TEST(MotionMatcherKernelTest, RebindAdoptsNewerPublishedWorld) {
   core::BuilderConfig config;
   config.minSamplesPerPair = 3;
   core::OnlineMotionDatabase online(plan, config);
-  core::MotionMatcher matcher(online.database());
+  core::MotionMatcher matcher(
+      std::make_shared<const core::MotionDatabase>(online.database()));
 
   const std::vector<core::WeightedCandidate> prev{{0, 1.0}};
   const sensors::MotionMeasurement motion{90.0, 4.0};
@@ -175,9 +183,9 @@ TEST(MotionMatcherKernelTest, RebindAdoptsNewerPublishedWorld) {
   // Still the frozen world: late entries do not bleed into readers.
   EXPECT_EQ(matcher.setProbability(prev, 1, motion), before);
 
-  // Publish: freeze the database into a fresh shared index and rebind.
+  // Publish: freeze a fresh read into a shared database and rebind.
   const auto published =
-      std::make_shared<const MotionAdjacency>(online.database());
+      std::make_shared<const core::MotionDatabase>(online.database());
   matcher.rebind(published);
   EXPECT_EQ(matcher.adjacencyPtr().get(), published.get());
   EXPECT_GT(matcher.setProbability(prev, 1, motion), before);
@@ -187,13 +195,15 @@ TEST(MotionMatcherKernelTest, SurvivesDatabaseDestroyAndStorageReuse) {
   // Regression for the ABA hazard of the retired version-stamp cache:
   // it keyed staleness on the database's *address*, so destroying a
   // database and reusing its storage for a new one could alias a stale
-  // adjacency onto the newcomer.  A matcher now owns its index
-  // outright — it neither rereads the dead database nor confuses the
+  // adjacency onto the newcomer.  A matcher now owns a share of its
+  // database — it neither rereads the dead one nor confuses the
   // replacement living at the same address.
   std::optional<core::MotionDatabase> db;
-  db.emplace(2);
-  db->setEntry(0, 1, stats(90.0, 10.0, 4.0, 1.0));
-  const core::MotionMatcher matcher(*db);
+  const std::vector<core::MotionEntry> entries{
+      {0, 1, stats(90.0, 10.0, 4.0, 1.0)}};
+  db.emplace(2, entries);
+  const core::MotionMatcher matcher(
+      std::make_shared<const core::MotionDatabase>(*db));
 
   const std::vector<core::WeightedCandidate> prev{{0, 1.0}};
   const sensors::MotionMeasurement motion{90.0, 4.0};
@@ -205,10 +215,11 @@ TEST(MotionMatcherKernelTest, SurvivesDatabaseDestroyAndStorageReuse) {
   db.emplace(2);
   EXPECT_EQ(db->entryCount(), 0u);
   EXPECT_EQ(matcher.setProbability(prev, 1, motion), before);
-  EXPECT_EQ(matcher.adjacency().edgeCount(), 1u);
+  EXPECT_EQ(matcher.adjacency().entryCount(), 1u);
 
   // A matcher built from the reused storage sees the new (empty) world.
-  const core::MotionMatcher fresh(*db);
+  const core::MotionMatcher fresh(
+      std::make_shared<const core::MotionDatabase>(*db));
   EXPECT_EQ(fresh.setProbability(prev, 1, motion),
             fresh.params().unreachableFloor);
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
+#include "motion_support.hpp"
 
 namespace moloc::core {
 namespace {
@@ -45,13 +50,11 @@ TEST(GaussianWindow, SymmetricAroundMean) {
 
 class MotionMatcherTest : public ::testing::Test {
  protected:
-  MotionMatcherTest() : db_(4) {
-    // 0 -> 1: east, 4 m.  1 -> 2: north, 4 m.
-    db_.setEntryWithMirror(0, 1, {90.0, 5.0, 4.0, 0.3, 10});
-    db_.setEntryWithMirror(1, 2, {0.0, 5.0, 4.0, 0.3, 10});
-  }
-
-  MotionDatabase db_;
+  // 0 -> 1: east, 4 m.  1 -> 2: north, 4 m.
+  std::shared_ptr<const MotionDatabase> db_ =
+      std::make_shared<const MotionDatabase>(test_support::mirroredDb(
+          4, {{0, 1, {90.0, 5.0, 4.0, 0.3, 10}},
+              {1, 2, {0.0, 5.0, 4.0, 0.3, 10}}}));
   MotionMatcherParams params_;
 };
 
@@ -92,9 +95,10 @@ TEST_F(MotionMatcherTest, ProbabilityNeverBelowFloor) {
 }
 
 TEST_F(MotionMatcherTest, DirectionHandlesWrap) {
-  MotionDatabase db(2);
-  db.setEntryWithMirror(0, 1, {359.0, 5.0, 4.0, 0.3, 10});
-  const MotionMatcher matcher(db, params_);
+  const MotionMatcher matcher(
+      std::make_shared<const MotionDatabase>(test_support::mirroredDb(
+          2, {{0, 1, {359.0, 5.0, 4.0, 0.3, 10}}})),
+      params_);
   // Measured 2 degrees: circularly 3 degrees from the stored 359.
   const double near = matcher.pairProbability(0, 1, {2.0, 4.0});
   const double far = matcher.pairProbability(0, 1, {180.0, 4.0});
@@ -143,6 +147,21 @@ TEST_F(MotionMatcherTest, EmptyPreviousSetYieldsZero) {
   EXPECT_DOUBLE_EQ(matcher.setProbability({}, 1, {90.0, 4.0}), 0.0);
 }
 
+TEST_F(MotionMatcherTest, BadIdsThrowLikeTheDatabase) {
+  // The database's find() is the one id check: the stationary pair
+  // and every scored previous candidate go through it.
+  const MotionMatcher matcher(db_, params_);
+  const sensors::MotionMeasurement motion{90.0, 4.0};
+  EXPECT_THROW(matcher.pairProbability(0, 4, motion), std::out_of_range);
+  EXPECT_THROW(matcher.pairProbability(-1, -1, motion), std::out_of_range);
+  const std::vector<WeightedCandidate> prev{{0, 0.5}, {7, 0.5}};
+  EXPECT_THROW(matcher.setProbability(prev, 1, motion), std::out_of_range);
+  std::vector<double> scores;
+  const std::vector<env::LocationId> targets{1};
+  EXPECT_THROW(matcher.scoreCandidates(prev, targets, motion, scores),
+               std::out_of_range);
+}
+
 TEST_F(MotionMatcherTest, FactorsMultiplyPerEq5) {
   const MotionMatcher matcher(db_, params_);
   const RlmStats stats{90.0, 5.0, 4.0, 0.3, 10};
@@ -156,8 +175,8 @@ TEST_F(MotionMatcherTest, FactorsMultiplyPerEq5) {
 class WindowWidthTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(WindowWidthTest, WiderAlphaMoreMass) {
-  MotionDatabase db(2);
-  db.setEntryWithMirror(0, 1, {90.0, 8.0, 4.0, 0.3, 10});
+  const auto db = std::make_shared<const MotionDatabase>(
+      test_support::mirroredDb(2, {{0, 1, {90.0, 8.0, 4.0, 0.3, 10}}}));
   MotionMatcherParams narrow;
   narrow.alphaDeg = GetParam();
   MotionMatcherParams wide;
@@ -215,8 +234,8 @@ TEST(CircularGaussianWindow, DegenerateSigmaIsIndicator) {
 }
 
 TEST(MotionMatcherCircular, DirectionFactorClampsWideAlpha) {
-  MotionDatabase db(2);
-  db.setEntry(0, 1, {0.0, 50.0, 4.0, 0.3, 10});
+  const std::vector<MotionEntry> entries{{0, 1, {0.0, 50.0, 4.0, 0.3, 10}}};
+  const auto db = std::make_shared<const MotionDatabase>(2, entries);
   MotionMatcherParams params;
   params.alphaDeg = 40.0;
   const MotionMatcher matcher(db, params);
@@ -229,7 +248,7 @@ TEST(MotionMatcherCircular, DirectionFactorClampsWideAlpha) {
 TEST(MotionMatcherCircular, StationaryDirectionFactorCapsAtOne) {
   // An alpha wider than the circle covers at most the whole circle, so
   // the stationary self-transition probability stays a probability.
-  MotionDatabase db(2);
+  const auto db = std::make_shared<const MotionDatabase>(2);
   MotionMatcherParams params;
   params.alphaDeg = 400.0;
   params.stationarySigmaMeters = 0.5;

@@ -22,6 +22,7 @@
 #include "core/online_motion_database.hpp"
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
+#include "motion_support.hpp"
 #include "net/client.hpp"
 #include "net/socket.hpp"
 #include "sensors/accelerometer_model.hpp"
@@ -45,12 +46,10 @@ radio::FingerprintDatabase twinFingerprints() {
 }
 
 core::MotionDatabase twinMotion() {
-  core::MotionDatabase db(5);
-  db.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
-  db.setEntryWithMirror(2, 3, {90.0, 4.0, 4.0, 0.3, 20});
-  db.setEntryWithMirror(1, 4, {117.0, 4.0, 8.9, 0.4, 20});
-  db.setEntryWithMirror(3, 4, {63.0, 4.0, 8.9, 0.4, 20});
-  return db;
+  return test_support::mirroredDb(5, {{0, 1, {90.0, 4.0, 4.0, 0.3, 20}},
+                                      {2, 3, {90.0, 4.0, 4.0, 0.3, 20}},
+                                      {1, 4, {117.0, 4.0, 8.9, 0.4, 20}},
+                                      {3, 4, {63.0, 4.0, 8.9, 0.4, 20}}});
 }
 
 sensors::ImuTrace walkingTrace(std::uint64_t seed) {
@@ -195,7 +194,8 @@ TEST(NetServer, ImageLoadedWorldServesBitwiseIdenticalToFreshlyBuilt) {
       std::make_shared<const radio::FingerprintDatabase>(twinFingerprints());
   service::LocalizationService reference(
       std::make_shared<const core::WorldSnapshot>(
-          radioMap, twinMotion(), 0, 0,
+          radioMap, std::make_shared<const core::MotionDatabase>(twinMotion()),
+          0, 0,
           std::make_shared<const index::TieredIndex>(radioMap)),
       config);
   ASSERT_NE(reference.tieredIndex(), nullptr);

@@ -12,6 +12,7 @@
 
 #include "geometry/angles.hpp"
 #include "intake_state.hpp"
+#include "motion_support.hpp"
 #include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
@@ -257,33 +258,49 @@ TEST_F(OnlineDbTest, StaleEntryInvalidatedWhenFineFilterDropsPair) {
   EXPECT_EQ(online.reservoirSamples(0, 1).size(), 6u);
 }
 
-TEST_F(OnlineDbTest, ReadsDoNotChangeResults) {
-  // Reads fill the fit caches, so they must be invisible: a database
-  // read after every observation ends bitwise where one read only at
-  // the end does, on both sides of a snapshot()/restore().  The stream
-  // evicts (capacity 6), makes pair (0,1) lose and regain its fit
-  // (fine filter at 0.9 sigma on blocks of 4.0 m and 6.9 m), and
-  // carries self-pairs and coarse rejects.
+/// The intake the evicting stream is fed into: capacity 6, and a fine
+/// filter at 0.9 sigma.
+OnlineMotionDatabase evictingStreamDatabase(const env::FloorPlan& plan) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
   config.fineSigmaMultiplier = 0.9;
+  return OnlineMotionDatabase(plan, config, 6, 5);
+}
+
+/// Rounds [from, to) of a stream over OnlineDbTest's corridor that
+/// evicts, makes pair (0,1) lose and regain its fit (blocks of 4.0 m
+/// and 6.9 m), and carries self-pairs and coarse rejects.
+/// `afterEach` runs after every observation.
+template <typename AfterEach>
+void feedEvictingStream(OnlineMotionDatabase& db, int from, int to,
+                        AfterEach&& afterEach) {
+  const auto offer = [&](env::LocationId i, env::LocationId j,
+                         double directionDeg, double offsetMeters) {
+    db.addObservation(i, j, directionDeg, offsetMeters);
+    afterEach();
+  };
+  for (int k = from; k < to; ++k) {
+    offer(0, 1, 90.0, (k / 3) % 2 == 0 ? 4.0 : 6.9);
+    offer(1, 2, 89.0 + 0.4 * (k % 5), 3.9 + 0.05 * (k % 4));
+    offer(2, 0, 270.0 + 0.5 * (k % 3), 8.0 + 0.03 * (k % 7));
+    if (k % 9 == 4) offer(1, 1, 0.0, 0.0);
+    if (k % 11 == 7) offer(0, 1, 179.0, 4.0);
+  }
+}
+
+TEST_F(OnlineDbTest, ReadsDoNotChangeResults) {
+  // Reads fill the fit caches, so they must be invisible: a database
+  // read after every observation of the evicting stream ends bitwise
+  // where one read only at the end does, on both sides of a
+  // snapshot()/restore().
   const auto feed = [](OnlineMotionDatabase& db, int from, int to,
                        bool readEach) {
-    const auto offer = [&](env::LocationId i, env::LocationId j,
-                           double directionDeg, double offsetMeters) {
-      db.addObservation(i, j, directionDeg, offsetMeters);
+    feedEvictingStream(db, from, to, [&] {
       if (readEach) {
         (void)db.database();
         (void)db.report();
       }
-    };
-    for (int k = from; k < to; ++k) {
-      offer(0, 1, 90.0, (k / 3) % 2 == 0 ? 4.0 : 6.9);
-      offer(1, 2, 89.0 + 0.4 * (k % 5), 3.9 + 0.05 * (k % 4));
-      offer(2, 0, 270.0 + 0.5 * (k % 3), 8.0 + 0.03 * (k % 7));
-      if (k % 9 == 4) offer(1, 1, 0.0, 0.0);
-      if (k % 11 == 7) offer(0, 1, 179.0, 4.0);
-    }
+    });
   };
   const auto expectSame = [](const OnlineMotionDatabase& a,
                              const OnlineMotionDatabase& b) {
@@ -302,8 +319,8 @@ TEST_F(OnlineDbTest, ReadsDoNotChangeResults) {
     EXPECT_EQ(ra.pairsStored, rb.pairsStored);
   };
 
-  OnlineMotionDatabase eager(plan_, config, 6, 5);
-  OnlineMotionDatabase lazy(plan_, config, 6, 5);
+  OnlineMotionDatabase eager = evictingStreamDatabase(plan_);
+  OnlineMotionDatabase lazy = evictingStreamDatabase(plan_);
   feed(eager, 0, 20, true);
   feed(lazy, 0, 20, false);
   // Halfway, (0,1) holds a full reservoir that supports no entry.
@@ -324,6 +341,16 @@ TEST_F(OnlineDbTest, ReadsDoNotChangeResults) {
   expectSame(eager, eagerRestored);
   EXPECT_GT(eager.counters().droppedSelfPairs, 0u);
   EXPECT_GT(eager.counters().rejectedCoarse, 0u);
+}
+
+TEST_F(OnlineDbTest, EvictingStreamDatabaseIsPinned) {
+  // Every read along the evicting stream goes into one digest, so a
+  // change to how a read assembles the database — entry order, the
+  // mirror, a pair losing or regaining its fit — shows here.
+  OnlineMotionDatabase db = evictingStreamDatabase(plan_);
+  test_support::Fnv64 digest;
+  feedEvictingStream(db, 0, 60, [&] { digest.mix(db.database()); });
+  EXPECT_EQ(digest.value(), 0x197cd3bbf2b199e9ULL);
 }
 
 TEST_F(OnlineDbTest, ReservoirSamplesAccessor) {

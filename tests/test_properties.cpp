@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/moloc_engine.hpp"
 #include "core/online_motion_database.hpp"
 #include "env/walk_graph.hpp"
 #include "geometry/angles.hpp"
+#include "motion_support.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -154,17 +158,25 @@ TEST_P(SeededPropertyTest, EnginePosteriorIsAlwaysADistribution) {
         i, radio::Fingerprint({rng.uniform(-90.0, -30.0),
                                rng.uniform(-90.0, -30.0),
                                rng.uniform(-90.0, -30.0)}));
-  core::MotionDatabase motion(10);
+  // A pair drawn again replaces its earlier draw, mirror included.
+  std::map<std::pair<env::LocationId, env::LocationId>, core::RlmStats>
+      drawn;
   for (int e = 0; e < 12; ++e) {
     const auto i = static_cast<env::LocationId>(rng.uniformInt(0, 9));
     const auto j = static_cast<env::LocationId>(rng.uniformInt(0, 9));
     if (i == j) continue;
-    motion.setEntryWithMirror(i, j,
-                              {rng.uniform(0.0, 360.0),
-                               rng.uniform(2.0, 12.0),
-                               rng.uniform(2.0, 8.0),
-                               rng.uniform(0.1, 0.6), 5});
+    std::vector<core::MotionEntry> leg;
+    core::appendWithMirror(leg, i, j,
+                           {rng.uniform(0.0, 360.0), rng.uniform(2.0, 12.0),
+                            rng.uniform(2.0, 8.0), rng.uniform(0.1, 0.6),
+                            5});
+    for (const core::MotionEntry& entry : leg)
+      drawn[{entry.from, entry.to}] = entry.stats;
   }
+  std::vector<core::MotionEntry> entries;
+  for (const auto& [pair, stats] : drawn)
+    entries.push_back({pair.first, pair.second, stats});
+  const core::MotionDatabase motion(10, entries);
 
   core::MoLocConfig config;
   config.candidateCount = static_cast<std::size_t>(rng.uniformInt(1, 10));
@@ -204,8 +216,8 @@ TEST_P(SeededPropertyTest, EngineIsDeterministic) {
     fingerprints.addLocation(
         i, radio::Fingerprint({worldRng.uniform(-90.0, -30.0),
                                worldRng.uniform(-90.0, -30.0)}));
-  core::MotionDatabase motion(6);
-  motion.setEntryWithMirror(0, 1, {90.0, 5.0, 4.0, 0.3, 9});
+  const core::MotionDatabase motion =
+      test_support::mirroredDb(6, {{0, 1, {90.0, 5.0, 4.0, 0.3, 9}}});
 
   core::MoLocEngine a(fingerprints, motion);
   core::MoLocEngine b(fingerprints, motion);

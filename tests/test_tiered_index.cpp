@@ -333,7 +333,7 @@ TEST(TieredIndexTest, WorldSnapshotOwnsIndexImmutably) {
   auto index = std::make_shared<const TieredIndex>(db);
   const TieredIndex* raw = index.get();
   auto snapshot = std::make_shared<const core::WorldSnapshot>(
-      db, core::MotionDatabase(300), 1, 0, index);
+      db, std::make_shared<const core::MotionDatabase>(300), 1, 0, index);
   index.reset();
   ASSERT_EQ(snapshot->tieredIndex().get(), raw);
 

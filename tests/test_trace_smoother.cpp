@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/experiment_world.hpp"
+#include "motion_support.hpp"
 
 namespace moloc::core {
 namespace {
@@ -10,19 +11,19 @@ namespace {
 /// The twin world from the engine tests: 0/2 and 1/3 are twin pairs,
 /// 4 is unique.  Motion DB knows 0-1, 2-3, 1-4, 3-4.
 struct TwinWorld {
-  TwinWorld() : motion(5) {
+  TwinWorld() {
     fingerprints.addLocation(0, radio::Fingerprint({-50.0, -60.0}));
     fingerprints.addLocation(1, radio::Fingerprint({-55.0, -57.0}));
     fingerprints.addLocation(2, radio::Fingerprint({-50.1, -60.1}));
     fingerprints.addLocation(3, radio::Fingerprint({-55.1, -57.1}));
     fingerprints.addLocation(4, radio::Fingerprint({-70.0, -40.0}));
-    motion.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
-    motion.setEntryWithMirror(2, 3, {90.0, 4.0, 4.0, 0.3, 20});
-    motion.setEntryWithMirror(1, 4, {117.0, 4.0, 8.9, 0.4, 20});
-    motion.setEntryWithMirror(3, 4, {63.0, 4.0, 8.9, 0.4, 20});
   }
   radio::FingerprintDatabase fingerprints;
-  MotionDatabase motion;
+  MotionDatabase motion =
+      test_support::mirroredDb(5, {{0, 1, {90.0, 4.0, 4.0, 0.3, 20}},
+                                   {2, 3, {90.0, 4.0, 4.0, 0.3, 20}},
+                                   {1, 4, {117.0, 4.0, 8.9, 0.4, 20}},
+                                   {3, 4, {63.0, 4.0, 8.9, 0.4, 20}}});
 };
 
 using Motions = std::vector<std::optional<sensors::MotionMeasurement>>;

@@ -16,6 +16,7 @@
 #include "core/motion_matcher.hpp"
 #include "core/online_motion_database.hpp"
 #include "env/floor_plan.hpp"
+#include "motion_support.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "service/localization_service.hpp"
 
@@ -42,14 +43,13 @@ TEST(WorldSnapshot, AdjacencyAliasPinsTheWholeSnapshot) {
   auto fingerprints =
       std::make_shared<const radio::FingerprintDatabase>(
           corridorFingerprints());
-  MotionDatabase motion(3);
-  motion.setEntry(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
+  const std::vector<MotionEntry> entries{{0, 1, {90.0, 4.0, 4.0, 0.3, 20}}};
   auto snapshot = std::make_shared<const WorldSnapshot>(
-      fingerprints, std::move(motion), /*generation=*/7,
-      /*intakeRecords=*/42);
+      fingerprints, std::make_shared<const MotionDatabase>(3, entries),
+      /*generation=*/7, /*intakeRecords=*/42);
   EXPECT_EQ(snapshot->generation(), 7u);
   EXPECT_EQ(snapshot->intakeRecords(), 42u);
-  EXPECT_EQ(snapshot->adjacency().edgeCount(), 1u);
+  EXPECT_EQ(snapshot->adjacency().entryCount(), 1u);
   EXPECT_EQ(snapshot->fingerprints().get(), fingerprints.get());
 
   auto adjacency = WorldSnapshot::adjacencyOf(snapshot);
@@ -61,7 +61,7 @@ TEST(WorldSnapshot, AdjacencyAliasPinsTheWholeSnapshot) {
   std::weak_ptr<const WorldSnapshot> weak = snapshot;
   snapshot.reset();
   EXPECT_FALSE(weak.expired());
-  EXPECT_EQ(adjacency->edgeCount(), 1u);
+  EXPECT_EQ(adjacency->entryCount(), 1u);
   ASSERT_NE(adjacency->find(0, 1), nullptr);
   adjacency.reset();
   EXPECT_TRUE(weak.expired());
@@ -70,8 +70,8 @@ TEST(WorldSnapshot, AdjacencyAliasPinsTheWholeSnapshot) {
 }
 
 TEST(WorldSnapshot, ServiceBootWorldIsGenerationZero) {
-  MotionDatabase motion(3);
-  motion.setEntryWithMirror(0, 1, {90.0, 4.0, 4.0, 0.3, 20});
+  const MotionDatabase motion =
+      test_support::mirroredDb(3, {{0, 1, {90.0, 4.0, 4.0, 0.3, 20}}});
   service::ServiceConfig config;
   config.shardCount = 1;
   config.metrics = nullptr;
@@ -85,7 +85,7 @@ TEST(WorldSnapshot, ServiceBootWorldIsGenerationZero) {
   // copying it.
   EXPECT_EQ(world->fingerprints().get(), &svc.fingerprints());
   EXPECT_EQ(world->adjacency().locationCount(), motion.locationCount());
-  EXPECT_EQ(world->adjacency().edgeCount(), motion.entryCount());
+  EXPECT_EQ(world->adjacency().entryCount(), motion.entryCount());
 }
 
 TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
@@ -107,7 +107,7 @@ TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
   const auto pinned = svc.currentWorld();
   ASSERT_NE(pinned, nullptr);
   const auto generation0 = pinned->generation();
-  EXPECT_EQ(pinned->adjacency().edgeCount(), 0u);
+  EXPECT_EQ(pinned->adjacency().entryCount(), 0u);
   const MotionMatcher pinnedMatcher(WorldSnapshot::adjacencyOf(pinned));
   const std::vector<WeightedCandidate> prev{{0, 1.0}};
   const sensors::MotionMeasurement motion{90.0, 4.0};
@@ -129,7 +129,7 @@ TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
   // ...while the pinned world is bit-for-bit what it was: same entry
   // count, same score, no tearing.
   EXPECT_EQ(pinned->generation(), generation0);
-  EXPECT_EQ(pinned->adjacency().edgeCount(), 0u);
+  EXPECT_EQ(pinned->adjacency().entryCount(), 0u);
   EXPECT_EQ(pinnedMatcher.setProbability(prev, 1, motion), before);
 
   // A matcher adopting the current world sees the published pair.

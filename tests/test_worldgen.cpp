@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "motion_support.hpp"
 #include "service/localization_service.hpp"
 #include "util/rng.hpp"
 #include "worldgen/venue_spec.hpp"
@@ -199,6 +200,15 @@ TEST(WorldgenTest, MotionDatabaseCoversWalkEdges) {
                std::out_of_range);
 }
 
+TEST(WorldgenTest, MotionDatabaseIsPinned) {
+  // The map-derived motion database of a preset venue, entry by entry
+  // bitwise: a change to how the generator fills it shows here.
+  const GeneratedVenue venue(parseVenueSpec("campus-1k"));
+  test_support::Fnv64 digest;
+  digest.mix(venue.motion());
+  EXPECT_EQ(digest.value(), 0xb1621fe7218dea67ULL);
+}
+
 // Named for the sanitizer CI filters (Worldgen.*): the venue pipeline
 // through the service — snapshot-owned index build on publish — must
 // behave identically with the tiered index on and off.
@@ -211,9 +221,11 @@ TEST(WorldgenTest, ServiceWithIndexMatchesExactServiceBitwise) {
   audited.exhaustiveCheck = true;  // Audit recall on every query.
   service::ServiceConfig config;
   config.metrics = nullptr;
+  const auto motion =
+      std::make_shared<const core::MotionDatabase>(venue.motion());
   service::LocalizationService withIndex(
       std::make_shared<const core::WorldSnapshot>(
-          radioMap, venue.motion(), 0, 0,
+          radioMap, motion, 0, 0,
           std::make_shared<const index::TieredIndex>(
               radioMap, audited, venue.shardStarts())),
       config);
@@ -222,8 +234,7 @@ TEST(WorldgenTest, ServiceWithIndexMatchesExactServiceBitwise) {
             withIndex.tieredIndex().get());
 
   service::LocalizationService exact(
-      std::make_shared<const core::WorldSnapshot>(radioMap, venue.motion(),
-                                                  0, 0),
+      std::make_shared<const core::WorldSnapshot>(radioMap, motion, 0, 0),
       config);
   ASSERT_TRUE(exact.tieredIndex() == nullptr);
 
