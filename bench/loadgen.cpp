@@ -258,8 +258,8 @@ int main(int argc, char** argv) {
   // phase 1, while the log still holds exactly what the daemon booted
   // with (phase 2's reports append to it).
   const bool verify = !args.getSwitch("skip-verify");
-  core::OnlineMotionDatabase verifyDb(venue ? venue->site().plan
-                                            : world->hall().plan);
+  core::OnlineMotionDatabase verifyDb(
+      (venue ? venue->site().plan : world->hall().plan).positions());
   const std::string walDir = args.getString("wal-dir");
   if (verify && !walDir.empty()) {
     try {

@@ -123,7 +123,7 @@ void BM_MotionDbBuild(benchmark::State& state) {
                             edge.length + rng.normal(0.0, 0.2)});
   }
   for (auto _ : state) {
-    core::OnlineMotionDatabase intake(world().hall().plan, {},
+    core::OnlineMotionDatabase intake(world().hall().plan.positions(), {},
                                       observations.size());
     for (const auto& obs : observations)
       intake.addObservation(obs.from, obs.to, obs.directionDeg,

@@ -23,8 +23,9 @@
 //      at the largest venue exceeds 4x that at campus-1k, or when a
 //      restored read differs bitwise from the live database.
 //   4. Cold start vs venue size (campus-1k .. campus-64k): time from
-//      "venue image on disk" to "the three serving structures are
-//      ready" (FingerprintDatabase + MotionDatabase + TieredIndex),
+//      "venue image on disk" to "the serving world is ready"
+//      (FingerprintDatabase + MotionDatabase + coordinates +
+//      TieredIndex),
 //      along three paths:
 //        binary_deserialize — whole-file read into a heap buffer, then
 //                             VenueImage::fromBuffer: full CRC + views
@@ -154,8 +155,8 @@ RecoveryRow benchRecovery(const env::FloorPlan& plan,
       "recover_" + std::to_string(records) +
       (checkpointed ? "_ckpt" : "_wal"));
   {
-    core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/64,
-                                  /*seed=*/7);
+    core::OnlineMotionDatabase db(plan.positions(), {},
+                                  /*reservoirCapacity=*/64, /*seed=*/7);
     store::StoreConfig config;
     config.wal.fsync = store::FsyncPolicy::kNone;
     store::StateStore store(dir, config);
@@ -171,7 +172,7 @@ RecoveryRow benchRecovery(const env::FloorPlan& plan,
   RecoveryRow row;
   row.walRecords = records;
   row.checkpointed = checkpointed;
-  core::OnlineMotionDatabase db(plan, {}, 64, 7);
+  core::OnlineMotionDatabase db(plan.positions(), {}, 64, 7);
   const auto start = Clock::now();
   const auto result = store::recover(dir, db);
   row.seconds = secondsSince(start);
@@ -220,7 +221,7 @@ CaptureRow benchCapture(std::size_t locations) {
   const worldgen::GeneratedVenue venue(
       worldgen::venueSpecForLocations(locations));
   const env::FloorPlan& plan = venue.site().plan;
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   // Four accepted observations per map leg, jittered well inside the
   // coarse filter, so every leg publishes an entry.
   constexpr double kJitter[4][2] = {
@@ -258,7 +259,7 @@ CaptureRow benchCapture(std::size_t locations) {
   bool identical = live.entryCount() == 2 * row.pairs;
   row.restoreSeconds = row.readSeconds = row.rereadSeconds = 1e30;
   for (std::size_t r = 0; r < kCaptureReps; ++r) {
-    core::OnlineMotionDatabase restored(plan);
+    core::OnlineMotionDatabase restored(plan.positions());
     auto start = Clock::now();
     restored.restore(snapshot);
     row.restoreSeconds = std::min(row.restoreSeconds, secondsSince(start));
@@ -310,8 +311,8 @@ bool matchesBitwise(const std::vector<radio::Match>& a,
   return true;
 }
 
-/// Times `loadOnce`, which must produce the three serving structures
-/// (radio map, CSR adjacency, index) before its clock stops.
+/// Times `loadOnce`, which must produce the serving world (radio map,
+/// CSR adjacency, coordinates, index) before its clock stops.
 ColdVariant timeColdVariant(
     const std::string& name, std::size_t reps,
     const radio::Fingerprint& probe,
@@ -323,11 +324,12 @@ ColdVariant timeColdVariant(
   samples.reserve(reps);
   for (std::size_t r = 0; r < reps; ++r) {
     const auto start = Clock::now();
-    const image::VenueImage world = loadOnce();
+    const image::VenueImage loaded = loadOnce();
     samples.push_back(secondsSince(start));
 
     // Correctness guard, outside the timed region: a load path that
     // got faster by serving different bytes is not a data point.
+    const core::WorldSnapshot& world = *loaded.world();
     std::vector<radio::Match> got;
     world.fingerprints()->queryInto(probe, kProbeTopK, got);
     if (!matchesBitwise(got, expected)) {
@@ -337,7 +339,7 @@ ColdVariant timeColdVariant(
                    name.c_str());
       std::exit(EXIT_FAILURE);
     }
-    if (world.adjacency() == nullptr || world.tieredIndex() == nullptr) {
+    if (world.positions() == nullptr || world.tieredIndex() == nullptr) {
       std::fprintf(stderr, "FAIL: %s produced an incomplete world\n",
                    name.c_str());
       std::exit(EXIT_FAILURE);
@@ -368,8 +370,10 @@ ColdStartRow benchColdStart(std::size_t locations, std::size_t reps) {
   const auto index = std::make_shared<const index::TieredIndex>(
       db, index::IndexConfig{}, venue.shardStarts());
   const core::WorldSnapshot world(
-      db, std::make_shared<const core::MotionDatabase>(venue.motion()),
-      /*generation=*/1, /*intakeRecords=*/0, index);
+      db, venue.sharedMotion(), /*generation=*/1, /*intakeRecords=*/0,
+      index,
+      std::make_shared<const std::vector<geometry::Vec2>>(
+          venue.site().plan.positions()));
 
   ColdStartRow row;
   row.locations = venue.locationCount();

@@ -22,7 +22,7 @@ int main() {
   const auto hall = env::makeOfficeHall();
   // The default 64-sample reservoirs hold every observation of a pair
   // here, so nothing is evicted.
-  core::OnlineMotionDatabase intake(hall.plan);
+  core::OnlineMotionDatabase intake(hall.plan.positions());
   util::Rng rng(7);
 
   // Simulated crowd data for three legs: mostly honest measurements
@@ -111,7 +111,7 @@ int main() {
        "moloc_example_store").string();
   std::filesystem::remove_all(storeDir);
 
-  core::OnlineMotionDatabase online(hall.plan, {}, 64, /*seed=*/7);
+  core::OnlineMotionDatabase online(hall.plan.positions(), {}, 64, /*seed=*/7);
   {
     store::StoreConfig storeConfig;
     storeConfig.wal.fsync = store::FsyncPolicy::kEveryN;
@@ -142,7 +142,7 @@ int main() {
   }
 
   // Simulated restart: rebuild from disk alone and compare.
-  core::OnlineMotionDatabase rebuilt(hall.plan, {}, 64, 7);
+  core::OnlineMotionDatabase rebuilt(hall.plan.positions(), {}, 64, 7);
   const auto recovery = store::recover(storeDir, rebuilt);
   std::printf("recovered: checkpoint %s, %llu record(s) replayed from "
               "the WAL tail\n",

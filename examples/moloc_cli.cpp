@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <vector>
 
 #include "baseline/wifi_fingerprinting.hpp"
 #include "eval/convergence.hpp"
 #include "eval/experiment_world.hpp"
+#include "geometry/vec2.hpp"
 #include "image/image_writer.hpp"
 #include "io/trace_io.hpp"
 #include "service/localization_service.hpp"
@@ -40,8 +42,8 @@ int main(int argc, char** argv) {
                  "per-scan RSS noise sigma (dB)");
   args.addOption("drift", "0", "radio-map staleness drift sigma (dB)");
   args.addOption("save-image", "",
-                 "write the trained world (radio map and motion "
-                 "database) to this venue image");
+                 "write the trained world (radio map, motion database "
+                 "and reference coordinates) to this venue image");
   args.addOption("record-traces", "",
                  "write the evaluated test walks to this path");
   args.addOption("replay-traces", "",
@@ -172,7 +174,10 @@ int main(int argc, char** argv) {
       const auto boot = service::bootWorld(
           std::make_shared<const radio::FingerprintDatabase>(
               world.fingerprintDb()),
-          world.motionDb(), service::ServiceConfig{});
+          std::make_shared<const core::MotionDatabase>(world.motionDb()),
+          std::make_shared<const std::vector<geometry::Vec2>>(
+              world.hall().plan.positions()),
+          service::ServiceConfig{});
       const image::ImageWriteInfo info =
           image::writeVenueImage(imagePath, *boot);
       if (!quiet)

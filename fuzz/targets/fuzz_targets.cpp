@@ -304,29 +304,33 @@ std::string readWholeFile(const std::string& path) {
 /// present).  The backing buffer is exactly input-sized, so any
 /// over-read here is an ASan stop, not silence.
 void exerciseLoadedImage(const image::VenueImage& img) {
-  const auto& db = img.fingerprints();
-  const auto& adjacency = img.adjacency();
-  if (db == nullptr || adjacency == nullptr)
+  const core::WorldSnapshot& world = *img.world();
+  const auto& db = world.fingerprints();
+  const core::MotionDatabase& adjacency = world.adjacency();
+  if (db == nullptr || world.positions() == nullptr)
     invariantFailed("image", "accepted image is missing a core view");
   if (db->size() != img.meta().locationCount ||
       db->apCount() != img.meta().apCount ||
-      adjacency->locationCount() != img.meta().adjacencyLocationCount)
+      adjacency.locationCount() != img.meta().adjacencyLocationCount ||
+      world.positions()->size() != img.meta().adjacencyLocationCount)
     invariantFailed("image", "meta disagrees with the loaded views");
-  if (img.meta().hasIndex != (img.tieredIndex() != nullptr))
+  if (!image::allFinite(*world.positions()))
+    invariantFailed("image", "accepted a non-finite location position");
+  if (img.meta().hasIndex != (world.tieredIndex() != nullptr))
     invariantFailed("image", "meta.hasIndex disagrees with the loader");
 
   for (std::size_t row = 0; row < db->size(); ++row) {
     const env::LocationId id = db->idAt(row);
-    if (static_cast<std::size_t>(id) >= adjacency->locationCount())
+    if (static_cast<std::size_t>(id) >= adjacency.locationCount())
       invariantFailed("image",
                       "fingerprinted id outside the adjacency "
                       "(the serving invariant)");
   }
   std::uint64_t edges = 0;
   std::int64_t touched = 0;  // Forces a read of every edge's bytes.
-  for (std::size_t row = 0; row < adjacency->locationCount(); ++row) {
+  for (std::size_t row = 0; row < adjacency.locationCount(); ++row) {
     const auto span =
-        adjacency->outEdges(static_cast<env::LocationId>(row));
+        adjacency.outEdges(static_cast<env::LocationId>(row));
     edges += span.size();
     for (const kernel::PairWindow& edge : span) touched += edge.to;
   }
@@ -337,9 +341,9 @@ void exerciseLoadedImage(const image::VenueImage& img) {
   if (!db->empty()) {
     std::vector<radio::Match> out;
     db->queryInto(db->entryAt(0), 4, out);
-    if (img.tieredIndex() != nullptr) {
+    if (world.tieredIndex() != nullptr) {
       std::vector<radio::Match> tiered;
-      img.tieredIndex()->queryInto(db->entryAt(0), 4, tiered);
+      world.tieredIndex()->queryInto(db->entryAt(0), 4, tiered);
     }
   }
 }
@@ -379,18 +383,11 @@ int runImageLoad(const std::uint8_t* data, std::size_t size) {
       // the heap path).
       static ScratchDir scratch("image");
       const std::string dir = scratch.reset();
-      const core::WorldSnapshot world(
-          img.fingerprints(), img.adjacency(), img.meta().generation,
-          img.meta().intakeRecords, img.tieredIndex());
-      image::writeVenueImage(dir + "/a.img", world);
+      image::writeVenueImage(dir + "/a.img", *img.world());
       const image::VenueImage reloaded =
           image::VenueImage::open(dir + "/a.img");
       exerciseLoadedImage(reloaded);
-      const core::WorldSnapshot world2(
-          reloaded.fingerprints(), reloaded.adjacency(),
-          reloaded.meta().generation, reloaded.meta().intakeRecords,
-          reloaded.tieredIndex());
-      image::writeVenueImage(dir + "/b.img", world2);
+      image::writeVenueImage(dir + "/b.img", *reloaded.world());
       if (readWholeFile(dir + "/a.img") != readWholeFile(dir + "/b.img"))
         invariantFailed("image",
                         "rewrite of an accepted image is not a fixed "

@@ -12,6 +12,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -25,9 +27,11 @@
 #include "core/online_motion_database.hpp"
 #include "core/world_snapshot.hpp"
 #include "env/floor_plan.hpp"
+#include "geometry/vec2.hpp"
 #include "image/format.hpp"
 #include "image/image_writer.hpp"
 #include "index/tiered_index.hpp"
+#include "kernel/motion_kernel.hpp"
 #include "net/wire.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "store/checkpoint.hpp"
@@ -152,12 +156,13 @@ void makeCheckpointSeeds(const fs::path& root) {
   // re-encode check.
   const fs::path dir = scratchDir("ckpt");
   std::string path = moloc::store::writeCheckpointFile(
-      dir.string(), 1, moloc::core::OnlineMotionDatabase(plan).snapshot());
+      dir.string(), 1,
+      moloc::core::OnlineMotionDatabase(plan.positions()).snapshot());
   writeFile(root / "checkpoint/empty.bin", readFile(path));
 
   // Small reservoirs, so evictions have advanced the RNG stream.
-  moloc::core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4,
-                                       /*seed=*/7);
+  moloc::core::OnlineMotionDatabase db(plan.positions(), {},
+                                       /*reservoirCapacity=*/4, /*seed=*/7);
   for (int k = 0; k < 40; ++k)
     db.addObservation(k % 2, 1 + k % 2, 88.0 + 0.2 * (k % 9),
                       3.7 + 0.02 * (k % 11));
@@ -214,6 +219,13 @@ void makeImageSeeds(const fs::path& root) {
                                   {90.0, 4.0, 5.0 + 0.25 * i, 0.3, 20});
   const auto motion =
       std::make_shared<const moloc::core::MotionDatabase>(12, corridor);
+  // Coordinates along the corridor, spaced like its RLM offsets.
+  auto positions = std::make_shared<std::vector<moloc::geometry::Vec2>>();
+  double x = 2.0;
+  for (int i = 0; i < 12; ++i) {
+    positions->push_back({x, 2.0});
+    x += 5.0 + 0.25 * i;
+  }
   moloc::index::IndexConfig indexConfig;
   indexConfig.maxShardEntries = 4;
   const auto index = std::make_shared<const moloc::index::TieredIndex>(
@@ -223,14 +235,16 @@ void makeImageSeeds(const fs::path& root) {
   fs::create_directories(dir);
   {
     const moloc::core::WorldSnapshot world(db, motion, /*generation=*/7,
-                                           /*intakeRecords=*/21, index);
+                                           /*intakeRecords=*/21, index,
+                                           positions);
     image::writeVenueImage((dir / "a.img").string(), world);
   }
   const std::string withIndex = readFile(dir / "a.img");
   writeFile(root / "image/with-index.img", withIndex);
   {
     const moloc::core::WorldSnapshot world(db, motion, /*generation=*/7,
-                                           /*intakeRecords=*/21, nullptr);
+                                           /*intakeRecords=*/21, nullptr,
+                                           positions);
     image::writeVenueImage((dir / "b.img").string(), world);
   }
   writeFile(root / "image/no-index.img", readFile(dir / "b.img"));
@@ -326,6 +340,37 @@ void makeImageSeeds(const fs::path& root) {
   resealTable(shortProfile);
   writeFile(root / "regressions/image/truncated-column-profile.img",
             shortProfile);
+
+  // Row 1 of the corridor (edges to 0 and 2) with its two edges
+  // swapped, the edge CRC and the table re-sealed, so only the row
+  // order check rejects it: MotionDatabase::find binary-searches a row.
+  std::string shuffledRow = withIndex;
+  for (std::uint32_t i = 0; i < peekU32(withIndex, 24); ++i) {
+    if (peekU32(withIndex, entryAt(i)) !=
+        static_cast<std::uint32_t>(image::SectionId::kAdjacencyEdges))
+      continue;
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    std::memcpy(&offset, withIndex.data() + entryAt(i) + 8, sizeof(offset));
+    std::memcpy(&length, withIndex.data() + entryAt(i) + 16,
+                sizeof(length));
+    constexpr std::size_t kEdge = sizeof(moloc::kernel::PairWindow);
+    const std::size_t row1 = offset + kEdge;  // Row 0 holds one edge.
+    std::swap_ranges(shuffledRow.begin() + static_cast<std::ptrdiff_t>(row1),
+                     shuffledRow.begin() +
+                         static_cast<std::ptrdiff_t>(row1 + kEdge),
+                     shuffledRow.begin() +
+                         static_cast<std::ptrdiff_t>(row1 + kEdge));
+    pokeU32(shuffledRow, entryAt(i) + 4,
+            moloc::store::crc32c(shuffledRow.data() + offset, length));
+  }
+  resealTable(shuffledRow);
+  writeFile(root / "regressions/image/shuffled-row.img", shuffledRow);
+
+  // A v4 header on v5 content: the version check rejects it by value.
+  std::string v4Header = withIndex;
+  pokeU32(v4Header, 8, 4);
+  writeFile(root / "regressions/image/v4-header.img", v4Header);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "geometry/angles.hpp"
 #include "util/error.hpp"
@@ -10,12 +12,11 @@
 
 namespace moloc::core {
 
-OnlineMotionDatabase::OnlineMotionDatabase(const env::FloorPlan& plan,
-                                           BuilderConfig config,
-                                           std::size_t reservoirCapacity,
-                                           std::uint64_t seed,
-                                           obs::MetricsRegistry* metrics)
-    : plan_(plan),
+OnlineMotionDatabase::OnlineMotionDatabase(
+    std::vector<geometry::Vec2> positions, BuilderConfig config,
+    std::size_t reservoirCapacity, std::uint64_t seed,
+    obs::MetricsRegistry* metrics)
+    : positions_(std::move(positions)),
       config_(config),
       capacity_(reservoirCapacity),
       rng_(seed) {
@@ -61,6 +62,13 @@ void checkMeasurement(double directionDeg, double offsetMeters) {
 
 }  // namespace
 
+geometry::Vec2 OnlineMotionDatabase::position(env::LocationId id) const {
+  if (id < 0 || static_cast<std::size_t>(id) >= positions_.size())
+    throw std::out_of_range("OnlineMotionDatabase: bad location id " +
+                            std::to_string(id));
+  return positions_[static_cast<std::size_t>(id)];
+}
+
 OnlineMotionDatabase::Decision OnlineMotionDatabase::decideLocked(
     env::LocationId start, env::LocationId end, geometry::Vec2 posStart,
     geometry::Vec2 posEnd, double directionDeg,
@@ -95,13 +103,13 @@ bool OnlineMotionDatabase::classify(env::LocationId estimatedStart,
                                     double directionDeg,
                                     double offsetMeters) {
   checkMeasurement(directionDeg, offsetMeters);
-  const auto& startLoc = plan_.location(estimatedStart);
-  const auto& endLoc = plan_.location(estimatedEnd);
+  const geometry::Vec2 startPos = position(estimatedStart);
+  const geometry::Vec2 endPos = position(estimatedEnd);
   const util::MutexLock lock(mu_);
   ++counters_.observations;
   if (metrics_.observations) metrics_.observations->inc();
-  switch (decideLocked(estimatedStart, estimatedEnd, startLoc.pos,
-                       endLoc.pos, directionDeg, offsetMeters)) {
+  switch (decideLocked(estimatedStart, estimatedEnd, startPos, endPos,
+                       directionDeg, offsetMeters)) {
     case Decision::kSelfPair:
       ++counters_.droppedSelfPairs;
       if (metrics_.selfPairs) metrics_.selfPairs->inc();
@@ -121,15 +129,14 @@ void OnlineMotionDatabase::applyAccepted(env::LocationId estimatedStart,
                                          double directionDeg,
                                          double offsetMeters) {
   checkMeasurement(directionDeg, offsetMeters);
-  const auto& startLoc = plan_.location(estimatedStart);
-  const auto& endLoc = plan_.location(estimatedEnd);
+  const geometry::Vec2 startPos = position(estimatedStart);
+  const geometry::Vec2 endPos = position(estimatedEnd);
   const util::MutexLock writeLock(writeMu_);
   ObservationSink* sink = nullptr;
   {
     const util::MutexLock lock(mu_);
-    if (decideLocked(estimatedStart, estimatedEnd, startLoc.pos,
-                     endLoc.pos, directionDeg, offsetMeters) !=
-        Decision::kAccepted)
+    if (decideLocked(estimatedStart, estimatedEnd, startPos, endPos,
+                     directionDeg, offsetMeters) != Decision::kAccepted)
       throw util::StateError(
           "OnlineMotionDatabase::applyAccepted: observation was not "
           "accepted by classify()");
@@ -271,7 +278,7 @@ MotionDatabase OnlineMotionDatabase::database() const {
       if (const auto& stats = cachedFit(reservoir).stats)
         appendWithMirror(entries, key.first, key.second, *stats);
   }
-  return MotionDatabase(plan_.locationCount(), entries);
+  return MotionDatabase(positions_.size(), entries);
 }
 
 BuilderReport OnlineMotionDatabase::report() const {
@@ -307,7 +314,7 @@ OnlineMotionDatabase::Snapshot OnlineMotionDatabase::snapshot() const {
   Snapshot snap;
   snap.config = config_;
   snap.capacity = capacity_;
-  snap.locationCount = plan_.locationCount();
+  snap.locationCount = positions_.size();
   snap.rngState = rng_.state();
   snap.counters = counters_;
   snap.reservoirs.reserve(reservoirs_.size());
@@ -325,12 +332,12 @@ OnlineMotionDatabase::Snapshot OnlineMotionDatabase::snapshot() const {
 }
 
 void OnlineMotionDatabase::restore(const Snapshot& snapshot) {
-  if (snapshot.locationCount != plan_.locationCount())
+  if (snapshot.locationCount != positions_.size())
     throw util::ConfigError(
         "OnlineMotionDatabase::restore: snapshot covers " +
         std::to_string(snapshot.locationCount) +
-        " locations, plan has " +
-        std::to_string(plan_.locationCount()));
+        " locations, the database has " +
+        std::to_string(positions_.size()));
   if (snapshot.capacity <
       static_cast<std::size_t>(
           std::max(snapshot.config.minSamplesPerPair, 1)))
@@ -342,8 +349,8 @@ void OnlineMotionDatabase::restore(const Snapshot& snapshot) {
   // leaves the live database untouched.
   std::map<PairKey, Reservoir> reservoirs;
   for (const auto& pair : snapshot.reservoirs) {
-    if (!plan_.isValid(pair.i) || !plan_.isValid(pair.j) ||
-        pair.i >= pair.j)
+    if (pair.i < 0 || pair.i >= pair.j ||
+        static_cast<std::size_t>(pair.j) >= positions_.size())
       throw util::ConfigError(
           "OnlineMotionDatabase::restore: invalid reservoir pair key");
     if (pair.samples.size() > snapshot.capacity)
@@ -380,8 +387,8 @@ void OnlineMotionDatabase::restore(const Snapshot& snapshot) {
 std::vector<OnlineMotionDatabase::ReservoirSample>
 OnlineMotionDatabase::reservoirSamples(env::LocationId i,
                                        env::LocationId j) const {
-  (void)plan_.location(i);  // Validate ids like the write path does.
-  (void)plan_.location(j);
+  (void)position(i);  // Validate ids like the write path does.
+  (void)position(j);
   const util::MutexLock lock(mu_);
   const PairKey key = i <= j ? PairKey{i, j} : PairKey{j, i};
   const auto it = reservoirs_.find(key);

@@ -69,6 +69,9 @@ class ObservationSink {
 /// goes through it: an offline campaign is a stream the reservoirs are
 /// sized to hold whole (see eval::ExperimentWorld).
 ///
+/// Of the map, the intake reads only one reference coordinate per
+/// location id (the coarse filter's straight-line RLM), and owns them.
+///
 /// Observations arrive as (estimated start, estimated end, measured
 /// direction, measured offset) and are *reassembled* onto the
 /// smaller-ID endpoint (mirroring the direction by 180 degrees —
@@ -103,16 +106,18 @@ class ObservationSink {
 /// WorldSnapshot instead (see docs/serving.md).
 class OnlineMotionDatabase {
  public:
-  /// `reservoirCapacity` bounds per-pair memory; must be >= the
-  /// config's minSamplesPerPair (throws std::invalid_argument).
-  /// A non-null `metrics` registry receives the intake counters as
-  /// `moloc_intake_*{source="online"}` series (see
-  /// docs/observability.md).
-  OnlineMotionDatabase(const env::FloorPlan& plan,
-                       BuilderConfig config = {},
-                       std::size_t reservoirCapacity = 64,
-                       std::uint64_t seed = 0x0b5e55edULL,
-                       obs::MetricsRegistry* metrics = nullptr);
+  /// `positions[id]` is the reference coordinate of location `id`;
+  /// their count is the database's location count, and any other id
+  /// throws std::out_of_range.  `reservoirCapacity` bounds per-pair
+  /// memory; must be >= the config's minSamplesPerPair (throws
+  /// std::invalid_argument).  A non-null `metrics` registry receives
+  /// the intake counters as `moloc_intake_*{source="online"}` series
+  /// (see docs/observability.md).
+  explicit OnlineMotionDatabase(std::vector<geometry::Vec2> positions,
+                                BuilderConfig config = {},
+                                std::size_t reservoirCapacity = 64,
+                                std::uint64_t seed = 0x0b5e55edULL,
+                                obs::MetricsRegistry* metrics = nullptr);
 
   /// Feeds one crowdsourced RLM.  Returns true when the observation
   /// was accepted (passed the coarse filter and was not a self-pair).
@@ -127,7 +132,7 @@ class OnlineMotionDatabase {
   /// and ids (throwing exactly like addObservation), counts the offer,
   /// and runs the self-pair and coarse-filter checks.  Returns whether
   /// the observation is accepted.  The decision depends only on the
-  /// floor plan and the sanitation config — never on reservoir state —
+  /// coordinates and the sanitation config — never on reservoir state —
   /// so producers may classify concurrently and in any order without
   /// changing any outcome.  Nothing is logged or applied here: an
   /// accepted observation must still be handed to applyAccepted (the
@@ -178,6 +183,9 @@ class OnlineMotionDatabase {
     const util::MutexLock lock(mu_);
     return counters_;
   }
+
+  /// Locations the database covers: one per reference coordinate.
+  std::size_t locationCount() const { return positions_.size(); }
 
   /// Number of pairs currently holding at least one sample.
   std::size_t trackedPairs() const {
@@ -257,7 +265,7 @@ class OnlineMotionDatabase {
   /// read fits them bit-identically to the fits live when the
   /// snapshot was taken.  Throws
   /// std::invalid_argument when the snapshot does not fit this
-  /// database's floor plan (location count mismatch), its capacity is
+  /// database's coordinates (location count mismatch), its capacity is
   /// below the config's per-pair minimum, a pair key is invalid or
   /// duplicated, or a reservoir exceeds the capacity.  On throw the
   /// database is unchanged.
@@ -308,7 +316,11 @@ class OnlineMotionDatabase {
   const PairFit& cachedFit(const Reservoir& reservoir) const
       MOLOC_REQUIRES(mu_);
 
-  const env::FloorPlan& plan_;
+  /// positions_[id]; throws std::out_of_range for a bad id.
+  geometry::Vec2 position(env::LocationId id) const;
+
+  /// Immutable, so read without a lock.
+  const std::vector<geometry::Vec2> positions_;
   /// Outer mutex: serializes the mutators and is held across the
   /// sink's write-ahead call, so the WAL order equals the apply order
   /// for a single writer (lock order: this, then mu_, then the sink's

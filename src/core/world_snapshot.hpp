@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/motion_database.hpp"
+#include "geometry/vec2.hpp"
 #include "index/tiered_index.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/error.hpp"
@@ -27,11 +29,15 @@ namespace moloc::core {
 /// reference — reclamation is the shared_ptr refcount, no epochs or
 /// grace periods to track.
 ///
-/// The fingerprint database and the index are shared (they do not
-/// change online), so a publish builds only a new motion database,
-/// which every session adopting the snapshot then shares.
+/// The fingerprint database, the index and the reference coordinates
+/// are shared (they do not change online), so a publish builds only a
+/// new motion database, which every session adopting the snapshot then
+/// shares.
 class WorldSnapshot {
  public:
+  /// Reference coordinates by location id (the intake's coarse filter).
+  using Positions = std::shared_ptr<const std::vector<geometry::Vec2>>;
+
   /// `fingerprints` may be null for motion-only worlds (tests);
   /// `adjacency` — e.g. a non-owning view into an mmap'd venue image
   /// (src/image), kept alive by whatever its control block owns — must
@@ -39,20 +45,26 @@ class WorldSnapshot {
   /// publish sequence number, `intakeRecords` the number of accepted
   /// observations folded into this world (staleness accounting).
   /// `tieredIndex`, when non-null, is the prefilter built over
-  /// `fingerprints`.
+  /// `fingerprints`.  `positions` may be null for motion-only worlds;
+  /// otherwise it holds one coordinate per adjacency row (throws
+  /// std::invalid_argument on any other count).
   WorldSnapshot(std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
                 std::shared_ptr<const MotionDatabase> adjacency,
                 std::uint64_t generation, std::uint64_t intakeRecords,
                 std::shared_ptr<const index::TieredIndex> tieredIndex =
-                    nullptr)
+                    nullptr,
+                Positions positions = nullptr)
       : fingerprints_(std::move(fingerprints)),
         tieredIndex_(std::move(tieredIndex)),
+        positions_(std::move(positions)),
         adjacency_(std::move(adjacency)),
         generation_(generation),
         intakeRecords_(intakeRecords),
         publishedAt_(std::chrono::steady_clock::now()) {
     if (!adjacency_)
       throw util::ConfigError("WorldSnapshot: null adjacency");
+    if (positions_ && positions_->size() != adjacency_->locationCount())
+      throw util::ConfigError("WorldSnapshot: positions != adjacency rows");
   }
 
   WorldSnapshot(const WorldSnapshot&) = delete;
@@ -71,6 +83,9 @@ class WorldSnapshot {
   const std::shared_ptr<const index::TieredIndex>& tieredIndex() const {
     return tieredIndex_;
   }
+
+  /// One coordinate per adjacency row; null for motion-only worlds.
+  const Positions& positions() const { return positions_; }
 
   /// The motion database sessions score against.
   const MotionDatabase& adjacency() const { return *adjacency_; }
@@ -102,6 +117,7 @@ class WorldSnapshot {
  private:
   std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
   std::shared_ptr<const index::TieredIndex> tieredIndex_;
+  Positions positions_;
   std::shared_ptr<const MotionDatabase> adjacency_;
   std::uint64_t generation_ = 0;
   std::uint64_t intakeRecords_ = 0;

@@ -32,6 +32,14 @@ const ReferenceLocation& FloorPlan::location(LocationId id) const {
   return locations_[static_cast<std::size_t>(id)];
 }
 
+std::vector<geometry::Vec2> FloorPlan::positions() const {
+  std::vector<geometry::Vec2> out;
+  out.reserve(locations_.size());
+  for (const ReferenceLocation& location : locations_)
+    out.push_back(location.pos);
+  return out;
+}
+
 int FloorPlan::wallCrossings(geometry::Vec2 a, geometry::Vec2 b) const {
   return geometry::countCrossings(a, b, walls_);
 }

@@ -50,6 +50,10 @@ class FloorPlan {
 
   std::size_t locationCount() const { return locations_.size(); }
 
+  /// The reference coordinates indexed by location id — all the
+  /// crowdsourcing intake reads of a plan (core::OnlineMotionDatabase).
+  std::vector<geometry::Vec2> positions() const;
+
   /// Bounds-checked access; throws std::out_of_range for a bad id.
   const ReferenceLocation& location(LocationId id) const;
 

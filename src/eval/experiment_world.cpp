@@ -143,7 +143,7 @@ void ExperimentWorld::buildMotionDatabase(util::Rng& trainingRng) {
   // never drawn and every entry is the fit of all of its pair's
   // surviving observations.
   core::OnlineMotionDatabase intake(
-      hall_.plan, config_.builder,
+      hall_.plan.positions(), config_.builder,
       std::max(observations.size(),
                static_cast<std::size_t>(
                    std::max(config_.builder.minSamplesPerPair, 1))));

@@ -1,13 +1,16 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 
 #include "env/floor_plan.hpp"
+#include "geometry/vec2.hpp"
 #include "index/tiered_index.hpp"
 #include "kernel/motion_kernel.hpp"
 
@@ -34,7 +37,9 @@ class ImageError : public std::runtime_error {
 /// the index::TieredIndex shards (signature bytes and column profiles) —
 /// so the loader maps the file read-only and serves straight out of
 /// the page cache: no parsing, no quantizing, no pass over the RSS
-/// values.
+/// values.  It also carries the reference coordinate of every location,
+/// which is all a crowdsourcing intake needs of the map, so a world
+/// booted from an image takes observations like a built one.
 ///
 /// File layout (docs/persistence.md has the full spec):
 ///
@@ -53,13 +58,13 @@ class ImageError : public std::runtime_error {
 
 inline constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'I',
                                    'M', 'G'};
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Section payloads start at multiples of this (cache-line sized, and
 /// a multiple of every element alignment used by a section).
 inline constexpr std::size_t kSectionAlignment = 64;
 
-/// Hard cap on the section count: v4 defines 12 section ids, so any
+/// Hard cap on the section count: v5 defines 13 section ids, so any
 /// larger table is damage (and the cap bounds hostile allocation).
 inline constexpr std::uint32_t kMaxSections = 64;
 
@@ -78,6 +83,7 @@ enum class SectionId : std::uint32_t {
   kIndexSignatures = 11,   ///< uint8[sum of signatureBytes].
   kIndexVaryingColumns = 12,  ///< uint32[sum of varyingCount].
   kIndexColumnValues = 13,    ///< double[shardCount * apCount].
+  kLocationPositions = 14,    ///< geometry::Vec2[adjacencyLocations].
 };
 
 /// The fixed file header.  Every field is validated by value on load
@@ -132,6 +138,9 @@ static_assert(sizeof(std::size_t) == 8);
 static_assert(sizeof(double) == 8);
 static_assert(std::has_unique_object_representations_v<SectionEntry>);
 static_assert(std::has_unique_object_representations_v<ShardRecord>);
+static_assert(std::is_trivially_copyable_v<geometry::Vec2>);
+static_assert(sizeof(geometry::Vec2) == 16);
+static_assert(offsetof(geometry::Vec2, y) == 8);
 static_assert(sizeof(kernel::PairWindow) == 56);
 static_assert(alignof(kernel::PairWindow) == 8);
 static_assert(offsetof(kernel::PairWindow, to) == 0);
@@ -170,6 +179,14 @@ struct ImageMeta {
   /// not persisted — one is a debug mode, the other build-only).
   index::IndexConfig index;
 };
+
+/// Whether every coordinate is finite: the writer refuses, and the
+/// loader rejects, a kLocationPositions section that is not.
+inline bool allFinite(std::span<const geometry::Vec2> positions) {
+  for (const geometry::Vec2& p : positions)
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
+  return true;
+}
 
 /// ceil(n / kRowBlock) * kRowBlock, the FlatMatrix padded row count.
 inline std::uint64_t paddedRowCount(std::uint64_t rows) {

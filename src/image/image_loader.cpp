@@ -31,6 +31,7 @@ struct VenueImage::Core {
 
   radio::FingerprintDatabase db;
   core::MotionDatabase adjacency;
+  std::vector<geometry::Vec2> positions;
 
   Core() = default;
   Core(const Core&) = delete;
@@ -65,6 +66,7 @@ const char* sectionName(SectionId id) {
     case SectionId::kIndexSignatures: return "index_signatures";
     case SectionId::kIndexVaryingColumns: return "index_varying_columns";
     case SectionId::kIndexColumnValues: return "index_column_values";
+    case SectionId::kLocationPositions: return "location_positions";
   }
   return "unknown";
 }
@@ -72,7 +74,7 @@ const char* sectionName(SectionId id) {
 bool knownSection(std::uint32_t id) {
   constexpr std::uint32_t kRetiredRowValues = 3;
   return id >= static_cast<std::uint32_t>(SectionId::kMeta) &&
-         id <= static_cast<std::uint32_t>(SectionId::kIndexColumnValues) &&
+         id <= static_cast<std::uint32_t>(SectionId::kLocationPositions) &&
          id != kRetiredRowValues;
 }
 
@@ -176,7 +178,7 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
 
   const std::uint64_t contentStart = sizeof(FileHeader) + tableBytes;
   SectionRef sections[static_cast<std::uint32_t>(
-                          SectionId::kIndexColumnValues) +
+                          SectionId::kLocationPositions) +
                       1] = {};
   for (const SectionEntry& entry : table) {
     if (!knownSection(entry.id))
@@ -217,7 +219,8 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   };
   for (const SectionId required :
        {SectionId::kMeta, SectionId::kLocationIds, SectionId::kFlatBlocked,
-        SectionId::kAdjacencyRowStart, SectionId::kAdjacencyEdges})
+        SectionId::kAdjacencyRowStart, SectionId::kAdjacencyEdges,
+        SectionId::kLocationPositions})
     if (!section(required).present)
       fail(std::string("missing ") + sectionName(required) + " section");
 
@@ -258,6 +261,9 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   expectLength(section(SectionId::kAdjacencyEdges),
                SectionId::kAdjacencyEdges, meta.edgeCount,
                sizeof(kernel::PairWindow));
+  expectLength(section(SectionId::kLocationPositions),
+               SectionId::kLocationPositions, adjLocs,
+               sizeof(geometry::Vec2));
 
   // ---- Content invariants the views rely on -------------------------
   const auto* rowStart = reinterpret_cast<const std::size_t*>(
@@ -280,13 +286,26 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
       section(SectionId::kAdjacencyEdges).data);
   if (verify == VerifyMode::kFull) {
     // Edge destinations only ever feed comparisons (binary search and
-    // candidate matching), so this is a sanity check, not a safety
-    // requirement — which is why kBulkUnverified may skip the scan.
-    for (std::uint64_t e = 0; e < meta.edgeCount; ++e)
-      if (edges[e].to < 0 ||
-          static_cast<std::uint64_t>(edges[e].to) >= adjLocs)
-        fail("adjacency edge destination outside the adjacency's rows");
+    // candidate matching), so these are sanity checks, not safety
+    // requirements — which is why kBulkUnverified may skip the scan.
+    // MotionDatabase::find binary-searches a row, so each row's
+    // destinations must be strictly increasing.
+    for (std::uint64_t row = 0; row < adjLocs; ++row)
+      for (std::size_t e = rowStart[row]; e < rowStart[row + 1]; ++e) {
+        if (edges[e].to < 0 ||
+            static_cast<std::uint64_t>(edges[e].to) >= adjLocs)
+          fail("adjacency edge destination outside the adjacency's rows");
+        if (e > rowStart[row] && edges[e].to <= edges[e - 1].to)
+          fail("adjacency row " + std::to_string(row) +
+               " is not sorted by destination");
+      }
   }
+
+  const std::span<const geometry::Vec2> positions(
+      reinterpret_cast<const geometry::Vec2*>(
+          section(SectionId::kLocationPositions).data),
+      static_cast<std::size_t>(adjLocs));
+  if (!allFinite(positions)) fail("location position is not finite");
 
   // ---- Index geometry -----------------------------------------------
   std::vector<index::ShardView> shardViews;
@@ -408,27 +427,31 @@ VenueImage VenueImage::load(std::shared_ptr<Core> core,
   core->adjacency = core::MotionDatabase::view(
       {rowStart, static_cast<std::size_t>(adjLocs) + 1},
       {edges, static_cast<std::size_t>(meta.edgeCount)});
+  core->positions.assign(positions.begin(), positions.end());
 
   VenueImage image;
   image.meta_ = meta;
   image.mapped_ = core->mapBase != nullptr;
   std::shared_ptr<const Core> owned = std::move(core);
-  image.fingerprints_ = std::shared_ptr<const radio::FingerprintDatabase>(
+  const std::shared_ptr<const radio::FingerprintDatabase> fingerprints(
       owned, &owned->db);
-  image.adjacency_ = std::shared_ptr<const core::MotionDatabase>(
-      owned, &owned->adjacency);
+  std::shared_ptr<const index::TieredIndex> tieredIndex;
   if (meta.hasIndex) {
     index::IndexConfig config = meta.index;
     config.exhaustiveCheck = false;
     try {
-      image.index_ = std::make_shared<const index::TieredIndex>(
-          index::TieredIndex::fromImageViews(image.fingerprints_, config,
+      tieredIndex = std::make_shared<const index::TieredIndex>(
+          index::TieredIndex::fromImageViews(fingerprints, config,
                                              shardViews));
     } catch (const std::invalid_argument& e) {
       fail(std::string("index sections rejected: ") + e.what());
     }
   }
-  image.core_ = std::move(owned);
+  image.world_ = std::make_shared<const core::WorldSnapshot>(
+      fingerprints,
+      std::shared_ptr<const core::MotionDatabase>(owned, &owned->adjacency),
+      meta.generation, meta.intakeRecords, std::move(tieredIndex),
+      core::WorldSnapshot::Positions(owned, &owned->positions));
   return image;
 }
 

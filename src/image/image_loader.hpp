@@ -5,10 +5,8 @@
 #include <span>
 #include <string>
 
-#include "core/motion_database.hpp"
+#include "core/world_snapshot.hpp"
 #include "image/format.hpp"
-#include "index/tiered_index.hpp"
-#include "radio/fingerprint_database.hpp"
 
 namespace moloc::image {
 
@@ -30,17 +28,18 @@ enum class VerifyMode {
   kBulkUnverified,
 };
 
-/// A loaded venue image: the mapping plus zero-copy serving structures
-/// built over it.  All accessors hand out shared_ptrs whose control
-/// blocks pin the mapping, so a caller can drop the VenueImage and
-/// keep any piece alive independently — the bytes cannot be unmapped
-/// out from under a view.
+/// A loaded venue image: the mapping plus the serving world built over
+/// it.  Every handle of that world pins the mapping through its
+/// control block, so a caller can drop the VenueImage (and the world)
+/// and keep any piece alive independently — the bytes cannot be
+/// unmapped out from under a view.
 ///
 /// Construction performs no parsing or allocation proportional to the
 /// bulk data: the FlatMatrix (the radio map's only copy), the motion
 /// database's CSR rows, and index shards are views into the mapping.
-/// The only O(n) work is the small per-row tables (the id table and
-/// its hash) — bytes, not megabytes, per location.
+/// The only O(n) work is the small per-location tables (the id table
+/// and its hash, and a copy of the reference coordinates) — bytes, not
+/// megabytes, per location.
 class VenueImage {
  public:
   /// Maps `path` read-only and fully validates it: load cost is
@@ -57,22 +56,15 @@ class VenueImage {
                                VerifyMode verify = VerifyMode::kFull);
 
   const ImageMeta& meta() const { return meta_; }
-  std::size_t locationCount() const { return meta_.locationCount; }
-  std::size_t apCount() const { return meta_.apCount; }
-  bool hasIndex() const { return index_ != nullptr; }
   /// Whether the bytes are an actual mmap (false after fromBuffer).
   bool mapped() const { return mapped_; }
 
-  const std::shared_ptr<const radio::FingerprintDatabase>& fingerprints()
-      const {
-    return fingerprints_;
-  }
-  const std::shared_ptr<const core::MotionDatabase>& adjacency() const {
-    return adjacency_;
-  }
-  /// Null when the image was written without an index.
-  const std::shared_ptr<const index::TieredIndex>& tieredIndex() const {
-    return index_;
+  /// The world the image stores, as a service serves it: radio map,
+  /// motion database, reference coordinates, the embedded index (null
+  /// when written without one), and the generation and intake-record
+  /// count it was written at.
+  const std::shared_ptr<const core::WorldSnapshot>& world() const {
+    return world_;
   }
 
  private:
@@ -81,10 +73,7 @@ class VenueImage {
   VenueImage() = default;
   static VenueImage load(std::shared_ptr<Core> core, VerifyMode verify);
 
-  std::shared_ptr<const Core> core_;
-  std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
-  std::shared_ptr<const core::MotionDatabase> adjacency_;
-  std::shared_ptr<const index::TieredIndex> index_;
+  std::shared_ptr<const core::WorldSnapshot> world_;
   ImageMeta meta_;
   bool mapped_ = false;
 };

@@ -135,6 +135,11 @@ ImageWriteInfo writeVenueImage(const std::string& path,
   const auto& db = world.fingerprints();
   if (!db)
     throw ImageError("writeVenueImage: world has no fingerprint database");
+  if (!world.positions())
+    throw ImageError("writeVenueImage: world has no reference coordinates");
+  const std::vector<geometry::Vec2>& positions = *world.positions();
+  if (!allFinite(positions))
+    throw ImageError("writeVenueImage: a reference coordinate is not finite");
   const core::MotionDatabase& adjacency = world.adjacency();
   const index::TieredIndex* index = world.tieredIndex().get();
 
@@ -180,7 +185,7 @@ ImageWriteInfo writeVenueImage(const std::string& path,
     throw store::StoreError("open failed for " + tmpPath + ": " +
                             util::errnoMessage(errno));
 
-  const std::size_t sectionCount = 5 + (meta.hasIndex ? 7 : 0);
+  const std::size_t sectionCount = 6 + (meta.hasIndex ? 7 : 0);
   std::vector<SectionEntry> table;
   table.reserve(sectionCount);
 
@@ -231,6 +236,12 @@ ImageWriteInfo writeVenueImage(const std::string& path,
     out.write(edges.data(), edges.size() * sizeof(kernel::PairWindow));
   }
   table.push_back(out.endSection(SectionId::kAdjacencyEdges));
+
+  // kLocationPositions: one coordinate per adjacency row (the
+  // snapshot guarantees the count).
+  out.beginSection();
+  out.write(positions.data(), positions.size() * sizeof(geometry::Vec2));
+  table.push_back(out.endSection(SectionId::kLocationPositions));
 
   if (meta.hasIndex) {
     const std::size_t shardCount = index->shardCount();

@@ -1,13 +1,14 @@
 // molocd: the MoLoc network serving daemon.
 //
-// Stands up a world — by default the paper's office hall
-// (ExperimentWorld, fully determined by --seed), or with --venue a
-// generated campus-scale venue (worldgen::GeneratedVenue, determined
-// by the spec plus --venue-seed) — wraps it in a LocalizationService
-// with the crowdsourcing intake attached, and serves the binary wire
-// protocol (src/net/wire.hpp) over TCP until SIGTERM/SIGINT — at
-// which point it drains gracefully: stop accepting, answer every
-// request already received, flush the intake durably, exit 0.
+// Boots one world — loaded from a venue image with --image, generated
+// from a campus spec with --venue (worldgen::GeneratedVenue, determined
+// by the spec plus --venue-seed), or by default the paper's office hall
+// (ExperimentWorld, fully determined by --seed) — wraps it in a
+// LocalizationService with the crowdsourcing intake attached, and
+// serves the binary wire protocol (src/net/wire.hpp) over TCP until
+// SIGTERM/SIGINT — at which point it drains gracefully: stop
+// accepting, answer every request already received, flush the intake
+// durably, exit 0.
 //
 // A load generator built from the same seed(s) produces bit-identical
 // worlds, which is what lets moloc_loadgen verify network-served
@@ -17,10 +18,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/online_motion_database.hpp"
 #include "core/world_snapshot.hpp"
 #include "eval/experiment_world.hpp"
+#include "geometry/vec2.hpp"
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
 #include "net/server.hpp"
@@ -66,10 +70,10 @@ int main(int argc, char** argv) {
   args.addOption("venue-seed", "42",
                  "venue generation seed (loadgen must match)");
   args.addOption("image", "",
-                 "serve from a venue image (src/image) instead of "
-                 "building a world; implies --no-intake (an image "
-                 "carries no reservoir state to fold observations "
-                 "into)");
+                 "serve the world stored in a venue image (src/image) "
+                 "instead of building one; the intake starts empty, as "
+                 "for a built world, unless --wal-dir recovers a "
+                 "lineage");
   args.addOption("image-verify", "full",
                  "image CRC policy: 'full' checksums every section, "
                  "'bulk' skips the large arrays for millisecond "
@@ -106,17 +110,16 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   try {
-    // The serving world: office hall by default, generated venue with
-    // --venue.  Both outlive the service (the intake references their
-    // floor plans).
-    std::unique_ptr<eval::ExperimentWorld> world;
-    std::unique_ptr<worldgen::GeneratedVenue> venue;
-    std::unique_ptr<image::VenueImage> venueImage;
-    eval::WorldConfig worldConfig;
-    worldConfig.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    worldConfig.apCount = args.getInt("ap-count");
-    const std::string venueSpecText = args.getString("venue");
+    service::ServiceConfig serviceConfig;
+    serviceConfig.shardCount =
+        static_cast<std::size_t>(args.getInt("shards"));
+    // The one boot world: loaded from --image, or built from --venue or
+    // the office hall.  A built world keeps only what its snapshot
+    // shares, so the venue or hall object is released at once.
+    std::shared_ptr<const core::WorldSnapshot> world;
+    std::string source;
     const std::string imagePath = args.getString("image");
+    const std::string venueSpecText = args.getString("venue");
     if (!imagePath.empty()) {
       if (!venueSpecText.empty())
         throw util::ConfigError(
@@ -125,53 +128,49 @@ int main(int argc, char** argv) {
       if (verify != "full" && verify != "bulk")
         throw util::ConfigError(
             "--image-verify must be 'full' or 'bulk'");
-      venueImage = std::make_unique<image::VenueImage>(
-          image::VenueImage::open(imagePath,
-                                  verify == "bulk"
-                                      ? image::VerifyMode::kBulkUnverified
-                                      : image::VerifyMode::kFull));
+      world = image::VenueImage::open(
+                  imagePath, verify == "bulk"
+                                 ? image::VerifyMode::kBulkUnverified
+                                 : image::VerifyMode::kFull)
+                  .world();
+      source = "image " + imagePath;
     } else if (!venueSpecText.empty()) {
       worldgen::VenueSpec spec = worldgen::parseVenueSpec(venueSpecText);
       spec.seed = static_cast<std::uint64_t>(args.getInt("venue-seed"));
-      venue = std::make_unique<worldgen::GeneratedVenue>(spec);
+      const worldgen::GeneratedVenue venue(spec);
+      // The index splits at the venue's natural per-floor boundaries.
+      serviceConfig.indexShardStarts = venue.shardStarts();
+      world = service::bootWorld(
+          venue.sharedFingerprints(), venue.sharedMotion(),
+          std::make_shared<const std::vector<geometry::Vec2>>(
+              venue.site().plan.positions()),
+          serviceConfig);
+      source = "venue " + worldgen::describeVenueSpec(spec) + ", seed " +
+               std::to_string(spec.seed);
     } else {
-      world = std::make_unique<eval::ExperimentWorld>(worldConfig);
+      eval::WorldConfig worldConfig;
+      worldConfig.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+      worldConfig.apCount = args.getInt("ap-count");
+      const eval::ExperimentWorld hall(worldConfig);
+      world = service::bootWorld(
+          std::make_shared<const radio::FingerprintDatabase>(
+              hall.fingerprintDb()),
+          std::make_shared<const core::MotionDatabase>(hall.motionDb()),
+          std::make_shared<const std::vector<geometry::Vec2>>(
+              hall.hall().plan.positions()),
+          serviceConfig);
+      source = "office hall, seed " + std::to_string(worldConfig.seed);
     }
+    const std::uint64_t bootGeneration = world->generation();
 
     // Declared before the service: attachIntake requires the database
     // and store to outlive it (the intake writer joins in the
     // service's destructor).
     std::unique_ptr<store::StateStore> stateStore;
     std::unique_ptr<core::OnlineMotionDatabase> intakeDb;
-
-    service::ServiceConfig serviceConfig;
-    serviceConfig.shardCount =
-        static_cast<std::size_t>(args.getInt("shards"));
-    // A generated venue hands the index its natural per-floor shard
-    // boundaries, and its boot world shares the venue's radio map
-    // rather than copying it; bootWorld builds the tiered index for
-    // campus-scale maps and skips it for the small office hall.  An
-    // image serves exactly what it embeds: its index if it has one,
-    // else the exact scan.
-    if (venue) serviceConfig.indexShardStarts = venue->shardStarts();
-    auto makeService = [&]() -> service::LocalizationService {
-      if (venueImage)
-        return service::LocalizationService(
-            std::make_shared<const core::WorldSnapshot>(
-                venueImage->fingerprints(), venueImage->adjacency(),
-                venueImage->meta().generation,
-                venueImage->meta().intakeRecords,
-                venueImage->tieredIndex()),
-            serviceConfig);
-      if (venue)
-        return service::LocalizationService(
-            service::bootWorld(venue->sharedFingerprints(), venue->motion(),
-                               serviceConfig),
-            serviceConfig);
-      return service::LocalizationService(
-          world->fingerprintDb(), world->motionDb(), serviceConfig);
-    };
-    service::LocalizationService service = makeService();
+    // The service holds the only reference, so the boot world's motion
+    // database is released once a publish replaces it.
+    service::LocalizationService service(std::move(world), serviceConfig);
 
     const std::string saveImagePath = args.getString("save-image");
     if (!saveImagePath.empty()) {
@@ -188,9 +187,9 @@ int main(int argc, char** argv) {
     }
 
     std::string intakeText = args.getSwitch("no-intake") ? "off" : "on";
-    if (!args.getSwitch("no-intake") && !venueImage) {
+    if (!args.getSwitch("no-intake")) {
       intakeDb = std::make_unique<core::OnlineMotionDatabase>(
-          venue ? venue->site().plan : world->hall().plan);
+          *service.currentWorld()->positions());
       const std::string walDir = args.getString("wal-dir");
       if (!walDir.empty()) {
         // Continue the durable lineage: without this the store would
@@ -238,31 +237,14 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handleStopSignal);
     std::signal(SIGINT, handleStopSignal);
 
-    if (venueImage)
-      std::printf(
-          "molocd: serving %s:%u (image %s, generation %llu, "
-          "%zu locations, %zu APs, index %s, intake off)\n",
-          netConfig.host.c_str(), unsigned{server.port()},
-          imagePath.c_str(),
-          static_cast<unsigned long long>(
-              venueImage->meta().generation),
-          venueImage->locationCount(), venueImage->apCount(),
-          service.tieredIndex() ? "on" : "off");
-    else if (venue)
-      std::printf(
-          "molocd: serving %s:%u (venue %s, seed %llu, %zu locations, "
-          "%zu APs, index %s, intake %s)\n",
-          netConfig.host.c_str(), unsigned{server.port()},
-          worldgen::describeVenueSpec(venue->spec()).c_str(),
-          static_cast<unsigned long long>(venue->spec().seed),
-          venue->locationCount(), venue->apCount(),
-          service.tieredIndex() ? "on" : "off", intakeText.c_str());
-    else
-      std::printf(
-          "molocd: serving %s:%u (seed %llu, %d APs, intake %s)\n",
-          netConfig.host.c_str(), unsigned{server.port()},
-          static_cast<unsigned long long>(worldConfig.seed),
-          worldConfig.apCount, intakeText.c_str());
+    std::printf(
+        "molocd: serving %s:%u (%s, generation %llu, %zu locations, "
+        "%zu APs, index %s, intake %s)\n",
+        netConfig.host.c_str(), unsigned{server.port()},
+        source.c_str(),
+        static_cast<unsigned long long>(bootGeneration),
+        service.fingerprints().size(), service.fingerprints().apCount(),
+        service.tieredIndex() ? "on" : "off", intakeText.c_str());
     std::fflush(stdout);
     const std::string portFile = args.getString("port-file");
     if (!portFile.empty()) {

@@ -38,7 +38,8 @@ std::shared_ptr<const radio::FingerprintDatabase> radioMapOf(
 
 std::shared_ptr<const core::WorldSnapshot> bootWorld(
     std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-    const core::MotionDatabase& motion, const ServiceConfig& config) {
+    std::shared_ptr<const core::MotionDatabase> motion,
+    core::WorldSnapshot::Positions positions, const ServiceConfig& config) {
   std::shared_ptr<const index::TieredIndex> index;
   if (fingerprints && fingerprints->size() >= kTieredIndexMinEntries) {
     index::IndexConfig indexConfig;
@@ -47,9 +48,8 @@ std::shared_ptr<const core::WorldSnapshot> bootWorld(
         fingerprints, indexConfig, config.indexShardStarts);
   }
   return std::make_shared<const core::WorldSnapshot>(
-      std::move(fingerprints),
-      std::make_shared<const core::MotionDatabase>(motion), 0, 0,
-      std::move(index));
+      std::move(fingerprints), std::move(motion), 0, 0, std::move(index),
+      std::move(positions));
 }
 
 LocalizationService::LocalizationService(
@@ -58,7 +58,8 @@ LocalizationService::LocalizationService(
     : LocalizationService(
           bootWorld(std::make_shared<const radio::FingerprintDatabase>(
                         std::move(fingerprints)),
-                    motion, config),
+                    std::make_shared<const core::MotionDatabase>(motion),
+                    nullptr, config),
           config) {}
 
 LocalizationService::LocalizationService(
@@ -66,6 +67,7 @@ LocalizationService::LocalizationService(
     : config_(checkedConfig(std::move(config))),
       fingerprints_(radioMapOf(world)),
       index_(world->tieredIndex()),
+      positions_(world->positions()),
       world_(std::move(world)),
       worldHint_(&world_->adjacency()),
       worldGeneration_(world_->generation()),
@@ -360,7 +362,7 @@ void LocalizationService::publishWorld(core::OnlineMotionDatabase& db) {
   auto next = std::make_shared<const core::WorldSnapshot>(
       fingerprints_,
       std::make_shared<const core::MotionDatabase>(db.database()),
-      generation, records, index_);
+      generation, records, index_, positions_);
   const core::MotionDatabase* hint = &next->adjacency();
   {
     // Held only for the handle swap; the retired world is released
@@ -388,6 +390,11 @@ void LocalizationService::attachIntake(core::OnlineMotionDatabase* db,
     throw util::ConfigError(
         "LocalizationService::attachIntake: a checkpoint trigger "
         "requires a store");
+  if (positions_ && db->locationCount() != positions_->size())
+    throw util::ConfigError(
+        "LocalizationService::attachIntake: the intake covers " +
+        std::to_string(db->locationCount()) + " locations, the world " +
+        std::to_string(positions_->size()));
 
   // Stop a previous pipeline outside intakeMu_ (its writer's hooks
   // take service state); a racing reportObservation holds its own

@@ -69,16 +69,18 @@ struct ServiceConfig {
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
 };
 
-/// The boot world (generation 0) a service serves for `fingerprints`
-/// and `motion`, with no intake records.  The one place the
-/// tiered-index policy is decided: a radio map with at least
-/// kTieredIndexMinEntries entries gets the index (built on
+/// The boot world (generation 0) a service serves for `fingerprints`,
+/// `motion` and the reference coordinates `positions` (null for a
+/// world no intake will be built from), with no intake records.  The
+/// one place the tiered-index policy is decided: a radio map with at
+/// least kTieredIndexMinEntries entries gets the index (built on
 /// config.threadCount threads over config.indexShardStarts); a
-/// smaller one keeps the exact scan.  The world shares `fingerprints`
-/// rather than copying it.
+/// smaller one keeps the exact scan.  The world shares all three
+/// handles rather than copying them.
 std::shared_ptr<const core::WorldSnapshot> bootWorld(
     std::shared_ptr<const radio::FingerprintDatabase> fingerprints,
-    const core::MotionDatabase& motion, const ServiceConfig& config);
+    std::shared_ptr<const core::MotionDatabase> motion,
+    core::WorldSnapshot::Positions positions, const ServiceConfig& config);
 
 /// One unit of batch work: a scan for one session, plus the IMU
 /// recording since that session's previous scan (empty for a first
@@ -134,14 +136,15 @@ class LocalizationService {
   /// Serves `world` as generation `world->generation()` of the serving
   /// world: its radio map, tiered index (null = exact scan) and motion
   /// database are what every session is built on, and every world the
-  /// intake publishes later shares the radio map and index.  Throws
+  /// intake publishes later shares the radio map, index and reference
+  /// coordinates.  Throws
   /// util::ConfigError on a null world, one without a radio map or
   /// with an empty one, zero shards, or a candidate count of zero.
   explicit LocalizationService(
       std::shared_ptr<const core::WorldSnapshot> world,
       ServiceConfig config = {});
 
-  /// Serves bootWorld() over the databases.
+  /// Serves bootWorld() over the databases, without coordinates.
   LocalizationService(radio::FingerprintDatabase fingerprints,
                       const core::MotionDatabase& motion,
                       const ServiceConfig& config = {});
@@ -240,8 +243,9 @@ class LocalizationService {
   /// bound and the publish cadence.  The database's current contents
   /// (e.g. recovered state) are published immediately.  Re-attaching
   /// stops and drains the previous pipeline first.  Throws
-  /// std::invalid_argument on a null db or on a trigger without a
-  /// store.
+  /// std::invalid_argument on a null db, on a trigger without a
+  /// store, or when the world has reference coordinates and `db`
+  /// covers a different number of locations.
   void attachIntake(core::OnlineMotionDatabase* db,
                     store::StateStore* store = nullptr,
                     std::uint64_t checkpointEveryRecords = 0,
@@ -342,12 +346,13 @@ class LocalizationService {
       std::exception_ptr scanError, const sensors::ImuTrace& imu);
 
   ServiceConfig config_;
-  /// The boot world's radio map and index (null = exact scan).  Never
-  /// mutated: every published WorldSnapshot and session backend shares
-  /// them.  Declared before shards_ so they outlive every session that
-  /// captured their address.
+  /// The boot world's radio map, index (null = exact scan) and
+  /// reference coordinates.  Never mutated: every published
+  /// WorldSnapshot and session backend shares them.  Declared before
+  /// shards_ so they outlive every session that captured their address.
   std::shared_ptr<const radio::FingerprintDatabase> fingerprints_;
   std::shared_ptr<const index::TieredIndex> index_;
+  core::WorldSnapshot::Positions positions_;
   /// The serving world.  The pinning handle lives under worldMu_ —
   /// held only for the pointer copy, never across scoring — while
   /// worldHint_ carries the published adjacency's identity so the

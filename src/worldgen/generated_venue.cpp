@@ -286,7 +286,7 @@ GeneratedVenue::GeneratedVenue(VenueSpec spec)
     stats.sampleCount = kRlmSampleCount;
     core::appendWithMirror(entries, edge.a, edge.b, stats);
   }
-  motion_ = core::MotionDatabase(n, entries);
+  motion_ = std::make_shared<const core::MotionDatabase>(n, entries);
 }
 
 void GeneratedVenue::fillScan(env::LocationId location,

@@ -76,7 +76,12 @@ class GeneratedVenue {
   }
 
   /// Map-derived motion database (one RLM pair per walk edge).
-  const core::MotionDatabase& motion() const { return motion_; }
+  const core::MotionDatabase& motion() const { return *motion_; }
+  /// Shared handle to motion(), for a WorldSnapshot that outlives the
+  /// venue.
+  std::shared_ptr<const core::MotionDatabase> sharedMotion() const {
+    return motion_;
+  }
 
   /// Per-floor first rows — natural shard boundaries for the index.
   const std::vector<std::size_t>& shardStarts() const {
@@ -121,7 +126,7 @@ class GeneratedVenue {
   env::Site site_;
   std::vector<radio::AccessPoint> aps_;
   std::shared_ptr<radio::FingerprintDatabase> fingerprints_;
-  core::MotionDatabase motion_;
+  std::shared_ptr<const core::MotionDatabase> motion_;
   std::vector<std::size_t> shardStarts_;
   /// Flattened per-location visible-AP lists (indices into the
   /// location's floor's `aps`): visibleAps_[visibleStart_[l] ..

@@ -9,12 +9,18 @@
 # recovered: moloc_loadgen --wal-dir recovers the same directory into
 # its in-process reference and verifies every answer bitwise.
 #
+# Any further arguments go to every molocd boot (e.g. --image PATH to
+# boot from a venue image of the hall instead of building it).
+#
 # Usage: molocd_restart_test.sh <molocd> <moloc_loadgen> <work dir>
+#                               [molocd args...]
 set -euo pipefail
 
 molocd=$1
 loadgen=$2
 work=$3
+shift 3
+extra=("$@")
 rm -rf "$work"
 mkdir -p "$work"
 wal="$work/wal"
@@ -29,7 +35,7 @@ trap cleanup EXIT
 # file, and leaves the pid in $daemon and the boot line in <run>.log.
 boot() {
   "$molocd" --port 0 --port-file "$work/$1.port" --wal-dir "$wal" \
-    --checkpoint-every 32 > "$work/$1.log" &
+    --checkpoint-every 32 ${extra[@]+"${extra[@]}"} > "$work/$1.log" &
   daemon=$!
   for _ in $(seq 1 600); do
     [ -s "$work/$1.port" ] && return 0

@@ -45,7 +45,8 @@ class CheckpointTest : public ::testing::Test {
   std::unique_ptr<core::OnlineMotionDatabase> populatedDb(
       std::uint64_t seed = 7) {
     auto db = std::make_unique<core::OnlineMotionDatabase>(
-        plan_, core::BuilderConfig{}, /*reservoirCapacity=*/4, seed);
+        plan_.positions(), core::BuilderConfig{}, /*reservoirCapacity=*/4,
+        seed);
     for (int k = 0; k < 40; ++k) {
       db->addObservation(k % 2, 1 + k % 2, 88.0 + 0.2 * (k % 9),
                          3.7 + 0.02 * (k % 11));
@@ -59,7 +60,7 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, SnapshotRestoreRoundTripsAndStaysInLockstep) {
   auto originalPtr = populatedDb();
   auto& original = *originalPtr;
-  core::OnlineMotionDatabase restored(plan_, {}, 4, /*seed=*/999);
+  core::OnlineMotionDatabase restored(plan_.positions(), {}, 4, /*seed=*/999);
   restored.restore(original.snapshot());
   expectIdenticalIntakeState(original, restored);
 
@@ -109,7 +110,7 @@ TEST_F(CheckpointTest, RestoreRefitsEvictedAndInvalidatedPairsExactly) {
     EXPECT_EQ(ca.droppedSelfPairs, cb.droppedSelfPairs);
   };
 
-  core::OnlineMotionDatabase original(plan_, config,
+  core::OnlineMotionDatabase original(plan_.positions(), config,
                                       /*reservoirCapacity=*/6, 5);
   // After 20 rounds (0,1) holds a full, bimodal reservoir that
   // supports no entry; the rest of the feed gives it one again and
@@ -126,7 +127,7 @@ TEST_F(CheckpointTest, RestoreRefitsEvictedAndInvalidatedPairsExactly) {
   ASSERT_FALSE(db.hasEntry(1, 0));
   ASSERT_EQ(original.reservoirSamples(0, 1).size(), 6u);
 
-  core::OnlineMotionDatabase restored(plan_, {}, 64, /*seed=*/999);
+  core::OnlineMotionDatabase restored(plan_.positions(), {}, 64, /*seed=*/999);
   restored.restore(original.snapshot());
   expectIdenticalIntakeState(original, restored);
   expectEqualCounters(original, restored);
@@ -150,7 +151,7 @@ TEST_F(CheckpointTest, FileRoundTripIsExact) {
   EXPECT_EQ(loaded->data.throughSeq, 42u);
   EXPECT_EQ(loaded->skippedInvalid, 0u);
 
-  core::OnlineMotionDatabase restored(plan_);
+  core::OnlineMotionDatabase restored(plan_.positions());
   restored.restore(loaded->data.snapshot);
   expectIdenticalIntakeState(db, restored);
 }
@@ -166,7 +167,7 @@ TEST_F(CheckpointTest, RewriteReplacesTheFileWholeAndLeavesNoTemporary) {
   const auto loaded = loadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->skippedInvalid, 0u);
-  core::OnlineMotionDatabase restored(plan_);
+  core::OnlineMotionDatabase restored(plan_.positions());
   restored.restore(loaded->data.snapshot);
   expectIdenticalIntakeState(*secondPtr, restored);
 }
@@ -244,7 +245,7 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
 TEST_F(CheckpointTest, StrayTmpAndForeignFilesAreIgnored) {
   const std::string dir = freshDir("stray");
   const std::string path = writeCheckpointFile(
-      dir, 5, core::OnlineMotionDatabase(plan_).snapshot());
+      dir, 5, core::OnlineMotionDatabase(plan_.positions()).snapshot());
 
   // A crash mid-publish leaves a .tmp; operators leave notes.
   std::ofstream(path + ".tmp") << "torn half-written checkpoint";
@@ -260,7 +261,7 @@ TEST_F(CheckpointTest, StrayTmpAndForeignFilesAreIgnored) {
 TEST_F(CheckpointTest, NameContentSeqMismatchIsSkipped) {
   const std::string dir = freshDir("mismatch");
   const std::string path = writeCheckpointFile(
-      dir, 5, core::OnlineMotionDatabase(plan_).snapshot());
+      dir, 5, core::OnlineMotionDatabase(plan_.positions()).snapshot());
   // Forge a "newer" checkpoint by renaming: contents still say 5.
   std::filesystem::rename(
       path, dir + "/checkpoint-00000000000000000009.ckpt");
@@ -269,7 +270,8 @@ TEST_F(CheckpointTest, NameContentSeqMismatchIsSkipped) {
 
 TEST_F(CheckpointTest, PruneKeepsNewest) {
   const std::string dir = freshDir("prune");
-  const auto snapshot = core::OnlineMotionDatabase(plan_).snapshot();
+  const auto snapshot =
+      core::OnlineMotionDatabase(plan_.positions()).snapshot();
   for (std::uint64_t seq : {3u, 7u, 11u, 15u})
     writeCheckpointFile(dir, seq, snapshot);
   EXPECT_EQ(pruneCheckpoints(dir, 2), 2u);
@@ -291,30 +293,30 @@ TEST_F(CheckpointTest, RestoreValidatesAgainstThisDatabase) {
   {  // Wrong floor plan size.
     auto bad = good;
     bad.locationCount = 99;
-    core::OnlineMotionDatabase target(plan_);
+    core::OnlineMotionDatabase target(plan_.positions());
     EXPECT_THROW(target.restore(bad), std::invalid_argument);
   }
   {  // Non-canonical pair key.
     auto bad = good;
     ASSERT_FALSE(bad.reservoirs.empty());
     std::swap(bad.reservoirs[0].i, bad.reservoirs[0].j);
-    core::OnlineMotionDatabase target(plan_);
+    core::OnlineMotionDatabase target(plan_.positions());
     EXPECT_THROW(target.restore(bad), std::invalid_argument);
   }
   {  // Reservoir above capacity.
     auto bad = good;
     bad.capacity = 1;
-    core::OnlineMotionDatabase target(plan_);
+    core::OnlineMotionDatabase target(plan_.positions());
     EXPECT_THROW(target.restore(bad), std::invalid_argument);
   }
   {  // Zero RNG state (xoshiro fixed point).
     auto bad = good;
     bad.rngState = {0, 0, 0, 0};
-    core::OnlineMotionDatabase target(plan_);
+    core::OnlineMotionDatabase target(plan_.positions());
     EXPECT_THROW(target.restore(bad), std::invalid_argument);
   }
   // A failed restore leaves the target untouched (strong guarantee).
-  core::OnlineMotionDatabase target(plan_);
+  core::OnlineMotionDatabase target(plan_.positions());
   auto bad = good;
   bad.locationCount = 99;
   try {

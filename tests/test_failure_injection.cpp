@@ -41,7 +41,7 @@ TEST(FailureInjection, OnlineDbRejectsNonFiniteMeasurements) {
   env::FloorPlan plan(10.0, 10.0);
   plan.addReferenceLocation({2.0, 5.0});
   plan.addReferenceLocation({8.0, 5.0});
-  core::OnlineMotionDatabase online(plan);
+  core::OnlineMotionDatabase online(plan.positions());
   EXPECT_THROW(online.addObservation(0, 1, kNan, 4.0),
                std::invalid_argument);
   EXPECT_THROW(online.addObservation(0, 1, 90.0, kInf),
@@ -75,7 +75,7 @@ TEST(FailureInjection, PoisonedCrowdDataIsFilteredOut) {
   plan.addReferenceLocation({2.0, 5.0});
   plan.addReferenceLocation({8.0, 5.0});
   plan.addReferenceLocation({14.0, 5.0});
-  core::OnlineMotionDatabase online(plan);
+  core::OnlineMotionDatabase online(plan.positions());
 
   // Honest minority.
   for (int i = 0; i < 10; ++i) online.addObservation(0, 1, 90.0, 6.0);
@@ -98,7 +98,7 @@ TEST(FailureInjection, InPlanePoisonShiftsButFineFilterResists) {
   env::FloorPlan plan(20.0, 10.0);
   plan.addReferenceLocation({2.0, 5.0});
   plan.addReferenceLocation({8.0, 5.0});
-  core::OnlineMotionDatabase online(plan);
+  core::OnlineMotionDatabase online(plan.positions());
   for (int i = 0; i < 50; ++i)
     online.addObservation(0, 1, 90.0 + (i % 5 - 2) * 0.5, 6.0);
   for (int i = 0; i < 5; ++i)

@@ -12,9 +12,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "image/format.hpp"
+#include "image/image_loader.hpp"
 #include "targets/fuzz_targets.hpp"
 
 namespace moloc::fuzz {
@@ -70,6 +73,53 @@ TEST(FuzzRegressions, WireCorpusReplaysClean) {
 
 TEST(FuzzRegressions, ImageCorpusReplaysClean) {
   EXPECT_GE(replaySurface("image", runImageLoad), 8u);
+}
+
+// Replaying clean proves no image input crashes the loader, not that
+// each still reaches the check it was crafted for: a format bump turns
+// every stale seed into a version-check rejection.  So each input is
+// pinned to the error it must raise (the seeds must load).
+TEST(FuzzRegressions, ImageCorpusReachesTheCheckEachInputTargets) {
+  const fs::path root(MOLOC_FUZZ_CORPUS_DIR);
+  const std::map<std::string, std::string> expected = {
+      {"image/no-index.img", ""},
+      {"image/with-index.img", ""},
+      {"regressions/image/body-crc-flip.img", "section CRC mismatch"},
+      {"regressions/image/duplicate-section.img", "duplicate meta section"},
+      {"regressions/image/foreign-layout-tag.img", "layout tag mismatch"},
+      {"regressions/image/hostile-offset.img", "out of file bounds"},
+      {"regressions/image/misaligned-offset.img", "misaligned section offset"},
+      {"regressions/image/overlapping-sections.img", "overlapping sections"},
+      {"regressions/image/shuffled-row.img", "not sorted by destination"},
+      {"regressions/image/truncated-column-profile.img",
+       "index_column_values section length"},
+      {"regressions/image/truncated-table.img", "file size mismatch"},
+      {"regressions/image/v4-header.img", "unsupported format version 4"},
+      {"regressions/image/zero-sections.img", "section count 0"},
+  };
+  std::size_t seen = 0;
+  for (const auto& dir : {root / "image", root / "regressions" / "image"}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const std::string name =
+          fs::relative(entry.path(), root).generic_string();
+      const auto it = expected.find(name);
+      ASSERT_NE(it, expected.end()) << "no expectation for " << name;
+      ++seen;
+      const auto bytes = readBytes(entry.path());
+      std::string error;
+      try {
+        image::VenueImage::fromBuffer(bytes);
+      } catch (const image::ImageError& e) {
+        error = e.what();
+      }
+      if (it->second.empty())
+        EXPECT_EQ(error, "") << name;
+      else
+        EXPECT_NE(error.find(it->second), std::string::npos)
+            << name << " raised \"" << error << "\"";
+    }
+  }
+  EXPECT_EQ(seen, expected.size());
 }
 
 // The harness must also accept the empty input (libFuzzer always

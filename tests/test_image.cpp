@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +27,7 @@
 #include "core/world_snapshot.hpp"
 #include "env/floor_plan.hpp"
 #include "eval/experiment_world.hpp"
+#include "geometry/vec2.hpp"
 #include "image/format.hpp"
 #include "index/tiered_index.hpp"
 #include "kernel/fingerprint_kernel.hpp"
@@ -93,6 +96,15 @@ std::shared_ptr<const core::MotionDatabase> makeMotion(
   return std::make_shared<const core::MotionDatabase>(locations, entries);
 }
 
+/// One finite, distinct coordinate per location.
+core::WorldSnapshot::Positions makePositions(std::size_t locations) {
+  auto positions = std::make_shared<std::vector<geometry::Vec2>>();
+  for (std::size_t i = 0; i < locations; ++i)
+    positions->push_back({1.5 * static_cast<double>(i),
+                          0.5 * static_cast<double>(i % 7)});
+  return positions;
+}
+
 std::shared_ptr<const core::WorldSnapshot> makeWorld(
     std::size_t locations, std::size_t apCount, std::uint64_t seed,
     bool withIndex) {
@@ -105,7 +117,7 @@ std::shared_ptr<const core::WorldSnapshot> makeWorld(
   }
   return std::make_shared<const core::WorldSnapshot>(
       db, makeMotion(locations, seed + 1), /*generation=*/3,
-      /*intakeRecords=*/77, index);
+      /*intakeRecords=*/77, index, makePositions(locations));
 }
 
 void expectMatchesBitwiseEqual(const std::vector<radio::Match>& a,
@@ -142,15 +154,18 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
 
   const VenueImage image = VenueImage::open(path);
   EXPECT_TRUE(image.mapped());
-  EXPECT_EQ(image.locationCount(), 400u);
-  EXPECT_EQ(image.apCount(), 12u);
+  EXPECT_EQ(image.meta().locationCount, 400u);
+  EXPECT_EQ(image.meta().apCount, 12u);
   EXPECT_EQ(image.meta().generation, 3u);
   EXPECT_EQ(image.meta().intakeRecords, 77u);
-  ASSERT_TRUE(image.hasIndex());
+  ASSERT_TRUE(image.meta().hasIndex);
+  const core::WorldSnapshot& served = *image.world();
+  EXPECT_EQ(served.generation(), 3u);
+  EXPECT_EQ(served.intakeRecords(), 77u);
 
   // Fingerprints: ids, per-entry values, and the kernel mirror.
   const auto& db = *world->fingerprints();
-  const auto& loaded = *image.fingerprints();
+  const auto& loaded = *served.fingerprints();
   ASSERT_EQ(loaded.size(), db.size());
   EXPECT_EQ(loaded.apCount(), db.apCount());
   for (std::size_t r = 0; r < db.size(); ++r) {
@@ -175,7 +190,7 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
 
   // Adjacency: CSR arrays verbatim, precomputed constants included.
   const auto& adjA = world->adjacency();
-  const auto& adjB = *image.adjacency();
+  const auto& adjB = served.adjacency();
   EXPECT_TRUE(adjB.isView());
   ASSERT_EQ(adjB.locationCount(), adjA.locationCount());
   ASSERT_EQ(adjB.entryCount(), adjA.entryCount());
@@ -189,8 +204,16 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
   EXPECT_EQ(adjB.entry(0, 1)->sampleCount, 20);
   EXPECT_EQ(adjB.entry(2, 0)->sampleCount, 12);
 
+  // Reference coordinates: one per adjacency row, bit for bit.
+  ASSERT_NE(served.positions(), nullptr);
+  ASSERT_EQ(served.positions()->size(), world->positions()->size());
+  EXPECT_EQ(std::memcmp(served.positions()->data(),
+                        world->positions()->data(),
+                        world->positions()->size() * sizeof(geometry::Vec2)),
+            0);
+
   // Index: same shard structure, bitwise-identical answers.
-  ASSERT_EQ(image.tieredIndex()->shardCount(),
+  ASSERT_EQ(served.tieredIndex()->shardCount(),
             world->tieredIndex()->shardCount());
   util::Rng rng(5);
   std::vector<radio::Match> exact;
@@ -199,7 +222,7 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
     const radio::Fingerprint query = makeQuery(12, rng);
     for (const std::size_t k : {1u, 4u, 16u}) {
       db.queryInto(query, k, exact);
-      image.tieredIndex()->queryInto(query, k, viaImage);
+      served.tieredIndex()->queryInto(query, k, viaImage);
       expectMatchesBitwiseEqual(exact, viaImage);
     }
   }
@@ -216,19 +239,26 @@ TEST(VenueImage, MmapAndFromBufferAreBitwiseIdentical) {
   EXPECT_TRUE(viaMmap.mapped());
   EXPECT_FALSE(viaBuffer.mapped());
 
-  ASSERT_EQ(viaMmap.locationCount(), viaBuffer.locationCount());
-  EXPECT_EQ(std::memcmp(viaMmap.adjacency()->edges().data(),
-                        viaBuffer.adjacency()->edges().data(),
-                        viaMmap.adjacency()->entryCount() *
+  ASSERT_EQ(viaMmap.meta().locationCount, viaBuffer.meta().locationCount);
+  const core::WorldSnapshot& mmapWorld = *viaMmap.world();
+  const core::WorldSnapshot& bufferWorld = *viaBuffer.world();
+  EXPECT_EQ(std::memcmp(mmapWorld.adjacency().edges().data(),
+                        bufferWorld.adjacency().edges().data(),
+                        mmapWorld.adjacency().entryCount() *
                             sizeof(kernel::PairWindow)),
+            0);
+  EXPECT_EQ(std::memcmp(mmapWorld.positions()->data(),
+                        bufferWorld.positions()->data(),
+                        mmapWorld.positions()->size() *
+                            sizeof(geometry::Vec2)),
             0);
   util::Rng rng(7);
   std::vector<radio::Match> a;
   std::vector<radio::Match> b;
   for (int trial = 0; trial < 20; ++trial) {
     const radio::Fingerprint query = makeQuery(8, rng);
-    viaMmap.tieredIndex()->queryInto(query, 6, a);
-    viaBuffer.tieredIndex()->queryInto(query, 6, b);
+    mmapWorld.tieredIndex()->queryInto(query, 6, a);
+    bufferWorld.tieredIndex()->queryInto(query, 6, b);
     expectMatchesBitwiseEqual(a, b);
   }
 }
@@ -242,14 +272,16 @@ TEST(VenueImage, HallWorldRoundTripsBitwise) {
       std::make_shared<const radio::FingerprintDatabase>(
           world.fingerprintDb()),
       std::make_shared<const core::MotionDatabase>(world.motionDb()),
-      /*generation=*/0, /*intakeRecords=*/0);
+      /*generation=*/0, /*intakeRecords=*/0, /*tieredIndex=*/nullptr,
+      std::make_shared<const std::vector<geometry::Vec2>>(
+          world.hall().plan.positions()));
   const std::string path = freshDir("hall") + "/hall.img";
   writeVenueImage(path, boot);
   const VenueImage image = VenueImage::open(path);
-  EXPECT_FALSE(image.hasIndex());
+  EXPECT_FALSE(image.meta().hasIndex);
 
   const core::MotionDatabase& expected = world.motionDb();
-  const core::MotionDatabase& loaded = *image.adjacency();
+  const core::MotionDatabase& loaded = image.world()->adjacency();
   ASSERT_GT(expected.entryCount(), 0u);
   ASSERT_EQ(loaded.locationCount(), expected.locationCount());
   ASSERT_EQ(loaded.entryCount(), expected.entryCount());
@@ -274,7 +306,7 @@ TEST(VenueImage, HallWorldRoundTripsBitwise) {
   for (const radio::Fingerprint& probe : probes) {
     for (const std::size_t k : {1u, 4u, 12u}) {
       db.queryInto(probe, k, exact);
-      image.fingerprints()->queryInto(probe, k, viaImage);
+      image.world()->fingerprints()->queryInto(probe, k, viaImage);
       expectMatchesBitwiseEqual(exact, viaImage);
     }
   }
@@ -294,8 +326,8 @@ TEST(VenueImage, BulkUnverifiedModeServesIdentically) {
   std::vector<radio::Match> b;
   for (int trial = 0; trial < 10; ++trial) {
     const radio::Fingerprint query = makeQuery(8, rng);
-    full.tieredIndex()->queryInto(query, 5, a);
-    fast.tieredIndex()->queryInto(query, 5, b);
+    full.world()->tieredIndex()->queryInto(query, 5, a);
+    fast.world()->tieredIndex()->queryInto(query, 5, b);
     expectMatchesBitwiseEqual(a, b);
   }
 }
@@ -311,12 +343,12 @@ TEST(VenueImage, ViewsPinTheMappingAfterTheImageHandleDies) {
   std::shared_ptr<const index::TieredIndex> index;
   {
     const VenueImage image = VenueImage::open(path);
-    db = image.fingerprints();
-    adjacency = image.adjacency();
-    index = image.tieredIndex();
+    db = image.world()->fingerprints();
+    adjacency = core::WorldSnapshot::adjacencyOf(image.world());
+    index = image.world()->tieredIndex();
   }
-  // The VenueImage is gone; the mapping must survive behind each
-  // aliasing handle independently.
+  // The VenueImage and its world are gone; the mapping must survive
+  // behind each aliasing handle independently.
   util::Rng rng(3);
   const radio::Fingerprint query = makeQuery(6, rng);
   std::vector<radio::Match> exact;
@@ -344,13 +376,9 @@ TEST(VenueImage, ImageBackedWorldSnapshotServesTheSameWorld) {
   writeVenueImage(path, *world);
 
   const VenueImage image = VenueImage::open(path);
-  auto adopted = std::make_shared<const core::WorldSnapshot>(
-      image.fingerprints(), image.adjacency(),
-      image.meta().generation, image.meta().intakeRecords,
-      image.tieredIndex());
+  std::shared_ptr<const core::WorldSnapshot> adopted = image.world();
   EXPECT_EQ(adopted->generation(), 3u);
   EXPECT_EQ(adopted->intakeRecords(), 77u);
-  EXPECT_EQ(&adopted->adjacency(), image.adjacency().get());
   EXPECT_EQ(adopted->adjacency().locationCount(),
             world->adjacency().locationCount());
 
@@ -377,17 +405,17 @@ TEST(VenueImage, WorldWithoutIndexRoundTripsWithoutIndexSections) {
   const std::string path = dir + "/venue.img";
   const auto world = makeWorld(60, 6, 67, /*withIndex=*/false);
   const ImageWriteInfo info = writeVenueImage(path, *world);
-  EXPECT_EQ(info.sections, 5u);
+  EXPECT_EQ(info.sections, 6u);
 
   const VenueImage image = VenueImage::open(path);
-  EXPECT_FALSE(image.hasIndex());
-  EXPECT_EQ(image.tieredIndex(), nullptr);
+  EXPECT_FALSE(image.meta().hasIndex);
+  EXPECT_EQ(image.world()->tieredIndex(), nullptr);
   util::Rng rng(11);
   const radio::Fingerprint query = makeQuery(6, rng);
   std::vector<radio::Match> exact;
   std::vector<radio::Match> loaded;
   world->fingerprints()->queryInto(query, 3, exact);
-  image.fingerprints()->queryInto(query, 3, loaded);
+  image.world()->fingerprints()->queryInto(query, 3, loaded);
   expectMatchesBitwiseEqual(exact, loaded);
 }
 
@@ -397,9 +425,31 @@ TEST(VenueImage, WriterRejectsWorldViolatingTheServingInvariant) {
   auto db = std::make_shared<radio::FingerprintDatabase>();
   db->addLocation(5, radio::Fingerprint({-50.0, -60.0}));
   const core::WorldSnapshot world(
-      db, std::make_shared<const core::MotionDatabase>(3), 1, 0);
+      db, std::make_shared<const core::MotionDatabase>(3), 1, 0, nullptr,
+      makePositions(3));
   const std::string dir = freshDir("invariant");
   EXPECT_THROW(writeVenueImage(dir + "/venue.img", world), ImageError);
+}
+
+TEST(VenueImage, WriterRejectsWorldWithoutUsableCoordinates) {
+  // The loader rejects an image without coordinates or with a
+  // non-finite one, so the writer must not produce either.
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  db->addLocation(0, radio::Fingerprint({-50.0, -60.0}));
+  const auto motion = std::make_shared<const core::MotionDatabase>(2);
+  const std::string dir = freshDir("coordinates");
+  EXPECT_THROW(writeVenueImage(dir + "/a.img",
+                               core::WorldSnapshot(db, motion, 1, 0)),
+               ImageError);
+  const auto nan = std::make_shared<const std::vector<geometry::Vec2>>(
+      std::vector<geometry::Vec2>{
+          {1.0, 2.0}, {std::numeric_limits<double>::quiet_NaN(), 0.0}});
+  EXPECT_THROW(writeVenueImage(dir + "/b.img",
+                               core::WorldSnapshot(db, motion, 1, 0,
+                                                   nullptr, nan)),
+               ImageError);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/a.img"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/b.img"));
 }
 
 TEST(VenueImage, EveryTruncationIsATypedError) {
@@ -451,7 +501,7 @@ TEST(VenueImage, EveryCoveredByteFlipIsDetected) {
           << "offset " << at;
     } else {
       const VenueImage image = VenueImage::fromBuffer(bytes);
-      EXPECT_EQ(image.locationCount(), 12u) << "offset " << at;
+      EXPECT_EQ(image.meta().locationCount, 12u) << "offset " << at;
     }
     bytes[at] ^= 0x40;
   }
@@ -496,8 +546,9 @@ TEST(VenueImage, ViewStructuresRefuseMutation) {
   const auto world = makeWorld(30, 6, 83, /*withIndex=*/false);
   writeVenueImage(path, *world);
   const VenueImage image = VenueImage::open(path);
+  const radio::FingerprintDatabase& db = *image.world()->fingerprints();
 
-  kernel::FlatMatrix flat = image.fingerprints()->flatMatrix();
+  kernel::FlatMatrix flat = db.flatMatrix();
   EXPECT_TRUE(flat.isView());
   EXPECT_THROW(flat.appendRow(std::vector<double>(6, -70.0)),
                std::logic_error);
@@ -505,12 +556,12 @@ TEST(VenueImage, ViewStructuresRefuseMutation) {
 
   // An entry is a copy gathered from the mapped matrix: writing to it
   // leaves the image untouched.
-  radio::Fingerprint entry = image.fingerprints()->entryAt(0);
+  radio::Fingerprint entry = db.entryAt(0);
   const double stored = entry[0];
   entry[0] = -1.0;
-  EXPECT_EQ(image.fingerprints()->entryAt(0)[0], stored);
+  EXPECT_EQ(db.entryAt(0)[0], stored);
 
-  const core::MotionDatabase adjacency = *image.adjacency();
+  const core::MotionDatabase adjacency = image.world()->adjacency();
   EXPECT_TRUE(adjacency.isView());  // A copied view stays a view.
 }
 
@@ -558,10 +609,11 @@ TEST(FingerprintDatabase, EntriesGatherTheBitsThatWereAdded) {
   const std::string path = dir + "/venue.img";
   writeVenueImage(path, core::WorldSnapshot(db, makeMotion(kRows, 5),
                                             /*generation=*/1,
-                                            /*intakeRecords=*/0));
-  expectBits(*VenueImage::open(path).fingerprints(), 5, "open");
-  expectBits(*VenueImage::fromBuffer(readBytes(path)).fingerprints(), 5,
-             "fromBuffer");
+                                            /*intakeRecords=*/0, nullptr,
+                                            makePositions(kRows)));
+  expectBits(*VenueImage::open(path).world()->fingerprints(), 5, "open");
+  expectBits(*VenueImage::fromBuffer(readBytes(path)).world()->fingerprints(),
+             5, "fromBuffer");
 }
 
 TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
@@ -579,7 +631,7 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
   {
     store::StateStore store(dir);
 
-    core::OnlineMotionDatabase db(plan);
+    core::OnlineMotionDatabase db(plan.positions());
     db.setSink(&store);
     for (int k = 0; k < 20; ++k)
       db.addObservation(k % 2, 1 + k % 2, 87.0 + 0.3 * (k % 13),
@@ -599,7 +651,7 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
 
   // Recovery semantics are untouched by the image file: the checkpoint
   // loads and the WAL tail still replays on top.
-  core::OnlineMotionDatabase recovered(plan);
+  core::OnlineMotionDatabase recovered(plan.positions());
   const store::RecoveryResult result = store::recover(dir, recovered);
   EXPECT_TRUE(result.checkpointLoaded);
   EXPECT_EQ(result.lastSeq, expectedLastSeq);
@@ -609,15 +661,15 @@ TEST(VenueImage, StateStoreKeepsImageAlongsideCheckpointLineage) {
   // image serves the world it captured.
   store::StateStore reopened(dir);
   const VenueImage image = VenueImage::open(imagePath);
-  EXPECT_EQ(image.locationCount(), 50u);
-  EXPECT_TRUE(image.hasIndex());
+  EXPECT_EQ(image.meta().locationCount, 50u);
+  EXPECT_TRUE(image.meta().hasIndex);
 
   // A damaged image is a typed, recoverable failure — the durable
   // lineage does not depend on it.
   const store::testing::FaultFile fault(imagePath);
   fault.flipByte(fault.size() - 1);
   EXPECT_THROW(VenueImage::open(imagePath), ImageError);
-  core::OnlineMotionDatabase again(plan);
+  core::OnlineMotionDatabase again(plan.positions());
   EXPECT_EQ(store::recover(dir, again).lastSeq, expectedLastSeq);
 }
 
@@ -654,10 +706,11 @@ TEST(VenueImage, LoadedIndexServesTheBuiltIndexBitwise) {
   index::IndexConfig config;
   config.maxShardEntries = 37;
   auto built = std::make_shared<const index::TieredIndex>(db, config);
-  const core::WorldSnapshot world(db, makeMotion(370, 102), 1, 0, built);
+  const core::WorldSnapshot world(db, makeMotion(370, 102), 1, 0, built,
+                                  makePositions(370));
   writeVenueImage(path, world);
   const VenueImage image = VenueImage::open(path);
-  const index::TieredIndex& loaded = *image.tieredIndex();
+  const index::TieredIndex& loaded = *image.world()->tieredIndex();
 
   ASSERT_EQ(loaded.shardCount(), built->shardCount());
   for (std::size_t s = 0; s < built->shardCount(); ++s) {
@@ -705,8 +758,8 @@ TEST(VenueImage, OlderVersionImagesAreRejectedWithATypedError) {
   ASSERT_EQ(header.version, kFormatVersion);
   // v1: thermometer bit planes, no column profiles.  v2: a row-major
   // copy of the radio map in section 3.  v3: zeroed padding where v4
-  // stores each edge's sample count.
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  // stores each edge's sample count.  v4: no reference coordinates.
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
     std::vector<std::uint8_t> bytes = written;
     header.version = version;
     std::memcpy(bytes.data(), &header, sizeof(header));
@@ -784,6 +837,114 @@ TEST(VenueImage, TruncatedColumnProfileSectionIsATypedError) {
           << e.what();
     }
   }
+}
+
+/// Recomputes the CRC of section `id` after its bytes were patched,
+/// and re-seals the table, so only a content check can reject the
+/// patch.
+void resealSection(std::vector<std::uint8_t>& bytes, SectionId id) {
+  const std::size_t at = sectionEntryAt(bytes, id);
+  SectionEntry entry{};
+  std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+  entry.crc = store::crc32c(bytes.data() + entry.offset,
+                            static_cast<std::size_t>(entry.length));
+  std::memcpy(bytes.data() + at, &entry, sizeof(entry));
+  resealTable(bytes);
+}
+
+/// The byte offset of section `id`'s payload.
+std::size_t sectionOffset(const std::vector<std::uint8_t>& bytes,
+                          SectionId id) {
+  SectionEntry entry{};
+  std::memcpy(&entry, bytes.data() + sectionEntryAt(bytes, id),
+              sizeof(entry));
+  return static_cast<std::size_t>(entry.offset);
+}
+
+void expectRejected(const std::vector<std::uint8_t>& bytes,
+                    VerifyMode verify, const std::string& message) {
+  try {
+    VenueImage::fromBuffer(bytes, verify);
+    ADD_FAILURE() << "loaded; expected: " << message;
+  } catch (const ImageError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(VenueImage, RowNotSortedByDestinationIsRejectedUnderFullVerify) {
+  // makeMotion's row 2 holds edges to 0 and 3; swapping them leaves
+  // every destination in range and every CRC valid, but
+  // MotionDatabase::find's binary search would miss an entry.
+  const std::string path = freshDir("shuffled_row") + "/venue.img";
+  const auto world = makeWorld(30, 4, 131, /*withIndex=*/false);
+  ASSERT_EQ(world->adjacency().outEdges(2).size(), 2u);
+  writeVenueImage(path, *world);
+  std::vector<std::uint8_t> bytes = readBytes(path);
+  const std::size_t edges =
+      sectionOffset(bytes, SectionId::kAdjacencyEdges) +
+      world->adjacency().rowStarts()[2] * sizeof(kernel::PairWindow);
+  std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(edges),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(
+                                       edges + sizeof(kernel::PairWindow)),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(
+                                       edges + sizeof(kernel::PairWindow)));
+  resealSection(bytes, SectionId::kAdjacencyEdges);
+  expectRejected(bytes, VerifyMode::kFull,
+                 "adjacency row 2 is not sorted by destination");
+  // kBulkUnverified skips the edge scans, like the edge CRC.
+  EXPECT_NO_THROW(VenueImage::fromBuffer(bytes, VerifyMode::kBulkUnverified));
+}
+
+TEST(VenueImage, DamagedCoordinatesAreATypedErrorInEveryMode) {
+  const std::string path = freshDir("bad_positions") + "/venue.img";
+  writeVenueImage(path, *makeWorld(20, 4, 137, /*withIndex=*/true));
+  const std::vector<std::uint8_t> written = readBytes(path);
+
+  // A non-finite coordinate under a valid CRC.
+  std::vector<std::uint8_t> bytes = written;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(bytes.data() +
+                  sectionOffset(bytes, SectionId::kLocationPositions) +
+                  5 * sizeof(geometry::Vec2) + sizeof(double),
+              &inf, sizeof(inf));
+  resealSection(bytes, SectionId::kLocationPositions);
+  for (const VerifyMode verify :
+       {VerifyMode::kFull, VerifyMode::kBulkUnverified})
+    expectRejected(bytes, verify, "location position is not finite");
+
+  // One coordinate short.
+  bytes = written;
+  const std::size_t at =
+      sectionEntryAt(bytes, SectionId::kLocationPositions);
+  SectionEntry entry{};
+  std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+  entry.length -= sizeof(geometry::Vec2);
+  std::memcpy(bytes.data() + at, &entry, sizeof(entry));
+  resealSection(bytes, SectionId::kLocationPositions);
+  for (const VerifyMode verify :
+       {VerifyMode::kFull, VerifyMode::kBulkUnverified})
+    expectRejected(bytes, verify, "location_positions section length");
+
+  // No coordinates at all: the entry is cut from the table, which
+  // is re-sealed.  The section is required.
+  bytes = written;
+  FileHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  const auto cut = static_cast<std::ptrdiff_t>(
+      sectionEntryAt(bytes, SectionId::kLocationPositions));
+  const auto tableEnd = static_cast<std::ptrdiff_t>(
+      sizeof(FileHeader) + header.sectionCount * sizeof(SectionEntry));
+  constexpr auto kEntry = static_cast<std::ptrdiff_t>(sizeof(SectionEntry));
+  std::copy(bytes.begin() + cut + kEntry, bytes.begin() + tableEnd,
+            bytes.begin() + cut);
+  std::fill(bytes.begin() + tableEnd - kEntry, bytes.begin() + tableEnd, 0);
+  --header.sectionCount;
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  resealTable(bytes);
+  for (const VerifyMode verify :
+       {VerifyMode::kFull, VerifyMode::kBulkUnverified})
+    expectRejected(bytes, verify, "missing location_positions section");
 }
 
 TEST(TieredIndexParallelBuild, BitwiseIdenticalToSerial) {

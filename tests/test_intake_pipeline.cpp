@@ -98,7 +98,7 @@ IntakePolicy slowPublishPolicy() {
 
 TEST(IntakePipeline, RejectsDegeneratePolicies) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   IntakePolicy zeroCapacity;
   zeroCapacity.queueCapacity = 0;
   EXPECT_THROW(IntakePipeline(db, zeroCapacity, nullptr),
@@ -115,7 +115,7 @@ TEST(IntakePipeline, RejectsDegeneratePolicies) {
 
 TEST(IntakePipeline, AppliesInAdmissionOrderThroughTheWal) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   RecordingSink sink;
   db.setSink(&sink);
   IntakePipeline pipeline(db, slowPublishPolicy(), nullptr);
@@ -146,7 +146,7 @@ TEST(IntakePipeline, AppliesInAdmissionOrderThroughTheWal) {
 
 TEST(IntakePipeline, BackpressureIsTypedAndPreservesTheWalGuarantee) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   GatedSink sink;
   db.setSink(&sink);
 
@@ -179,7 +179,7 @@ TEST(IntakePipeline, BackpressureIsTypedAndPreservesTheWalGuarantee) {
 
 TEST(IntakePipeline, PublishesOnTheRecordCadence) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   std::atomic<std::uint64_t> publishes{0};
   std::atomic<std::uint64_t> lastRecords{0};
   IntakePolicy policy = slowPublishPolicy();
@@ -205,7 +205,7 @@ TEST(IntakePipeline, PublishesOnTheRecordCadence) {
 
 TEST(IntakePipeline, PublishesWhenTheStalenessBoundExpires) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   std::atomic<std::uint64_t> publishes{0};
   IntakePolicy policy;
   policy.publishEveryRecords = 1000000;  // Record trigger never fires.
@@ -226,7 +226,7 @@ TEST(IntakePipeline, PublishesWhenTheStalenessBoundExpires) {
 
 TEST(IntakePipeline, WriteAheadFailureIsCountedNotApplied) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   FailingSink sink;
   db.setSink(&sink);
   IntakePipeline pipeline(db, slowPublishPolicy(), nullptr);
@@ -243,7 +243,7 @@ TEST(IntakePipeline, WriteAheadFailureIsCountedNotApplied) {
 
 TEST(IntakePipeline, StopDrainsAdmittedWorkAndRejectsNewSubmits) {
   const auto plan = corridorPlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   RecordingSink sink;
   db.setSink(&sink);
   std::atomic<std::uint64_t> publishes{0};

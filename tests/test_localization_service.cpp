@@ -585,7 +585,7 @@ TEST(LocalizationService, ReportObservationRequiresAttachedIntake) {
   EXPECT_THROW(svc.attachIntake(nullptr), std::invalid_argument);
 
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   // A checkpoint trigger without a store to checkpoint into.
   EXPECT_THROW(svc.attachIntake(&db, nullptr, 10),
                std::invalid_argument);
@@ -595,7 +595,7 @@ TEST(LocalizationService, ReportObservationFeedsTheAttachedDatabase) {
   // The database must outlive the service: the service's intake writer
   // thread keeps applying admitted observations until detach/shutdown.
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   LocalizationService svc(twinFingerprints(), twinMotion(),
                           testConfig());
   svc.attachIntake(&db);
@@ -620,7 +620,7 @@ void reportAccepted(LocalizationService& svc, int k0, int count) {
 TEST(LocalizationService, FlushReturnsWithTriggeredCheckpointOnDisk) {
   const std::string dir = freshStoreDir("bg");
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4);
+  core::OnlineMotionDatabase db(plan.positions(), {}, /*reservoirCapacity=*/4);
   store::StoreConfig storeConfig;
   storeConfig.wal.fsync = store::FsyncPolicy::kNone;
   store::StateStore store(dir, storeConfig);
@@ -639,7 +639,7 @@ TEST(LocalizationService, FlushReturnsWithTriggeredCheckpointOnDisk) {
 
   // The durable state reconstructs the live database bit-identically.
   db.setSink(nullptr);
-  core::OnlineMotionDatabase recovered(plan, {}, 4);
+  core::OnlineMotionDatabase recovered(plan.positions(), {}, 4);
   const auto result = store::recover(dir, recovered);
   EXPECT_TRUE(result.checkpointLoaded);
   test_support::expectIdenticalIntakeState(db, recovered);
@@ -648,7 +648,7 @@ TEST(LocalizationService, FlushReturnsWithTriggeredCheckpointOnDisk) {
 TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
   const std::string dir = freshStoreDir("ckptfail");
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4);
+  core::OnlineMotionDatabase db(plan.positions(), {}, /*reservoirCapacity=*/4);
   store::StoreConfig storeConfig;
   storeConfig.wal.fsync = store::FsyncPolicy::kNone;
   obs::MetricsRegistry registry;
@@ -698,7 +698,7 @@ TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
       1.0);
 
   db.setSink(nullptr);
-  core::OnlineMotionDatabase recovered(plan, {}, 4);
+  core::OnlineMotionDatabase recovered(plan.positions(), {}, 4);
   const auto result = store::recover(dir, recovered);
   EXPECT_TRUE(result.checkpointLoaded);
   EXPECT_EQ(result.checkpointSeq, 20u);
@@ -709,7 +709,7 @@ TEST(LocalizationService, FailedCheckpointIsCountedAndIntakeCarriesOn) {
 TEST(LocalizationService, SharedRegistryCountsCheckpointsOnce) {
   const std::string dir = freshStoreDir("registry");
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4);
+  core::OnlineMotionDatabase db(plan.positions(), {}, /*reservoirCapacity=*/4);
   obs::MetricsRegistry registry;
   store::StoreConfig storeConfig;
   storeConfig.wal.fsync = store::FsyncPolicy::kNone;
@@ -762,7 +762,7 @@ TEST(LocalizationService, FlushRacingShutdownThrowsPromptly) {
   // drained (proven here by releasing the pinned apply only after the
   // flusher has already seen the error).
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
 
   std::atomic<bool> sinkEntered{false};
   std::atomic<bool> sinkRelease{false};

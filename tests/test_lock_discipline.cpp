@@ -56,7 +56,7 @@ TEST(LockDiscipline, ServingIntakeAndCheckpointWaitersOverlap) {
   plan.addReferenceLocation({2.0, 2.0});
   plan.addReferenceLocation({6.0, 2.0});
   plan.addReferenceLocation({10.0, 2.0});
-  core::OnlineMotionDatabase db(plan, {}, /*reservoirCapacity=*/4,
+  core::OnlineMotionDatabase db(plan.positions(), {}, /*reservoirCapacity=*/4,
                                 /*seed=*/11);
   store::StoreConfig storeConfig;
   storeConfig.wal.fsync = store::FsyncPolicy::kNone;

@@ -165,7 +165,7 @@ TEST(MotionMatcherKernelTest, RebindAdoptsNewerPublishedWorld) {
   plan.addReferenceLocation({10.0, 2.0});
   core::BuilderConfig config;
   config.minSamplesPerPair = 3;
-  core::OnlineMotionDatabase online(plan, config);
+  core::OnlineMotionDatabase online(plan.positions(), config);
   core::MotionMatcher matcher(
       std::make_shared<const core::MotionDatabase>(online.database()));
 

@@ -195,20 +195,17 @@ TEST(NetServer, ImageLoadedWorldServesBitwiseIdenticalToFreshlyBuilt) {
   service::LocalizationService reference(
       std::make_shared<const core::WorldSnapshot>(
           radioMap, std::make_shared<const core::MotionDatabase>(twinMotion()),
-          0, 0,
-          std::make_shared<const index::TieredIndex>(radioMap)),
+          0, 0, std::make_shared<const index::TieredIndex>(radioMap),
+          std::make_shared<const std::vector<geometry::Vec2>>(
+              std::vector<geometry::Vec2>{
+                  {0.0, 0.0}, {4.0, 0.0}, {0.0, 6.0}, {4.0, 6.0}, {8.0, 3.0}})),
       config);
   ASSERT_NE(reference.tieredIndex(), nullptr);
   image::writeVenueImage(path, *reference.currentWorld());
 
   const image::VenueImage venueImage = image::VenueImage::open(path);
-  ASSERT_TRUE(venueImage.hasIndex());
-  service::LocalizationService served(
-      std::make_shared<const core::WorldSnapshot>(
-          venueImage.fingerprints(), venueImage.adjacency(),
-          venueImage.meta().generation, venueImage.meta().intakeRecords,
-          venueImage.tieredIndex()),
-      config);
+  ASSERT_TRUE(venueImage.meta().hasIndex);
+  service::LocalizationService served(venueImage.world(), config);
   Server server(served, loopbackConfig());
   Client client("127.0.0.1", server.port());
 
@@ -262,7 +259,7 @@ TEST(NetServer, LocalizeBatchMatchesAndPreservesOrder) {
 
 TEST(NetServer, ReportFlushAndStatsRoundTrip) {
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   service::LocalizationService served(twinFingerprints(), twinMotion(),
                                       testConfig());
   served.attachIntake(&db);
@@ -325,7 +322,7 @@ class BlockingSink : public core::ObservationSink {
 
 TEST(NetServer, IntakeBackpressureMapsToOverloadedStatus) {
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   service::LocalizationService served(twinFingerprints(), twinMotion(),
                                       testConfig());
   service::IntakePolicy policy;
@@ -655,7 +652,7 @@ TEST(NetServer, ConnectionLimitParksTheListenerUntilAPeerHangsUp) {
 
 TEST(NetServer, WriteQueueBoundStopsReadingAPeerThatNeverReads) {
   const auto plan = intakePlan();
-  core::OnlineMotionDatabase db(plan);
+  core::OnlineMotionDatabase db(plan.positions());
   service::LocalizationService served(twinFingerprints(), twinMotion(),
                                       testConfig());
   served.attachIntake(&db);  // Stats then answers without an exception.

@@ -35,14 +35,14 @@ class OnlineDbTest : public ::testing::Test {
 TEST_F(OnlineDbTest, RejectsUndersizedReservoir) {
   BuilderConfig config;
   config.minSamplesPerPair = 5;
-  EXPECT_THROW(OnlineMotionDatabase(plan_, config, 4),
+  EXPECT_THROW(OnlineMotionDatabase(plan_.positions(), config, 4),
                std::invalid_argument);
 }
 
 TEST_F(OnlineDbTest, EntryAppearsAfterMinSamples) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   EXPECT_TRUE(online.addObservation(0, 1, 90.0, 4.0));
   EXPECT_TRUE(online.addObservation(0, 1, 91.0, 4.1));
   EXPECT_FALSE(online.database().hasEntry(0, 1));  // Below minimum.
@@ -55,7 +55,7 @@ TEST_F(OnlineDbTest, EntryAppearsAfterMinSamples) {
 }
 
 TEST_F(OnlineDbTest, CoarseFilterRejectsAtIntake) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   EXPECT_FALSE(online.addObservation(0, 1, 180.0, 4.0));  // 90 deg off.
   EXPECT_FALSE(online.addObservation(0, 1, 90.0, 9.0));   // 5 m off.
   EXPECT_EQ(online.counters().rejectedCoarse, 2u);
@@ -64,13 +64,13 @@ TEST_F(OnlineDbTest, CoarseFilterRejectsAtIntake) {
 }
 
 TEST_F(OnlineDbTest, SelfPairsDropped) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   EXPECT_FALSE(online.addObservation(1, 1, 0.0, 0.0));
   EXPECT_EQ(online.counters().droppedSelfPairs, 1u);
 }
 
 TEST_F(OnlineDbTest, ReassemblesOntoSmallerId) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 4; ++i) online.addObservation(1, 0, 270.0, 4.0);
   ASSERT_TRUE(online.database().hasEntry(0, 1));
   EXPECT_NEAR(online.database().entry(0, 1)->muDirectionDeg, 90.0,
@@ -82,7 +82,7 @@ TEST_F(OnlineDbTest, TracksDistributionShift) {
   // with reservoir sampling the entry migrates toward the new regime.
   BuilderConfig config;
   config.minSamplesPerPair = 3;
-  OnlineMotionDatabase online(plan_, config, 16);
+  OnlineMotionDatabase online(plan_.positions(), config, 16);
   for (int i = 0; i < 16; ++i)
     online.addObservation(0, 1, 90.0, 3.4 + 0.01 * (i % 3));
   const double before =
@@ -96,7 +96,7 @@ TEST_F(OnlineDbTest, TracksDistributionShift) {
 
 TEST_F(OnlineDbTest, ReservoirBoundsMemory) {
   BuilderConfig config;
-  OnlineMotionDatabase online(plan_, config, 8);
+  OnlineMotionDatabase online(plan_.positions(), config, 8);
   for (int i = 0; i < 1000; ++i)
     online.addObservation(0, 1, 90.0, 4.0);
   // The entry's sample count reflects the reservoir, not the stream.
@@ -107,7 +107,7 @@ TEST_F(OnlineDbTest, ReservoirBoundsMemory) {
 TEST_F(OnlineDbTest, FineFilterStillApplies) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
-  OnlineMotionDatabase online(plan_, config, 64);
+  OnlineMotionDatabase online(plan_.positions(), config, 64);
   for (int i = 0; i < 30; ++i)
     online.addObservation(0, 1, 90.0, 4.0 + 0.02 * (i % 5 - 2));
   online.addObservation(0, 1, 90.0, 5.5);  // Coarse-pass, fine-fail.
@@ -169,7 +169,7 @@ TEST_F(OnlineDbTest, FitMatchesReferenceFormula) {
   // a wide one (1, 2) whose refit stays above them.  Both entries are
   // bitwise the reference fit of the pair's stream.
   const BuilderConfig config;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   for (const auto& [i, dirStep, offStep] :
        {std::tuple{0, 0.5, 0.01}, std::tuple{1, 2.0, 0.1}}) {
     std::vector<double> directions;
@@ -202,7 +202,7 @@ TEST_F(OnlineDbTest, FitMatchesReferenceFormula) {
 }
 
 TEST_F(OnlineDbTest, ThrowsOnUnknownLocations) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   EXPECT_THROW(online.addObservation(0, 9, 90.0, 4.0),
                std::out_of_range);
 }
@@ -211,7 +211,7 @@ TEST_F(OnlineDbTest, MeasurementValidatedBeforeLocationLookup) {
   // Regression: a corrupt measurement must report invalid_argument
   // even when the location ids are bad too — the old code resolved
   // the ids first and masked the poisoned measurement as out_of_range.
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(online.addObservation(0, 9, nan, 4.0),
                std::invalid_argument);
@@ -240,7 +240,7 @@ TEST_F(OnlineDbTest, StaleEntryInvalidatedWhenFineFilterDropsPair) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
   config.fineSigmaMultiplier = 0.9;
-  OnlineMotionDatabase online(plan_, config, 6);
+  OnlineMotionDatabase online(plan_.positions(), config, 6);
   for (int i = 0; i < 3; ++i)
     EXPECT_TRUE(online.addObservation(0, 1, 90.0, 4.0));
   ASSERT_TRUE(online.database().hasEntry(0, 1));
@@ -264,7 +264,7 @@ OnlineMotionDatabase evictingStreamDatabase(const env::FloorPlan& plan) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
   config.fineSigmaMultiplier = 0.9;
-  return OnlineMotionDatabase(plan, config, 6, 5);
+  return OnlineMotionDatabase(plan.positions(), config, 6, 5);
 }
 
 /// Rounds [from, to) of a stream over OnlineDbTest's corridor that
@@ -324,8 +324,8 @@ TEST_F(OnlineDbTest, ReadsDoNotChangeResults) {
   feed(eager, 0, 20, true);
   feed(lazy, 0, 20, false);
   // Halfway, (0,1) holds a full reservoir that supports no entry.
-  OnlineMotionDatabase eagerRestored(plan_, {}, 64, 999);
-  OnlineMotionDatabase lazyRestored(plan_, {}, 64, 999);
+  OnlineMotionDatabase eagerRestored(plan_.positions(), {}, 64, 999);
+  OnlineMotionDatabase lazyRestored(plan_.positions(), {}, 64, 999);
   eagerRestored.restore(eager.snapshot());
   lazyRestored.restore(lazy.snapshot());
   ASSERT_FALSE(eager.database().hasEntry(0, 1));
@@ -355,7 +355,7 @@ TEST_F(OnlineDbTest, EvictingStreamDatabaseIsPinned) {
 
 TEST_F(OnlineDbTest, ReservoirSamplesAccessor) {
   BuilderConfig config;
-  OnlineMotionDatabase online(plan_, config, 8);
+  OnlineMotionDatabase online(plan_.positions(), config, 8);
   EXPECT_TRUE(online.reservoirSamples(0, 1).empty());  // Untracked.
   online.addObservation(0, 1, 90.0, 4.0);
   online.addObservation(1, 0, 270.0, 4.1);  // Reassembled onto (0, 1).
@@ -384,7 +384,7 @@ TEST_F(OnlineDbTest, ReservoirRetentionIsUniform) {
   config.enableFineFilter = false;  // Keep every coarse-legal sample.
   std::vector<int> survivals(kStreamLength, 0);
   for (int trial = 0; trial < kTrials; ++trial) {
-    OnlineMotionDatabase online(plan_, config, kCapacity,
+    OnlineMotionDatabase online(plan_.positions(), config, kCapacity,
                                 static_cast<std::uint64_t>(trial) + 1);
     // Encode the stream position in the offset (all coarse-legal:
     // within 1 m of the 4 m map offset).
@@ -417,7 +417,7 @@ TEST_F(OnlineDbTest, IntakeCountersMirroredToRegistry) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
   config.fineSigmaMultiplier = 0.9;
-  OnlineMotionDatabase online(plan_, config, 6, 0x0b5e55edULL,
+  OnlineMotionDatabase online(plan_.positions(), config, 6, 0x0b5e55edULL,
                               &registry);
   online.addObservation(1, 1, 0.0, 0.0);       // Self-pair.
   online.addObservation(0, 1, 180.0, 4.0);     // Coarse reject.
@@ -466,7 +466,7 @@ TEST_F(OnlineDbTest, IntakeCountersMirroredToRegistry) {
 }
 
 TEST_F(OnlineDbTest, ReservoirStatsAggregateOccupancy) {
-  OnlineMotionDatabase online(plan_, {}, /*reservoirCapacity=*/3);
+  OnlineMotionDatabase online(plan_.positions(), {}, /*reservoirCapacity=*/3);
   const auto empty = online.reservoirStats();
   EXPECT_EQ(empty.trackedPairs, 0u);
   EXPECT_EQ(empty.totalSamples, 0u);
@@ -510,7 +510,7 @@ class RecordingSink : public ObservationSink {
 };
 
 TEST_F(OnlineDbTest, SinkReceivesOriginalArgsOnAcceptOnly) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   RecordingSink sink;
   online.setSink(&sink);
   EXPECT_EQ(online.sink(), &sink);
@@ -534,7 +534,7 @@ TEST_F(OnlineDbTest, SinkReceivesOriginalArgsOnAcceptOnly) {
 }
 
 TEST_F(OnlineDbTest, SinkFailureAbortsTheUpdate) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   RecordingSink sink;
   online.setSink(&sink);
   online.addObservation(0, 1, 90.0, 4.0);
@@ -568,7 +568,7 @@ TEST_F(OnlineDbTest, SinkFailureAbortsTheUpdate) {
 using BuilderTest = OnlineDbTest;
 
 TEST_F(BuilderTest, LearnsCleanObservations) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 10; ++i)
     online.addObservation(0, 1, 90.0 + (i % 3 - 1) * 2.0,
                           4.0 + (i % 3 - 1) * 0.1);
@@ -585,7 +585,7 @@ TEST_F(BuilderTest, LearnsCleanObservations) {
 }
 
 TEST_F(BuilderTest, ReassemblesOntoSmallerId) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   // Observations reported from the larger-ID side (walking west).
   for (int i = 0; i < 5; ++i) online.addObservation(1, 0, 270.0, 4.0);
   const auto db = online.database();
@@ -596,7 +596,7 @@ TEST_F(BuilderTest, ReassemblesOntoSmallerId) {
 }
 
 TEST_F(BuilderTest, ForwardAndBackwardObservationsPool) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 3; ++i) online.addObservation(0, 1, 88.0, 3.9);
   for (int i = 0; i < 3; ++i) online.addObservation(1, 0, 272.0, 4.1);
   const auto db = online.database();
@@ -607,14 +607,14 @@ TEST_F(BuilderTest, ForwardAndBackwardObservationsPool) {
 }
 
 TEST_F(BuilderTest, SelfPairsDropped) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   online.addObservation(1, 1, 90.0, 4.0);
   EXPECT_EQ(online.report().droppedSelfPairs, 1u);
   EXPECT_EQ(online.database().entryCount(), 0u);
 }
 
 TEST_F(BuilderTest, CoarseFilterRejectsDirectionOutliers) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 90.0, 4.0);
   // 45 degrees off the map heading: beyond the 20-degree threshold.
   online.addObservation(0, 1, 135.0, 4.0);
@@ -623,7 +623,7 @@ TEST_F(BuilderTest, CoarseFilterRejectsDirectionOutliers) {
 }
 
 TEST_F(BuilderTest, CoarseFilterRejectsOffsetOutliers) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 90.0, 4.0);
   online.addObservation(0, 1, 90.0, 8.5);  // 4.5 m off: beyond 3 m.
   EXPECT_EQ(online.report().rejectedCoarse, 1u);
@@ -632,7 +632,7 @@ TEST_F(BuilderTest, CoarseFilterRejectsOffsetOutliers) {
 TEST_F(BuilderTest, CoarseFilterComparesAgainstMapNotSamples) {
   // Consistently wrong observations (e.g. from misestimated locations)
   // are all rejected even though they agree with each other.
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 10; ++i) online.addObservation(0, 1, 180.0, 4.0);
   EXPECT_EQ(online.report().rejectedCoarse, 10u);
   EXPECT_FALSE(online.database().hasEntry(0, 1));
@@ -642,7 +642,7 @@ TEST_F(BuilderTest, FineFilterRejectsInliersBeyondTwoSigma) {
   BuilderConfig config;
   config.coarseDirectionThresholdDeg = 20.0;
   config.minSamplesPerPair = 3;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   // A tight cluster plus one sample inside the coarse gate but far from
   // the cluster (in offset).
   for (int i = 0; i < 20; ++i)
@@ -657,7 +657,7 @@ TEST_F(BuilderTest, FineFilterRejectsInliersBeyondTwoSigma) {
 TEST_F(BuilderTest, FineFilterCanBeDisabled) {
   BuilderConfig config;
   config.enableFineFilter = false;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   for (int i = 0; i < 20; ++i) online.addObservation(0, 1, 90.0, 4.0);
   online.addObservation(0, 1, 90.0, 5.5);
   EXPECT_EQ(online.report().rejectedFine, 0u);
@@ -668,7 +668,7 @@ TEST_F(BuilderTest, CoarseFilterCanBeDisabled) {
   BuilderConfig config;
   config.enableCoarseFilter = false;
   config.enableFineFilter = false;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 180.0, 9.0);
   EXPECT_EQ(online.report().rejectedCoarse, 0u);
   const auto db = online.database();
@@ -679,7 +679,7 @@ TEST_F(BuilderTest, CoarseFilterCanBeDisabled) {
 TEST_F(BuilderTest, MinSamplesGate) {
   BuilderConfig config;
   config.minSamplesPerPair = 3;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   online.addObservation(0, 1, 90.0, 4.0);
   online.addObservation(0, 1, 90.0, 4.0);
   EXPECT_EQ(online.report().pairsStored, 0u);
@@ -690,7 +690,7 @@ TEST_F(BuilderTest, SigmaFloorsApplied) {
   BuilderConfig config;
   config.minDirectionSigmaDeg = 2.0;
   config.minOffsetSigmaMeters = 0.05;
-  OnlineMotionDatabase online(plan_, config);
+  OnlineMotionDatabase online(plan_.positions(), config);
   // Identical samples would otherwise fit sigma = 0.
   for (int i = 0; i < 5; ++i) online.addObservation(0, 1, 90.0, 4.0);
   const auto db = online.database();
@@ -703,7 +703,7 @@ TEST_F(BuilderTest, DirectionFitHandlesNorthWrap) {
   env::FloorPlan vertical(6.0, 12.0);
   vertical.addReferenceLocation({2.0, 2.0});
   vertical.addReferenceLocation({2.0, 6.0});  // Due north of 0.
-  OnlineMotionDatabase online(vertical);
+  OnlineMotionDatabase online(vertical.positions());
   for (double d : {355.0, 357.0, 0.0, 3.0, 5.0})
     online.addObservation(0, 1, d, 4.0);
   const auto db = online.database();
@@ -714,13 +714,13 @@ TEST_F(BuilderTest, DirectionFitHandlesNorthWrap) {
 }
 
 TEST_F(BuilderTest, ThrowsOnUnknownLocations) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   EXPECT_THROW(online.addObservation(0, 7, 90.0, 4.0), std::out_of_range);
   EXPECT_THROW(online.addObservation(-1, 1, 90.0, 4.0), std::out_of_range);
 }
 
 TEST_F(BuilderTest, ReportCountsObservations) {
-  OnlineMotionDatabase online(plan_);
+  OnlineMotionDatabase online(plan_.positions());
   for (int i = 0; i < 7; ++i) online.addObservation(0, 1, 90.0, 4.0);
   online.addObservation(1, 1, 0.0, 0.0);
   const BuilderReport report = online.report();
@@ -734,8 +734,8 @@ TEST_F(BuilderTest, SetConfigChangesSubsequentBuilds) {
   BuilderConfig loose;
   loose.enableCoarseFilter = false;
   loose.enableFineFilter = false;
-  OnlineMotionDatabase strict(plan_);
-  OnlineMotionDatabase lax(plan_, loose);
+  OnlineMotionDatabase strict(plan_.positions());
+  OnlineMotionDatabase lax(plan_.positions(), loose);
   for (OnlineMotionDatabase* online : {&strict, &lax}) {
     for (int i = 0; i < 5; ++i) online->addObservation(0, 1, 90.0, 4.0);
     online->addObservation(0, 1, 135.0, 4.0);  // Coarse outlier.

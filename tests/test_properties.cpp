@@ -108,7 +108,7 @@ TEST_P(SeededPropertyTest, GroundTruthRlmsMirror) {
 TEST_P(SeededPropertyTest, BuilderOutputAlwaysMirrorConsistent) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 3000);
   const auto plan = randomPlan(rng);
-  core::OnlineMotionDatabase online(plan);
+  core::OnlineMotionDatabase online(plan.positions());
 
   // Random (noisy, sometimes junk) observations.
   const auto n = static_cast<env::LocationId>(plan.locationCount());

@@ -67,8 +67,8 @@ class StateStoreTest : public ::testing::Test {
   /// Small reservoirs: eviction — and therefore the RNG stream — is in
   /// play for every durability test.
   core::OnlineMotionDatabase makeDb(std::uint64_t seed = 11) {
-    return core::OnlineMotionDatabase(plan_, {}, /*reservoirCapacity=*/4,
-                                      seed);
+    return core::OnlineMotionDatabase(plan_.positions(), {},
+                                      /*reservoirCapacity=*/4, seed);
   }
 
   env::FloorPlan plan_{12.0, 4.0};

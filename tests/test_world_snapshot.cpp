@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/motion_matcher.hpp"
 #include "core/online_motion_database.hpp"
 #include "env/floor_plan.hpp"
+#include "geometry/vec2.hpp"
 #include "motion_support.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "service/localization_service.hpp"
@@ -88,11 +90,44 @@ TEST(WorldSnapshot, ServiceBootWorldIsGenerationZero) {
   EXPECT_EQ(world->adjacency().entryCount(), motion.entryCount());
 }
 
+TEST(WorldSnapshot, PositionsAreSharedByEveryPublishedGeneration) {
+  const auto plan = corridorPlan();
+  const WorldSnapshot::Positions positions =
+      std::make_shared<const std::vector<geometry::Vec2>>(plan.positions());
+  // One coordinate per adjacency row, or none at all.
+  EXPECT_THROW(WorldSnapshot(nullptr, std::make_shared<const MotionDatabase>(4),
+                             0, 0, nullptr, positions),
+               std::invalid_argument);
+
+  service::ServiceConfig config;
+  config.shardCount = 1;
+  config.metrics = nullptr;
+  service::LocalizationService svc(
+      service::bootWorld(std::make_shared<const radio::FingerprintDatabase>(
+                             corridorFingerprints()),
+                         std::make_shared<const MotionDatabase>(3), positions,
+                         config),
+      config);
+  EXPECT_EQ(svc.currentWorld()->positions().get(), positions.get());
+
+  // An intake over another location count cannot feed this world.
+  OnlineMotionDatabase wrong(std::vector<geometry::Vec2>(4));
+  EXPECT_THROW(svc.attachIntake(&wrong), std::invalid_argument);
+
+  OnlineMotionDatabase db(*positions);
+  svc.attachIntake(&db);
+  EXPECT_TRUE(svc.reportObservation(0, 1, 90.0, 4.0));
+  svc.flushIntake();
+  const auto published = svc.currentWorld();
+  EXPECT_GT(published->generation(), 0u);
+  EXPECT_EQ(published->positions().get(), positions.get());
+}
+
 TEST(WorldSnapshot, PinnedReaderSeesBitwiseStableWorldAcrossPublishes) {
   const auto plan = corridorPlan();
   BuilderConfig builderConfig;
   builderConfig.minSamplesPerPair = 3;
-  OnlineMotionDatabase db(plan, builderConfig);
+  OnlineMotionDatabase db(plan.positions(), builderConfig);
 
   service::ServiceConfig config;
   config.shardCount = 1;
@@ -144,7 +179,7 @@ TEST(WorldSnapshot, SessionsAdoptNewerWorldsBetweenScans) {
   const auto plan = corridorPlan();
   BuilderConfig builderConfig;
   builderConfig.minSamplesPerPair = 3;
-  OnlineMotionDatabase db(plan, builderConfig);
+  OnlineMotionDatabase db(plan.positions(), builderConfig);
 
   service::ServiceConfig config;
   config.shardCount = 1;

@@ -4,11 +4,21 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/online_motion_database.hpp"
+#include "geometry/angles.hpp"
+#include "geometry/vec2.hpp"
+#include "image/image_loader.hpp"
+#include "image/image_writer.hpp"
 #include "motion_support.hpp"
+#include "sensors/accelerometer_model.hpp"
+#include "sensors/compass_model.hpp"
 #include "service/localization_service.hpp"
 #include "util/rng.hpp"
 #include "worldgen/venue_spec.hpp"
@@ -273,6 +283,133 @@ TEST(WorldgenTest, ServiceWithIndexMatchesExactServiceBitwise) {
   EXPECT_EQ(std::memcmp(&viaIndex.probability, &viaExact.probability,
                         sizeof(double)),
             0);
+}
+
+/// The boot world molocd builds for `venue` (the same bootWorld call).
+std::shared_ptr<const core::WorldSnapshot> venueBootWorld(
+    const GeneratedVenue& venue, service::ServiceConfig& config) {
+  config.indexShardStarts = venue.shardStarts();
+  return service::bootWorld(
+      venue.sharedFingerprints(), venue.sharedMotion(),
+      std::make_shared<const std::vector<geometry::Vec2>>(
+          venue.site().plan.positions()),
+      config);
+}
+
+TEST(WorldgenTest, BootWorldSharesTheVenueDatabases) {
+  const GeneratedVenue venue(smallSpec());
+  service::ServiceConfig config;
+  config.metrics = nullptr;
+  const auto world = venueBootWorld(venue, config);
+  // No copy of either database: the world holds the venue's own.
+  EXPECT_EQ(&world->adjacency(), &venue.motion());
+  EXPECT_EQ(world->fingerprints().get(), &venue.fingerprints());
+  ASSERT_NE(world->positions(), nullptr);
+  EXPECT_EQ(world->positions()->size(), venue.locationCount());
+}
+
+/// A deterministic walking IMU trace (3 s at 50 Hz) heading `heading`.
+sensors::ImuTrace walkingTrace(double headingDeg, std::uint64_t seed) {
+  util::Rng rng(seed);
+  sensors::AccelerometerModel accel;
+  sensors::CompassModel compass;
+  const auto accelSeries = accel.walkingSamples(150, 1.8, rng);
+  const auto compassSeries = compass.readings(headingDeg, 0.0, 150, rng);
+  sensors::ImuTrace trace(50.0);
+  for (std::size_t i = 0; i < 150; ++i)
+    trace.append({i / 50.0, accelSeries[i], compassSeries[i]});
+  return trace;
+}
+
+void expectSameEstimate(const core::LocationEstimate& a,
+                        const core::LocationEstimate& b) {
+  EXPECT_EQ(a.location, b.location);
+  EXPECT_EQ(std::memcmp(&a.probability, &b.probability, sizeof(double)), 0);
+  ASSERT_EQ(a.candidates.size(), b.candidates.size());
+  for (std::size_t c = 0; c < a.candidates.size(); ++c) {
+    EXPECT_EQ(a.candidates[c].location, b.candidates[c].location);
+    EXPECT_EQ(std::memcmp(&a.candidates[c].probability,
+                          &b.candidates[c].probability, sizeof(double)),
+              0);
+  }
+}
+
+// A venue boot and a boot from that venue's image are one world: with
+// an intake built from each world's own coordinates and fed the same
+// observations, both serve bitwise-equal estimates before and after
+// the intake publishes.
+TEST(WorldgenTest, ImageBootWithIntakeMatchesTheVenueBootBitwise) {
+  VenueSpec spec = smallSpec();
+  spec.gridCols = 16;
+  spec.gridRows = 16;  // 1024 locations: the boot world has an index.
+  const GeneratedVenue venue(spec);
+  service::ServiceConfig config;
+  config.metrics = nullptr;
+  const auto venueWorld = venueBootWorld(venue, config);
+  ASSERT_NE(venueWorld->tieredIndex(), nullptr);
+
+  const std::string dir =
+      ::testing::TempDir() + "moloc_worldgen_image_boot";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/venue.img";
+  image::writeVenueImage(path, *venueWorld);
+  const auto imageWorld = image::VenueImage::open(path).world();
+  ASSERT_NE(imageWorld->tieredIndex(), nullptr);
+
+  service::LocalizationService fromVenue(venueWorld, config);
+  service::LocalizationService fromImage(imageWorld, config);
+  core::OnlineMotionDatabase venueIntake(
+      *fromVenue.currentWorld()->positions());
+  core::OnlineMotionDatabase imageIntake(
+      *fromImage.currentWorld()->positions());
+  fromVenue.attachIntake(&venueIntake);
+  fromImage.attachIntake(&imageIntake);
+
+  // Sessions walk east along floor 0's first row.
+  const auto localizeBoth = [&](std::uint64_t round) {
+    util::Rng rng(round);
+    for (std::uint64_t session = 1; session <= 8; ++session) {
+      const auto loc = static_cast<env::LocationId>(session + round);
+      const radio::Fingerprint scan = venue.scanAt(loc, 90.0, rng);
+      const sensors::ImuTrace imu =
+          walkingTrace(90.0, round * 100 + session);
+      SCOPED_TRACE("round " + std::to_string(round) + ", session " +
+                   std::to_string(session));
+      expectSameEstimate(fromVenue.submitScan(session, scan, imu),
+                         fromImage.submitScan(session, scan, imu));
+    }
+  };
+  localizeBoth(0);
+
+  const std::vector<geometry::Vec2>& positions = *venueWorld->positions();
+  for (env::LocationId a = 0; a + 1 < spec.gridCols; ++a) {
+    const geometry::Vec2 from = positions[static_cast<std::size_t>(a)];
+    const geometry::Vec2 to = positions[static_cast<std::size_t>(a) + 1];
+    for (int k = 0; k < 4; ++k) {
+      const double direction =
+          geometry::headingBetweenDeg(from, to) + 0.5 * k;
+      const double offset = geometry::distance(from, to) + 0.05 * k;
+      const bool accepted =
+          fromVenue.reportObservation(a, a + 1, direction, offset);
+      EXPECT_TRUE(accepted);
+      EXPECT_EQ(fromImage.reportObservation(a, a + 1, direction, offset),
+                accepted);
+    }
+  }
+  fromVenue.flushIntake();
+  fromImage.flushIntake();
+
+  const core::MotionDatabase& venueMotion =
+      fromVenue.currentWorld()->adjacency();
+  const core::MotionDatabase& imageMotion =
+      fromImage.currentWorld()->adjacency();
+  ASSERT_GT(venueMotion.entryCount(), 0u);
+  ASSERT_EQ(venueMotion.entryCount(), imageMotion.entryCount());
+  EXPECT_EQ(std::memcmp(venueMotion.edges().data(), imageMotion.edges().data(),
+                        venueMotion.entryCount() * sizeof(kernel::PairWindow)),
+            0);
+  localizeBoth(1);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
